@@ -111,12 +111,37 @@ class SlotLayout:
     def slot_to_group(self) -> np.ndarray:
         return np.repeat(np.arange(self.group_count, dtype=np.int32), self.group_sizes)
 
+    def slots_of(self, groups: np.ndarray) -> np.ndarray:
+        """Concatenated slot ids of `groups` (repeats allowed), in order, as int32."""
+        indptr = np.append(self.group_start, self.total_slots)
+        return _gather_rows(indptr, np.arange(self.total_slots, dtype=np.int32), groups)
+
     def group_slots(self, group: int) -> np.ndarray:
         """Slot ids owned by `group`, in ascending order."""
         if not 0 <= group < self.group_count:
             raise InputError(f"group {group} out of range [0, {self.group_count})")
         start = int(self.group_start[group])
         return np.arange(start, start + self.slots_per_group[group], dtype=np.int32)
+
+
+def _gather_rows(indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenated entries of the given CSR rows, preserving row order.
+
+    Equivalent to ``np.concatenate([entries[indptr[r]:indptr[r+1]] for r in
+    rows])`` without the Python loop; rows may repeat.
+    """
+    lens = indptr[rows + 1] - indptr[rows]
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=entries.dtype)
+    keep = lens > 0
+    r, lens = rows[keep], lens[keep]
+    first = indptr[r]
+    steps = np.ones(total, dtype=np.int64)
+    steps[0] = first[0]
+    bounds = np.cumsum(lens)[:-1]
+    steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
+    return entries[np.cumsum(steps)]
 
 
 def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray):
@@ -205,9 +230,6 @@ class RelevanceMatrix:
             object.__setattr__(self, "_row_ids", cached)
         return cached
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.row_ids().tolist(), self.indices.tolist()))
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.candidates, self.slots), dtype=np.int8)
         dense[self.row_ids(), self.indices] = 1
@@ -250,7 +272,11 @@ class SparseProbMatrix:
         _validate_csr(self.candidates, self.slots, self.indptr, self.indices)
         if self.probs.shape != self.indices.shape:
             raise InputError("probs must align with indices")
-        if self.probs.size and (self.probs.min() <= 0.0 or self.probs.max() > 1.0):
+        if self.probs.size and (
+            not np.isfinite(self.probs).all()
+            or self.probs.min() <= 0.0
+            or self.probs.max() > 1.0
+        ):
             raise InputError("stored probabilities must lie in (0, 1]")
         for arr in (self.indptr, self.indices, self.probs):
             arr.setflags(write=False)
@@ -260,7 +286,9 @@ class SparseProbMatrix:
         arr = np.asarray(dense, dtype=np.float64)
         if arr.ndim != 2:
             raise InputError("dense probability matrix must be 2-D")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.size and (
+            not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0
+        ):
             raise InputError("probabilities must lie in [0, 1]")
         rows, cols = np.nonzero(arr)
         c, s = arr.shape
@@ -378,7 +406,9 @@ class ProbabilityModel:
                 raise InputError("membership ids out of range")
             if mem.shape[1] > 1 and np.any(np.diff(mem, axis=1) <= 0):
                 raise InputError("membership rows must be strictly increasing")
-            if gp.size and (gp.min() <= 0.0 or gp.max() >= 1.0):
+            if gp.size and (
+                not np.isfinite(gp).all() or gp.min() <= 0.0 or gp.max() >= 1.0
+            ):
                 raise InputError("group probabilities must lie strictly inside (0, 1)")
             mem.setflags(write=False)
             gp.setflags(write=False)
@@ -419,37 +449,14 @@ class ProbabilityModel:
         if self.kind == KIND_INDEPENDENT:
             return self.marginals
         sizes = self.layout.group_sizes
-        starts = self.layout.group_start
         c, a = self.membership.shape
         per_cand = sizes[self.membership].sum(axis=1)
         indptr = np.zeros(c + 1, dtype=np.int64)
         np.cumsum(per_cand, out=indptr[1:])
         flat_groups = self.membership.ravel()
-        indices = _expand_group_blocks(flat_groups, starts, sizes)
+        indices = self.layout.slots_of(flat_groups)
         probs = np.repeat(self.group_prob.ravel(), sizes[flat_groups])
         return SparseProbMatrix(c, self.layout.total_slots, indptr, indices, probs)
-
-
-def _expand_group_blocks(
-    groups: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Concatenate the slot-id ranges of `groups`, preserving order.
-
-    Equivalent to ``np.concatenate([arange(starts[g], starts[g]+sizes[g])
-    for g in groups])`` without the Python loop.
-    """
-    lens = sizes[groups]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int32)
-    keep = lens > 0
-    g, lens = groups[keep], lens[keep]
-    first = starts[g]
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = first[0]
-    bounds = np.cumsum(lens)[:-1]
-    steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
-    return np.cumsum(steps).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)

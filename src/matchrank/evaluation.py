@@ -6,6 +6,12 @@ normalized depth (1.0 is perfect).  A draw whose full candidate set cannot
 fill the slots has no ``k_min`` — such draws are reported and excluded from
 the mean/deviation.
 
+Prefix matching size never falls as the prefix grows, so ``k_min`` is found
+by bisection over prefix lengths, each probe a fresh Hopcroft–Karp solve
+(:func:`~matchrank.matching.max_matching_size`).  The incremental matching
+kernel serves the ranker and :func:`prefix_match_curve`, which needs every
+prefix size.
+
 Evaluation draws come from dedicated per-draw sub-streams, so results are
 identical regardless of how many worker processes compute them.
 """
@@ -19,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    ContractError,
     InputError,
     PURPOSE_EVAL,
     ProbabilityModel,
@@ -28,13 +33,7 @@ from .core import (
     SampleSet,
     substream,
 )
-from .matching import (
-    augmenting_slots,
-    commit_add,
-    commit_nonaugmenting,
-    init_state,
-    max_matching_size,
-)
+from .matching import commit_add, init_state, max_matching_size
 from .ranker import RankerConfig, RankerStats, rank
 from .synthgen import build_synthetic_model, draw_relevance, sample_relevances
 
@@ -106,7 +105,7 @@ def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) 
         raise InputError(f"target must lie in [0, {matrix.slots}]")
     if not ranking.is_complete(matrix.candidates):
         raise InputError("k_min needs a complete ranking")
-    return _kmin_walk(matrix, ranking.order, target)
+    return _kmin_bisect(matrix, ranking.order, target)
 
 
 def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
@@ -114,31 +113,22 @@ def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
         raise InputError("ranking refers to candidates outside the matrix")
 
 
-def _kmin_walk(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int | None:
+def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int | None:
     if target == 0:
         return 0
-    # If even the full pool falls short there is no point walking the prefix.
+    # `order` covers every candidate, so one full solve settles reachability.
     if max_matching_size(matrix) < target:
         return None
-    state = init_state(matrix)
-    reach = None  # augmenting-slot mask, rebuilt lazily after each gain
-    for i, a in enumerate(order):
-        a = int(a)
-        row = matrix.row(a)
-        if row.size == 0:
-            commit_nonaugmenting(state, a, matrix)
-            continue
-        if reach is None and not state.unmatched_slot[row].any():
-            reach = augmenting_slots(state, matrix)
-        if reach is not None and not reach[row].any():
-            commit_nonaugmenting(state, a, matrix)
-            continue
-        if commit_add(state, a, matrix) == 0:
-            raise ContractError("augmenting-slot mask promised a gain")
-        reach = None
-        if state.size >= target:
-            return i + 1
-    raise AssertionError("full matching size promised target reachability")
+    # Invariant: prefix `lo` falls short of `target`, prefix `hi` reaches it.
+    # Fewer than `target` candidates cannot fill `target` slots.
+    lo, hi = target - 1, len(order)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if max_matching_size(matrix, order[:mid]) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:
@@ -171,7 +161,7 @@ def _kmin_chunk(
     """k_min of draws [lo, hi) — the process-pool work unit."""
     target = model.slots
     return [
-        _kmin_walk(draw_relevance(model, substream(eval_seed, PURPOSE_EVAL, i)), order, target)
+        _kmin_bisect(draw_relevance(model, substream(eval_seed, PURPOSE_EVAL, i)), order, target)
         for i in range(lo, hi)
     ]
 

@@ -49,20 +49,32 @@ FORMAT_VERSION = 1
 
 
 def _dump_compact(obj, path: str | Path):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _dump_pretty(obj, path: str | Path):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _read_json(path: str | Path):
+    """Parse a JSON file.  ``NaN`` and ``Infinity``, which Python's parser
+    accepts by default but JSON does not define, are rejected like any other
+    malformed input."""
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file")
+    except ValueError as e:  # JSONDecodeError, undecodable bytes, NaN/Infinity
+        raise InputError(f"{path}: not valid JSON ({e})")
 
 
 def _load_json(path: str | Path, expect_format: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: not valid JSON ({e})")
+    obj = _read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != expect_format:
         raise InputError(f"{path}: expected a {expect_format} file")
     if obj.get("version") != FORMAT_VERSION:
@@ -453,12 +465,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: not valid JSON ({e})")
+    obj = _read_json(path)
     try:
         return ExperimentConfig.from_dict(obj)
     except InputError as e:

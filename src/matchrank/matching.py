@@ -23,7 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
+from .core import (
+    ContractError,
+    InputError,
+    RelevanceMatrix,
+    SampleSet,
+    UNMATCHED,
+    _gather_rows,
+)
 
 __all__ = [
     "MatchState",
@@ -53,11 +60,7 @@ def max_matching_size(matrix: RelevanceMatrix, pool=None) -> int:
         counts = matrix.indptr[pool + 1] - matrix.indptr[pool]
         indptr = np.zeros(pool.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        indices = (
-            np.concatenate([matrix.row(int(a)) for a in pool])
-            if pool.size
-            else np.empty(0, dtype=np.int32)
-        )
+        indices = _gather_rows(matrix.indptr, matrix.indices, pool)
         rows = pool.size
     if indices.size == 0 or matrix.slots == 0:
         return 0
@@ -286,22 +289,6 @@ def scan_augmenting_candidates(
         matrix.row_ids(), weights=hits, minlength=matrix.candidates
     ) > 0
     return frontier[any_hit[frontier]]
-
-
-def _gather_rows(indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated entries of the given rows, preserving row order."""
-    lens = indptr[rows + 1] - indptr[rows]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=entries.dtype)
-    keep = lens > 0
-    r, lens = rows[keep], lens[keep]
-    first = indptr[r]
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = first[0]
-    bounds = np.cumsum(lens)[:-1]
-    steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
-    return entries[np.cumsum(steps)]
 
 
 def avg_matching(pool: Sequence[int], samples: SampleSet) -> Fraction:

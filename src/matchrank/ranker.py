@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,11 +41,9 @@ from .core import (
     substream,
 )
 from .matching import (
-    MatchState,
     augmenting_slots,
     commit_add,
     commit_nonaugmenting,
-    gain_if_added,
     init_state,
     max_matching_size,
     scan_augmenting_candidates,
@@ -60,7 +57,6 @@ __all__ = [
     "rank",
     "matchrank",
     "matchrank_lazy",
-    "total_marginal_gain",
     "empirical_marginals",
     "baseline_scores",
     "random_ranking",
@@ -115,21 +111,6 @@ class RankerStats:
     rounds: int = 0
     gain_evals: int = 0
     zero_flushed: int = 0
-
-
-def total_marginal_gain(
-    states: Sequence[MatchState], a: int, samples: SampleSet
-) -> int:
-    """Summed 0/1 matching gain of adding candidate `a` across all states.
-
-    All states must describe the same committed pool (checked via counts).
-    """
-    counts = {s.pool_count for s in states}
-    if len(counts) > 1:
-        raise ContractError("states disagree on pool size")
-    return sum(
-        gain_if_added(st, a, samples.samples[st.sample_ref]) for st in states
-    )
 
 
 def _tie_key(samples: SampleSet) -> np.ndarray:
@@ -331,8 +312,10 @@ def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
     c, s = samples.candidates, samples.slots
     counts = np.zeros(c * s, dtype=np.int64)
     for m in samples.samples:
+        # Slot ids strictly increase within a row, so one sample's keys are
+        # distinct and the fancy-indexed increment counts each exactly once.
         rows = np.repeat(np.arange(c, dtype=np.int64), m.degrees())
-        counts += np.bincount(rows * s + m.indices, minlength=c * s)
+        counts[rows * s + m.indices] += 1
     nz = np.flatnonzero(counts)
     rows = nz // s
     indptr = np.zeros(c + 1, dtype=np.int64)

@@ -28,7 +28,6 @@ from .core import (
     SampleSet,
     SlotLayout,
     SparseProbMatrix,
-    _expand_group_blocks,
     substream,
 )
 
@@ -116,14 +115,13 @@ def _draw_group(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceM
     layout = model.layout
     success = rng.random(model.group_prob.shape) < model.group_prob
     sizes = layout.group_sizes
-    starts = layout.group_start
     per_cand = (success * sizes[model.membership]).sum(axis=1)
     indptr = np.zeros(model.candidates + 1, dtype=np.int64)
     np.cumsum(per_cand, out=indptr[1:])
     # Row-major selection keeps each candidate's groups in ascending order,
     # so the expanded slot ids are sorted within each row.
     won = model.membership[success]
-    indices = _expand_group_blocks(won, starts, sizes)
+    indices = layout.slots_of(won)
     return RelevanceMatrix(model.candidates, layout.total_slots, indptr, indices)
 
 

@@ -13,6 +13,11 @@ def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -
     return RelevanceMatrix.from_dense(rng.random((c, s)) < density)
 
 
+def edge_set(matrix: RelevanceMatrix) -> set[tuple[int, int]]:
+    """The (candidate, slot) pairs of `matrix`."""
+    return set(zip(matrix.row_ids().tolist(), matrix.indices.tolist()))
+
+
 def random_sampleset(
     rng: np.random.Generator, c: int, s: int, n: int, density: float, seed: int = 0
 ) -> SampleSet:

@@ -147,6 +147,16 @@ class TestRank:
         rb, _ = read_ranking(b)
         assert ra.order.tolist() != rb.order.tolist()
 
+    def test_nan_model_exits_2(self, tmp_path, model_path, capsys):
+        obj = json.loads(model_path.read_text())
+        obj["group_prob"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        assert "NaN" in bad.read_text()
+        code = run("rank", "--model", str(bad), "--out", str(tmp_path / "r.json"), "--n", "2")
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestEval:
     @pytest.fixture

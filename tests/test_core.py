@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_relevance
+from conftest import edge_set, random_relevance
 from matchrank.core import (
     InputError,
     ProbabilityModel,
@@ -30,6 +30,22 @@ class TestSlotLayout:
         assert lay.group_start.tolist() == [0, 2, 2]
         assert lay.group_slots(2).tolist() == [2, 3, 4]
 
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slots_of_matches_naive_expansion(self, sizes, picks):
+        lay = SlotLayout(tuple(sizes))
+        groups = np.array([g % lay.group_count for g in picks], dtype=np.int32)
+        starts = lay.group_start
+        naive = np.concatenate(
+            [np.arange(starts[g], starts[g] + sizes[g]) for g in groups] + [[]]
+        ).astype(np.int32)
+        got = lay.slots_of(groups)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, naive)
+
     def test_rejects_bad_layouts(self):
         with pytest.raises(InputError):
             SlotLayout(())
@@ -46,7 +62,7 @@ class TestRelevanceMatrix:
         assert m.row(1).tolist() == []
         assert m.row(2).tolist() == [1]
         assert m.edge_count == 3
-        assert m.edge_set() == {(0, 0), (0, 3), (2, 1)}
+        assert edge_set(m) == {(0, 0), (0, 3), (2, 1)}
 
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -62,7 +78,7 @@ class TestRelevanceMatrix:
         for t in range(5):
             for a in cands[ptr[t] : ptr[t + 1]]:
                 pairs.add((int(a), t))
-        assert pairs == m.edge_set()
+        assert pairs == edge_set(m)
 
     def test_rejects_malformed(self):
         with pytest.raises(InputError):
@@ -101,6 +117,15 @@ class TestSparseProbMatrix:
             SparseProbMatrix.from_triplets(2, 2, [(0, 0, 0.5), (0, 0, 0.6)])
         with pytest.raises(InputError):
             SparseProbMatrix.from_triplets(2, 2, [(2, 0, 0.5)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            SparseProbMatrix.from_dense([[bad, 0.5]])
+        with pytest.raises(InputError):
+            SparseProbMatrix(1, 2, [0, 2], [0, 1], [bad, 0.5])
+        with pytest.raises(InputError):
+            SparseProbMatrix.from_triplets(1, 2, [(0, 0, bad)])
 
     def test_triplets_zero_dropped_and_sorted(self):
         p = SparseProbMatrix.from_triplets(2, 3, [(1, 2, 0.3), (1, 0, 0.2), (0, 1, 0.0)])
@@ -149,6 +174,13 @@ class TestProbabilityModel:
             ProbabilityModel.group_structured(lay, [[0, 1]], [[0.5, 1.0]])
         with pytest.raises(InputError):
             ProbabilityModel(kind="nope")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_group_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            ProbabilityModel.group_structured(
+                SlotLayout.uniform(2, 1), [[0], [1]], [[bad], [0.5]]
+            )
 
 
 class TestSampleSet:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_relevance, random_sampleset
 from matchrank.core import InputError, Ranking, RelevanceMatrix, SampleSet, substream
@@ -72,6 +74,20 @@ class TestKMin:
             m = random_relevance(np.random.default_rng(seed), 8, 4, 0.6)
             k = k_min(full_ranking(rng.permutation(8)), m)
             assert k is None or k >= 4
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_first_reach_of_prefix_curve(self, data):
+        # The incremental kernel's prefix curve is the reference for the
+        # bisection: k_min is the first prefix whose size reaches the target.
+        c, s = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.booleans(), min_size=c * s, max_size=c * s))
+        m = RelevanceMatrix.from_dense(np.array(cells, dtype=bool).reshape(c, s))
+        r = full_ranking(data.draw(st.permutations(range(c))))
+        sizes = [0, *prefix_match_curve(r, m).tolist()]
+        for target in range(s + 1):
+            want = next((k for k, size in enumerate(sizes) if size >= target), None)
+            assert k_min(r, m, target) == want
 
 
 class TestAvgMatchingCurve:

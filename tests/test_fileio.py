@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -128,6 +129,16 @@ class TestModelFiles:
         with pytest.raises(InputError, match="version"):
             read_model(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_constants(self, tmp_path, token):
+        path = tmp_path / "x.json"
+        path.write_text(
+            '{"format":"matchrank-model","version":1,"kind":"independent",'
+            f'"candidates":1,"slots":1,"entries":[[0,0,{token}]]}}'
+        )
+        with pytest.raises(InputError, match="non-finite"):
+            read_model(path)
+
     def test_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(
@@ -185,6 +196,11 @@ class TestReportFiles:
         assert p1.read_bytes() == p2.read_bytes()
         assert read_report(p1) == rep
 
+    def test_refuses_to_write_non_finite(self, tmp_path):
+        rep = dataclasses.replace(self.make_report(), normalized_mean=float("nan"))
+        with pytest.raises(ValueError):
+            write_report(rep, tmp_path / "r.json")
+
     def test_table(self):
         rep = self.make_report()
         text, rows = report_table([rep, rep])
@@ -222,6 +238,12 @@ class TestExperimentConfig:
     def test_bad_algorithm(self):
         with pytest.raises(InputError, match="unknown algorithm"):
             ExperimentConfig.from_dict({"ranker": {"algorithm": "bfs"}})
+
+    def test_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"synth": {"p_base": NaN}}')
+        with pytest.raises(InputError, match="non-finite"):
+            load_config(path)
 
     def test_bad_threads(self):
         with pytest.raises(InputError, match="threads"):

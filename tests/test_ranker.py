@@ -14,7 +14,13 @@ from matchrank.core import (
     SampleSet,
     SparseProbMatrix,
 )
-from matchrank.matching import avg_matching, commit_add, init_state
+from matchrank.matching import (
+    MatchState,
+    avg_matching,
+    commit_add,
+    gain_if_added,
+    init_state,
+)
 from matchrank.ranker import (
     ALGORITHMS,
     RankerConfig,
@@ -26,9 +32,20 @@ from matchrank.ranker import (
     random_ranking,
     rank,
     score_ranking,
-    total_marginal_gain,
 )
 from oracles import all_ksubset_totals
+
+
+def total_marginal_gain(states: list[MatchState], a: int, samples: SampleSet) -> int:
+    """Summed 0/1 matching gain of adding candidate `a` across all states.
+
+    All states must describe the same committed pool (checked via counts).
+    """
+    if len({state.pool_count for state in states}) > 1:
+        raise ContractError("states disagree on pool size")
+    return sum(
+        gain_if_added(state, a, samples.samples[state.sample_ref]) for state in states
+    )
 
 
 class TestRankerConfig:
