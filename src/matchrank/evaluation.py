@@ -33,7 +33,7 @@ from .core import (
     SampleSet,
     substream,
 )
-from .matching import commit_add, init_state, max_matching_size
+from .matching import _matching_size, commit_add, init_state, max_matching_size
 from .ranker import RankerConfig, RankerStats, rank
 from .synthgen import build_synthetic_model, draw_relevance, sample_relevances
 
@@ -124,7 +124,8 @@ def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int
     lo, hi = target - 1, len(order)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if max_matching_size(matrix, order[:mid]) >= target:
+        # `order` is a validated permutation, so its prefixes skip the pool checks.
+        if _matching_size(matrix, order[:mid]) >= target:
             hi = mid
         else:
             lo = mid

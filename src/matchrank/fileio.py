@@ -214,10 +214,12 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
             raise InputError(f"unknown model kind {obj.get('kind')!r}")
     except KeyError as e:
         raise InputError(f"{path}: missing field {e}")
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{path}: malformed model ({e})")
+    # InputError subclasses ValueError, so it must be caught first to keep the
+    # validator's own message.
     except InputError as e:
         raise InputError(f"{path}: {e}")
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{path}: malformed model ({e})")
     return model, obj.get("metadata", {})
 
 

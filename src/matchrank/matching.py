@@ -48,15 +48,22 @@ __all__ = [
 def max_matching_size(matrix: RelevanceMatrix, pool=None) -> int:
     """Exact maximum matching size between `pool` (default: all candidates)
     and the slots of `matrix`.  Hopcroft–Karp via scipy."""
-    if pool is None:
-        indptr, indices = matrix.indptr, matrix.indices
-        rows = matrix.candidates
-    else:
+    if pool is not None:
         pool = np.asarray(pool, dtype=np.int64).ravel()
         if pool.size and (pool.min() < 0 or pool.max() >= matrix.candidates):
             raise InputError("pool candidate ids out of range")
         if np.unique(pool).size != pool.size:
             raise InputError("pool must not repeat a candidate")
+    return _matching_size(matrix, pool)
+
+
+def _matching_size(matrix: RelevanceMatrix, pool: np.ndarray | None = None) -> int:
+    """:func:`max_matching_size` without its pool checks, for callers whose
+    `pool` is already known to be distinct in-range ids (1-D, integer)."""
+    if pool is None:
+        indptr, indices = matrix.indptr, matrix.indices
+        rows = matrix.candidates
+    else:
         counts = matrix.indptr[pool + 1] - matrix.indptr[pool]
         indptr = np.zeros(pool.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -1,14 +1,24 @@
 """Rankers: greedy maximization of the average matching size, plus baselines.
 
 The greedy ranker picks, at every rank, the candidate whose addition raises
-the summed matching size across the sample set the most.  Two implementations
-produce identical output:
+the summed matching size across the sample set the most.  :func:`rank`, the
+one dispatch point, runs both greedy algorithms (``matchrank`` and
+``matchrank-lazy``) through the cut kernel whenever the sample set is
+class-structured: its slots fall into at most :data:`MAX_CUT_CLASSES`
+classes of twins (slots whose columns agree in every sample), as in a group
+model, where a candidate is relevant to all slots of a group or to none.
+The kernel then works on per-class bit masks and the cut form of the
+matching size (see :func:`_cut_greedy`).  Every other sample set takes the
+general augmenting-path implementations, which produce identical output:
 
-* ``matchrank`` re-evaluates every remaining candidate each round via one
-  slot-side scan per sample;
-* ``matchrank-lazy`` keeps a max-heap of previously seen gains.  Gains only
-  shrink as the pool grows, so a popped entry whose gain is current is
+* :func:`matchrank` re-evaluates every remaining candidate each round via
+  one slot-side scan per sample;
+* :func:`matchrank_lazy` keeps a max-heap of previously seen gains.  Gains
+  only shrink as the pool grows, so a popped entry whose gain is current is
   guaranteed optimal; stale entries are re-evaluated only when they surface.
+
+Called directly, those two always run the augmenting-path kernel; they are
+the oracle the cut kernel is tested against.
 
 Ties are broken identically everywhere: higher total gain first, then higher
 competition-normalized relevance (each slot's empirical frequency column is
@@ -73,6 +83,14 @@ TIE_BREAK = "gain-ntr-index"
 #: were 1 - 1e-12; the exact value would be infinite.
 _OR_CLAMP_P = 1.0 - 1e-12
 
+#: Most slot classes the cut kernel takes; more go to the augmenting path.
+#: The kernel's work and its per-sample count array grow as 2**classes, so
+#: this also caps that array at n * 2**12 int32 before it is allocated.  On
+#: group models of 500 candidates x 10 slots per group (n=200) the cut kernel
+#: beat ``matchrank_lazy`` 5.7x at 12 classes, 3.6x at 13, 1.4x at 14, and
+#: lost at 15.  At most 16: class masks are uint16.
+MAX_CUT_CLASSES = 12
+
 
 @dataclass(frozen=True)
 class RankerConfig:
@@ -101,16 +119,18 @@ class RankerConfig:
 
 @dataclass
 class RankerStats:
-    """Work counters, mainly for comparing the two greedy implementations.
+    """Work counters, mainly for comparing the greedy implementations.
 
     `gain_evals` counts full marginal-gain evaluations of one candidate
     (the initial pass over all candidates included); `zero_flushed` counts
-    candidates emitted after the maximum gain reached zero.
+    candidates emitted after the maximum gain reached zero.  `kernel` names
+    the greedy kernel that ran: ``"augmenting"`` or ``"cut"``.
     """
 
     rounds: int = 0
     gain_evals: int = 0
     zero_flushed: int = 0
+    kernel: str = ""
 
 
 def _tie_key(samples: SampleSet) -> np.ndarray:
@@ -132,6 +152,7 @@ class _GreedyBase:
     def __init__(self, samples: SampleSet, stats: RankerStats):
         self.samples = samples
         self.stats = stats
+        stats.kernel = "augmenting"
         self.c = samples.candidates
         self.tie_key = _tie_key(samples)
         self.states = [init_state(m, j) for j, m in enumerate(samples.samples)]
@@ -294,8 +315,9 @@ def _resolve_stop(cfg: RankerConfig, c: int) -> int:
 
 def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
     """Id with lexicographically largest (gain, normalized relevance, -id)."""
-    top = np.lexsort((ids, -key, -gains))[0]
-    return int(ids[top])
+    top = gains == gains.max()
+    ids, key = ids[top], key[top]
+    return int(ids[np.lexsort((ids, -key))[0]])
 
 
 def _flush_zeros(eng, ids: np.ndarray, order: list, prefix: list, limit: int):
@@ -305,6 +327,132 @@ def _flush_zeros(eng, ids: np.ndarray, order: list, prefix: list, limit: int):
         eng.stats.zero_flushed += 1
         order.append(int(a))
         prefix.append(eng.total)
+
+
+def _slot_classes(samples: SampleSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """Slot classes of a class-structured sample set, or None.
+
+    Slots whose columns agree in every sample form a class.  A hash of each
+    column proposes the classes, refined sample by sample, giving up once
+    there are more than :data:`MAX_CUT_CLASSES`; :func:`_class_masks` then
+    checks the proposal exactly.
+    """
+    c, s = samples.candidates, samples.slots
+    # Fixed weights: the proposal depends on the samples alone.
+    weights = np.random.default_rng(0).random(c)
+    label = np.zeros(s, dtype=np.int64)
+    for m in samples.samples:
+        column = np.bincount(
+            m.indices, weights=np.repeat(weights, m.degrees()), minlength=s
+        )
+        _, label = np.unique(
+            np.column_stack((label, column)), axis=0, return_inverse=True
+        )
+        label = label.reshape(-1)
+        if s and label.max() >= MAX_CUT_CLASSES:
+            return None
+    return _class_masks(samples, label)
+
+
+def _class_masks(
+    samples: SampleSet, label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Cut-kernel inputs for the slot classes `label` (class id per slot,
+    dense from 0), or None unless every row of every sample is a union of
+    whole classes.
+
+    Returns ``cap``, the slot count of every class subset (indexed by its
+    bit mask), and ``masks``, per sample and candidate the bit mask of the
+    classes the candidate is relevant to (uint16, n x candidates).
+    """
+    g = int(label.max()) + 1 if label.size else 0
+    subsets = np.arange(1 << g)
+    cap = ((subsets[:, None] >> np.arange(g)) & 1) @ np.bincount(label, minlength=g)
+    bit = 1 << label
+    masks = np.zeros((samples.n, samples.candidates), dtype=np.uint16)
+    for j, m in enumerate(samples.samples):
+        deg = m.degrees()
+        hit = deg > 0
+        if m.edge_count:
+            # Segments of the non-empty rows end where the next one starts.
+            masks[j, hit] = np.bitwise_or.reduceat(bit[m.indices], m.indptr[:-1][hit])
+        # A row holding a slot of every class in its mask, and as many slots
+        # as those classes own together, is their whole union.
+        if np.any(cap[masks[j]] != deg):
+            return None
+    return cap, masks
+
+
+def _cut_greedy(
+    samples: SampleSet,
+    cap: np.ndarray,
+    masks: np.ndarray,
+    cfg: RankerConfig,
+    stats: RankerStats | None = None,
+) -> Ranking:
+    """Greedy ranking of a class-structured sample set; output- and
+    counter-identical to :func:`matchrank`.
+
+    By max-flow min-cut, one sample's matching size for a pool P is the
+    minimum over class subsets U of cap(U) + #{a in P : mask_a not within U},
+    where cap(U) counts the slots of U.  That function is submodular, so its
+    minimizers are closed under union and the maximal one, U*, is unique;
+    adding candidate a raises the matching iff mask_a is not within U*.
+    Each sample keeps the count term for every U and its U*.  A commit
+    recomputes U* only where it raised the matching (a zero-gain addition
+    leaves U* a minimizer, and still the maximal one), and the gains of all
+    candidates are updated in one vectorized pass over the samples whose U*
+    moved.  `cap` and `masks` come from :func:`_slot_classes`.
+    """
+    stats = stats if stats is not None else RankerStats()
+    stats.kernel = "cut"
+    n, c = masks.shape
+    limit = _resolve_stop(cfg, c)
+    tie_key = _tie_key(samples)
+    subsets = np.arange(cap.size, dtype=np.uint16)
+    outside = np.zeros((n, subsets.size), dtype=np.int32)  # count term per U
+    ustar = np.zeros(n, dtype=np.uint16)  # empty pool: only U = {} costs 0
+    gains = np.count_nonzero(masks, axis=0)
+    stats.gain_evals += c
+    remaining = np.ones(c, dtype=bool)
+    order: list[int] = []
+    prefix: list[int] = []
+    total = 0
+    while len(order) < limit:
+        ids = np.flatnonzero(remaining)
+        if order:  # eager would re-evaluate every remaining candidate here
+            stats.gain_evals += ids.size
+        gains_left = gains[ids]
+        if gains_left.max() == 0:
+            tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
+            order += tail.tolist()
+            prefix += [total] * tail.size
+            stats.rounds += tail.size
+            stats.zero_flushed += tail.size
+            break
+        best = _argbest(ids, gains_left, tie_key[ids])
+        mask = masks[:, best]
+        raised = np.flatnonzero(mask & ~ustar)
+        if raised.size != gains[best]:
+            raise ContractError(f"gain of candidate {best} out of step with its commit")
+        touched = np.flatnonzero(mask)
+        outside[touched] += (mask[touched, None] & ~subsets) != 0
+        cut = outside[raised] + cap
+        top = np.bitwise_or.reduce(
+            np.where(cut == cut.min(axis=1, keepdims=True), subsets, 0), axis=1
+        )
+        moved = top != ustar[raised]
+        rows, new = raised[moved], top[moved]
+        block = masks[rows]
+        gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
+        gains += np.count_nonzero(block & ~new[:, None], axis=0)
+        ustar[rows] = new
+        remaining[best] = False
+        total += raised.size
+        order.append(best)
+        prefix.append(total)
+        stats.rounds += 1
+    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
@@ -393,11 +541,15 @@ def rank(
 
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
-    always work from the samples themselves.
+    always work from the samples themselves, through the cut kernel when the
+    sample set is class-structured (``stats.kernel`` tells which ran).
     """
-    if cfg.algorithm == "matchrank":
-        return matchrank(samples, cfg, stats)
-    if cfg.algorithm == "matchrank-lazy":
+    if cfg.algorithm in GREEDY_ALGORITHMS:
+        classes = _slot_classes(samples)
+        if classes is not None:
+            return _cut_greedy(samples, *classes, cfg, stats)
+        if cfg.algorithm == "matchrank":
+            return matchrank(samples, cfg, stats)
         return matchrank_lazy(samples, cfg, stats)
     if cfg.algorithm == "random":
         ranking = random_ranking(samples.candidates, cfg.seed)

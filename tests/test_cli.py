@@ -157,6 +157,17 @@ class TestRank:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_validator_message_reaches_user(self, tmp_path, model_path, capsys):
+        obj = json.loads(model_path.read_text())
+        obj["group_prob"][0][0] = 1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("rank", "--model", str(bad), "--out", str(tmp_path / "r.json"), "--n", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "group probabilities must lie strictly inside (0, 1)" in err
+        assert "malformed model" not in err
+
 
 class TestEval:
     @pytest.fixture

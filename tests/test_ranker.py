@@ -9,9 +9,11 @@ from conftest import random_relevance, random_sampleset
 from matchrank.core import (
     ContractError,
     InputError,
+    ProbabilityModel,
     Ranking,
     RelevanceMatrix,
     SampleSet,
+    SlotLayout,
     SparseProbMatrix,
 )
 from matchrank.matching import (
@@ -23,6 +25,8 @@ from matchrank.matching import (
 )
 from matchrank.ranker import (
     ALGORITHMS,
+    GREEDY_ALGORITHMS,
+    MAX_CUT_CLASSES,
     RankerConfig,
     RankerStats,
     baseline_scores,
@@ -32,6 +36,14 @@ from matchrank.ranker import (
     random_ranking,
     rank,
     score_ranking,
+    _class_masks,
+    _slot_classes,
+)
+from matchrank.synthgen import (
+    SynthParams,
+    build_synthetic_model,
+    sample_relevances,
+    two_block_model,
 )
 from oracles import all_ksubset_totals
 
@@ -311,3 +323,106 @@ class TestDispatcher:
         for algo in ("tr", "random"):
             r = rank(ss, RankerConfig(algorithm=algo, stop_at=3, seed=1))
             assert len(r) == 3
+
+
+def random_group_samples(rng: np.random.Generator, groups: int) -> SampleSet:
+    """Samples of a random group model: zero-slot groups, near-certain and
+    near-impossible memberships, and slot counts that leave some samples
+    saturated (more able candidates than slots) and some unfillable."""
+    c = int(rng.integers(1, 21))
+    layout = SlotLayout(tuple(int(k) for k in rng.integers(0, 4, size=groups)))
+    k = int(rng.integers(1, groups + 1))
+    membership = np.sort(np.argsort(rng.random((c, groups)), axis=1)[:, :k], axis=1)
+    group_prob = rng.choice([0.02, 0.3, 0.6, 0.98], size=(c, k))
+    model = ProbabilityModel.group_structured(layout, membership, group_prob)
+    return sample_relevances(model, int(rng.integers(1, 7)), int(rng.integers(0, 1000)))
+
+
+def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str | None):
+    """`rank` equals both augmenting-path greedy functions, with eager's counters."""
+    eager_stats = RankerStats()
+    eager = matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=stop_at), eager_stats)
+    lazy = matchrank_lazy(ss, RankerConfig(stop_at=stop_at))
+    assert eager_stats.kernel == "augmenting"
+    for algorithm in GREEDY_ALGORITHMS:
+        stats = RankerStats()
+        r = rank(ss, RankerConfig(algorithm=algorithm, stop_at=stop_at), stats=stats)
+        for oracle in (eager, lazy):
+            assert r.order.tolist() == oracle.order.tolist()
+            assert r.prefix_gain == oracle.prefix_gain
+        if kernel is not None:
+            assert stats.kernel == kernel
+        if stats.kernel == "cut":
+            assert (stats.rounds, stats.gain_evals, stats.zero_flushed) == (
+                eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
+            )
+        assert stats.gain_evals > 0
+
+
+class TestCutKernel:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_group_models_match_augmenting_path(self, seed, groups, truncate):
+        rng = np.random.default_rng(seed)
+        ss = random_group_samples(rng, groups)
+        stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
+        assert_rank_matches_oracles(ss, stop_at, "cut")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_samplesets_match_augmenting_path(self, seed):
+        # Up to 16 slots, so both kernels run.
+        rng = np.random.default_rng(7000 + seed)
+        c, s, n = int(rng.integers(1, 20)), int(rng.integers(0, 17)), int(rng.integers(1, 6))
+        ss = random_sampleset(rng, c, s, n, float(rng.choice([0.1, 0.3, 0.6])))
+        stop_at = int(rng.integers(1, c + 1)) if seed % 3 == 0 else None
+        assert_rank_matches_oracles(ss, stop_at, None)
+
+    def test_two_block_model_slots_are_singleton_classes(self):
+        ss = sample_relevances(two_block_model(60, 10, 0.5, 0.4), 20, 1)
+        cap, masks = _slot_classes(ss)
+        assert cap.tolist() == [bin(u).count("1") for u in range(1 << 10)]
+        assert_rank_matches_oracles(ss, None, "cut")
+
+    def test_group_model_takes_cut_kernel(self):
+        model = build_synthetic_model(
+            SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
+        )
+        ss = sample_relevances(model, 8, 1)
+        cap, masks = _slot_classes(ss)
+        assert cap[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
+        assert_rank_matches_oracles(ss, None, "cut")
+
+    def test_candidate_covering_part_of_a_class_takes_augmenting_path(self):
+        # MAX_CUT_CLASSES groups of two slots; one candidate in one sample
+        # covers only the first slot of group 0, which splits that group.
+        groups = MAX_CUT_CLASSES
+        model = build_synthetic_model(
+            SynthParams(groups=groups, slots_per_group=2, candidates=60, seed=2)
+        )
+        ss = sample_relevances(model, 4, 1)
+        assert_rank_matches_oracles(ss, None, "cut")
+        m = ss.samples[0]
+        edges = [(a, t) for a in range(1, m.candidates) for t in m.row(a).tolist()]
+        edges.append((0, 0))
+        split = SampleSet(
+            (RelevanceMatrix.from_edges(m.candidates, m.slots, edges),) + ss.samples[1:], 0
+        )
+        assert _slot_classes(split) is None
+        assert_rank_matches_oracles(split, None, "augmenting")
+
+    def test_more_classes_than_limit_takes_augmenting_path(self):
+        k = MAX_CUT_CLASSES + 1
+        diagonal = RelevanceMatrix.from_edges(k, k, [(i, i) for i in range(k)])
+        ss = SampleSet((diagonal,), seed=0)
+        assert _slot_classes(ss) is None
+        assert_rank_matches_oracles(ss, None, "augmenting")
+        fewer = SampleSet((RelevanceMatrix.from_edges(k, k - 1, [(i, i) for i in range(k - 1)]),), 0)
+        assert_rank_matches_oracles(fewer, None, "cut")
+
+    def test_exact_check_rejects_a_wrong_proposal(self, toy_instance):
+        ss = SampleSet((toy_instance,), seed=0)
+        # Slots 0 and 1 have different columns (candidates 0 and 1 differ).
+        assert _class_masks(ss, np.array([0, 0, 1])) is None
+        cap, masks = _class_masks(ss, np.array([0, 1, 2]))
+        assert masks[0].tolist() == [0b001, 0b010, 0b011, 0b100, 0]
+        assert cap.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
