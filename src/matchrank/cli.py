@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -26,8 +28,9 @@ from .fileio import (
     write_ranking,
     write_report,
     write_samples,
+    write_stats,
 )
-from .ranker import ALGORITHMS, RankerConfig, rank
+from .ranker import ALGORITHMS, RankerConfig, RankerStats, rank
 from .synthgen import SynthParams, build_synthetic_model, model_metadata, sample_relevances
 
 EXIT_OK = 0
@@ -164,7 +167,10 @@ def cmd_rank(args) -> int:
     model, _ = read_model(args.model)
     samples = sample_relevances(model, n, sample_seed)
     marginals = model.marginal_matrix() if use_model else None
-    ranking = rank(samples, rcfg, marginals=marginals)
+    stats = RankerStats()
+    start = time.perf_counter()
+    ranking = rank(samples, rcfg, marginals=marginals, stats=stats)
+    rank_s = time.perf_counter() - start
     write_ranking(
         ranking,
         args.out,
@@ -175,9 +181,27 @@ def cmd_rank(args) -> int:
         sample_seed=sample_seed,
         ranker_seed=rcfg.seed,
     )
+    if args.stats_out:
+        write_stats(
+            {
+                **dataclasses.asdict(stats),
+                "algorithm": rcfg.algorithm,
+                "rank_s": rank_s,
+                "peak_rss_mb": _peak_rss_mb(),
+            },
+            args.stats_out,
+        )
     head = ", ".join(str(a) for a in ranking.order[:5])
     print(f"wrote {args.out}: {len(ranking)} candidates ranked by {rcfg.algorithm} [{head}, ...]")
     return EXIT_OK
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB, from
+    ``ru_maxrss`` in KiB as Linux reports it."""
+    import resource  # POSIX only: imported when a sidecar is asked for
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def cmd_eval(args) -> int:
@@ -281,6 +305,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     add_rank_flags(p)
     p.add_argument("--stop-at", type=int, dest="stop_at")
+    p.add_argument(
+        "--stats-out",
+        help="also write the ranker's counters, wall time and peak RSS to this JSON file",
+    )
     add_config(p)
     p.set_defaults(func=cmd_rank)
 
@@ -319,6 +347,8 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ContractError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        if e.__cause__ is not None:
+            traceback.print_exception(e.__cause__)
         return EXIT_INTERNAL
     except Exception:
         traceback.print_exc()

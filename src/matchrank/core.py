@@ -137,11 +137,12 @@ def _gather_rows(indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray) -> n
     keep = lens > 0
     r, lens = rows[keep], lens[keep]
     first = indptr[r]
-    steps = np.ones(total, dtype=np.int64)
+    # Positions fit the dtype of `indptr`, so an int32 CSR gathers in int32.
+    steps = np.ones(total, dtype=indptr.dtype)
     steps[0] = first[0]
     bounds = np.cumsum(lens)[:-1]
     steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
-    return entries[np.cumsum(steps)]
+    return entries[np.cumsum(steps, out=steps)]
 
 
 def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray):

@@ -17,6 +17,7 @@ identical regardless of how many worker processes compute them.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    ContractError,
     InputError,
     PURPOSE_EVAL,
     ProbabilityModel,
@@ -167,6 +169,14 @@ def _kmin_chunk(
     ]
 
 
+def _draw_chunks(draws: int, threads: int) -> list[tuple[int, int]]:
+    """Consecutive draw ranges [lo, hi), one per worker process: as many as
+    `threads` asks for, but no more than there are draws or CPUs."""
+    workers = max(1, min(threads, draws, os.cpu_count() or 1))
+    bounds = np.linspace(0, draws, workers + 1, dtype=int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _per_draw_kmins(
     model: ProbabilityModel,
     order: np.ndarray,
@@ -174,21 +184,29 @@ def _per_draw_kmins(
     eval_seed: int,
     threads: int,
 ) -> list[int | None]:
-    if threads <= 1 or draws == 1:
-        return _kmin_chunk(model, order, eval_seed, 0, draws)
-    workers = min(threads, draws)
-    bounds = np.linspace(0, draws, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_kmin_chunk, model, order, eval_seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        out: list[int | None] = []
+    chunks = _draw_chunks(draws, threads)
+    if len(chunks) == 1:
+        return _chunk_result(lambda: _kmin_chunk(model, order, eval_seed, 0, draws), 0, draws)
+    out: list[int | None] = []
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(_kmin_chunk, model, order, eval_seed, lo, hi) for lo, hi in chunks]
         # Reduce in submission order: the draw index alone determines each
         # result, so the thread count can never change the output.
-        for f in futures:
-            out.extend(f.result())
+        for (lo, hi), f in zip(chunks, futures):
+            out.extend(_chunk_result(f.result, lo, hi))
     return out
+
+
+def _chunk_result(run, lo: int, hi: int) -> list[int | None]:
+    """`run()`, the k_min values of draws [lo, hi).  A data error passes
+    through; any other failure becomes a ContractError naming the draws,
+    chained to the original, which keeps its traceback (a worker's included)."""
+    try:
+        return run()
+    except InputError:
+        raise
+    except Exception as e:
+        raise ContractError(f"evaluation of draws [{lo}, {hi}) failed: {e!r}") from e
 
 
 def evaluate_ranking(

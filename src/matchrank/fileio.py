@@ -32,6 +32,7 @@ __all__ = [
     "write_model",
     "read_model",
     "write_samples",
+    "write_stats",
     "read_samples",
     "write_ranking",
     "read_ranking",
@@ -55,6 +56,14 @@ def _dump_compact(obj, path: str | Path):
 
 def _dump_pretty(obj, path: str | Path):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def write_stats(stats: dict, path: str | Path):
+    """Write a run's statistics sidecar: work counters, wall time and memory.
+
+    Kept apart from the ranking and report files, whose bytes must not
+    depend on timing."""
+    _dump_pretty(stats, path)
 
 
 def _reject_constant(token: str):

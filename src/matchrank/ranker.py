@@ -1,24 +1,31 @@
 """Rankers: greedy maximization of the average matching size, plus baselines.
 
 The greedy ranker picks, at every rank, the candidate whose addition raises
-the summed matching size across the sample set the most.  :func:`rank`, the
-one dispatch point, runs both greedy algorithms (``matchrank`` and
-``matchrank-lazy``) through the cut kernel whenever the sample set is
-class-structured: its slots fall into at most :data:`MAX_CUT_CLASSES`
-classes of twins (slots whose columns agree in every sample), as in a group
-model, where a candidate is relevant to all slots of a group or to none.
-The kernel then works on per-class bit masks and the cut form of the
-matching size (see :func:`_cut_greedy`).  Every other sample set takes the
-general augmenting-path implementations, which produce identical output:
+the summed matching size across the sample set the most.  :func:`rank` is
+the one dispatch point, and it runs both greedy algorithms (``matchrank``
+and ``matchrank-lazy``) through one of two kernels, which produce identical
+output and eager's work counters:
+
+* the cut kernel (:func:`_cut_greedy`) whenever the sample set is
+  class-structured: its slots fall into at most :data:`MAX_CUT_CLASSES`
+  classes of twins (slots whose columns agree in every sample), as in a
+  group model, where a candidate is relevant to all slots of a group or to
+  none.  It works on per-class bit masks and the cut form of the matching
+  size;
+* the batched kernel (:func:`_batched_greedy`) for every other sample set.
+  It keeps one maximum matching over the disjoint union of all samples and
+  advances every sample with one alternating search per round.
+
+The third kernel keeps one matching per sample and augments it path by
+path.  It runs :func:`matchrank` and :func:`matchrank_lazy` whenever they
+are called directly, and those two are the oracles the other kernels are
+tested against:
 
 * :func:`matchrank` re-evaluates every remaining candidate each round via
   one slot-side scan per sample;
 * :func:`matchrank_lazy` keeps a max-heap of previously seen gains.  Gains
   only shrink as the pool grows, so a popped entry whose gain is current is
   guaranteed optimal; stale entries are re-evaluated only when they surface.
-
-Called directly, those two always run the augmenting-path kernel; they are
-the oracle the cut kernel is tested against.
 
 Ties are broken identically everywhere: higher total gain first, then higher
 competition-normalized relevance (each slot's empirical frequency column is
@@ -48,6 +55,7 @@ from .core import (
     Ranking,
     SampleSet,
     SparseProbMatrix,
+    _gather_rows,
     substream,
 )
 from .matching import (
@@ -83,12 +91,19 @@ TIE_BREAK = "gain-ntr-index"
 #: were 1 - 1e-12; the exact value would be infinite.
 _OR_CLAMP_P = 1.0 - 1e-12
 
-#: Most slot classes the cut kernel takes; more go to the augmenting path.
-#: The kernel's work and its per-sample count array grow as 2**classes, so
-#: this also caps that array at n * 2**12 int32 before it is allocated.  On
-#: group models of 500 candidates x 10 slots per group (n=200) the cut kernel
-#: beat ``matchrank_lazy`` 5.7x at 12 classes, 3.6x at 13, 1.4x at 14, and
-#: lost at 15.  At most 16: class masks are uint16.
+#: Most slot classes the cut kernel takes; more go to the batched kernel.
+#: The cut kernel's work and its per-sample count array grow as 2**classes,
+#: so this also caps that array at n * 2**12 int32 before it is allocated.
+#: Seconds per ranking on group models of 500 candidates x G groups of 10
+#: slots (n=200, mean of two seeds, 2-core host; cut includes the class
+#: detection):
+#:
+#:     G        8     10     11     12     13     14
+#:     cut     0.08   0.17   0.39   0.70   1.18   2.99
+#:     batched 0.68   0.80   1.14   1.24   1.36   1.41
+#:
+#: Cut wins clearly up to 12 and is about even at 13.  At most 16: class
+#: masks are uint16.
 MAX_CUT_CLASSES = 12
 
 
@@ -124,7 +139,11 @@ class RankerStats:
     `gain_evals` counts full marginal-gain evaluations of one candidate
     (the initial pass over all candidates included); `zero_flushed` counts
     candidates emitted after the maximum gain reached zero.  `kernel` names
-    the greedy kernel that ran: ``"augmenting"`` or ``"cut"``.
+    the greedy kernel that ran: ``"cut"`` or ``"batched"`` through
+    :func:`rank`, ``"augmenting"`` for :func:`matchrank` and
+    :func:`matchrank_lazy` called directly.  The cut and batched kernels
+    evaluate every remaining candidate each round, so they report eager
+    :func:`matchrank`'s counters whichever greedy algorithm was asked for.
     """
 
     rounds: int = 0
@@ -455,15 +474,178 @@ def _cut_greedy(
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
+class _Batched:
+    """All samples as one graph: the disjoint union of their slot-major
+    CSRs, with candidate-copy ``j*c + a`` and slot-copy ``j*s + t`` for
+    candidate a and slot t of sample j, plus one maximum matching between
+    the committed pool and the slots of that union.
+
+    Only the pool edges of matched candidate-copies are kept, slot-major, for
+    the backward search: a pool copy left unmatched by its commit can never
+    be matched again, since a flip only rematches copies already on the path.
+    Every array is int32 when the union's sizes fit.
+    """
+
+    def __init__(self, samples: SampleSet):
+        n, c, s = samples.n, samples.candidates, samples.slots
+        edges = sum(m.edge_count for m in samples.samples)
+        itype = np.int32 if max(n * c, n * s, edges) < 2**31 else np.int64
+        self.c = c
+        self.degrees = np.empty(n * c, dtype=itype)
+        self.slot_ptr = np.zeros(n * s + 1, dtype=itype)
+        self.slot_cands = np.empty(edges, dtype=itype)
+        # The candidate of every edge as well, in the narrowest type, so a
+        # commit finds its candidate's edges in all samples with one compare.
+        self.slot_local = np.empty(edges, dtype=np.min_scalar_type(c))
+        lo = 0
+        for j, m in enumerate(samples.samples):
+            hi = lo + m.edge_count
+            deg = m.degrees()
+            self.degrees[j * c : (j + 1) * c] = deg
+            self.slot_ptr[j * s + 1 : (j + 1) * s + 1] = np.bincount(m.indices, minlength=s)
+            self.slot_local[lo:hi] = np.repeat(np.arange(c, dtype=itype), deg)[
+                np.argsort(m.indices, kind="stable")
+            ]
+            # Add in the wide type: a narrow loop would wrap j*c + a.
+            np.add(self.slot_local[lo:hi], j * c, out=self.slot_cands[lo:hi], dtype=itype)
+            lo = hi
+        np.cumsum(self.slot_ptr, out=self.slot_ptr)
+        self.slot_match = np.full(n * s, -1, dtype=itype)
+        self.cand_match = np.full(n * c, -1, dtype=itype)
+        self.pool_ptr = np.zeros(n * s + 1, dtype=itype)
+        self.pool_cand = np.empty(0, dtype=itype)
+
+    def search(self) -> tuple[np.ndarray, np.ndarray]:
+        """Backward alternating BFS from every exposed slot-copy at once.
+
+        Returns ``reach``, the slot-copies from which an alternating path
+        ends at an exposed one (the slots left exposed by some maximum
+        matching of the pool), and ``hop``: for each reached matched slot,
+        the next slot on such a path, where its partner moves if the path
+        is flipped (-1 elsewhere).
+        """
+        reach = self.slot_match < 0
+        hop = np.full(reach.size, -1, dtype=self.slot_match.dtype)
+        frontier = np.flatnonzero(reach).astype(hop.dtype)
+        while frontier.size:
+            lens = self.pool_ptr[frontier + 1] - self.pool_ptr[frontier]
+            src = np.repeat(frontier, lens)
+            dst = self.cand_match[_gather_rows(self.pool_ptr, self.pool_cand, frontier)]
+            fresh = ~reach[dst]
+            src, dst = src[fresh], dst[fresh]
+            # A (slot, partner slot) pair occurs once, so of the sources
+            # reaching one slot exactly the one whose hop was kept survives.
+            hop[dst] = src
+            frontier = dst[hop[dst] == src]
+            reach[frontier] = True
+        return reach, hop
+
+    def gains(self, reach: np.ndarray) -> np.ndarray:
+        """Per candidate, the number of samples whose matching it would
+        raise: its row there touches ``reach``.  Read from the smaller side:
+        the edges into ``reach``, or those into its complement (a row
+        misses ``reach`` iff all its edges go there)."""
+        reached = np.flatnonzero(reach)
+        if 2 * reached.size <= reach.size:
+            touch = np.zeros(self.degrees.size, dtype=bool)
+            touch[_gather_rows(self.slot_ptr, self.slot_cands, reached)] = True
+        else:
+            missed = _gather_rows(self.slot_ptr, self.slot_cands, np.flatnonzero(~reach))
+            touch = np.bincount(missed, minlength=self.degrees.size) < self.degrees
+        return np.count_nonzero(touch.reshape(-1, self.c), axis=0)
+
+    def commit(self, a: int, gain: int, reach: np.ndarray, hop: np.ndarray):
+        """Add candidate `a`, flipping one augmenting path in every sample
+        where it gains, all samples in step."""
+        # Edges of a's copies in slot-major order: by sample, then by slot.
+        at = np.flatnonzero(self.slot_local == a)
+        owner = self.slot_cands[at]
+        slots = np.searchsorted(self.slot_ptr, at, side="right") - 1
+        hit = np.flatnonzero(reach[slots])
+        hit = hit[np.r_[True, owner[hit[1:]] != owner[hit[:-1]]]] if hit.size else hit
+        if hit.size != gain:
+            raise ContractError(f"gain of candidate {a} out of step with its commit")
+        won = np.isin(owner, owner[hit])
+        self._add_pool_edges(slots[won], owner[won])
+        cand, slot = owner[hit], slots[hit]
+        while slot.size:
+            prev = self.slot_match[slot]
+            self.slot_match[slot] = cand
+            self.cand_match[cand] = slot
+            moved = prev >= 0
+            cand, slot = prev[moved], hop[slot[moved]]
+            if np.any(slot < 0):
+                raise ContractError(
+                    f"augmenting path of candidate {a} does not end at an exposed slot"
+                )
+
+    def _add_pool_edges(self, slots: np.ndarray, cands: np.ndarray):
+        # Each slot-copy occurs once, so every edge goes to the end of its
+        # slot's run.
+        self.pool_cand = np.insert(self.pool_cand, self.pool_ptr[slots + 1], cands)
+        step = np.zeros_like(self.pool_ptr)
+        step[slots + 1] = 1
+        self.pool_ptr += np.cumsum(step, out=step)
+
+
+def _batched_greedy(
+    samples: SampleSet, cfg: RankerConfig, stats: RankerStats | None = None
+) -> Ranking:
+    """Greedy ranking of any sample set; output- and counter-identical to
+    :func:`matchrank`.
+
+    Each round runs one alternating BFS over the union of all samples
+    (:class:`_Batched`) and reads every candidate's gain in every sample off
+    the edges of its result.  The gains depend on the pool alone, not on
+    which maximum matching is kept: the slots left exposed by some maximum
+    matching are the same for all of them (Dulmage–Mendelsohn), so the
+    commit may flip any augmenting path.
+    """
+    stats = stats if stats is not None else RankerStats()
+    stats.kernel = "batched"
+    c = samples.candidates
+    limit = _resolve_stop(cfg, c)
+    tie_key = _tie_key(samples)
+    union = _Batched(samples)
+    remaining = np.ones(c, dtype=bool)
+    order: list[int] = []
+    prefix: list[int] = []
+    total = 0
+    while len(order) < limit:
+        ids = np.flatnonzero(remaining)
+        stats.gain_evals += c if not order else ids.size
+        reach, hop = union.search()
+        gains = union.gains(reach)
+        if gains[ids].max() == 0:
+            tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
+            order += tail.tolist()
+            prefix += [total] * tail.size
+            stats.rounds += tail.size
+            stats.zero_flushed += tail.size
+            break
+        best = _argbest(ids, gains[ids], tie_key[ids])
+        gain = int(gains[best])
+        union.commit(best, gain, reach, hop)
+        remaining[best] = False
+        total += gain
+        order.append(best)
+        prefix.append(total)
+        stats.rounds += 1
+    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
+
+
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
     """Per-(candidate, slot) edge frequency across the sample set."""
     c, s = samples.candidates, samples.slots
-    counts = np.zeros(c * s, dtype=np.int64)
+    # A count is at most n, so int32 halves the dense array.
+    counts = np.zeros(c * s, dtype=np.int32)
+    row_keys = np.arange(c, dtype=np.int64) * s
     for m in samples.samples:
         # Slot ids strictly increase within a row, so one sample's keys are
         # distinct and the fancy-indexed increment counts each exactly once.
-        rows = np.repeat(np.arange(c, dtype=np.int64), m.degrees())
-        counts[rows * s + m.indices] += 1
+        keys = np.repeat(row_keys, m.degrees())
+        keys += m.indices
+        counts[keys] += 1
     nz = np.flatnonzero(counts)
     rows = nz // s
     indptr = np.zeros(c + 1, dtype=np.int64)
@@ -542,15 +724,14 @@ def rank(
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
     always work from the samples themselves, through the cut kernel when the
-    sample set is class-structured (``stats.kernel`` tells which ran).
+    sample set is class-structured and the batched kernel otherwise
+    (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
         classes = _slot_classes(samples)
         if classes is not None:
             return _cut_greedy(samples, *classes, cfg, stats)
-        if cfg.algorithm == "matchrank":
-            return matchrank(samples, cfg, stats)
-        return matchrank_lazy(samples, cfg, stats)
+        return _batched_greedy(samples, cfg, stats)
     if cfg.algorithm == "random":
         ranking = random_ranking(samples.candidates, cfg.seed)
         return _truncate(ranking, cfg, samples.candidates)

@@ -168,6 +168,31 @@ class TestRank:
         assert "group probabilities must lie strictly inside (0, 1)" in err
         assert "malformed model" not in err
 
+    def test_stats_out_leaves_ranking_bytes_alone(self, tmp_path):
+        # 16 labels with independent coins: no twin slots, so the batched
+        # kernel ranks.
+        probs = np.random.default_rng(6).uniform(0.05, 0.7, size=(24, 16))
+        lines = [f"{a} {t} {p:.3f}" for (a, t), p in np.ndenumerate(probs) if p > 0.3]
+        path = tmp_path / "p.txt"
+        path.write_text(f"24 16 {len(lines)}\n" + "\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        assert run("ingest", "--probs", str(path), "--out", str(model)) == 0
+        a, b, stats = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "stats.json"
+        assert run("rank", "--model", str(model), "--out", str(a), "--n", "6") == 0
+        assert run("rank", "--model", str(model), "--out", str(b), "--n", "6", "--stats-out", str(stats)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        got = json.loads(stats.read_text())
+        assert got["kernel"] == "batched"
+        assert got["algorithm"] == "matchrank-lazy"
+        assert got["rounds"] == 24
+        assert got["gain_evals"] >= 24 and 0 <= got["zero_flushed"] <= 24
+        assert got["rank_s"] >= 0 and got["peak_rss_mb"] > 0
+
+
+def _failing_chunk(model, order, eval_seed, lo, hi):
+    """Stands in for the evaluation work unit; fails in every worker."""
+    raise RuntimeError("worker lost")
+
 
 class TestEval:
     @pytest.fixture
@@ -198,6 +223,24 @@ class TestEval:
         assert run(*base, "--out", str(a), "--threads", "1") == 0
         assert run(*base, "--out", str(b), "--threads", "2") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failing_worker_exits_3_and_names_its_draws(
+        self, tmp_path, model_path, ranking_path, monkeypatch, capsys
+    ):
+        import matchrank.evaluation
+
+        monkeypatch.setattr(matchrank.evaluation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(matchrank.evaluation, "_kmin_chunk", _failing_chunk)
+        code = run(
+            "eval", "--model", str(model_path), "--ranking", str(ranking_path),
+            "--out", str(tmp_path / "r.json"), "--draws", "6", "--threads", "2",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "draws [0, 3)" in err and "worker lost" in err
+        # The worker's own traceback is printed too.
+        assert "Traceback" in err and "_failing_chunk" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_ranking_model_mismatch_exits_2(self, tmp_path, model_path, ranking_path, capsys):
         other = tmp_path / "other.json"

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_relevance, random_sampleset
-from matchrank.core import InputError, Ranking, RelevanceMatrix, SampleSet, substream
+import matchrank.evaluation as evaluation
+from matchrank.core import (
+    ContractError,
+    InputError,
+    Ranking,
+    RelevanceMatrix,
+    SampleSet,
+    substream,
+)
 from matchrank.evaluation import (
     EvalReport,
+    _draw_chunks,
+    _per_draw_kmins,
     avg_matching_curve,
     evaluate,
     k_min,
@@ -173,6 +184,83 @@ class TestEvaluate:
         assert a.config["misspecified_sampling"] is False
         # Same evaluation draws underneath: identical unfillable pattern.
         assert [k is None for k in a.per_draw_kmin] == [k is None for k in b.per_draw_kmin]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs each
+    work unit when it is submitted."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+
+class TestWorkerPool:
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 4)
+        assert _draw_chunks(5000, 5000) == [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5000)]
+        assert _draw_chunks(3, 5000) == [(0, 1), (1, 2), (2, 3)]
+        assert _draw_chunks(10, 2) == [(0, 5), (5, 10)]
+        assert _draw_chunks(10, 1) == [(0, 10)]
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+        assert _draw_chunks(10, 8) == [(0, 10)]
+
+    def test_pool_size_follows_the_cap(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(
+            evaluation, "ProcessPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers)
+        )
+        model = two_block_model(24, 6, 0.7, 0.6)
+        order = np.random.default_rng(1).permutation(24)
+        many = _per_draw_kmins(model, order, 12, 4, threads=5000)
+        assert sizes == [3]
+        assert many == _per_draw_kmins(model, order, 12, 4, threads=1)
+        assert sizes == [3]
+
+    def test_failing_worker_names_its_draw_range(self, monkeypatch):
+        def fail_late(model, order, eval_seed, lo, hi):
+            if hi > 2:  # draw 2 fails
+                raise RuntimeError("draw failed")
+            return [None] * (hi - lo)
+
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            evaluation, "ProcessPoolExecutor", lambda max_workers: _InlinePool([], max_workers)
+        )
+        monkeypatch.setattr(evaluation, "_kmin_chunk", fail_late)
+        with pytest.raises(ContractError, match=r"draws \[2, 4\) failed: RuntimeError\('draw failed'\)"):
+            _per_draw_kmins(two_block_model(24, 6, 0.7, 0.6), np.arange(24), 4, 4, threads=2)
+        # One chunk runs in this process, and names its draws the same way.
+        with pytest.raises(ContractError, match=r"draws \[0, 4\) failed") as info:
+            _per_draw_kmins(two_block_model(24, 6, 0.7, 0.6), np.arange(24), 4, 4, threads=1)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_worker_data_error_passes_through(self, monkeypatch):
+        def bad_data(model, order, eval_seed, lo, hi):
+            raise InputError("bad draw")
+
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            evaluation, "ProcessPoolExecutor", lambda max_workers: _InlinePool([], max_workers)
+        )
+        monkeypatch.setattr(evaluation, "_kmin_chunk", bad_data)
+        for threads in (1, 2):
+            with pytest.raises(InputError, match="^bad draw$"):
+                _per_draw_kmins(two_block_model(24, 6, 0.7, 0.6), np.arange(24), 4, 4, threads)
 
 
 class TestEvalReport:

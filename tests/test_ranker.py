@@ -36,6 +36,8 @@ from matchrank.ranker import (
     random_ranking,
     rank,
     score_ranking,
+    _Batched,
+    _batched_greedy,
     _class_masks,
     _slot_classes,
 )
@@ -193,6 +195,22 @@ class TestEmpiricalMarginals:
             ]
         )
         assert np.array_equal(dense, want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_dense_counts(self, seed, groups, grouped):
+        # The tie key of every greedy kernel is built from these bytes.
+        rng = np.random.default_rng(seed)
+        if grouped:
+            ss = random_group_samples(rng, groups)
+        else:
+            ss = random_unstructured_samples(rng)
+        counts = np.zeros((ss.candidates, ss.slots))
+        for m in ss.samples:
+            for a in range(m.candidates):
+                counts[a, m.row(a)] += 1
+        want = SparseProbMatrix.from_dense(counts / ss.n)
+        assert empirical_marginals(ss).tobytes() == want.tobytes()
 
 
 class TestBaselineScores:
@@ -352,7 +370,7 @@ def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str 
             assert r.prefix_gain == oracle.prefix_gain
         if kernel is not None:
             assert stats.kernel == kernel
-        if stats.kernel == "cut":
+        if stats.kernel in ("cut", "batched"):
             assert (stats.rounds, stats.gain_evals, stats.zero_flushed) == (
                 eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
             )
@@ -408,14 +426,14 @@ class TestCutKernel:
             (RelevanceMatrix.from_edges(m.candidates, m.slots, edges),) + ss.samples[1:], 0
         )
         assert _slot_classes(split) is None
-        assert_rank_matches_oracles(split, None, "augmenting")
+        assert_rank_matches_oracles(split, None, "batched")
 
     def test_more_classes_than_limit_takes_augmenting_path(self):
         k = MAX_CUT_CLASSES + 1
         diagonal = RelevanceMatrix.from_edges(k, k, [(i, i) for i in range(k)])
         ss = SampleSet((diagonal,), seed=0)
         assert _slot_classes(ss) is None
-        assert_rank_matches_oracles(ss, None, "augmenting")
+        assert_rank_matches_oracles(ss, None, "batched")
         fewer = SampleSet((RelevanceMatrix.from_edges(k, k - 1, [(i, i) for i in range(k - 1)]),), 0)
         assert_rank_matches_oracles(fewer, None, "cut")
 
@@ -426,3 +444,76 @@ class TestCutKernel:
         cap, masks = _class_masks(ss, np.array([0, 1, 2]))
         assert masks[0].tolist() == [0b001, 0b010, 0b011, 0b100, 0]
         assert cap.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def random_unstructured_samples(rng: np.random.Generator) -> SampleSet:
+    """Independent samples with up to 20 slots, so mostly more distinct
+    columns than the cut kernel takes; each sample has its own density, so
+    rows are empty, samples saturated or unfillable, and slots may be 0."""
+    c, s, n = int(rng.integers(1, 25)), int(rng.integers(0, 21)), int(rng.integers(1, 7))
+    densities = rng.choice([0.05, 0.15, 0.3, 0.6, 0.9], size=n)
+    return SampleSet(tuple(random_relevance(rng, c, s, float(d)) for d in densities), 0)
+
+
+class TestBatchedKernel:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_unstructured_samples_match_augmenting_path(self, seed, truncate):
+        rng = np.random.default_rng(seed)
+        ss = random_unstructured_samples(rng)
+        stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
+        kernel = "cut" if _slot_classes(ss) is not None else "batched"
+        assert_rank_matches_oracles(ss, stop_at, kernel)
+        # Class-structured sets too, when the kernel is called directly.
+        cfg = RankerConfig(algorithm="matchrank", stop_at=stop_at)
+        eager_stats, stats = RankerStats(), RankerStats()
+        eager = matchrank(ss, cfg, eager_stats)
+        r = _batched_greedy(ss, cfg, stats)
+        assert r.order.tolist() == eager.order.tolist()
+        assert r.prefix_gain == eager.prefix_gain
+        assert (stats.kernel, stats.rounds, stats.gain_evals, stats.zero_flushed) == (
+            "batched", eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
+        )
+
+    def test_independent_model_takes_batched_kernel(self):
+        marginals = SparseProbMatrix.from_dense(
+            np.random.default_rng(3).uniform(0.05, 0.6, size=(40, 16))
+        )
+        ss = sample_relevances(ProbabilityModel.independent(marginals), 12, 1)
+        assert _slot_classes(ss) is None
+        assert_rank_matches_oracles(ss, None, "batched")
+
+    def test_candidate_copy_ids_do_not_wrap(self):
+        # 200 candidates keep each edge's candidate in uint8, while the copy
+        # ids of the second sample on reach 200 + 199.
+        rng = np.random.default_rng(11)
+        ss = SampleSet(tuple(random_relevance(rng, 200, 14, 0.05) for _ in range(3)), 0)
+        union = _Batched(ss)
+        assert union.slot_local.dtype == np.uint8
+        for j, m in enumerate(ss.samples):
+            ptr = union.slot_ptr[j * ss.slots : (j + 1) * ss.slots + 1]
+            for t in range(ss.slots):
+                got = union.slot_cands[ptr[t] : ptr[t + 1]]
+                assert got.tolist() == [j * 200 + a for a in range(200) if t in m.row(a)]
+        assert_rank_matches_oracles(ss, 30, "batched")
+
+    def test_gain_out_of_step_with_commit_is_refused(self, toy_instance, monkeypatch):
+        ss = SampleSet((toy_instance,), seed=0)
+        gains = _Batched.gains
+        monkeypatch.setattr(_Batched, "gains", lambda self, reach: gains(self, reach) * 2)
+        with pytest.raises(ContractError, match="out of step"):
+            _batched_greedy(ss, RankerConfig())
+
+    def test_path_must_end_at_an_exposed_slot(self, toy_instance, monkeypatch):
+        # Candidate 0 gains only by moving candidate 2 from slot 0 to slot 1,
+        # so its path needs the hop that is wiped here.
+        ss = SampleSet((toy_instance,), seed=0)
+        search = _Batched.search
+
+        def without_hops(self):
+            reach, hop = search(self)
+            return reach, np.full_like(hop, -1)
+
+        monkeypatch.setattr(_Batched, "search", without_hops)
+        with pytest.raises(ContractError, match="exposed slot"):
+            _batched_greedy(ss, RankerConfig())
