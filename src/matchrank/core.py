@@ -223,30 +223,13 @@ class RelevanceMatrix:
         return int(self.indices.shape[0])
 
     def row_ids(self) -> np.ndarray:
-        """Candidate id of every edge, aligned with `indices` (cached)."""
-        cached = getattr(self, "_row_ids", None)
-        if cached is None:
-            cached = np.repeat(np.arange(self.candidates, dtype=np.int32), self.degrees())
-            cached.setflags(write=False)
-            object.__setattr__(self, "_row_ids", cached)
-        return cached
+        """Candidate id of every edge, aligned with `indices`."""
+        return np.repeat(np.arange(self.candidates, dtype=np.int32), self.degrees())
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.candidates, self.slots), dtype=np.int8)
         dense[self.row_ids(), self.indices] = 1
         return dense
-
-    def slot_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSC view: (indptr over slots, candidate ids per slot, ascending)."""
-        cached = getattr(self, "_csc", None)
-        if cached is None:
-            order = np.argsort(self.indices, kind="stable")
-            cands = self.row_ids()[order]
-            sp = np.zeros(self.slots + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.indices, minlength=self.slots), out=sp[1:])
-            cached = (sp, cands)
-            object.__setattr__(self, "_csc", cached)
-        return cached
 
     def tobytes(self) -> bytes:
         """Canonical byte encoding, for determinism checks."""

@@ -8,9 +8,9 @@ the mean/deviation.
 
 Prefix matching size never falls as the prefix grows, so ``k_min`` is found
 by bisection over prefix lengths, each probe a fresh Hopcroft–Karp solve
-(:func:`~matchrank.matching.max_matching_size`).  The incremental matching
-kernel serves the ranker and :func:`prefix_match_curve`, which needs every
-prefix size.
+(:func:`~matchrank.matching.max_matching_size`).  Only
+:func:`prefix_match_curve`, which needs every prefix size, grows one
+incremental matching (:func:`~matchrank.matching.commit_add`).
 
 Evaluation draws come from dedicated per-draw sub-streams, so results are
 identical regardless of how many worker processes compute them.
@@ -36,7 +36,7 @@ from .core import (
     substream,
 )
 from .matching import _matching_size, commit_add, init_state, max_matching_size
-from .ranker import RankerConfig, RankerStats, rank
+from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 from .synthgen import build_synthetic_model, draw_relevance, sample_relevances
 
 __all__ = [
@@ -288,7 +288,7 @@ def evaluate(
     ranking = rank(samples, cfg, stats=stats)
     config = {
         "algorithm": cfg.algorithm,
-        "tie_break": cfg.tie_break,
+        "tie_break": TIE_BREAK,
         "seed": cfg.seed,
         "stop_at": cfg.stop_at,
         "misspecified_sampling": sample_model is not None,

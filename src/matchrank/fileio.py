@@ -91,6 +91,22 @@ def _load_json(path: str | Path, expect_format: str) -> dict:
     return obj
 
 
+def _require(obj: dict, path: str | Path, fields: dict):
+    """Check that `obj` has every key of `fields`, each holding a value of
+    one of the listed types.  Parsed JSON values have exact types, so a
+    boolean never passes for an int."""
+    for key, types in fields.items():
+        if key not in obj:
+            raise InputError(f"{path}: missing field {key!r}")
+        if type(obj[key]) not in types:
+            raise InputError(f"{path}: field {key!r} has the wrong type")
+
+
+def _ints(values: list, path: str | Path, key: str, allow_none: bool = False):
+    if not all(type(v) is int or (allow_none and v is None) for v in values):
+        raise InputError(f"{path}: field {key!r} must hold integers")
+
+
 # --------------------------------------------------------------------------
 # probability triplet text files
 
@@ -311,18 +327,25 @@ def write_ranking(
     _dump_compact(obj, path)
 
 
+_RANKING_FIELDS = {
+    **dict.fromkeys(("candidates", "slots", "n_samples", "sample_seed", "ranker_seed"), (int,)),
+    "algorithm": (str,), "tie_break": (str,), "order": (list,), "prefix_gain": (list, type(None)),
+}
+
+
 def read_ranking(path: str | Path) -> tuple[Ranking, dict]:
     obj = _load_json(path, RANKING_FORMAT)
+    _require(obj, path, _RANKING_FIELDS)
+    if obj["tie_break"] != TIE_BREAK:
+        raise InputError(f"{path}: unsupported tie_break {obj['tie_break']!r}")
+    order, pg = obj["order"], obj["prefix_gain"]
+    _ints(order, path, "order")
+    _ints(pg or [], path, "prefix_gain")
+    # Candidate ids are int32 throughout.
+    if obj["candidates"] >= 2**31 or not all(0 <= a < obj["candidates"] for a in order):
+        raise InputError(f"{path}: order must hold ids in [0, candidates < 2**31)")
     try:
-        pg = obj["prefix_gain"]
-        ranking = Ranking(
-            np.array(obj["order"], dtype=np.int32),
-            tuple(pg) if pg is not None else None,
-        )
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}")
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{path}: malformed ranking ({e})")
+        ranking = Ranking(order, pg)
     except InputError as e:
         raise InputError(f"{path}: {e}")
     meta = {k: v for k, v in obj.items() if k not in ("order", "prefix_gain")}
@@ -353,25 +376,26 @@ def write_report(report: EvalReport, path: str | Path):
     _dump_pretty(obj, path)
 
 
+_REPORT_FIELDS = {
+    **dict.fromkeys(
+        ("candidates", "slots", "n_samples", "sample_seed", "draws", "eval_seed", "unfillable_count"),
+        (int,),
+    ),
+    **dict.fromkeys(("normalized_mean", "normalized_std"), (int, float, type(None))),
+    "algorithm": (str,), "per_draw_kmin": (list,), "config": (dict,),
+}
+
+
 def read_report(path: str | Path) -> EvalReport:
     obj = _load_json(path, REPORT_FORMAT)
+    _require(obj, path, _REPORT_FIELDS)
+    _ints(obj["per_draw_kmin"], path, "per_draw_kmin", allow_none=True)
+    fields = {key: obj[key] for key in _REPORT_FIELDS}
+    fields["per_draw_kmin"] = tuple(obj["per_draw_kmin"])
     try:
-        return EvalReport(
-            algorithm=obj["algorithm"],
-            candidates=obj["candidates"],
-            slots=obj["slots"],
-            n_samples=obj["n_samples"],
-            sample_seed=obj["sample_seed"],
-            draws=obj["draws"],
-            eval_seed=obj["eval_seed"],
-            per_draw_kmin=tuple(obj["per_draw_kmin"]),
-            normalized_mean=obj["normalized_mean"],
-            normalized_std=obj["normalized_std"],
-            unfillable_count=obj["unfillable_count"],
-            config=obj["config"],
-        )
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}")
+        return EvalReport(**fields)
+    except InputError as e:
+        raise InputError(f"{path}: {e}")
 
 
 def report_table(reports: list[EvalReport]) -> tuple[str, list[list[str]]]:

@@ -1,8 +1,10 @@
 """Maximum bipartite matching: a batch solver plus incremental maintenance.
 
-The greedy ranker never recomputes a matching from scratch.  It keeps one
-:class:`MatchState` per sampled relevance matrix and relies on two facts about
-bipartite matchings:
+:func:`max_matching_size` solves one pool from scratch (Hopcroft–Karp via
+scipy).  A :class:`MatchState` keeps a maximum matching while its pool grows
+one candidate at a time: the greedy oracles in :mod:`matchrank.ranker` keep
+one per sample, and :func:`~matchrank.evaluation.prefix_match_curve` one per
+draw.  Maintenance relies on two facts about bipartite matchings (Berge):
 
 * adding one candidate to the pool raises the maximum matching size by 0 or 1,
   and by 1 exactly when an alternating path from that candidate reaches an
@@ -38,9 +40,6 @@ __all__ = [
     "init_state",
     "gain_if_added",
     "commit_add",
-    "commit_nonaugmenting",
-    "augmenting_slots",
-    "scan_augmenting_candidates",
     "avg_matching",
 ]
 
@@ -223,79 +222,6 @@ def commit_add(state: MatchState, a: int, matrix: RelevanceMatrix) -> int:
         return 0
     _apply_path(state, a, goal, prev)
     return 1
-
-
-def commit_nonaugmenting(state: MatchState, a: int, matrix: RelevanceMatrix) -> int:
-    """Admit candidate `a` when the caller has proven it cannot augment.
-
-    Skips the path search entirely — the caller vouches that no augmenting
-    path from `a` exists, normally because `a`'s row misses every slot of a
-    current :func:`augmenting_slots` mask (or is empty).  With that premise
-    the matching is already maximum over the grown pool, so the add is pure
-    bookkeeping.  Returns 0 to mirror :func:`commit_add`.
-    """
-    _check_addable(state, a, matrix)
-    state.pool[a] = True
-    state.pool_count += 1
-    return 0
-
-
-def augmenting_slots(state: MatchState, matrix: RelevanceMatrix) -> np.ndarray:
-    """Boolean mask of slots from which an alternating path can finish.
-
-    A candidate outside the pool augments the matching iff its row touches
-    this set.  The set is built by walking backward from the unmatched slots
-    through matched pool candidates (one hop per layer), costing O(edges
-    incident to the set) rather than one search per queried candidate.
-    The mask stays valid across pool additions that fail to augment: an
-    unmatched pool candidate is never interior to an alternating path.
-    """
-    reach = state.unmatched_slot.copy()
-    if state.size == 0 or not reach.any():
-        return reach
-    queue = np.flatnonzero(reach)
-    slot_ptr, slot_cands = matrix.slot_adjacency()
-    seen_cand = np.zeros(matrix.candidates, dtype=bool)
-    while queue.size:
-        cands = _gather_rows(slot_ptr, slot_cands, queue)
-        cands = cands[state.pool[cands] & ~seen_cand[cands]]
-        if cands.size == 0:
-            break
-        seen_cand[cands] = True
-        partners = state.candidate_match[cands]
-        partners = partners[partners != UNMATCHED]
-        fresh = partners[~reach[partners]]
-        if fresh.size == 0:
-            break
-        reach[fresh] = True
-        queue = np.unique(fresh)
-    return reach
-
-
-def scan_augmenting_candidates(
-    state: MatchState, frontier, matrix: RelevanceMatrix
-) -> np.ndarray:
-    """Ids of `frontier` candidates whose addition would raise the matching.
-
-    One :func:`augmenting_slots` walk answers the question for the whole
-    frontier at once; cost O(edges) independent of frontier size.
-    """
-    frontier = np.asarray(frontier, dtype=np.int64).ravel()
-    if frontier.size and (frontier.min() < 0 or frontier.max() >= matrix.candidates):
-        raise InputError("frontier candidate ids out of range")
-    if np.any(state.pool[frontier]):
-        raise ContractError("frontier candidates must lie outside the pool")
-    if state.size == matrix.slots or frontier.size == 0 or matrix.edge_count == 0:
-        return np.empty(0, dtype=np.int64)
-    if state.size == 0:
-        degrees = matrix.indptr[frontier + 1] - matrix.indptr[frontier]
-        return frontier[degrees > 0]
-    reach = augmenting_slots(state, matrix)
-    hits = reach[matrix.indices]
-    any_hit = np.bincount(
-        matrix.row_ids(), weights=hits, minlength=matrix.candidates
-    ) > 0
-    return frontier[any_hit[frontier]]
 
 
 def avg_matching(pool: Sequence[int], samples: SampleSet) -> Fraction:

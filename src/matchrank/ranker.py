@@ -16,16 +16,16 @@ output and eager's work counters:
   It keeps one maximum matching over the disjoint union of all samples and
   advances every sample with one alternating search per round.
 
-The third kernel keeps one matching per sample and augments it path by
-path.  It runs :func:`matchrank` and :func:`matchrank_lazy` whenever they
-are called directly, and those two are the oracles the other kernels are
-tested against:
+:func:`matchrank` and :func:`matchrank_lazy`, called directly, are the
+plain reference both kernels are tested against.  They keep one maximum
+matching per sample, and a candidate's gain on a sample is whether one
+alternating search from it finds an augmenting path (Berge):
 
-* :func:`matchrank` re-evaluates every remaining candidate each round via
-  one slot-side scan per sample;
+* :func:`matchrank` re-evaluates every remaining candidate each round;
 * :func:`matchrank_lazy` keeps a max-heap of previously seen gains.  Gains
   only shrink as the pool grows, so a popped entry whose gain is current is
-  guaranteed optimal; stale entries are re-evaluated only when they surface.
+  guaranteed optimal; stale entries are re-evaluated only when they surface
+  (Minoux's lazy greedy).
 
 Ties are broken identically everywhere: higher total gain first, then higher
 competition-normalized relevance (each slot's empirical frequency column is
@@ -58,14 +58,7 @@ from .core import (
     _gather_rows,
     substream,
 )
-from .matching import (
-    augmenting_slots,
-    commit_add,
-    commit_nonaugmenting,
-    init_state,
-    max_matching_size,
-    scan_augmenting_candidates,
-)
+from .matching import commit_add, gain_if_added, init_state
 
 __all__ = [
     "ALGORITHMS",
@@ -117,7 +110,6 @@ class RankerConfig:
     """
 
     algorithm: str = "matchrank-lazy"
-    tie_break: str = TIE_BREAK
     seed: int = 0
     stop_at: int | None = None
 
@@ -126,8 +118,6 @@ class RankerConfig:
             raise InputError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.tie_break != TIE_BREAK:
-            raise InputError(f"unsupported tie_break {self.tie_break!r}; only {TIE_BREAK!r}")
         if self.stop_at is not None and self.stop_at < 1:
             raise InputError("stop_at must be at least 1")
 
@@ -136,10 +126,11 @@ class RankerConfig:
 class RankerStats:
     """Work counters, mainly for comparing the greedy implementations.
 
-    `gain_evals` counts full marginal-gain evaluations of one candidate
-    (the initial pass over all candidates included); `zero_flushed` counts
-    candidates emitted after the maximum gain reached zero.  `kernel` names
-    the greedy kernel that ran: ``"cut"`` or ``"batched"`` through
+    `rounds` counts the candidates ranked, one per round; `gain_evals`
+    counts full marginal-gain evaluations of one candidate (the initial pass
+    over all candidates included); `zero_flushed` counts candidates emitted
+    after the maximum gain reached zero.  `kernel` names the greedy kernel
+    that ran: ``"cut"`` or ``"batched"`` through
     :func:`rank`, ``"augmenting"`` for :func:`matchrank` and
     :func:`matchrank_lazy` called directly.  The cut and batched kernels
     evaluate every remaining candidate each round, so they report eager
@@ -158,15 +149,8 @@ def _tie_key(samples: SampleSet) -> np.ndarray:
 
 
 class _GreedyBase:
-    """Shared setup for both greedy implementations.
-
-    Gain queries go through a cached per-sample mask of slots from which an
-    alternating path can finish (see :func:`augmenting_slots`): a candidate
-    gains on a sample iff its row touches the mask.  The mask survives
-    commits that fail to augment that sample and is recomputed at most once
-    between augmenting commits, so repeated queries against an unchanged
-    matching cost only the row length.
-    """
+    """Shared state of both greedy oracles: one :class:`MatchState` per
+    sample, each queried and grown by plain augmenting-path searches."""
 
     def __init__(self, samples: SampleSet, stats: RankerStats):
         self.samples = samples
@@ -175,69 +159,29 @@ class _GreedyBase:
         self.c = samples.candidates
         self.tie_key = _tie_key(samples)
         self.states = [init_state(m, j) for j, m in enumerate(samples.samples)]
-        # A sample whose pool already achieves its full-candidate matching
-        # size can never contribute gain again; drop it from the active list.
-        self.full_size = [max_matching_size(m) for m in samples.samples]
-        self.active = [j for j in range(samples.n) if self.full_size[j] > 0]
-        self.reach: list[np.ndarray | None] = [None] * samples.n
         self.total = 0
 
     def initial_gains(self) -> np.ndarray:
         """Exact gains for the empty pool: #samples with any edge for `a`."""
         gains = np.zeros(self.c, dtype=np.int64)
-        for j in self.active:
-            gains += self.samples.samples[j].degrees() > 0
+        for m in self.samples.samples:
+            gains += m.degrees() > 0
         self.stats.gain_evals += self.c
         return gains
 
     def eval_gain(self, a: int) -> int:
-        g = 0
-        for j in self.active:
-            st = self.states[j]
-            m = self.samples.samples[j]
-            row = m.row(a)
-            if row.size == 0:
-                continue
-            reach = self.reach[j]
-            if reach is None:
-                # An edge into a currently unmatched slot settles it without
-                # paying for the walk.
-                if st.unmatched_slot[row].any():
-                    g += 1
-                    continue
-                reach = augmenting_slots(st, m)
-                self.reach[j] = reach
-            if reach[row].any():
-                g += 1
         self.stats.gain_evals += 1
-        return g
+        return sum(
+            gain_if_added(st, a, m) for st, m in zip(self.states, self.samples.samples)
+        )
 
-    def commit(self, a: int, expected_gain: int | None = None) -> int:
-        g = 0
-        still = []
-        for j in self.active:
-            st = self.states[j]
-            m = self.samples.samples[j]
-            reach = self.reach[j]
-            row = m.row(a)
-            if row.size and (reach is None or reach[row].any()):
-                if commit_add(st, a, m):
-                    g += 1
-                    self.reach[j] = None  # matching changed; mask is stale
-            else:
-                # The mask (or an empty row) rules out any augmenting path,
-                # so the search can be skipped; the mask stays valid.
-                commit_nonaugmenting(st, a, m)
-            if st.size < self.full_size[j]:
-                still.append(j)
-        self.active = still
-        if expected_gain is not None and g != expected_gain:
+    def commit(self, a: int, expected_gain: int):
+        g = sum(commit_add(st, a, m) for st, m in zip(self.states, self.samples.samples))
+        if g != expected_gain:
             raise ContractError(
                 f"gain of candidate {a} changed between evaluation and commit"
             )
         self.total += g
-        self.stats.rounds += 1
-        return g
 
 
 def matchrank(
@@ -245,11 +189,10 @@ def matchrank(
 ) -> Ranking:
     """Greedy ranking, re-evaluating every remaining candidate each round.
 
-    Per round, one slot-side scan per active sample yields the 0/1 gain of
-    all remaining candidates at once; the best (gain, normalized relevance,
-    -id) wins.  Once the best gain is zero it stays zero for every remaining
-    candidate, so the tail is emitted in one pass ordered by (normalized
-    relevance, -id).
+    Per round, every remaining candidate's gain is evaluated afresh; the
+    best (gain, normalized relevance, -id) wins.  Once the best gain is zero
+    it stays zero for every remaining candidate, so the tail is emitted in
+    one pass ordered by (normalized relevance, -id).
     """
     cfg = cfg or RankerConfig(algorithm="matchrank")
     stats = stats if stats is not None else RankerStats()
@@ -263,20 +206,19 @@ def matchrank(
         ids = np.flatnonzero(remaining)
         if order:  # round 1 uses the exact initial gains
             gains = np.zeros(eng.c, dtype=np.int64)
-            for j in eng.active:
-                hit = scan_augmenting_candidates(
-                    eng.states[j], ids, eng.samples.samples[j]
-                )
-                gains[hit] += 1
-            stats.gain_evals += ids.size
+            for a in ids:
+                gains[a] = eng.eval_gain(int(a))
         best = _argbest(ids, gains[ids], eng.tie_key[ids])
         if gains[best] == 0:
-            _flush_zeros(eng, ids, order, prefix, limit)
+            # Commit the tail too, which checks that every gain there is 0.
+            for a in _flush_zeros(ids, eng.tie_key, limit, order, prefix, eng.total, stats):
+                eng.commit(int(a), 0)
             break
-        g = eng.commit(best, int(gains[best]))
+        eng.commit(best, int(gains[best]))
         remaining[best] = False
         order.append(best)
         prefix.append(eng.total)
+    stats.rounds += len(order)
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
@@ -321,6 +263,7 @@ def matchrank_lazy(
         order.append(a)
         prefix.append(eng.total)
         round_no += 1
+    stats.rounds += len(order)
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
@@ -339,13 +282,24 @@ def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
     return int(ids[np.lexsort((ids, -key))[0]])
 
 
-def _flush_zeros(eng, ids: np.ndarray, order: list, prefix: list, limit: int):
-    tail = ids[np.lexsort((ids, -eng.tie_key[ids]))]
-    for a in tail[: limit - len(order)]:
-        eng.commit(int(a), 0)
-        eng.stats.zero_flushed += 1
-        order.append(int(a))
-        prefix.append(eng.total)
+def _flush_zeros(
+    ids: np.ndarray,
+    tie_key: np.ndarray,
+    limit: int,
+    order: list,
+    prefix: list,
+    total: int,
+    stats: RankerStats,
+) -> np.ndarray:
+    """Append the zero-gain tail, and return it: the remaining `ids` by
+    (normalized relevance, -id), until `order` holds `limit` candidates.
+    Gains never grow, so once the best one is zero no later commit changes
+    `total`."""
+    tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
+    order += tail.tolist()
+    prefix += [total] * tail.size
+    stats.zero_flushed += tail.size
+    return tail
 
 
 def _slot_classes(samples: SampleSet) -> tuple[np.ndarray, np.ndarray] | None:
@@ -443,11 +397,7 @@ def _cut_greedy(
             stats.gain_evals += ids.size
         gains_left = gains[ids]
         if gains_left.max() == 0:
-            tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
-            order += tail.tolist()
-            prefix += [total] * tail.size
-            stats.rounds += tail.size
-            stats.zero_flushed += tail.size
+            _flush_zeros(ids, tie_key, limit, order, prefix, total, stats)
             break
         best = _argbest(ids, gains_left, tie_key[ids])
         mask = masks[:, best]
@@ -470,7 +420,7 @@ def _cut_greedy(
         total += raised.size
         order.append(best)
         prefix.append(total)
-        stats.rounds += 1
+    stats.rounds += len(order)
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
@@ -617,11 +567,7 @@ def _batched_greedy(
         reach, hop = union.search()
         gains = union.gains(reach)
         if gains[ids].max() == 0:
-            tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
-            order += tail.tolist()
-            prefix += [total] * tail.size
-            stats.rounds += tail.size
-            stats.zero_flushed += tail.size
+            _flush_zeros(ids, tie_key, limit, order, prefix, total, stats)
             break
         best = _argbest(ids, gains[ids], tie_key[ids])
         gain = int(gains[best])
@@ -630,7 +576,7 @@ def _batched_greedy(
         total += gain
         order.append(best)
         prefix.append(total)
-        stats.rounds += 1
+    stats.rounds += len(order)
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 

@@ -262,6 +262,19 @@ class TestEval:
         assert code == 2
         assert "permutation" in capsys.readouterr().err
 
+    def test_ranking_missing_metadata_exits_2(self, tmp_path, model_path, ranking_path, capsys):
+        obj = json.loads(ranking_path.read_text())
+        del obj["candidates"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run(
+            "eval", "--model", str(model_path), "--ranking", str(bad),
+            "--out", str(tmp_path / "r.json"), "--draws", "2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "candidates" in err
+
     def test_config_threads_and_precedence(self, tmp_path, model_path, ranking_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -302,6 +315,23 @@ class TestReport:
         lines = csv_out.read_text().strip().splitlines()
         assert lines[0].startswith("algorithm,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("field,value", [("per_draw_kmin", 5), ("draws", 7)])
+    def test_malformed_report_exits_2_and_names_file(
+        self, tmp_path, model_path, capsys, field, value
+    ):
+        rk, out = tmp_path / "ranking.json", tmp_path / "rep.json"
+        assert run("rank", "--model", str(model_path), "--out", str(rk), "--n", "4") == 0
+        assert run(
+            "eval", "--model", str(model_path), "--ranking", str(rk),
+            "--out", str(out), "--draws", "3",
+        ) == 0
+        obj = json.loads(out.read_text())
+        obj[field] = value
+        out.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("report", str(out)) == 2
+        assert "rep.json" in capsys.readouterr().err
 
     def test_missing_report_exits_2(self, tmp_path):
         assert run("report", str(tmp_path / "none.json")) == 2

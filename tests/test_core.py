@@ -70,16 +70,6 @@ class TestRelevanceMatrix:
         m = RelevanceMatrix.from_dense(dense)
         assert np.array_equal(m.to_dense(), dense)
 
-    def test_slot_adjacency_transposes(self):
-        rng = np.random.default_rng(4)
-        m = random_relevance(rng, 7, 5, 0.5)
-        ptr, cands = m.slot_adjacency()
-        pairs = set()
-        for t in range(5):
-            for a in cands[ptr[t] : ptr[t + 1]]:
-                pairs.add((int(a), t))
-        assert pairs == edge_set(m)
-
     def test_rejects_malformed(self):
         with pytest.raises(InputError):
             RelevanceMatrix(2, 3, [0, 1, 2], [0, 5])  # slot id out of range

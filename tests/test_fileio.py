@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sampleset
 from matchrank.core import InputError, Ranking, SparseProbMatrix
@@ -23,7 +25,7 @@ from matchrank.fileio import (
     write_report,
     write_samples,
 )
-from matchrank.ranker import RankerConfig
+from matchrank.ranker import TIE_BREAK, RankerConfig
 from matchrank.synthgen import SynthParams, build_synthetic_model, two_block_model
 
 
@@ -183,6 +185,15 @@ class TestRankingFiles:
         assert back.prefix_gain is None
         assert meta["ranker_seed"] == 7
 
+    def test_rejects_ids_beyond_int32(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_ranking(Ranking(np.array([1, 0], dtype=np.int32)), path, "random", 2, 2, 5, 1, 7)
+        obj = json.loads(path.read_text())
+        obj["candidates"], obj["order"] = 2**40, [2**35, 0]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InputError, match="r.json: order"):
+            read_ranking(path)
+
 
 class TestReportFiles:
     def make_report(self):
@@ -200,6 +211,11 @@ class TestReportFiles:
         rep = dataclasses.replace(self.make_report(), normalized_mean=float("nan"))
         with pytest.raises(ValueError):
             write_report(rep, tmp_path / "r.json")
+
+    def test_config_echoes_the_tie_break_policy(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(self.make_report(), path)
+        assert json.loads(path.read_text())["config"]["tie_break"] == TIE_BREAK
 
     def test_table(self):
         rep = self.make_report()
@@ -252,3 +268,73 @@ class TestExperimentConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
             load_config(tmp_path / "none.json")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid ranking file and a valid report file, as bytes."""
+    folder = tmp_path_factory.mktemp("valid")
+    ranking, report = folder / "ranking.json", folder / "report.json"
+    write_ranking(Ranking(np.array([2, 0, 3, 1], dtype=np.int32), (1, 2, 2, 2)), ranking,
+                  "matchrank", 4, 2, 5, 1, 0)
+    write_report(evaluate(RankerConfig(), two_block_model(12, 4, 0.8, 0.7), 4, 1, 3, 2), report)
+    return {"ranking": ranking.read_bytes(), "report": report.read_bytes(), "folder": folder}
+
+
+# A replacement value of any JSON type, including integers too wide for
+# int32 or int64 and lists of mixed items.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data: bytes, draw) -> bytes:
+    """Drop a key, retype a value or one item of a list value, or truncate."""
+    how = draw(st.sampled_from(["drop", "retype", "retype-item", "truncate"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    obj = json.loads(data)
+    key = draw(st.sampled_from(sorted(obj)))
+    if how == "drop":
+        del obj[key]
+    elif how == "retype" or not isinstance(obj[key], list) or not obj[key]:
+        obj[key] = draw(_json_values)
+    else:
+        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_json_values)
+    return json.dumps(obj).encode()
+
+
+class TestReaderFuzz:
+    """Every mangled ranking or report file either loads as a valid object
+    or is refused with InputError."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_ranking(self, valid_files, data):
+        path = valid_files["folder"] / "mangled-ranking.json"
+        path.write_bytes(_mutate(valid_files["ranking"], data.draw))
+        try:
+            ranking, meta = read_ranking(path)
+        except InputError:
+            return
+        assert all(0 <= a < meta["candidates"] for a in ranking.order.tolist())
+        for key in ("candidates", "slots", "n_samples", "sample_seed", "ranker_seed"):
+            assert type(meta[key]) is int
+        assert meta["tie_break"] == TIE_BREAK and isinstance(meta["algorithm"], str)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_report(self, valid_files, data):
+        path = valid_files["folder"] / "mangled-report.json"
+        path.write_bytes(_mutate(valid_files["report"], data.draw))
+        try:
+            rep = read_report(path)
+        except InputError:
+            return
+        assert len(rep.per_draw_kmin) == rep.draws
+        report_table([rep])
+        write_report(rep, path)
+        assert read_report(path) == rep

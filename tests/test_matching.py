@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from conftest import random_relevance, random_sampleset
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
 from matchrank.matching import (
-    augmenting_slots,
     avg_matching,
     commit_add,
-    commit_nonaugmenting,
     gain_if_added,
     init_state,
     max_matching_size,
-    scan_augmenting_candidates,
 )
+from matchrank.ranker import _Batched
 from oracles import brute_max_matching
 
 
@@ -136,88 +134,127 @@ class TestIncrementalState:
         assert st_.size == 1
 
 
+# The batched kernel (`ranker._Batched`) is where augmenting slots are read
+# off a reach set; the two classes below check its search and gain scan
+# against the per-sample MatchState.
+
+
+def union_of(*samples: RelevanceMatrix) -> _Batched:
+    return _Batched(SampleSet(samples, 0))
+
+
+def union_size(union: _Batched, samples: SampleSet) -> int:
+    """The union's matching size, after checking it is a matching of edges."""
+    c, s = samples.candidates, samples.slots
+    matched = np.flatnonzero(union.slot_match >= 0)
+    assert np.array_equal(union.cand_match[union.slot_match[matched]], matched)
+    assert np.count_nonzero(union.cand_match >= 0) == matched.size
+    for t in matched.tolist():
+        j, a = divmod(int(union.slot_match[t]), c)
+        assert t // s == j and t % s in samples.samples[j].row(a).tolist()
+    return int(matched.size)
+
+
 class TestScan:
     def test_empty_state_returns_degree_filter(self, toy_instance):
-        st_ = init_state(toy_instance)
-        got = scan_augmenting_candidates(st_, np.arange(5), toy_instance)
-        assert got.tolist() == [0, 1, 2, 3]  # candidate 4 has no edges
+        union = union_of(toy_instance)
+        gains = union.gains(union.search()[0])
+        assert np.flatnonzero(gains).tolist() == [0, 1, 2, 3]  # candidate 4 has no edges
 
     def test_saturated_returns_nothing(self):
         m = RelevanceMatrix.from_edges(3, 1, [(0, 0), (1, 0), (2, 0)])
-        st_ = init_state(m)
-        commit_add(st_, 0, m)
-        got = scan_augmenting_candidates(st_, np.array([1, 2]), m)
-        assert got.size == 0
-
-    def test_rejects_pool_overlap(self, toy_instance):
-        st_ = init_state(toy_instance)
-        commit_add(st_, 0, toy_instance)
-        with pytest.raises(ContractError):
-            scan_augmenting_candidates(st_, np.array([0, 1]), toy_instance)
+        union = union_of(m)
+        union.commit(0, 1, *union.search())
+        assert not union.gains(union.search()[0]).any()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_scan_equals_pointwise_gains(self, seed):
+        # The batched gains, summed over samples, equal each sample's
+        # pointwise gains after any sequence of commits.
         rng = np.random.default_rng(2000 + seed)
-        c = int(rng.integers(2, 12))
-        s = int(rng.integers(1, 7))
-        m = random_relevance(rng, c, s, float(rng.choice([0.2, 0.4, 0.7])))
-        st_ = init_state(m)
+        c = int(rng.integers(2, 16))
+        s = int(rng.integers(1, 11))
+        n = int(rng.integers(1, 4))
+        samples = random_sampleset(rng, c, s, n, float(rng.choice([0.2, 0.4, 0.7])))
+        states = [init_state(m) for m in samples.samples]
+        union = _Batched(samples)
         committed = rng.permutation(c)[: int(rng.integers(0, c))]
-        for a in committed:
-            commit_add(st_, int(a), m)
+        for a in committed.tolist():
+            gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
+            union.commit(a, gain, *union.search())
         frontier = np.setdiff1d(np.arange(c), committed)
-        got = set(scan_augmenting_candidates(st_, frontier, m).tolist())
-        want = {int(a) for a in frontier if gain_if_added(st_, int(a), m) == 1}
-        assert got == want
+        got = union.gains(union.search()[0])[frontier]
+        want = [
+            sum(gain_if_added(st_, int(a), m) for st_, m in zip(states, samples.samples))
+            for a in frontier
+        ]
+        assert got.tolist() == want
+        assert union_size(union, samples) == sum(st_.size for st_ in states)
 
 
 class TestAugmentingSlots:
     @pytest.mark.parametrize("seed", range(30))
     def test_mask_membership_equals_gain(self, seed):
-        # Touching the mask must be exactly equivalent to having a gain.
+        # Touching the reach set must be exactly equivalent to having a gain.
         rng = np.random.default_rng(3000 + seed)
-        c = int(rng.integers(2, 12))
-        s = int(rng.integers(1, 7))
+        c = int(rng.integers(2, 16))
+        s = int(rng.integers(1, 11))
         m = random_relevance(rng, c, s, float(rng.choice([0.2, 0.4, 0.7])))
         st_ = init_state(m)
-        for a in rng.permutation(c)[: int(rng.integers(1, c))]:
-            commit_add(st_, int(a), m)
-        mask = augmenting_slots(st_, m)
+        union = union_of(m)
+        for a in rng.permutation(c)[: int(rng.integers(1, c))].tolist():
+            union.commit(a, commit_add(st_, a, m), *union.search())
+        mask = union.search()[0]
         for a in np.flatnonzero(~st_.pool):
             touches = bool(mask[m.row(int(a))].any())
             assert touches == bool(gain_if_added(st_, int(a), m))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_mask_survives_nonaugmenting_commits(self, seed):
-        # Admitting candidates that cannot augment must leave the mask exact,
-        # and the skip-search commit must keep the state's invariants.
+        # Admitting candidates that cannot augment must leave the reach set
+        # and its hops exact, so later commits may still use them.
         rng = np.random.default_rng(4000 + seed)
-        c = int(rng.integers(3, 12))
-        s = int(rng.integers(1, 6))
-        m = random_relevance(rng, c, s, float(rng.choice([0.3, 0.5, 0.8])))
-        st_ = init_state(m)
-        mask = None
-        for a in rng.permutation(c):
-            a = int(a)
-            if mask is None:
-                mask = augmenting_slots(st_, m)
+        c = int(rng.integers(3, 16))
+        s = int(rng.integers(1, 11))
+        m = random_relevance(rng, c, s, float(rng.choice([0.2, 0.3, 0.5])))
+        samples = SampleSet((m,), 0)
+        union = _Batched(samples)
+        found = None
+        for a in rng.permutation(c).tolist():
+            if found is None:
+                found = union.search()
+            mask = found[0]
             row = m.row(a)
             if row.size and mask[row].any():
-                assert commit_add(st_, a, m) == 1
-                mask = None
+                size_before = union_size(union, samples)
+                union.commit(a, 1, *found)
+                assert union_size(union, samples) == size_before + 1
+                found = None
             else:
-                size_before = st_.size
-                assert commit_nonaugmenting(st_, a, m) == 0
-                assert st_.size == size_before
-                np.testing.assert_array_equal(mask, augmenting_slots(st_, m))
-            st_.check_invariants(m)
-        assert st_.size == brute_max_matching(m)
+                size_before = union_size(union, samples)
+                union.commit(a, 0, *found)
+                assert union_size(union, samples) == size_before
+                for x, y in zip(found, union.search()):
+                    np.testing.assert_array_equal(x, y)
+        assert union_size(union, samples) == brute_max_matching(m)
 
-    def test_rejects_pool_member(self, toy_instance):
-        st_ = init_state(toy_instance)
-        commit_add(st_, 0, toy_instance)
-        with pytest.raises(ContractError):
-            commit_nonaugmenting(st_, 0, toy_instance)
+    def test_mask_reaches_along_long_paths(self):
+        # A path: candidate i on slots i and i+1, then one probe candidate
+        # per slot.  Every slot is exposed in some maximum matching of the
+        # path, at alternating distances up to k from the exposed one.
+        k = 8
+        edges = [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k)]
+        edges += [(k + t, t) for t in range(k + 1)]
+        m = RelevanceMatrix.from_edges(2 * k + 1, k + 1, edges)
+        st_ = init_state(m)
+        union = union_of(m)
+        for a in range(k):
+            union.commit(a, commit_add(st_, a, m), *union.search())
+        mask = union.search()[0]
+        assert mask.all()
+        for a in range(k, 2 * k + 1):
+            assert gain_if_added(st_, a, m) == 1
+        assert union.gains(mask)[k:].tolist() == [1] * (k + 1)
 
 
 class TestProperties:

@@ -72,10 +72,6 @@ class TestRankerConfig:
         with pytest.raises(InputError, match="valid:"):
             RankerConfig(algorithm="best-first")
 
-    def test_rejects_unknown_tie_break(self):
-        with pytest.raises(InputError):
-            RankerConfig(tie_break="random")
-
     def test_rejects_bad_stop(self):
         with pytest.raises(InputError):
             RankerConfig(stop_at=0)
