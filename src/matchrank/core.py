@@ -8,6 +8,7 @@ Streams therefore never depend on evaluation order or thread schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "ContractError",
     "UNMATCHED",
     "PROB_CLIP",
+    "MAX_CUT_CLASSES",
     "substream",
     "SlotLayout",
     "RelevanceMatrix",
@@ -41,6 +43,22 @@ UNMATCHED = -1
 #: Probabilities in generated models are clipped into this closed range.
 PROB_CLIP = (0.0001, 0.9999)
 
+#: Most groups of a group model whose samples carry their group masks
+#: (:attr:`SampleSet.group_masks`), and so the most the greedy ranker's cut
+#: kernel takes; other sample sets go to its batched kernel.
+#: The cut kernel's work and its per-sample count array grow as 2**groups,
+#: so this also caps that array at n * 2**12 int32 before it is allocated.
+#: Seconds per ranking by each kernel alone (`_cut_greedy` on the samples'
+#: group masks, `_batched_greedy`) on group models of 500 candidates x G
+#: groups of 10 slots (n=200, mean of two model seeds, 2-core host):
+#:
+#:     G        8     10     11     12     13     14
+#:     cut     0.05   0.22   0.35   0.79   1.71   4.10
+#:     batched 0.85   1.16   1.34   1.46   1.55   1.74
+#:
+#: Cut wins up to 12 and loses from 13 on.  At most 16: masks are uint16.
+MAX_CUT_CLASSES = 12
+
 # Spawn-key purposes.  Every consumer of randomness owns one purpose so that
 # sub-streams for model construction, sampling, evaluation draws, and the
 # ranker never collide even under a shared top-level seed.
@@ -60,6 +78,11 @@ def _as_int_array(values, dtype, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"{name} must be integers, got dtype {arr.dtype}")
+    # A narrowing cast wraps out-of-range values, so only it is checked.
+    if arr.size and not np.can_cast(arr.dtype, dtype):
+        info = np.iinfo(dtype)
+        if arr.min() < info.min or arr.max() > info.max:
+            raise InputError(f"{name} must lie in [{info.min}, {info.max}]")
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
@@ -110,6 +133,23 @@ class SlotLayout:
     @property
     def slot_to_group(self) -> np.ndarray:
         return np.repeat(np.arange(self.group_count, dtype=np.int32), self.group_sizes)
+
+    @cached_property
+    def subset_slots(self) -> np.ndarray:
+        """Slot count of every subset of the groups, indexed by its bit mask
+        (at most :data:`MAX_CUT_CLASSES` groups; read-only)."""
+        if self.group_count > MAX_CUT_CLASSES:
+            raise InputError(f"subset tables cover at most {MAX_CUT_CLASSES} groups")
+        counts = np.zeros(1 << self.group_count, dtype=np.int64)
+        for g, k in enumerate(self.slots_per_group):
+            counts[1 << g : 2 << g] = counts[: 1 << g] + k
+        counts.setflags(write=False)
+        return counts
+
+    @property
+    def slotted_bits(self) -> int:
+        """Bit mask of the groups that own at least one slot."""
+        return sum(1 << g for g, k in enumerate(self.slots_per_group) if k)
 
     def slots_of(self, groups: np.ndarray) -> np.ndarray:
         """Concatenated slot ids of `groups` (repeats allowed), in order, as int32."""
@@ -445,10 +485,22 @@ class ProbabilityModel:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n relevance matrices drawn i.i.d. from one model, plus the seed used."""
+    """n relevance matrices drawn i.i.d. from one model, plus the seed used.
+
+    `group_masks`, for samples drawn from a group model of at most
+    :data:`MAX_CUT_CLASSES` groups, is ``(layout, masks)``: the model's
+    :class:`SlotLayout`, and per sample and candidate the bit mask of the
+    groups the candidate was drawn relevant to (uint16, n x candidates).
+    Each row is the union of the slots of its mask's groups, and groups
+    without slots set no bit.  The constructor checks the shapes and that
+    each row holds as many slots as its mask's groups own, but not which
+    slots: the greedy ranker trusts the masks to name each row's groups, as
+    :func:`~matchrank.synthgen.sample_relevances` draws them.
+    """
 
     samples: tuple[RelevanceMatrix, ...]
     seed: int
+    group_masks: tuple[SlotLayout, np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -458,6 +510,21 @@ class SampleSet:
         for m in self.samples:
             if m.candidates != c or m.slots != s:
                 raise InputError("all samples must share dimensions")
+        if self.group_masks is not None:
+            layout, masks = self.group_masks
+            masks = _as_int_array(masks, np.uint16, "group masks")
+            if layout.total_slots != s or masks.shape != (self.n, c):
+                raise InputError("group masks do not match the samples' shape")
+            if (masks & ~np.uint16(layout.slotted_bits)).any():
+                raise InputError("group masks name groups without slots")
+            want = layout.subset_slots[masks]
+            if any(
+                (row != m.indptr[1:] - m.indptr[:-1]).any()
+                for row, m in zip(want, self.samples)
+            ):
+                raise InputError("group masks disagree with the rows' slot counts")
+            masks.setflags(write=False)
+            object.__setattr__(self, "group_masks", (layout, masks))
 
     @property
     def n(self) -> int:

@@ -21,7 +21,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .core import (
     ProbabilityModel,
     Ranking,
     RelevanceMatrix,
-    SampleSet,
     substream,
 )
 from .matching import _matching_size, commit_add, init_state, max_matching_size
@@ -43,7 +41,6 @@ __all__ = [
     "EvalReport",
     "prefix_match_curve",
     "k_min",
-    "avg_matching_curve",
     "evaluate",
     "evaluate_ranking",
     "misspecification_run",
@@ -132,30 +129,6 @@ def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int
         else:
             lo = mid
     return hi
-
-
-def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:
-    """Average matching size across `samples` after each ranking prefix.
-
-    Exact rationals, suitable for comparisons without float tolerance.
-    Matches ``prefix_gain / n`` for rankings produced by the greedy ranker.
-    """
-    if len(ranking) and int(ranking.order.max()) >= samples.candidates:
-        raise InputError("ranking refers to candidates outside the sample set")
-    states = [init_state(m, j) for j, m in enumerate(samples.samples)]
-    full = [max_matching_size(m) for m in samples.samples]
-    active = [j for j in range(samples.n) if full[j] > 0]
-    total = 0
-    out = []
-    for a in ranking.order:
-        still = []
-        for j in active:
-            total += commit_add(states[j], int(a), samples.samples[j])
-            if states[j].size < full[j]:
-                still.append(j)
-        active = still
-        out.append(Fraction(total, samples.n))
-    return tuple(out)
 
 
 def _kmin_chunk(

@@ -222,11 +222,15 @@ def write_model(model: ProbabilityModel, path: str | Path, metadata: dict | None
 
 def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
     obj = _load_json(path, MODEL_FORMAT)
+    if obj.get("kind") == "group":
+        # SlotLayout would truncate a fractional or boolean slot count.
+        _require(obj, path, {"slots_per_group": (list,)})
+        _ints(obj["slots_per_group"], path, "slots_per_group")
     try:
         if obj["kind"] == "group":
             model = ProbabilityModel.group_structured(
                 SlotLayout(tuple(obj["slots_per_group"])),
-                np.array(obj["membership"], dtype=np.int32),
+                np.array(obj["membership"]),
                 np.array(obj["group_prob"], dtype=np.float64),
             )
         elif obj["kind"] == "independent":

@@ -104,9 +104,6 @@ class MatchState:
         """Unmatched slot ids, ascending."""
         return np.flatnonzero(self.unmatched_slot)
 
-    def pool_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.pool)
-
     def check_invariants(self, matrix: RelevanceMatrix, check_maximality: bool = True):
         """Raise ContractError on any violated invariant (test/debug helper)."""
         matched_c = np.flatnonzero(self.candidate_match != UNMATCHED)
@@ -126,7 +123,7 @@ class MatchState:
         if self.pool_count != int(np.count_nonzero(self.pool)):
             raise ContractError("pool_count out of sync")
         if check_maximality:
-            want = max_matching_size(matrix, self.pool_ids())
+            want = max_matching_size(matrix, np.flatnonzero(self.pool))
             if self.size != want:
                 raise ContractError(f"size {self.size} not maximum ({want})")
 

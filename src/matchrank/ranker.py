@@ -6,15 +6,16 @@ the one dispatch point, and it runs both greedy algorithms (``matchrank``
 and ``matchrank-lazy``) through one of two kernels, which produce identical
 output and eager's work counters:
 
-* the cut kernel (:func:`_cut_greedy`) whenever the sample set is
-  class-structured: its slots fall into at most :data:`MAX_CUT_CLASSES`
-  classes of twins (slots whose columns agree in every sample), as in a
-  group model, where a candidate is relevant to all slots of a group or to
-  none.  It works on per-class bit masks and the cut form of the matching
-  size;
-* the batched kernel (:func:`_batched_greedy`) for every other sample set.
-  It keeps one maximum matching over the disjoint union of all samples and
-  advances every sample with one alternating search per round.
+* the cut kernel (:func:`_cut_greedy`) for the samples of a group model of
+  at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a
+  candidate is relevant to all slots of a group or to none, and the samples
+  carry each draw's group bit masks
+  (:attr:`~matchrank.core.SampleSet.group_masks`); the kernel works on
+  those masks and the cut form of the matching size;
+* the batched kernel (:func:`_batched_greedy`) for every other sample set:
+  independent models, group models of more groups, and samples without
+  masks.  It keeps one maximum matching over the disjoint union of all
+  samples and advances every sample with one alternating search per round.
 
 :func:`matchrank` and :func:`matchrank_lazy`, called directly, are the
 plain reference both kernels are tested against.  They keep one maximum
@@ -83,21 +84,6 @@ TIE_BREAK = "gain-ntr-index"
 #: An empirical frequency of exactly 1 contributes to the "or" score as if it
 #: were 1 - 1e-12; the exact value would be infinite.
 _OR_CLAMP_P = 1.0 - 1e-12
-
-#: Most slot classes the cut kernel takes; more go to the batched kernel.
-#: The cut kernel's work and its per-sample count array grow as 2**classes,
-#: so this also caps that array at n * 2**12 int32 before it is allocated.
-#: Seconds per ranking on group models of 500 candidates x G groups of 10
-#: slots (n=200, mean of two seeds, 2-core host; cut includes the class
-#: detection):
-#:
-#:     G        8     10     11     12     13     14
-#:     cut     0.08   0.17   0.39   0.70   1.18   2.99
-#:     batched 0.68   0.80   1.14   1.24   1.36   1.41
-#:
-#: Cut wins clearly up to 12 and is about even at 13.  At most 16: class
-#: masks are uint16.
-MAX_CUT_CLASSES = 12
 
 
 @dataclass(frozen=True)
@@ -302,60 +288,6 @@ def _flush_zeros(
     return tail
 
 
-def _slot_classes(samples: SampleSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Slot classes of a class-structured sample set, or None.
-
-    Slots whose columns agree in every sample form a class.  A hash of each
-    column proposes the classes, refined sample by sample, giving up once
-    there are more than :data:`MAX_CUT_CLASSES`; :func:`_class_masks` then
-    checks the proposal exactly.
-    """
-    c, s = samples.candidates, samples.slots
-    # Fixed weights: the proposal depends on the samples alone.
-    weights = np.random.default_rng(0).random(c)
-    label = np.zeros(s, dtype=np.int64)
-    for m in samples.samples:
-        column = np.bincount(
-            m.indices, weights=np.repeat(weights, m.degrees()), minlength=s
-        )
-        _, label = np.unique(
-            np.column_stack((label, column)), axis=0, return_inverse=True
-        )
-        label = label.reshape(-1)
-        if s and label.max() >= MAX_CUT_CLASSES:
-            return None
-    return _class_masks(samples, label)
-
-
-def _class_masks(
-    samples: SampleSet, label: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Cut-kernel inputs for the slot classes `label` (class id per slot,
-    dense from 0), or None unless every row of every sample is a union of
-    whole classes.
-
-    Returns ``cap``, the slot count of every class subset (indexed by its
-    bit mask), and ``masks``, per sample and candidate the bit mask of the
-    classes the candidate is relevant to (uint16, n x candidates).
-    """
-    g = int(label.max()) + 1 if label.size else 0
-    subsets = np.arange(1 << g)
-    cap = ((subsets[:, None] >> np.arange(g)) & 1) @ np.bincount(label, minlength=g)
-    bit = 1 << label
-    masks = np.zeros((samples.n, samples.candidates), dtype=np.uint16)
-    for j, m in enumerate(samples.samples):
-        deg = m.degrees()
-        hit = deg > 0
-        if m.edge_count:
-            # Segments of the non-empty rows end where the next one starts.
-            masks[j, hit] = np.bitwise_or.reduceat(bit[m.indices], m.indptr[:-1][hit])
-        # A row holding a slot of every class in its mask, and as many slots
-        # as those classes own together, is their whole union.
-        if np.any(cap[masks[j]] != deg):
-            return None
-    return cap, masks
-
-
 def _cut_greedy(
     samples: SampleSet,
     cap: np.ndarray,
@@ -375,7 +307,9 @@ def _cut_greedy(
     recomputes U* only where it raised the matching (a zero-gain addition
     leaves U* a minimizer, and still the maximal one), and the gains of all
     candidates are updated in one vectorized pass over the samples whose U*
-    moved.  `cap` and `masks` come from :func:`_slot_classes`.
+    moved.  `cap` holds the slot count of every class subset, indexed by its
+    bit mask, and `masks` per sample and candidate the bit mask of the
+    classes the candidate is relevant to (uint16, n x candidates).
     """
     stats = stats if stats is not None else RankerStats()
     stats.kernel = "cut"
@@ -670,13 +604,14 @@ def rank(
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
     always work from the samples themselves, through the cut kernel when the
-    sample set is class-structured and the batched kernel otherwise
-    (``stats.kernel`` tells which ran).
+    samples carry group masks (a group model of at most
+    :data:`~matchrank.core.MAX_CUT_CLASSES` groups) and the batched kernel
+    otherwise (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
-        classes = _slot_classes(samples)
-        if classes is not None:
-            return _cut_greedy(samples, *classes, cfg, stats)
+        if samples.group_masks is not None:
+            layout, masks = samples.group_masks
+            return _cut_greedy(samples, layout.subset_slots, masks, cfg, stats)
         return _batched_greedy(samples, cfg, stats)
     if cfg.algorithm == "random":
         ranking = random_ranking(samples.candidates, cfg.seed)

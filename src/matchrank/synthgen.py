@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     InputError,
+    MAX_CUT_CLASSES,
     PROB_CLIP,
     PURPOSE_MODEL,
     PURPOSE_SAMPLE,
@@ -99,21 +100,28 @@ def build_synthetic_model(params: SynthParams) -> ProbabilityModel:
     return ProbabilityModel.group_structured(layout, membership, group_prob)
 
 
-def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
+def draw_relevance(
+    model: ProbabilityModel, rng: np.random.Generator, coins_out: np.ndarray | None = None
+) -> RelevanceMatrix:
     """Draw one relevance matrix from `model` using `rng`.
 
     Group models flip one coin per (candidate, group) membership; a success
     makes the candidate relevant to every slot of that group.  Independent
     models flip one coin per stored (candidate, slot) probability.
+
+    `coins_out`, for a group model, receives those coins: a bool array of
+    the shape of ``model.membership``, True where the candidate won the group.
     """
     if model.kind == "group":
-        return _draw_group(model, rng)
+        return _draw_group(model, rng, coins_out)
     return _draw_independent(model.marginals, rng)
 
 
-def _draw_group(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
+def _draw_group(
+    model: ProbabilityModel, rng: np.random.Generator, coins_out: np.ndarray | None
+) -> RelevanceMatrix:
     layout = model.layout
-    success = rng.random(model.group_prob.shape) < model.group_prob
+    success = np.less(rng.random(model.group_prob.shape), model.group_prob, out=coins_out)
     sizes = layout.group_sizes
     per_cand = (success * sizes[model.membership]).sum(axis=1)
     indptr = np.zeros(model.candidates + 1, dtype=np.int64)
@@ -142,15 +150,22 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
 
     Sample i comes from the sub-stream (sample, i) of `seed`, so any sample
     can be regenerated alone and the set is independent of iteration order.
+    The samples of a group model of at most :data:`MAX_CUT_CLASSES` groups
+    carry their group masks (:attr:`SampleSet.group_masks`).
     """
     if n < 1:
         raise InputError("need at least one sample")
-    return SampleSet(
-        tuple(
-            draw_relevance(model, substream(seed, PURPOSE_SAMPLE, i)) for i in range(n)
-        ),
-        seed,
+    masked = model.kind == "group" and model.layout.group_count <= MAX_CUT_CLASSES
+    coins = np.empty((n, *model.membership.shape), dtype=bool) if masked else [None] * n
+    samples = tuple(
+        draw_relevance(model, substream(seed, PURPOSE_SAMPLE, i), coins[i]) for i in range(n)
     )
+    if not masked:
+        return SampleSet(samples, seed)
+    # A row's groups are distinct, so the sum of their bits is their OR; a
+    # group without slots leaves the row as it is, so it sets no bit.
+    bits = ((1 << model.membership) & model.layout.slotted_bits).astype(np.uint16)
+    return SampleSet(samples, seed, (model.layout, np.einsum("ncj->nc", coins * bits)))
 
 
 def two_block_model(

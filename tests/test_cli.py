@@ -168,8 +168,30 @@ class TestRank:
         assert "group probabilities must lie strictly inside (0, 1)" in err
         assert "malformed model" not in err
 
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("membership", [2**40, 1], "membership must lie in"),
+            ("membership", [0.5, 1], "membership must be integers"),
+            ("slots_per_group", [1.5, 2, 2], "'slots_per_group' must hold integers"),
+            ("slots_per_group", [True, 2, 2], "'slots_per_group' must hold integers"),
+        ],
+    )
+    def test_non_integer_model_fields_exit_2(self, tmp_path, model_path, capsys, field, value, fragment):
+        obj = json.loads(model_path.read_text())
+        if field == "membership":
+            obj["membership"][0] = value
+        else:
+            obj[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("rank", "--model", str(bad), "--out", str(tmp_path / "r.json"), "--n", "5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and fragment in err
+
     def test_stats_out_leaves_ranking_bytes_alone(self, tmp_path):
-        # 16 labels with independent coins: no twin slots, so the batched
+        # An ingested model is independent: no group masks, so the batched
         # kernel ranks.
         probs = np.random.default_rng(6).uniform(0.05, 0.7, size=(24, 16))
         lines = [f"{a} {t} {p:.3f}" for (a, t), p in np.ndenumerate(probs) if p > 0.3]

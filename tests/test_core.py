@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import edge_set, random_relevance
 from matchrank.core import (
     InputError,
+    MAX_CUT_CLASSES,
     ProbabilityModel,
     Ranking,
     RelevanceMatrix,
@@ -45,6 +46,19 @@ class TestSlotLayout:
         got = lay.slots_of(groups)
         assert got.dtype == np.int32
         assert np.array_equal(got, naive)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_subset_slots_sums_member_groups(self, sizes):
+        counts = SlotLayout(tuple(sizes)).subset_slots
+        assert counts.tolist() == [
+            sum(k for g, k in enumerate(sizes) if u >> g & 1) for u in range(1 << len(sizes))
+        ]
+
+    def test_subset_tables_and_slotted_bits(self):
+        assert SlotLayout((2, 0, 1, 0)).slotted_bits == 0b101
+        with pytest.raises(InputError, match=f"at most {MAX_CUT_CLASSES}"):
+            SlotLayout((1,) * (MAX_CUT_CLASSES + 1)).subset_slots
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(InputError):
@@ -189,6 +203,61 @@ class TestSampleSet:
             SampleSet((random_relevance(rng, 4, 3, 0.5), random_relevance(rng, 4, 2, 0.5)), 0)
         with pytest.raises(InputError):
             SampleSet((), 0)
+
+
+class TestSampleSetGroupMasks:
+    LAYOUT = SlotLayout((2, 0, 1))
+
+    def samples(self):
+        # Candidate 0 holds group 0, candidate 1 groups 0 and 2, candidate 2 none.
+        m = RelevanceMatrix.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+        return (m, RelevanceMatrix.from_edges(3, 3, [(2, 2)]))
+
+    def test_accepts_masks_of_the_rows(self):
+        masks = np.array([[0b001, 0b101, 0], [0, 0, 0b100]])
+        ss = SampleSet(self.samples(), 0, (self.LAYOUT, masks))
+        assert ss.group_masks[1].dtype == np.uint16
+        assert ss.group_masks[1].tolist() == masks.tolist()
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            [[0b001, 0b101, 0], [0, 0, 0b001]],  # row 2 of sample 1 has 1 slot, not 2
+            [[0b001, 0b100, 0], [0, 0, 0b100]],  # row 1 of sample 0 has 3 slots
+            [[0b011, 0b101, 0], [0, 0, 0b100]],  # group 1 owns no slot
+            [[0b001, 0b101, 0b1000], [0, 0, 0b100]],  # group 3 is beyond the layout
+            [[0b001, 0b101, 0]],  # one sample short
+        ],
+    )
+    def test_refuses_masks_that_disagree_with_the_rows(self, masks):
+        with pytest.raises(InputError, match="group masks"):
+            SampleSet(self.samples(), 0, (self.LAYOUT, np.array(masks)))
+
+    def test_refuses_a_layout_of_other_slots(self):
+        masks = np.zeros((2, 3), dtype=np.uint16)
+        with pytest.raises(InputError, match="group masks"):
+            SampleSet(self.samples(), 0, (SlotLayout((2, 2)), masks))
+
+    def test_refuses_a_layout_of_more_groups_than_the_cut_kernel_takes(self):
+        layout = SlotLayout((1, 1, 1) + (0,) * (MAX_CUT_CLASSES - 2))
+        masks = np.zeros((2, 3), dtype=np.uint16)
+        with pytest.raises(InputError, match=f"at most {MAX_CUT_CLASSES}"):
+            SampleSet(self.samples(), 0, (layout, masks))
+
+
+class TestNarrowingCasts:
+    def test_ranking_refuses_ids_beyond_int32(self):
+        with pytest.raises(InputError, match="must lie in"):
+            Ranking([2**32, 1])
+        with pytest.raises(InputError, match="must lie in"):
+            Ranking(np.array([2**31, 0], dtype=np.uint64))
+        assert Ranking(np.array([2**31 - 1, 0], dtype=np.int64)).order.tolist() == [2**31 - 1, 0]
+
+    def test_relevance_matrix_refuses_slots_beyond_int32(self):
+        with pytest.raises(InputError, match="must lie in"):
+            RelevanceMatrix(1, 3, [0, 1], np.array([2**32 + 1]))
+        m = RelevanceMatrix(1, 3, np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.int64))
+        assert (m.indptr.dtype, m.indices.dtype) == (np.int64, np.int32)
 
 
 class TestRanking:

@@ -20,13 +20,12 @@ from matchrank.evaluation import (
     EvalReport,
     _draw_chunks,
     _per_draw_kmins,
-    avg_matching_curve,
     evaluate,
     k_min,
     misspecification_run,
     prefix_match_curve,
 )
-from matchrank.matching import avg_matching, max_matching_size
+from matchrank.matching import avg_matching, commit_add, init_state, max_matching_size
 from matchrank.ranker import RankerConfig, matchrank
 from matchrank.synthgen import SynthParams, two_block_model
 
@@ -99,6 +98,17 @@ class TestKMin:
         for target in range(s + 1):
             want = next((k for k, size in enumerate(sizes) if size >= target), None)
             assert k_min(r, m, target) == want
+
+
+def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:
+    """Average matching size across `samples` after each ranking prefix, as
+    exact rationals: one incremental matching per sample."""
+    states = [init_state(m) for m in samples.samples]
+    total, out = 0, []
+    for a in ranking.order:
+        total += sum(commit_add(st, int(a), m) for st, m in zip(states, samples.samples))
+        out.append(Fraction(total, samples.n))
+    return tuple(out)
 
 
 class TestAvgMatchingCurve:

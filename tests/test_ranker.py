@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_relevance, random_sampleset
 from matchrank.core import (
+    MAX_CUT_CLASSES,
     ContractError,
     InputError,
     ProbabilityModel,
@@ -26,7 +27,6 @@ from matchrank.matching import (
 from matchrank.ranker import (
     ALGORITHMS,
     GREEDY_ALGORITHMS,
-    MAX_CUT_CLASSES,
     RankerConfig,
     RankerStats,
     baseline_scores,
@@ -38,8 +38,7 @@ from matchrank.ranker import (
     score_ranking,
     _Batched,
     _batched_greedy,
-    _class_masks,
-    _slot_classes,
+    _cut_greedy,
 )
 from matchrank.synthgen import (
     SynthParams,
@@ -352,25 +351,42 @@ def random_group_samples(rng: np.random.Generator, groups: int) -> SampleSet:
     return sample_relevances(model, int(rng.integers(1, 7)), int(rng.integers(0, 1000)))
 
 
-def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str | None):
-    """`rank` equals both augmenting-path greedy functions, with eager's counters."""
+def assert_matches_oracles(ss: SampleSet, stop_at: int | None, run, kernel: str):
+    """`run(cfg, stats)` equals both augmenting-path greedy functions, with
+    eager's counters, for either greedy algorithm."""
     eager_stats = RankerStats()
     eager = matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=stop_at), eager_stats)
     lazy = matchrank_lazy(ss, RankerConfig(stop_at=stop_at))
     assert eager_stats.kernel == "augmenting"
     for algorithm in GREEDY_ALGORITHMS:
         stats = RankerStats()
-        r = rank(ss, RankerConfig(algorithm=algorithm, stop_at=stop_at), stats=stats)
+        r = run(RankerConfig(algorithm=algorithm, stop_at=stop_at), stats)
         for oracle in (eager, lazy):
             assert r.order.tolist() == oracle.order.tolist()
             assert r.prefix_gain == oracle.prefix_gain
-        if kernel is not None:
-            assert stats.kernel == kernel
-        if stats.kernel in ("cut", "batched"):
-            assert (stats.rounds, stats.gain_evals, stats.zero_flushed) == (
-                eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
-            )
-        assert stats.gain_evals > 0
+        assert (stats.kernel, stats.rounds, stats.gain_evals, stats.zero_flushed) == (
+            kernel, eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
+        )
+
+
+def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str):
+    """`rank` runs `kernel` and equals both augmenting-path greedy functions."""
+    assert_matches_oracles(ss, stop_at, lambda cfg, stats: rank(ss, cfg, stats=stats), kernel)
+
+
+def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None):
+    """The cut kernel, handed every slot as a class of its own (at most
+    MAX_CUT_CLASSES slots), equals both augmenting-path greedy functions."""
+    assert ss.slots <= MAX_CUT_CLASSES
+    bits = 1 << np.arange(ss.slots)
+    masks = np.array(
+        [[bits[m.row(a)].sum() for a in range(ss.candidates)] for m in ss.samples],
+        dtype=np.uint16,
+    )
+    cap = np.array([bin(u).count("1") for u in range(1 << ss.slots)])
+    assert_matches_oracles(
+        ss, stop_at, lambda cfg, stats: _cut_greedy(ss, cap, masks, cfg, stats), "cut"
+    )
 
 
 class TestCutKernel:
@@ -381,65 +397,54 @@ class TestCutKernel:
         ss = random_group_samples(rng, groups)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
         assert_rank_matches_oracles(ss, stop_at, "cut")
+        # The batched kernel takes group samples too, when called directly.
+        assert_matches_oracles(
+            ss, stop_at, lambda cfg, stats: _batched_greedy(ss, cfg, stats), "batched"
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_samplesets_match_augmenting_path(self, seed):
-        # Up to 16 slots, so both kernels run.
+        # Up to 16 slots; the cut kernel takes those of at most 12 when
+        # handed each slot as a class.
         rng = np.random.default_rng(7000 + seed)
         c, s, n = int(rng.integers(1, 20)), int(rng.integers(0, 17)), int(rng.integers(1, 6))
         ss = random_sampleset(rng, c, s, n, float(rng.choice([0.1, 0.3, 0.6])))
         stop_at = int(rng.integers(1, c + 1)) if seed % 3 == 0 else None
-        assert_rank_matches_oracles(ss, stop_at, None)
+        assert_rank_matches_oracles(ss, stop_at, "batched")
+        if s <= MAX_CUT_CLASSES:
+            assert_cut_matches_oracles(ss, stop_at)
 
     def test_two_block_model_slots_are_singleton_classes(self):
+        # Independent coins: the samples carry no group masks, so rank()
+        # takes the batched kernel, and the cut kernel agrees when handed
+        # each slot as a class.
         ss = sample_relevances(two_block_model(60, 10, 0.5, 0.4), 20, 1)
-        cap, masks = _slot_classes(ss)
-        assert cap.tolist() == [bin(u).count("1") for u in range(1 << 10)]
-        assert_rank_matches_oracles(ss, None, "cut")
+        assert ss.group_masks is None
+        assert_rank_matches_oracles(ss, None, "batched")
+        assert_cut_matches_oracles(ss, None)
 
     def test_group_model_takes_cut_kernel(self):
         model = build_synthetic_model(
             SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
         )
         ss = sample_relevances(model, 8, 1)
-        cap, masks = _slot_classes(ss)
-        assert cap[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
+        layout, masks = ss.group_masks
+        assert layout.subset_slots[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
         assert_rank_matches_oracles(ss, None, "cut")
 
-    def test_candidate_covering_part_of_a_class_takes_augmenting_path(self):
-        # MAX_CUT_CLASSES groups of two slots; one candidate in one sample
-        # covers only the first slot of group 0, which splits that group.
-        groups = MAX_CUT_CLASSES
+    def test_group_model_at_the_limit_takes_cut_kernel(self):
         model = build_synthetic_model(
-            SynthParams(groups=groups, slots_per_group=2, candidates=60, seed=2)
+            SynthParams(groups=MAX_CUT_CLASSES, slots_per_group=2, candidates=60, seed=2)
         )
-        ss = sample_relevances(model, 4, 1)
-        assert_rank_matches_oracles(ss, None, "cut")
-        m = ss.samples[0]
-        edges = [(a, t) for a in range(1, m.candidates) for t in m.row(a).tolist()]
-        edges.append((0, 0))
-        split = SampleSet(
-            (RelevanceMatrix.from_edges(m.candidates, m.slots, edges),) + ss.samples[1:], 0
-        )
-        assert _slot_classes(split) is None
-        assert_rank_matches_oracles(split, None, "batched")
+        assert_rank_matches_oracles(sample_relevances(model, 4, 1), None, "cut")
 
     def test_more_classes_than_limit_takes_augmenting_path(self):
-        k = MAX_CUT_CLASSES + 1
-        diagonal = RelevanceMatrix.from_edges(k, k, [(i, i) for i in range(k)])
-        ss = SampleSet((diagonal,), seed=0)
-        assert _slot_classes(ss) is None
+        model = build_synthetic_model(
+            SynthParams(groups=MAX_CUT_CLASSES + 1, slots_per_group=2, candidates=60, seed=2)
+        )
+        ss = sample_relevances(model, 4, 1)
+        assert ss.group_masks is None
         assert_rank_matches_oracles(ss, None, "batched")
-        fewer = SampleSet((RelevanceMatrix.from_edges(k, k - 1, [(i, i) for i in range(k - 1)]),), 0)
-        assert_rank_matches_oracles(fewer, None, "cut")
-
-    def test_exact_check_rejects_a_wrong_proposal(self, toy_instance):
-        ss = SampleSet((toy_instance,), seed=0)
-        # Slots 0 and 1 have different columns (candidates 0 and 1 differ).
-        assert _class_masks(ss, np.array([0, 0, 1])) is None
-        cap, masks = _class_masks(ss, np.array([0, 1, 2]))
-        assert masks[0].tolist() == [0b001, 0b010, 0b011, 0b100, 0]
-        assert cap.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 def random_unstructured_samples(rng: np.random.Generator) -> SampleSet:
@@ -458,25 +463,16 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         ss = random_unstructured_samples(rng)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
-        kernel = "cut" if _slot_classes(ss) is not None else "batched"
-        assert_rank_matches_oracles(ss, stop_at, kernel)
-        # Class-structured sets too, when the kernel is called directly.
-        cfg = RankerConfig(algorithm="matchrank", stop_at=stop_at)
-        eager_stats, stats = RankerStats(), RankerStats()
-        eager = matchrank(ss, cfg, eager_stats)
-        r = _batched_greedy(ss, cfg, stats)
-        assert r.order.tolist() == eager.order.tolist()
-        assert r.prefix_gain == eager.prefix_gain
-        assert (stats.kernel, stats.rounds, stats.gain_evals, stats.zero_flushed) == (
-            "batched", eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
-        )
+        assert_rank_matches_oracles(ss, stop_at, "batched")
+        if ss.slots <= MAX_CUT_CLASSES:
+            assert_cut_matches_oracles(ss, stop_at)
 
     def test_independent_model_takes_batched_kernel(self):
         marginals = SparseProbMatrix.from_dense(
             np.random.default_rng(3).uniform(0.05, 0.6, size=(40, 16))
         )
         ss = sample_relevances(ProbabilityModel.independent(marginals), 12, 1)
-        assert _slot_classes(ss) is None
+        assert ss.group_masks is None
         assert_rank_matches_oracles(ss, None, "batched")
 
     def test_candidate_copy_ids_do_not_wrap(self):

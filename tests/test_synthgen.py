@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from matchrank.core import InputError, PROB_CLIP, substream
+from matchrank.core import (
+    InputError,
+    MAX_CUT_CLASSES,
+    PROB_CLIP,
+    PURPOSE_SAMPLE,
+    ProbabilityModel,
+    SlotLayout,
+    substream,
+)
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
@@ -166,6 +174,34 @@ class TestSampleRelevances:
         for i in range(3):
             assert s5.samples[i].tobytes() == s3.samples[i].tobytes()
         assert s5.n == 5 and s5.seed == 21
+
+    @pytest.mark.parametrize("sizes", [(3, 0, 2, 0), (1, 2, 3), (0, 4)])
+    def test_group_masks_are_the_won_groups_of_each_row(self, sizes):
+        layout = SlotLayout(sizes)
+        g = layout.group_count
+        rng = np.random.default_rng(len(sizes))
+        membership = np.sort(np.argsort(rng.random((40, g)), axis=1)[:, :2], axis=1)
+        model = ProbabilityModel.group_structured(layout, membership, np.full((40, 2), 0.5))
+        ss = sample_relevances(model, 6, 3)
+        got_layout, masks = ss.group_masks
+        assert got_layout is layout and masks.shape == (6, 40)
+        for m, row_masks in zip(ss.samples, masks):
+            for a, mask in enumerate(row_masks.tolist()):
+                groups = [k for k in range(g) if mask >> k & 1]
+                assert all(sizes[k] for k in groups)  # no bit of a slotless group
+                assert m.row(a).tolist() == layout.slots_of(np.array(groups, dtype=np.int32)).tolist()
+
+    def test_group_masks_leave_draws_unchanged(self):
+        model = build_synthetic_model(small_params())
+        ss = sample_relevances(model, 4, 2)
+        for i, m in enumerate(ss.samples):
+            plain = draw_relevance(model, substream(2, PURPOSE_SAMPLE, i))
+            assert plain.tobytes() == m.tobytes()
+
+    def test_no_group_masks_beyond_the_cut_limit_or_for_independent_models(self):
+        wide = build_synthetic_model(small_params(groups=MAX_CUT_CLASSES + 1, slots_per_group=1))
+        assert sample_relevances(wide, 2, 0).group_masks is None
+        assert sample_relevances(two_block_model(8, 4), 2, 0).group_masks is None
 
     def test_rejects_bad_n(self):
         model = build_synthetic_model(small_params())
