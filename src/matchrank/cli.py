@@ -13,8 +13,10 @@ import time
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .core import ContractError, InputError
-from .evaluation import evaluate_ranking
+from .evaluation import evaluate_ranking, kmin_method
 from .fileio import (
     ExperimentConfig,
     ingest_model,
@@ -197,11 +199,23 @@ def cmd_rank(args) -> int:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MiB, from
-    ``ru_maxrss`` in KiB as Linux reports it."""
+    """Peak resident set size so far of this process or of its largest
+    finished worker, whichever is larger, in MiB, from ``ru_maxrss`` in KiB
+    as Linux reports it."""
     import resource  # POSIX only: imported when a sidecar is asked for
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024
+
+
+def _kmin_spread(per_draw_kmin) -> dict:
+    """Smallest, median, 90th-percentile and largest k_min over the fillable
+    draws (None when no draw is fillable)."""
+    kmins = [k for k in per_draw_kmin if k is not None]
+    if not kmins:
+        return dict.fromkeys(("kmin_min", "kmin_p50", "kmin_p90", "kmin_max"))
+    p50, p90 = np.percentile(kmins, [50, 90]).tolist()
+    return {"kmin_min": min(kmins), "kmin_p50": p50, "kmin_p90": p90, "kmin_max": max(kmins)}
 
 
 def cmd_eval(args) -> int:
@@ -217,6 +231,7 @@ def cmd_eval(args) -> int:
             f"ranking dimensions ({meta['candidates']} x {meta['slots']}) do not "
             f"match the model ({model.candidates} x {model.slots})"
         )
+    start = time.perf_counter()
     report = evaluate_ranking(
         ranking,
         model,
@@ -233,7 +248,20 @@ def cmd_eval(args) -> int:
             "ranked_for": {"candidates": meta["candidates"], "slots": meta["slots"]},
         },
     )
+    eval_s = time.perf_counter() - start
     write_report(report, args.out)
+    if args.stats_out:
+        write_stats(
+            {
+                "kmin_method": kmin_method(model),
+                "draws": draws,
+                "unfillable": report.unfillable_count,
+                **_kmin_spread(report.per_draw_kmin),
+                "eval_s": eval_s,
+                "peak_rss_mb": _peak_rss_mb(),
+            },
+            args.stats_out,
+        )
     mean = "n/a" if report.normalized_mean is None else f"{report.normalized_mean:.4f}"
     std = "n/a" if report.normalized_std is None else f"{report.normalized_std:.4f}"
     print(
@@ -319,6 +347,11 @@ def build_parser() -> _Parser:
     p.add_argument("--draws", type=int)
     p.add_argument("--eval-seed", type=int, dest="eval_seed")
     p.add_argument("--threads", type=int)
+    p.add_argument(
+        "--stats-out",
+        help="also write the k_min method, the per-draw k_min spread, wall time "
+        "and peak RSS to this JSON file",
+    )
     add_config(p)
     p.set_defaults(func=cmd_eval)
 

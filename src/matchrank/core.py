@@ -7,6 +7,8 @@ Streams therefore never depend on evaluation order or thread schedule.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -86,6 +88,21 @@ def _as_int_array(values, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
+def _as_count(value, name: str) -> int:
+    """`value` as a Python int: an integer, never a bool or a float, so no
+    value is truncated.  NumPy integer scalars are integers too."""
+    if isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+#: Candidate and slot ids are int32, so dimensions stay below this.
+_ID_LIMIT = 2**31
+
+
 @dataclass(frozen=True)
 class SlotLayout:
     """Slots partitioned into groups; slot ids are dense and group-contiguous.
@@ -99,11 +116,12 @@ class SlotLayout:
     def __post_init__(self):
         if len(self.slots_per_group) < 1:
             raise InputError("layout needs at least one group")
-        if any(int(n) < 0 for n in self.slots_per_group):
+        counts = tuple(_as_count(n, "slot count") for n in self.slots_per_group)
+        if any(n < 0 for n in counts):
             raise InputError("slot counts must be non-negative")
-        object.__setattr__(
-            self, "slots_per_group", tuple(int(n) for n in self.slots_per_group)
-        )
+        if sum(counts) >= _ID_LIMIT:
+            raise InputError(f"a layout holds fewer than {_ID_LIMIT} slots (ids are int32)")
+        object.__setattr__(self, "slots_per_group", counts)
 
     @classmethod
     def uniform(cls, groups: int, slots_per_group: int) -> "SlotLayout":
@@ -327,11 +345,24 @@ class SparseProbMatrix:
         slots: int,
         entries: Sequence[tuple[int, int, float]],
     ) -> "SparseProbMatrix":
-        """Build from (candidate, slot, p) triplets; zero entries are dropped."""
+        """Build from (candidate, slot, p) triplets; zero entries are dropped.
+
+        Dimensions and ids must be integers and probabilities real numbers:
+        nothing is truncated, and no bool passes for a number."""
+        candidates, slots = _as_count(candidates, "candidates"), _as_count(slots, "slots")
+        if not (0 <= candidates < _ID_LIMIT and 0 <= slots < _ID_LIMIT):
+            raise InputError(f"candidates and slots must lie in [0, {_ID_LIMIT})")
         seen = set()
         kept = []
         for a, t, p in entries:
-            a, t, p = int(a), int(t), float(p)
+            # Plain ints and floats, as JSON and the triplet reader give
+            # them, skip the slower checks.
+            if type(a) is not int or type(t) is not int:
+                a, t = _as_count(a, "candidate id"), _as_count(t, "slot id")
+            if type(p) is not float:
+                if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                    raise InputError(f"probability must be a number, got {p!r}")
+                p = float(p)
             if not 0 <= a < candidates:
                 raise InputError(f"candidate id {a} out of range [0, {candidates})")
             if not 0 <= t < slots:

@@ -7,13 +7,30 @@ fill the slots has no ``k_min`` — such draws are reported and excluded from
 the mean/deviation.
 
 Prefix matching size never falls as the prefix grows, so ``k_min`` is found
-by bisection over prefix lengths, each probe a fresh Hopcroft–Karp solve
-(:func:`~matchrank.matching.max_matching_size`).  Only
-:func:`prefix_match_curve`, which needs every prefix size, grows one
+by bisection over prefix lengths.  :func:`kmin_method` picks how a probe
+measures a prefix, and ``_kmin_chunk`` dispatches on it for every draw:
+
+* ``"cut"``, for a group model of at most
+  :data:`~matchrank.core.MAX_CUT_CLASSES` groups: a draw is one group mask
+  per candidate (:func:`~matchrank.synthgen.draw_group_masks`), never
+  expanded to slots.  By max-flow min-cut, the matching size of a prefix of
+  length k is the minimum over group subsets U of cap(U) + k - F(U), where
+  cap(U) counts the slots of U and F(U) the prefix candidates whose mask
+  lies within U: one bincount of the prefix masks and a subset-sum (zeta)
+  transform over the 2**G subsets (Björklund, Husfeldt, Kaski and Koivisto,
+  "Fourier meets Möbius", STOC 2007);
+* ``"bisection"``, for every other model: each probe is a fresh
+  Hopcroft–Karp solve (:func:`~matchrank.matching.max_matching_size`) on the
+  slot-level draw of :func:`~matchrank.synthgen.draw_relevance`.  This path,
+  and :func:`k_min` on any matrix, are the oracle the cut form is tested
+  against.
+
+Only :func:`prefix_match_curve`, which needs every prefix size, grows one
 incremental matching (:func:`~matchrank.matching.commit_add`).
 
-Evaluation draws come from dedicated per-draw sub-streams, so results are
-identical regardless of how many worker processes compute them.
+Evaluation draws come from dedicated per-draw sub-streams, and both methods
+consume a draw's sub-stream alike, so results are identical whichever method
+and however many worker processes compute them.
 """
 from __future__ import annotations
 
@@ -35,12 +52,19 @@ from .core import (
 )
 from .matching import _matching_size, commit_add, init_state, max_matching_size
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
-from .synthgen import build_synthetic_model, draw_relevance, sample_relevances
+from .synthgen import (
+    build_synthetic_model,
+    carries_group_masks,
+    draw_group_masks,
+    draw_relevance,
+    sample_relevances,
+)
 
 __all__ = [
     "EvalReport",
     "prefix_match_curve",
     "k_min",
+    "kmin_method",
     "evaluate",
     "evaluate_ranking",
     "misspecification_run",
@@ -131,15 +155,50 @@ def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int
     return hi
 
 
+def _kmin_cut(cap: np.ndarray, masks: np.ndarray, order: np.ndarray, target: int) -> int | None:
+    """`_kmin_bisect` on the cut form: `cap` holds the slot count of every
+    group subset, indexed by its bit mask, and `masks` each candidate's
+    group mask in one draw."""
+    if target == 0:
+        return 0
+
+    def size(k: int) -> int:
+        within = np.bincount(masks[order[:k]], minlength=cap.size)
+        for g in range(cap.size.bit_length() - 1):
+            # Add each subset without group g into the same subset with it.
+            pairs = within.reshape(-1, 2, 1 << g)
+            pairs[:, 1] += pairs[:, 0]
+        return int((cap - within).min()) + k
+
+    if size(len(order)) < target:
+        return None
+    lo, hi = target - 1, len(order)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if size(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def kmin_method(model: ProbabilityModel) -> str:
+    """How evaluation finds ``k_min`` on draws of `model`: ``"cut"`` when its
+    draws carry group masks, ``"bisection"`` otherwise (see the module
+    docstring)."""
+    return "cut" if carries_group_masks(model) else "bisection"
+
+
 def _kmin_chunk(
     model: ProbabilityModel, order: np.ndarray, eval_seed: int, lo: int, hi: int
 ) -> list[int | None]:
     """k_min of draws [lo, hi) — the process-pool work unit."""
     target = model.slots
-    return [
-        _kmin_bisect(draw_relevance(model, substream(eval_seed, PURPOSE_EVAL, i)), order, target)
-        for i in range(lo, hi)
-    ]
+    rngs = (substream(eval_seed, PURPOSE_EVAL, i) for i in range(lo, hi))
+    if kmin_method(model) == "cut":
+        cap = model.layout.subset_slots
+        return [_kmin_cut(cap, draw_group_masks(model, rng), order, target) for rng in rngs]
+    return [_kmin_bisect(draw_relevance(model, rng), order, target) for rng in rngs]
 
 
 def _draw_chunks(draws: int, threads: int) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,10 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
         _ints(obj["slots_per_group"], path, "slots_per_group")
     try:
         if obj["kind"] == "group":
+            # NumPy would read a boolean membership entry as 0 or 1.  The
+            # entries' types are collected in one pass that runs in C.
+            if not set(map(type, chain.from_iterable(obj["membership"]))) <= {int}:
+                raise InputError("membership must be integers")
             model = ProbabilityModel.group_structured(
                 SlotLayout(tuple(obj["slots_per_group"])),
                 np.array(obj["membership"]),
@@ -235,9 +240,7 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
             )
         elif obj["kind"] == "independent":
             model = ProbabilityModel.independent(
-                SparseProbMatrix.from_triplets(
-                    int(obj["candidates"]), int(obj["slots"]), obj["entries"]
-                )
+                SparseProbMatrix.from_triplets(obj["candidates"], obj["slots"], obj["entries"])
             )
         else:
             raise InputError(f"unknown model kind {obj.get('kind')!r}")

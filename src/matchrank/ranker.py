@@ -112,7 +112,9 @@ class RankerConfig:
 class RankerStats:
     """Work counters, mainly for comparing the greedy implementations.
 
-    `rounds` counts the candidates ranked, one per round; `gain_evals`
+    `rounds` counts the candidates ranked, one per round;
+    `productive_rounds` counts the rounds whose candidate raised the total
+    matching size (the positive steps of ``prefix_gain``); `gain_evals`
     counts full marginal-gain evaluations of one candidate (the initial pass
     over all candidates included); `zero_flushed` counts candidates emitted
     after the maximum gain reached zero.  `kernel` names the greedy kernel
@@ -124,6 +126,7 @@ class RankerStats:
     """
 
     rounds: int = 0
+    productive_rounds: int = 0
     gain_evals: int = 0
     zero_flushed: int = 0
     kernel: str = ""
@@ -201,6 +204,7 @@ def matchrank(
                 eng.commit(int(a), 0)
             break
         eng.commit(best, int(gains[best]))
+        stats.productive_rounds += 1
         remaining[best] = False
         order.append(best)
         prefix.append(eng.total)
@@ -246,6 +250,7 @@ def matchrank_lazy(
             heapq.heappush(heap, (-g, -float(eng.tie_key[a]), a))
             continue
         eng.commit(a, -neg_gain)
+        stats.productive_rounds += 1
         order.append(a)
         prefix.append(eng.total)
         round_no += 1
@@ -350,6 +355,7 @@ def _cut_greedy(
         gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
         gains += np.count_nonzero(block & ~new[:, None], axis=0)
         ustar[rows] = new
+        stats.productive_rounds += 1
         remaining[best] = False
         total += raised.size
         order.append(best)
@@ -506,6 +512,7 @@ def _batched_greedy(
         best = _argbest(ids, gains[ids], tie_key[ids])
         gain = int(gains[best])
         union.commit(best, gain, reach, hop)
+        stats.productive_rounds += 1
         remaining[best] = False
         total += gain
         order.append(best)

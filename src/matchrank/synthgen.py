@@ -36,6 +36,8 @@ __all__ = [
     "SynthParams",
     "build_synthetic_model",
     "draw_relevance",
+    "draw_group_masks",
+    "carries_group_masks",
     "sample_relevances",
     "two_block_model",
     "model_metadata",
@@ -117,11 +119,42 @@ def draw_relevance(
     return _draw_independent(model.marginals, rng)
 
 
+def carries_group_masks(model: ProbabilityModel) -> bool:
+    """Whether a draw of `model` has a group mask per candidate: a group
+    model of at most :data:`MAX_CUT_CLASSES` groups."""
+    return model.kind == "group" and model.layout.group_count <= MAX_CUT_CLASSES
+
+
+def draw_group_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
+    """The group masks of the draw that ``draw_relevance(model, rng)`` makes,
+    without its slots: per candidate, the bit mask of the groups it was drawn
+    relevant to (uint16).  Groups without slots set no bit.  `model` must
+    carry group masks (:func:`carries_group_masks`)."""
+    return _group_masks(model, _group_coins(model, rng))
+
+
+def _group_coins(
+    model: ProbabilityModel, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One coin per (candidate, group) membership: True where the candidate
+    won the group.  This is all of a group draw's randomness."""
+    return np.less(rng.random(model.group_prob.shape), model.group_prob, out=out)
+
+
+def _group_masks(model: ProbabilityModel, coins: np.ndarray) -> np.ndarray:
+    """Group masks (uint16, shape ``coins.shape[:-1]``) of coins shaped like
+    ``model.membership``, or a stack of them."""
+    # A row's groups are distinct, so the sum of their bits is their OR; a
+    # group without slots leaves the row as it is, so it sets no bit.
+    bits = ((1 << model.membership) & model.layout.slotted_bits).astype(np.uint16)
+    return np.einsum("...cj,cj->...c", coins, bits)
+
+
 def _draw_group(
     model: ProbabilityModel, rng: np.random.Generator, coins_out: np.ndarray | None
 ) -> RelevanceMatrix:
     layout = model.layout
-    success = np.less(rng.random(model.group_prob.shape), model.group_prob, out=coins_out)
+    success = _group_coins(model, rng, coins_out)
     sizes = layout.group_sizes
     per_cand = (success * sizes[model.membership]).sum(axis=1)
     indptr = np.zeros(model.candidates + 1, dtype=np.int64)
@@ -155,17 +188,14 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
     """
     if n < 1:
         raise InputError("need at least one sample")
-    masked = model.kind == "group" and model.layout.group_count <= MAX_CUT_CLASSES
+    masked = carries_group_masks(model)
     coins = np.empty((n, *model.membership.shape), dtype=bool) if masked else [None] * n
     samples = tuple(
         draw_relevance(model, substream(seed, PURPOSE_SAMPLE, i), coins[i]) for i in range(n)
     )
     if not masked:
         return SampleSet(samples, seed)
-    # A row's groups are distinct, so the sum of their bits is their OR; a
-    # group without slots leaves the row as it is, so it sets no bit.
-    bits = ((1 << model.membership) & model.layout.slotted_bits).astype(np.uint16)
-    return SampleSet(samples, seed, (model.layout, np.einsum("ncj->nc", coins * bits)))
+    return SampleSet(samples, seed, (model.layout, _group_masks(model, coins)))
 
 
 def two_block_model(

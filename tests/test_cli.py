@@ -35,6 +35,19 @@ def model_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def ingested_model_path(tmp_path):
+    """An independent model, ingested from a triplet file of 24 candidates
+    and 16 labels."""
+    probs = np.random.default_rng(6).uniform(0.05, 0.7, size=(24, 16))
+    lines = [f"{a} {t} {p:.3f}" for (a, t), p in np.ndenumerate(probs) if p > 0.3]
+    path = tmp_path / "p.txt"
+    path.write_text(f"24 16 {len(lines)}\n" + "\n".join(lines) + "\n")
+    model = tmp_path / "ingested.json"
+    assert run("ingest", "--probs", str(path), "--out", str(model)) == 0
+    return model
+
+
 class TestSynth:
     def test_writes_model_with_metadata(self, model_path):
         model, meta = read_model(model_path)
@@ -175,6 +188,8 @@ class TestRank:
             ("membership", [0.5, 1], "membership must be integers"),
             ("slots_per_group", [1.5, 2, 2], "'slots_per_group' must hold integers"),
             ("slots_per_group", [True, 2, 2], "'slots_per_group' must hold integers"),
+            # NumPy would read the row as [1, 2].
+            ("membership", [True, 2], "membership must be integers"),
         ],
     )
     def test_non_integer_model_fields_exit_2(self, tmp_path, model_path, capsys, field, value, fragment):
@@ -190,15 +205,36 @@ class TestRank:
         err = capsys.readouterr().err
         assert str(bad) in err and fragment in err
 
-    def test_stats_out_leaves_ranking_bytes_alone(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("candidates", 3.9, "candidates must be an integer"),
+            ("slots", True, "slots must be an integer"),
+            ("entry", [True, 1, 0.5], "candidate id must be an integer"),
+            ("entry", [2.7, 1, 0.5], "candidate id must be an integer"),
+            ("entry", [1, 1.0, 0.5], "slot id must be an integer"),
+            ("entry", [1, 1, True], "probability must be a number"),
+        ],
+    )
+    def test_independent_model_fields_are_not_truncated(
+        self, tmp_path, ingested_model_path, capsys, field, value, fragment
+    ):
+        obj = json.loads(ingested_model_path.read_text())
+        if field == "entry":
+            obj["entries"][1] = value
+        else:
+            obj[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("rank", "--model", str(bad), "--out", str(tmp_path / "r.json"), "--n", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and fragment in err
+
+    def test_stats_out_leaves_ranking_bytes_alone(self, tmp_path, ingested_model_path):
         # An ingested model is independent: no group masks, so the batched
         # kernel ranks.
-        probs = np.random.default_rng(6).uniform(0.05, 0.7, size=(24, 16))
-        lines = [f"{a} {t} {p:.3f}" for (a, t), p in np.ndenumerate(probs) if p > 0.3]
-        path = tmp_path / "p.txt"
-        path.write_text(f"24 16 {len(lines)}\n" + "\n".join(lines) + "\n")
-        model = tmp_path / "m.json"
-        assert run("ingest", "--probs", str(path), "--out", str(model)) == 0
+        model = ingested_model_path
         a, b, stats = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "stats.json"
         assert run("rank", "--model", str(model), "--out", str(a), "--n", "6") == 0
         assert run("rank", "--model", str(model), "--out", str(b), "--n", "6", "--stats-out", str(stats)) == 0
@@ -209,6 +245,8 @@ class TestRank:
         assert got["rounds"] == 24
         assert got["gain_evals"] >= 24 and 0 <= got["zero_flushed"] <= 24
         assert got["rank_s"] >= 0 and got["peak_rss_mb"] > 0
+        prefix_gain = read_ranking(a)[0].prefix_gain
+        assert got["productive_rounds"] == np.count_nonzero(np.diff(prefix_gain, prepend=0)) > 0
 
 
 def _failing_chunk(model, order, eval_seed, lo, hi):
@@ -238,6 +276,27 @@ class TestEval:
         assert rep.draws == 6
         assert rep.algorithm == "matchrank-lazy"
         assert rep.n_samples == 5  # carried over from the ranking file
+
+    @pytest.mark.parametrize("ingested, method", [(False, "cut"), (True, "bisection")])
+    def test_stats_out_leaves_report_bytes_alone(
+        self, tmp_path, model_path, ingested_model_path, ingested, method
+    ):
+        model = ingested_model_path if ingested else model_path
+        ranking = tmp_path / "ranking.json"
+        assert run("rank", "--model", str(model), "--out", str(ranking), "--n", "5") == 0
+        a, b, stats = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "stats.json"
+        base = ["eval", "--model", str(model), "--ranking", str(ranking), "--draws", "7"]
+        assert run(*base, "--out", str(a)) == 0
+        assert run(*base, "--out", str(b), "--stats-out", str(stats)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        got, rep = json.loads(stats.read_text()), read_report(a)
+        assert got["kmin_method"] == method
+        assert (got["draws"], got["unfillable"]) == (7, rep.unfillable_count)
+        kmins = [k for k in rep.per_draw_kmin if k is not None]
+        assert kmins, "every draw unfillable: no spread to check"
+        assert (got["kmin_min"], got["kmin_max"]) == (min(kmins), max(kmins))
+        assert got["kmin_min"] <= got["kmin_p50"] <= got["kmin_p90"] <= got["kmin_max"]
+        assert got["eval_s"] >= 0 and got["peak_rss_mb"] > 0
 
     def test_threads_byte_identical(self, tmp_path, model_path, ranking_path):
         a, b = tmp_path / "t1.json", tmp_path / "t2.json"

@@ -68,6 +68,22 @@ class TestSlotLayout:
         with pytest.raises(InputError):
             SlotLayout.uniform(0, 5)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.True_, "2", None])
+    def test_refuses_counts_that_are_not_integers(self, bad):
+        # int(n) would truncate 1.5 to 1 and read True as 1.
+        with pytest.raises(InputError, match="slot count must be an integer"):
+            SlotLayout((bad, 2))
+
+    def test_accepts_numpy_integer_counts(self):
+        lay = SlotLayout((np.int64(3), np.int32(0), np.uint8(2)))
+        assert lay.slots_per_group == (3, 0, 2)
+        assert all(type(n) is int for n in lay.slots_per_group)
+
+    def test_refuses_more_slots_than_int32_ids(self):
+        assert SlotLayout((2**30, 2**30 - 1)).total_slots == 2**31 - 1
+        with pytest.raises(InputError, match="ids are int32"):
+            SlotLayout((2**30, 2**30))
+
 
 class TestRelevanceMatrix:
     def test_from_edges_roundtrip(self):
@@ -121,6 +137,30 @@ class TestSparseProbMatrix:
             SparseProbMatrix.from_triplets(2, 2, [(0, 0, 0.5), (0, 0, 0.6)])
         with pytest.raises(InputError):
             SparseProbMatrix.from_triplets(2, 2, [(2, 0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "dims, entry, fragment",
+        [
+            ((3.9, 2), (0, 0, 0.5), "candidates must be an integer"),
+            ((3, True), (0, 0, 0.5), "slots must be an integer"),
+            ((3, 2), (True, 1, 0.5), "candidate id must be an integer"),
+            ((3, 2), (2.7, 1, 0.5), "candidate id must be an integer"),
+            ((3, 2), (1, 1.0, 0.5), "slot id must be an integer"),
+            ((3, 2), (1, 1, True), "probability must be a number"),
+            ((3, 2), (1, 1, "0.5"), "probability must be a number"),
+            ((2**31, 2), (0, 0, 0.5), "must lie in"),
+            ((-1, 2), (0, 0, 0.5), "must lie in"),
+        ],
+    )
+    def test_from_triplets_refuses_truncation(self, dims, entry, fragment):
+        with pytest.raises(InputError, match=fragment):
+            SparseProbMatrix.from_triplets(*dims, [entry])
+
+    def test_from_triplets_takes_numpy_scalars_and_integer_probabilities(self):
+        p = SparseProbMatrix.from_triplets(
+            np.int64(2), 2, [(np.int32(1), np.int64(0), np.float64(0.5)), (0, 1, 1)]
+        )
+        assert p.to_dense().tolist() == [[0.0, 1.0], [0.5, 0.0]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_relevance, random_sampleset
@@ -11,23 +11,30 @@ import matchrank.evaluation as evaluation
 from matchrank.core import (
     ContractError,
     InputError,
+    MAX_CUT_CLASSES,
+    PURPOSE_EVAL,
+    ProbabilityModel,
     Ranking,
     RelevanceMatrix,
     SampleSet,
+    SlotLayout,
     substream,
 )
 from matchrank.evaluation import (
     EvalReport,
     _draw_chunks,
+    _kmin_bisect,
+    _kmin_chunk,
     _per_draw_kmins,
     evaluate,
     k_min,
+    kmin_method,
     misspecification_run,
     prefix_match_curve,
 )
 from matchrank.matching import avg_matching, commit_add, init_state, max_matching_size
 from matchrank.ranker import RankerConfig, matchrank
-from matchrank.synthgen import SynthParams, two_block_model
+from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
 
 
 def full_ranking(order):
@@ -98,6 +105,68 @@ class TestKMin:
         for target in range(s + 1):
             want = next((k for k, size in enumerate(sizes) if size >= target), None)
             assert k_min(r, m, target) == want
+
+
+def random_group_model(sizes: list[int], seed: int) -> ProbabilityModel:
+    """A group model over `sizes`: up to 20 candidates, so that some draws
+    cannot fill the slots, and memberships that are near-certain or
+    near-impossible, so that some candidates win no group (mask 0)."""
+    rng = np.random.default_rng(seed)
+    g, c = len(sizes), int(rng.integers(1, 21))
+    k = int(rng.integers(1, g + 1))
+    membership = np.sort(np.argsort(rng.random((c, g)), axis=1)[:, :k], axis=1)
+    group_prob = rng.choice([0.02, 0.3, 0.6, 0.98], size=(c, k))
+    return ProbabilityModel.group_structured(SlotLayout(tuple(sizes)), membership, group_prob)
+
+
+def bisection_kmins(model: ProbabilityModel, order, eval_seed: int, draws: int) -> list:
+    """k_min of each evaluation draw by the bisection on its slot-level draw."""
+    return [
+        _kmin_bisect(draw_relevance(model, substream(eval_seed, PURPOSE_EVAL, i)), order, model.slots)
+        for i in range(draws)
+    ]
+
+
+class TestCutForm:
+    """k_min on group masks against the bisection on slot-level draws."""
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_CLASSES),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0, 0, 0], 0)  # no slots: target 0
+    @example([3, 0, 1], 7)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bisection_on_the_same_draws(self, sizes, seed):
+        model = random_group_model(sizes, seed)
+        assert kmin_method(model) == "cut"
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        assert _kmin_chunk(model, order, seed, 0, 6) == bisection_kmins(model, order, seed, 6)
+
+    def test_default_scale_agrees_with_bisection(self):
+        model = build_synthetic_model(SynthParams(seed=3))
+        order = np.random.default_rng(0).permutation(model.candidates)
+        assert _kmin_chunk(model, order, 5, 0, 2) == bisection_kmins(model, order, 5, 2)
+
+    @pytest.mark.parametrize(
+        "model, method",
+        [
+            (build_synthetic_model(SynthParams(groups=MAX_CUT_CLASSES, slots_per_group=1, candidates=30)), "cut"),
+            (build_synthetic_model(SynthParams(groups=MAX_CUT_CLASSES + 1, slots_per_group=1, candidates=30)),
+             "bisection"),
+            (two_block_model(30, 6, 0.7, 0.6), "bisection"),
+        ],
+    )
+    def test_dispatch(self, monkeypatch, model, method):
+        assert kmin_method(model) == method
+        order = np.random.default_rng(2).permutation(model.candidates)
+        want = bisection_kmins(model, order, 4, 5)
+
+        def unused(*args):
+            raise AssertionError("the other k_min method ran")
+
+        monkeypatch.setattr(evaluation, "_kmin_bisect" if method == "cut" else "_kmin_cut", unused)
+        assert _kmin_chunk(model, order, 4, 0, 5) == want
 
 
 def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:

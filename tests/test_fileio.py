@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sampleset
-from matchrank.core import InputError, Ranking, SparseProbMatrix
+from matchrank.core import InputError, ProbabilityModel, Ranking, SparseProbMatrix, substream
 from matchrank.evaluation import evaluate
 from matchrank.fileio import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from matchrank.fileio import (
     write_samples,
 )
 from matchrank.ranker import TIE_BREAK, RankerConfig
-from matchrank.synthgen import SynthParams, build_synthetic_model, two_block_model
+from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
 
 
 class TestTriplets:
@@ -278,7 +278,16 @@ def valid_files(tmp_path_factory):
     write_ranking(Ranking(np.array([2, 0, 3, 1], dtype=np.int32), (1, 2, 2, 2)), ranking,
                   "matchrank", 4, 2, 5, 1, 0)
     write_report(evaluate(RankerConfig(), two_block_model(12, 4, 0.8, 0.7), 4, 1, 3, 2), report)
-    return {"ranking": ranking.read_bytes(), "report": report.read_bytes(), "folder": folder}
+    group, independent = folder / "group.json", folder / "independent.json"
+    write_model(
+        build_synthetic_model(SynthParams(groups=3, slots_per_group=2, candidates=6, seed=1)),
+        group, metadata={"note": "x"},
+    )
+    write_model(two_block_model(6, 4, 0.8, 0.7), independent)
+    return {
+        "ranking": ranking.read_bytes(), "report": report.read_bytes(),
+        "group": group.read_bytes(), "independent": independent.read_bytes(), "folder": folder,
+    }
 
 
 # A replacement value of any JSON type, including integers too wide for
@@ -291,7 +300,19 @@ _json_values = st.recursive(
 )
 
 
-def _mutate(data: bytes, draw) -> bytes:
+# The same for model files, with integers bounded by 2**16 apart from a few
+# beyond int32.  A model that declares, say, 10**9 candidates is read by
+# allocating arrays of that length before anything checks its size, so a
+# fuzz that drew such counts could exhaust the host's memory.
+_model_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**16), 2**16) | st.sampled_from([2**31, 2**63, 2**70])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data: bytes, draw, values=_json_values) -> bytes:
     """Drop a key, retype a value or one item of a list value, or truncate."""
     how = draw(st.sampled_from(["drop", "retype", "retype-item", "truncate"]))
     if how == "truncate":
@@ -301,15 +322,31 @@ def _mutate(data: bytes, draw) -> bytes:
     if how == "drop":
         del obj[key]
     elif how == "retype" or not isinstance(obj[key], list) or not obj[key]:
-        obj[key] = draw(_json_values)
+        obj[key] = draw(values)
     else:
-        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_json_values)
+        obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(values)
     return json.dumps(obj).encode()
 
 
 class TestReaderFuzz:
-    """Every mangled ranking or report file either loads as a valid object
-    or is refused with InputError."""
+    """Every mangled model, ranking or report file either loads as a valid
+    object or is refused with InputError."""
+
+    @given(st.sampled_from(["group", "independent"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_model(self, valid_files, kind, data):
+        path = valid_files["folder"] / f"mangled-{kind}.json"
+        path.write_bytes(_mutate(valid_files[kind], data.draw, _model_values))
+        try:
+            model, _ = read_model(path)
+        except InputError:
+            return
+        assert isinstance(model, ProbabilityModel) and model.kind in ("group", "independent")
+        draw = draw_relevance(model, substream(0, 0))
+        assert (draw.candidates, draw.slots) == (model.candidates, model.slots)
+        write_model(model, path)
+        again, _ = read_model(path)
+        assert draw_relevance(again, substream(0, 0)).tobytes() == draw.tobytes()
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)

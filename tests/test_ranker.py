@@ -354,18 +354,22 @@ def random_group_samples(rng: np.random.Generator, groups: int) -> SampleSet:
 def assert_matches_oracles(ss: SampleSet, stop_at: int | None, run, kernel: str):
     """`run(cfg, stats)` equals both augmenting-path greedy functions, with
     eager's counters, for either greedy algorithm."""
-    eager_stats = RankerStats()
+    eager_stats, lazy_stats = RankerStats(), RankerStats()
     eager = matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=stop_at), eager_stats)
-    lazy = matchrank_lazy(ss, RankerConfig(stop_at=stop_at))
+    lazy = matchrank_lazy(ss, RankerConfig(stop_at=stop_at), lazy_stats)
     assert eager_stats.kernel == "augmenting"
+    productive = int(np.count_nonzero(np.diff(eager.prefix_gain, prepend=0)))
+    assert eager_stats.productive_rounds == lazy_stats.productive_rounds == productive
     for algorithm in GREEDY_ALGORITHMS:
         stats = RankerStats()
         r = run(RankerConfig(algorithm=algorithm, stop_at=stop_at), stats)
         for oracle in (eager, lazy):
             assert r.order.tolist() == oracle.order.tolist()
             assert r.prefix_gain == oracle.prefix_gain
-        assert (stats.kernel, stats.rounds, stats.gain_evals, stats.zero_flushed) == (
-            kernel, eager_stats.rounds, eager_stats.gain_evals, eager_stats.zero_flushed
+        assert (
+            stats.kernel, stats.rounds, stats.productive_rounds, stats.gain_evals, stats.zero_flushed
+        ) == (
+            kernel, eager_stats.rounds, productive, eager_stats.gain_evals, eager_stats.zero_flushed
         )
 
 

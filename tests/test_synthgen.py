@@ -13,6 +13,7 @@ from matchrank.core import (
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
+    draw_group_masks,
     draw_relevance,
     model_metadata,
     sample_relevances,
@@ -190,6 +191,10 @@ class TestSampleRelevances:
                 groups = [k for k in range(g) if mask >> k & 1]
                 assert all(sizes[k] for k in groups)  # no bit of a slotless group
                 assert m.row(a).tolist() == layout.slots_of(np.array(groups, dtype=np.int32)).tolist()
+        # A mask-only draw takes the same coins from the same sub-stream.
+        for i, row_masks in enumerate(masks):
+            alone = draw_group_masks(model, substream(3, PURPOSE_SAMPLE, i))
+            assert alone.dtype == np.uint16 and np.array_equal(alone, row_masks)
 
     def test_group_masks_leave_draws_unchanged(self):
         model = build_synthetic_model(small_params())
