@@ -84,6 +84,13 @@ def _positive(value, name: str):
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {text}")
+    return int(text)
+
+
 def _ranker_config(args, cfg: ExperimentConfig) -> RankerConfig:
     algorithm = _pick(args.algorithm, cfg.ranker, "algorithm", _DEFAULTS["algorithm"])
     seed = _pick(args.ranker_seed, cfg.ranker, "seed", _DEFAULTS["ranker_seed"])
@@ -167,6 +174,8 @@ def cmd_rank(args) -> int:
         args.use_model_marginals, cfg.ranker, "use_model_marginals", False
     )
     model, _ = read_model(args.model)
+    if (rcfg.stop_at or 0) > model.candidates:
+        raise UsageError(f"stop_at {rcfg.stop_at} exceeds {model.candidates} candidates")
     samples = sample_relevances(model, n, sample_seed)
     marginals = model.marginal_matrix() if use_model else None
     stats = RankerStats()
@@ -296,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", type=int)
     p.add_argument("--memberships", type=int)
     p.add_argument("--p-base", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     add_config(p)
     p.set_defaults(func=cmd_synth)
 
@@ -312,15 +321,15 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--sample-seed", type=int, dest="sample_seed")
+    p.add_argument("--sample-seed", type=_seed, dest="sample_seed")
     add_config(p)
     p.set_defaults(func=cmd_sample)
 
     def add_rank_flags(p):
         p.add_argument("--algorithm", choices=ALGORITHMS)
         p.add_argument("--n", type=int, help="number of relevance samples to rank from")
-        p.add_argument("--sample-seed", type=int, dest="sample_seed")
-        p.add_argument("--ranker-seed", type=int, dest="ranker_seed")
+        p.add_argument("--sample-seed", type=_seed, dest="sample_seed")
+        p.add_argument("--ranker-seed", type=_seed, dest="ranker_seed")
         p.add_argument(
             "--use-model-marginals",
             action="store_true",
@@ -345,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", required=True, help="ranking file produced by `rank`")
     p.add_argument("--out", required=True)
     p.add_argument("--draws", type=int)
-    p.add_argument("--eval-seed", type=int, dest="eval_seed")
+    p.add_argument("--eval-seed", type=_seed, dest="eval_seed")
     p.add_argument("--threads", type=int)
     p.add_argument(
         "--stats-out",

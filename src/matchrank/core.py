@@ -45,7 +45,7 @@ UNMATCHED = -1
 #: Probabilities in generated models are clipped into this closed range.
 PROB_CLIP = (0.0001, 0.9999)
 
-#: Most groups of a group model whose samples carry their group masks
+#: Most groups of a group model whose samples are their group masks
 #: (:attr:`SampleSet.group_masks`), and so the most the greedy ranker's cut
 #: kernel takes; other sample sets go to its batched kernel.
 #: The cut kernel's work and its per-sample count array grow as 2**groups,
@@ -174,12 +174,13 @@ class SlotLayout:
         indptr = np.append(self.group_start, self.total_slots)
         return _gather_rows(indptr, np.arange(self.total_slots, dtype=np.int32), groups)
 
-    def group_slots(self, group: int) -> np.ndarray:
-        """Slot ids owned by `group`, in ascending order."""
-        if not 0 <= group < self.group_count:
-            raise InputError(f"group {group} out of range [0, {self.group_count})")
-        start = int(self.group_start[group])
-        return np.arange(start, start + self.slots_per_group[group], dtype=np.int32)
+    def relevance(self, masks: np.ndarray) -> "RelevanceMatrix":
+        """The matrix whose row a holds the slots of the groups in the bit
+        mask ``masks[a]`` (at most :data:`MAX_CUT_CLASSES` groups)."""
+        _, groups = np.nonzero(masks[:, None] >> np.arange(self.group_count) & 1)
+        indptr = np.zeros(masks.size + 1, dtype=np.int64)
+        np.cumsum(self.subset_slots[masks], out=indptr[1:])
+        return RelevanceMatrix(masks.size, self.total_slots, indptr, self.slots_of(groups))
 
 
 def _gather_rows(indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -518,56 +519,60 @@ class ProbabilityModel:
 class SampleSet:
     """n relevance matrices drawn i.i.d. from one model, plus the seed used.
 
-    `group_masks`, for samples drawn from a group model of at most
-    :data:`MAX_CUT_CLASSES` groups, is ``(layout, masks)``: the model's
-    :class:`SlotLayout`, and per sample and candidate the bit mask of the
-    groups the candidate was drawn relevant to (uint16, n x candidates).
-    Each row is the union of the slots of its mask's groups, and groups
-    without slots set no bit.  The constructor checks the shapes and that
-    each row holds as many slots as its mask's groups own, but not which
-    slots: the greedy ranker trusts the masks to name each row's groups, as
-    :func:`~matchrank.synthgen.sample_relevances` draws them.
+    A set holds one of two forms, never both.  `rows` is a tuple of
+    slot-level matrices.  `group_masks`, for samples drawn from a group
+    model of at most :data:`MAX_CUT_CLASSES` groups, is ``(layout, masks)``:
+    the model's :class:`SlotLayout`, and per sample and candidate the bit
+    mask of the groups the candidate was drawn relevant to (uint16,
+    n x candidates); groups without slots set no bit.  Such a draw's row is
+    the union of the slots of its mask's groups, and :attr:`samples`
+    expands the masks into those rows on first use.
     """
 
-    samples: tuple[RelevanceMatrix, ...]
+    rows: tuple[RelevanceMatrix, ...] | None
     seed: int
     group_masks: tuple[SlotLayout, np.ndarray] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 1:
-            raise InputError("a sample set needs at least one sample")
-        c, s = self.samples[0].candidates, self.samples[0].slots
-        for m in self.samples:
-            if m.candidates != c or m.slots != s:
+        if (self.rows is None) == (self.group_masks is None):
+            raise InputError("a sample set holds either rows or group masks")
+        if self.group_masks is None:
+            object.__setattr__(self, "rows", tuple(self.rows))
+            if not self.rows:
+                raise InputError("a sample set needs at least one sample")
+            if len({(m.candidates, m.slots) for m in self.rows}) > 1:
                 raise InputError("all samples must share dimensions")
-        if self.group_masks is not None:
-            layout, masks = self.group_masks
-            masks = _as_int_array(masks, np.uint16, "group masks")
-            if layout.total_slots != s or masks.shape != (self.n, c):
-                raise InputError("group masks do not match the samples' shape")
-            if (masks & ~np.uint16(layout.slotted_bits)).any():
-                raise InputError("group masks name groups without slots")
-            want = layout.subset_slots[masks]
-            if any(
-                (row != m.indptr[1:] - m.indptr[:-1]).any()
-                for row, m in zip(want, self.samples)
-            ):
-                raise InputError("group masks disagree with the rows' slot counts")
-            masks.setflags(write=False)
-            object.__setattr__(self, "group_masks", (layout, masks))
+            return
+        layout, masks = self.group_masks
+        if layout.group_count > MAX_CUT_CLASSES:
+            raise InputError(f"group masks cover at most {MAX_CUT_CLASSES} groups")
+        masks = _as_int_array(masks, np.uint16, "group masks")
+        if masks.ndim != 2 or not len(masks):
+            raise InputError("group masks must be n x candidates, for at least one sample")
+        if (masks & ~np.uint16(layout.slotted_bits)).any():
+            raise InputError("group masks name groups without slots")
+        masks.setflags(write=False)
+        object.__setattr__(self, "group_masks", (layout, masks))
+
+    @cached_property
+    def samples(self) -> tuple[RelevanceMatrix, ...]:
+        """The slot-level matrices: `rows`, or the expanded group masks."""
+        if self.rows is not None:
+            return self.rows
+        layout, masks = self.group_masks
+        return tuple(layout.relevance(m) for m in masks)
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.rows or self.group_masks[1])
 
     @property
     def candidates(self) -> int:
-        return self.samples[0].candidates
+        return self.rows[0].candidates if self.rows else self.group_masks[1].shape[1]
 
     @property
     def slots(self) -> int:
-        return self.samples[0].slots
+        return self.rows[0].slots if self.rows else self.group_masks[0].total_slots
 
     def tobytes(self) -> bytes:
         head = np.array([self.n, self.seed], dtype=np.int64).tobytes()

@@ -50,7 +50,7 @@ from .core import (
     RelevanceMatrix,
     substream,
 )
-from .matching import _matching_size, commit_add, init_state, max_matching_size
+from .matching import _matching_size, commit_add, init_state
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 from .synthgen import (
     build_synthetic_model,
@@ -137,30 +137,14 @@ def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
 
 
 def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int | None:
-    if target == 0:
-        return 0
-    # `order` covers every candidate, so one full solve settles reachability.
-    if max_matching_size(matrix) < target:
-        return None
-    # Invariant: prefix `lo` falls short of `target`, prefix `hi` reaches it.
-    # Fewer than `target` candidates cannot fill `target` slots.
-    lo, hi = target - 1, len(order)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        # `order` is a validated permutation, so its prefixes skip the pool checks.
-        if _matching_size(matrix, order[:mid]) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # `order` is a validated permutation, so its prefixes skip the pool checks.
+    return _bisect(lambda k: _matching_size(matrix, order[:k]), len(order), target)
 
 
 def _kmin_cut(cap: np.ndarray, masks: np.ndarray, order: np.ndarray, target: int) -> int | None:
     """`_kmin_bisect` on the cut form: `cap` holds the slot count of every
     group subset, indexed by its bit mask, and `masks` each candidate's
     group mask in one draw."""
-    if target == 0:
-        return 0
 
     def size(k: int) -> int:
         within = np.bincount(masks[order[:k]], minlength=cap.size)
@@ -170,9 +154,20 @@ def _kmin_cut(cap: np.ndarray, masks: np.ndarray, order: np.ndarray, target: int
             pairs[:, 1] += pairs[:, 0]
         return int((cap - within).min()) + k
 
-    if size(len(order)) < target:
+    return _bisect(size, len(order), target)
+
+
+def _bisect(size, n: int, target: int) -> int | None:
+    """Smallest k whose prefix `size(k)` reaches `target`, for a `size` that
+    never falls as k grows, or None when not even ``size(n)`` does."""
+    if target == 0:
+        return 0
+    # `size(n)`, the whole candidate set, settles reachability.
+    if size(n) < target:
         return None
-    lo, hi = target - 1, len(order)
+    # Invariant: prefix `lo` falls short of `target`, prefix `hi` reaches it.
+    # Fewer than `target` candidates cannot fill `target` slots.
+    lo, hi = target - 1, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if size(mid) >= target:

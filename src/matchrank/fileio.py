@@ -18,7 +18,6 @@ from .core import (
     InputError,
     ProbabilityModel,
     Ranking,
-    RelevanceMatrix,
     SampleSet,
     SlotLayout,
     SparseProbMatrix,
@@ -34,7 +33,6 @@ __all__ = [
     "read_model",
     "write_samples",
     "write_stats",
-    "read_samples",
     "write_ranking",
     "read_ranking",
     "write_report",
@@ -123,6 +121,8 @@ def read_prob_triplets(path: str | Path) -> SparseProbMatrix:
         lines = Path(path).read_text().splitlines()
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a text file ({e})")
     rows = [
         (no, line.split())
         for no, raw in enumerate(lines, start=1)
@@ -266,42 +266,6 @@ def write_samples(samples: SampleSet, path: str | Path):
         for a, t in zip(m.row_ids().tolist(), m.indices.tolist()):
             out.append(f"{a} {t}")
     Path(path).write_text("\n".join(out) + "\n")
-
-
-def read_samples(path: str | Path) -> SampleSet:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file")
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    try:
-        n, c, s, seed = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise InputError(f"{path}:1: header must be 'n candidates slots seed'")
-    pos = 1
-    mats = []
-    for i in range(n):
-        if pos >= len(lines):
-            raise InputError(f"{path}: truncated before sample {i}")
-        parts = lines[pos].split()
-        if len(parts) != 3 or parts[0] != "sample" or int(parts[1]) != i:
-            raise InputError(f"{path}:{pos + 1}: expected 'sample {i} <edges>'")
-        edges = int(parts[2])
-        pos += 1
-        pairs = []
-        for j in range(edges):
-            try:
-                a, t = (int(x) for x in lines[pos + j].split())
-            except (ValueError, IndexError):
-                raise InputError(f"{path}:{pos + j + 1}: expected 'candidate slot'")
-            pairs.append((a, t))
-        pos += edges
-        try:
-            mats.append(RelevanceMatrix.from_edges(c, s, pairs))
-        except InputError as e:
-            raise InputError(f"{path}: sample {i}: {e}")
-    return SampleSet(tuple(mats), seed)
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +412,9 @@ class ExperimentConfig:
     Recognized sections: ``synth`` (generator parameters), ``ingest``
     (slots_per_label, max_clip), ``sampling`` (n, seed), ``ranker``
     (algorithm, seed, stop_at, use_model_marginals), ``evaluation``
-    (draws, seed), and a top-level ``threads``.
+    (draws, seed), and a top-level ``threads``.  Each key holds null (unset)
+    or a value of its type: an integer, never a boolean, for counts, and a
+    non-negative one for seeds; a real number; a boolean; or a string.
     """
 
     synth: dict
@@ -459,12 +425,16 @@ class ExperimentConfig:
     threads: int | None
 
     _SECTIONS = {
-        "synth": {"groups", "slots_per_group", "candidates", "memberships", "p_base", "seed"},
-        "ingest": {"slots_per_label", "max_clip"},
-        "sampling": {"n", "seed"},
-        "ranker": {"algorithm", "seed", "stop_at", "use_model_marginals"},
-        "evaluation": {"draws", "seed"},
+        "synth": {"groups": int, "slots_per_group": int, "candidates": int,
+                  "memberships": int, "p_base": float, "seed": int},
+        "ingest": {"slots_per_label": int, "max_clip": float},
+        "sampling": {"n": int, "seed": int},
+        "ranker": {"algorithm": str, "seed": int, "stop_at": int, "use_model_marginals": bool},
+        "evaluation": {"draws": int, "seed": int},
     }
+    # Parsed JSON values have exact types, so a boolean never passes for an int.
+    _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+              bool: ((bool,), "a boolean"), str: ((str,), "a string")}
 
     @classmethod
     def empty(cls) -> "ExperimentConfig":
@@ -482,14 +452,19 @@ class ExperimentConfig:
             sec = obj.get(name, {})
             if not isinstance(sec, dict):
                 raise InputError(f"config section {name!r} must be an object")
-            bad = set(sec) - allowed
+            bad = set(sec) - set(allowed)
             if bad:
                 raise InputError(
                     f"unknown keys in config section {name!r}: {', '.join(sorted(bad))}"
                 )
+            for key, value in sec.items():
+                types, what = cls._KINDS[allowed[key]]
+                if value is not None and (type(value) not in types or key == "seed" and value < 0):
+                    what = "a non-negative integer" if key == "seed" else what
+                    raise InputError(f"config {name}.{key} must be {what}, got {value!r}")
             sections[name] = sec
         threads = obj.get("threads")
-        if threads is not None and (not isinstance(threads, int) or threads < 1):
+        if threads is not None and (type(threads) is not int or threads < 1):
             raise InputError("config threads must be a positive integer")
         algo = sections["ranker"].get("algorithm")
         if algo is not None and algo not in ALGORITHMS:

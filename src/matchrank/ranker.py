@@ -9,12 +9,12 @@ output and eager's work counters:
 * the cut kernel (:func:`_cut_greedy`) for the samples of a group model of
   at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a
   candidate is relevant to all slots of a group or to none, and the samples
-  carry each draw's group bit masks
+  are each draw's group bit masks
   (:attr:`~matchrank.core.SampleSet.group_masks`); the kernel works on
   those masks and the cut form of the matching size;
 * the batched kernel (:func:`_batched_greedy`) for every other sample set:
-  independent models, group models of more groups, and samples without
-  masks.  It keeps one maximum matching over the disjoint union of all
+  independent models, group models of more groups, and sets of slot-level
+  rows.  It keeps one maximum matching over the disjoint union of all
   samples and advances every sample with one alternating search per round.
 
 :func:`matchrank` and :func:`matchrank_lazy`, called directly, are the
@@ -522,8 +522,17 @@ def _batched_greedy(
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
-    """Per-(candidate, slot) edge frequency across the sample set."""
+    """Per-(candidate, slot) edge frequency across the sample set.  Group
+    masks are counted per (candidate, group); the row count is their oracle."""
     c, s = samples.candidates, samples.slots
+    if samples.group_masks is not None:
+        layout, masks = samples.group_masks
+        groups = range(layout.group_count)
+        hits = np.stack([np.count_nonzero(masks >> g & 1, axis=0) for g in groups], axis=1)
+        # A candidate's row holds the slots of every group it ever won.
+        won = layout.relevance(np.bitwise_or.reduce(masks, axis=0))
+        freq = hits[won.row_ids(), layout.slot_to_group[won.indices]] / samples.n
+        return SparseProbMatrix(c, s, won.indptr, won.indices, freq)
     # A count is at most n, so int32 halves the dense array.
     counts = np.zeros(c * s, dtype=np.int32)
     row_keys = np.arange(c, dtype=np.int64) * s
@@ -611,7 +620,7 @@ def rank(
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
     always work from the samples themselves, through the cut kernel when the
-    samples carry group masks (a group model of at most
+    samples are group masks (a group model of at most
     :data:`~matchrank.core.MAX_CUT_CLASSES` groups) and the batched kernel
     otherwise (``stats.kernel`` tells which ran).
     """

@@ -102,20 +102,15 @@ def build_synthetic_model(params: SynthParams) -> ProbabilityModel:
     return ProbabilityModel.group_structured(layout, membership, group_prob)
 
 
-def draw_relevance(
-    model: ProbabilityModel, rng: np.random.Generator, coins_out: np.ndarray | None = None
-) -> RelevanceMatrix:
+def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
     """Draw one relevance matrix from `model` using `rng`.
 
     Group models flip one coin per (candidate, group) membership; a success
     makes the candidate relevant to every slot of that group.  Independent
     models flip one coin per stored (candidate, slot) probability.
-
-    `coins_out`, for a group model, receives those coins: a bool array of
-    the shape of ``model.membership``, True where the candidate won the group.
     """
     if model.kind == "group":
-        return _draw_group(model, rng, coins_out)
+        return _draw_group(model, rng)
     return _draw_independent(model.marginals, rng)
 
 
@@ -130,31 +125,21 @@ def draw_group_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.nd
     without its slots: per candidate, the bit mask of the groups it was drawn
     relevant to (uint16).  Groups without slots set no bit.  `model` must
     carry group masks (:func:`carries_group_masks`)."""
-    return _group_masks(model, _group_coins(model, rng))
-
-
-def _group_coins(
-    model: ProbabilityModel, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One coin per (candidate, group) membership: True where the candidate
-    won the group.  This is all of a group draw's randomness."""
-    return np.less(rng.random(model.group_prob.shape), model.group_prob, out=out)
-
-
-def _group_masks(model: ProbabilityModel, coins: np.ndarray) -> np.ndarray:
-    """Group masks (uint16, shape ``coins.shape[:-1]``) of coins shaped like
-    ``model.membership``, or a stack of them."""
     # A row's groups are distinct, so the sum of their bits is their OR; a
     # group without slots leaves the row as it is, so it sets no bit.
     bits = ((1 << model.membership) & model.layout.slotted_bits).astype(np.uint16)
-    return np.einsum("...cj,cj->...c", coins, bits)
+    return np.einsum("cj,cj->c", _group_coins(model, rng), bits)
 
 
-def _draw_group(
-    model: ProbabilityModel, rng: np.random.Generator, coins_out: np.ndarray | None
-) -> RelevanceMatrix:
+def _group_coins(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
+    """One coin per (candidate, group) membership: True where the candidate
+    won the group.  This is all of a group draw's randomness."""
+    return rng.random(model.group_prob.shape) < model.group_prob
+
+
+def _draw_group(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
     layout = model.layout
-    success = _group_coins(model, rng, coins_out)
+    success = _group_coins(model, rng)
     sizes = layout.group_sizes
     per_cand = (success * sizes[model.membership]).sum(axis=1)
     indptr = np.zeros(model.candidates + 1, dtype=np.int64)
@@ -184,18 +169,15 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
     Sample i comes from the sub-stream (sample, i) of `seed`, so any sample
     can be regenerated alone and the set is independent of iteration order.
     The samples of a group model of at most :data:`MAX_CUT_CLASSES` groups
-    carry their group masks (:attr:`SampleSet.group_masks`).
+    are drawn as group masks only (:attr:`SampleSet.group_masks`).
     """
     if n < 1:
         raise InputError("need at least one sample")
-    masked = carries_group_masks(model)
-    coins = np.empty((n, *model.membership.shape), dtype=bool) if masked else [None] * n
-    samples = tuple(
-        draw_relevance(model, substream(seed, PURPOSE_SAMPLE, i), coins[i]) for i in range(n)
-    )
-    if not masked:
-        return SampleSet(samples, seed)
-    return SampleSet(samples, seed, (model.layout, _group_masks(model, coins)))
+    rngs = (substream(seed, PURPOSE_SAMPLE, i) for i in range(n))
+    if carries_group_masks(model):
+        masks = np.stack([draw_group_masks(model, rng) for rng in rngs])
+        return SampleSet(None, seed, (model.layout, masks))
+    return SampleSet(tuple(draw_relevance(model, rng) for rng in rngs), seed)
 
 
 def two_block_model(

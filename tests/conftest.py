@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from matchrank.core import RelevanceMatrix, SampleSet
+from matchrank.core import InputError, RelevanceMatrix, SampleSet
 
 
 def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -> RelevanceMatrix:
@@ -22,6 +22,43 @@ def random_sampleset(
     rng: np.random.Generator, c: int, s: int, n: int, density: float, seed: int = 0
 ) -> SampleSet:
     return SampleSet(tuple(random_relevance(rng, c, s, density) for _ in range(n)), seed)
+
+
+def read_samples(path) -> SampleSet:
+    """Read a sample file of ``matchrank sample`` (`write_samples`) back."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file")
+    if not lines:
+        raise InputError(f"{path}: empty file")
+    try:
+        n, c, s, seed = (int(x) for x in lines[0].split())
+    except ValueError:
+        raise InputError(f"{path}:1: header must be 'n candidates slots seed'")
+    pos = 1
+    mats = []
+    for i in range(n):
+        if pos >= len(lines):
+            raise InputError(f"{path}: truncated before sample {i}")
+        parts = lines[pos].split()
+        if len(parts) != 3 or parts[0] != "sample" or int(parts[1]) != i:
+            raise InputError(f"{path}:{pos + 1}: expected 'sample {i} <edges>'")
+        edges = int(parts[2])
+        pos += 1
+        pairs = []
+        for j in range(edges):
+            try:
+                a, t = (int(x) for x in lines[pos + j].split())
+            except (ValueError, IndexError):
+                raise InputError(f"{path}:{pos + j + 1}: expected 'candidate slot'")
+            pairs.append((a, t))
+        pos += edges
+        try:
+            mats.append(RelevanceMatrix.from_edges(c, s, pairs))
+        except InputError as e:
+            raise InputError(f"{path}: sample {i}: {e}")
+    return SampleSet(tuple(mats), seed)
 
 
 @pytest.fixture

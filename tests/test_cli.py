@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from matchrank.cli import main
-from matchrank.fileio import read_model, read_ranking, read_report, read_samples
+from conftest import read_samples
+from matchrank.fileio import read_model, read_ranking, read_report
 
 
 def run(*argv):
@@ -427,3 +428,71 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run("synth") == 1
+
+
+def _command(kind: str, tmp_path, model_path) -> list[str]:
+    """Arguments of one command of `kind` that reads a config file, with
+    every input it needs written to `tmp_path`."""
+    out = ["--out", str(tmp_path / "out")]
+    if kind == "synth":
+        return ["synth", *out]
+    if kind == "ingest":
+        probs = tmp_path / "p.txt"
+        probs.write_text("2 2 2\n0 0 0.5\n1 1 0.75\n")
+        return ["ingest", "--probs", str(probs), *out]
+    if kind == "eval":
+        ranking = tmp_path / "ranking.json"
+        assert run("rank", "--model", str(model_path), "--out", str(ranking), "--n", "3") == 0
+        return ["eval", "--model", str(model_path), "--ranking", str(ranking), *out]
+    return [kind, "--model", str(model_path), *out]
+
+
+class TestConfigValues:
+    """A config value of the wrong type is a usage error: exit 1, naming the key."""
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("synth", "synth", "candidates", 30.5),
+            ("synth", "synth", "seed", 1.5),
+            ("synth", "synth", "groups", "3"),
+            ("synth", "synth", "memberships", True),
+            ("synth", "synth", "seed", -1),
+            ("rank", "sampling", "seed", 1.5),
+            ("rank", "sampling", "seed", "x"),
+            ("rank", "sampling", "n", True),
+            ("sample", "sampling", "seed", 1.5),
+            ("sample", "sampling", "seed", "x"),
+            ("sample", "sampling", "n", True),
+            ("eval", "evaluation", "seed", 1.5),
+            ("eval", "evaluation", "draws", True),
+            ("ingest", "ingest", "max_clip", "0.5"),
+            ("ingest", "ingest", "slots_per_label", True),
+            ("rank", "ranker", "stop_at", 2.5),
+            ("rank", "ranker", "seed", 2.5),
+            ("rank", "ranker", "use_model_marginals", "no"),
+        ],
+    )
+    def test_wrong_type_exits_1(self, tmp_path, model_path, capsys, command, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        argv = _command(command, tmp_path, model_path)
+        assert run(*argv, "--config", str(cfg)) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_true_exits_1(self, tmp_path, model_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": True}))
+        assert run(*_command("eval", tmp_path, model_path), "--config", str(cfg)) == 1
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--sample-seed", "--ranker-seed", "--eval-seed"])
+    def test_negative_seed_flag_exits_1(self, tmp_path, model_path, capsys, flag):
+        kind = {"--seed": "synth", "--eval-seed": "eval"}.get(flag, "rank")
+        assert run(*_command(kind, tmp_path, model_path), flag, "-1") == 1
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_stop_at_beyond_the_model_exits_1(self, tmp_path, model_path, capsys):
+        assert run(*_command("rank", tmp_path, model_path), "--stop-at", "31") == 1
+        assert "exceeds 30 candidates" in capsys.readouterr().err

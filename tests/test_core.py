@@ -29,7 +29,7 @@ class TestSlotLayout:
         assert lay.total_slots == 5
         assert lay.slot_to_group.tolist() == [0, 0, 2, 2, 2]
         assert lay.group_start.tolist() == [0, 2, 2]
-        assert lay.group_slots(2).tolist() == [2, 3, 4]
+        assert lay.slots_of(np.array([2])).tolist() == [2, 3, 4]
 
     @given(
         st.lists(st.integers(0, 4), min_size=1, max_size=6),
@@ -247,42 +247,61 @@ class TestSampleSet:
 
 class TestSampleSetGroupMasks:
     LAYOUT = SlotLayout((2, 0, 1))
+    # Sample 0: candidate 0 holds group 0, candidate 1 groups 0 and 2,
+    # candidate 2 none.  Sample 1: candidate 2 holds group 2.
+    MASKS = [[0b001, 0b101, 0], [0, 0, 0b100]]
 
-    def samples(self):
-        # Candidate 0 holds group 0, candidate 1 groups 0 and 2, candidate 2 none.
+    def rows(self):
         m = RelevanceMatrix.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
         return (m, RelevanceMatrix.from_edges(3, 3, [(2, 2)]))
 
-    def test_accepts_masks_of_the_rows(self):
-        masks = np.array([[0b001, 0b101, 0], [0, 0, 0b100]])
-        ss = SampleSet(self.samples(), 0, (self.LAYOUT, masks))
+    def test_holds_the_masks_and_derives_the_rows(self):
+        ss = SampleSet(None, 0, (self.LAYOUT, np.array(self.MASKS)))
+        assert ss.rows is None
         assert ss.group_masks[1].dtype == np.uint16
-        assert ss.group_masks[1].tolist() == masks.tolist()
+        assert ss.group_masks[1].tolist() == self.MASKS
+        assert (ss.n, ss.candidates, ss.slots) == (2, 3, 3)
+        assert [m.tobytes() for m in ss.samples] == [m.tobytes() for m in self.rows()]
+        assert ss.samples is ss.samples  # expanded once
+        assert ss.tobytes() == SampleSet(self.rows(), 0).tobytes()
 
     @pytest.mark.parametrize(
         "masks",
         [
-            [[0b001, 0b101, 0], [0, 0, 0b001]],  # row 2 of sample 1 has 1 slot, not 2
-            [[0b001, 0b100, 0], [0, 0, 0b100]],  # row 1 of sample 0 has 3 slots
             [[0b011, 0b101, 0], [0, 0, 0b100]],  # group 1 owns no slot
             [[0b001, 0b101, 0b1000], [0, 0, 0b100]],  # group 3 is beyond the layout
-            [[0b001, 0b101, 0]],  # one sample short
+            [[0b001, 0b101, 1 << 16], [0, 0, 0b100]],  # beyond a uint16 mask
+            [[0b001, 0b101, -1], [0, 0, 0b100]],
+            [[0.5, 0b101, 0], [0, 0, 0b100]],
         ],
     )
     def test_refuses_masks_that_disagree_with_the_rows(self, masks):
+        """A mask stands for the row of its groups' slots, so it names only
+        groups of the layout that own slots, as a uint16 bit mask."""
         with pytest.raises(InputError, match="group masks"):
-            SampleSet(self.samples(), 0, (self.LAYOUT, np.array(masks)))
+            SampleSet(None, 0, (self.LAYOUT, np.array(masks)))
 
-    def test_refuses_a_layout_of_other_slots(self):
-        masks = np.zeros((2, 3), dtype=np.uint16)
-        with pytest.raises(InputError, match="group masks"):
-            SampleSet(self.samples(), 0, (SlotLayout((2, 2)), masks))
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_refuses_masks_that_are_not_n_by_candidates(self, shape):
+        with pytest.raises(InputError, match="n x candidates"):
+            SampleSet(None, 0, (self.LAYOUT, np.zeros(shape, dtype=np.uint16)))
+
+    def test_refuses_zero_draws(self):
+        with pytest.raises(InputError, match="at least one sample"):
+            SampleSet(None, 0, (self.LAYOUT, np.zeros((0, 3), dtype=np.uint16)))
+
+    def test_refuses_rows_and_masks_together(self):
+        # Even masks that agree with the rows: a set holds one form.
+        with pytest.raises(InputError, match="either rows or group masks"):
+            SampleSet(self.rows(), 0, (self.LAYOUT, np.array(self.MASKS)))
+        with pytest.raises(InputError, match="either rows or group masks"):
+            SampleSet(None, 0)
 
     def test_refuses_a_layout_of_more_groups_than_the_cut_kernel_takes(self):
         layout = SlotLayout((1, 1, 1) + (0,) * (MAX_CUT_CLASSES - 2))
         masks = np.zeros((2, 3), dtype=np.uint16)
         with pytest.raises(InputError, match=f"at most {MAX_CUT_CLASSES}"):
-            SampleSet(self.samples(), 0, (layout, masks))
+            SampleSet(None, 0, (layout, masks))
 
 
 class TestNarrowingCasts:

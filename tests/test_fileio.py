@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sampleset
+from conftest import random_sampleset, read_samples
+from matchrank.cli import main
 from matchrank.core import InputError, ProbabilityModel, Ranking, SparseProbMatrix, substream
 from matchrank.evaluation import evaluate
 from matchrank.fileio import (
@@ -17,7 +18,6 @@ from matchrank.fileio import (
     read_prob_triplets,
     read_ranking,
     read_report,
-    read_samples,
     report_table,
     write_model,
     write_prob_triplets,
@@ -375,3 +375,125 @@ class TestReaderFuzz:
         report_table([rep])
         write_report(rep, path)
         assert read_report(path) == rep
+
+
+# Config values, with integers bounded: a config that asks for, say, 10**9
+# candidates or samples is run as asked, and no test host holds that.
+_config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+# Triplet-file tokens: integers bounded as in `_model_values`, numbers that
+# are not finite or too wide, and raw bytes that need not be UTF-8.
+_triplet_tokens = (
+    st.integers(-(2**16), 2**16).map(lambda v: str(v).encode())
+    | st.sampled_from([b"2147483648", b"9223372036854775808", b"nan", b"inf", b"1e400", b"-0", b"#"])
+    | st.floats().map(lambda v: repr(v).encode())
+    | st.binary(max_size=3)
+)
+
+VALID_CONFIG = {
+    "synth": {"groups": 3, "slots_per_group": 2, "candidates": 6, "memberships": 2,
+              "p_base": 0.3, "seed": 1},
+    "ingest": {"slots_per_label": 2, "max_clip": 0.9},
+    "sampling": {"n": 4, "seed": 1},
+    "ranker": {"algorithm": "matchrank-lazy", "seed": 0, "stop_at": None,
+               "use_model_marginals": False},
+    "evaluation": {"draws": 3, "seed": 2},
+    "threads": 1,
+}
+VALID_TRIPLETS = b"# candidates slots entries\n4 3 5\n0 0 0.5\n0 2 0.25\n1 1 0.75\n\n2 0 1.0\n3 2 0.125\n"
+
+
+def _mutate_config(data: bytes, draw) -> bytes:
+    """Drop a key or retype a value, at the top level or in one section, or truncate."""
+    how = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    obj = where = json.loads(data)
+    key = draw(st.sampled_from(sorted(obj)))
+    if isinstance(obj[key], dict) and draw(st.booleans()):
+        where, key = obj[key], draw(st.sampled_from(sorted(obj[key])))
+    if how == "drop":
+        del where[key]
+    else:
+        where[key] = draw(_config_values)
+    return json.dumps(obj).encode()
+
+
+def _mutate_lines(data: bytes, draw) -> bytes:
+    """Drop a line, retype one token of a line, or truncate."""
+    how = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "drop":
+        del lines[i]
+    else:
+        tokens = lines[i].split() or [b""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_triplet_tokens)
+        lines[i] = b" ".join(tokens)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A small group model, a ranking of it, and a triplet file."""
+    folder = tmp_path_factory.mktemp("cli-inputs")
+    model, ranking, probs = folder / "model.json", folder / "ranking.json", folder / "p.txt"
+    assert main(["synth", "--out", str(model), "--groups", "3", "--slots-per-group", "2",
+                 "--candidates", "6", "--seed", "1"]) == 0
+    assert main(["rank", "--model", str(model), "--out", str(ranking), "--n", "4"]) == 0
+    probs.write_bytes(VALID_TRIPLETS)
+    return {"folder": folder, "model": model, "ranking": ranking, "probs": probs}
+
+
+class TestConfigAndTripletFuzz:
+    """Every mangled config or triplet file either loads as a valid object or
+    is refused with InputError; the command line exits 1 on such a config
+    and 2 on such a triplet file."""
+
+    @given(st.sampled_from(["synth", "ingest", "sample", "rank", "eval"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_config(self, cli_inputs, command, data):
+        folder = cli_inputs["folder"]
+        path = folder / "mangled.json"
+        path.write_bytes(_mutate_config(json.dumps(VALID_CONFIG).encode(), data.draw))
+        try:
+            cfg = load_config(path)
+            refused = False
+        except InputError:
+            refused = True
+        if not refused:
+            for name, allowed in ExperimentConfig._SECTIONS.items():
+                for key, value in getattr(cfg, name).items():
+                    assert value is None or type(value) in ExperimentConfig._KINDS[allowed[key]][0]
+                    assert key != "seed" or value is None or value >= 0
+            assert cfg.threads is None or (type(cfg.threads) is int and cfg.threads >= 1)
+        inputs = {
+            "synth": [],
+            "ingest": ["--probs", str(cli_inputs["probs"])],
+            "eval": ["--model", str(cli_inputs["model"]), "--ranking", str(cli_inputs["ranking"])],
+        }.get(command, ["--model", str(cli_inputs["model"])])
+        code = main([command, *inputs, "--out", str(folder / "out"), "--config", str(path)])
+        assert code == 1 if refused else code in (0, 1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_triplets(self, cli_inputs, data):
+        folder = cli_inputs["folder"]
+        path = folder / "mangled.txt"
+        path.write_bytes(_mutate_lines(VALID_TRIPLETS, data.draw))
+        try:
+            probs = read_prob_triplets(path)
+        except InputError:
+            probs = None
+        if probs is not None:
+            assert isinstance(probs, SparseProbMatrix)
+            write_prob_triplets(probs, folder / "again.txt")
+            assert read_prob_triplets(folder / "again.txt").tobytes() == probs.tobytes()
+        code = main(["ingest", "--probs", str(path), "--out", str(folder / "model-out.json")])
+        assert code == (2 if probs is None else 0)

@@ -40,6 +40,7 @@ from matchrank.ranker import (
     _batched_greedy,
     _cut_greedy,
 )
+from matchrank.evaluation import evaluate
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
@@ -206,6 +207,23 @@ class TestEmpiricalMarginals:
                 counts[a, m.row(a)] += 1
         want = SparseProbMatrix.from_dense(counts / ss.n)
         assert empirical_marginals(ss).tobytes() == want.tobytes()
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_count_as_their_rows(self, seed, groups, blank):
+        # Group samples drawn with zero-slot groups; `blank` also clears
+        # every mask of candidate 0.
+        rng = np.random.default_rng(seed)
+        ss = random_group_samples(rng, groups)
+        if blank:
+            layout, masks = ss.group_masks
+            masks = masks.copy()
+            masks[:, 0] = 0
+            ss = SampleSet(None, ss.seed, (layout, masks))
+        rows = SampleSet(ss.samples, ss.seed)
+        assert rows.group_masks is None and ss.rows is None
+        assert empirical_marginals(ss).tobytes() == empirical_marginals(rows).tobytes()
 
 
 class TestBaselineScores:
@@ -441,6 +459,21 @@ class TestCutKernel:
             SynthParams(groups=MAX_CUT_CLASSES, slots_per_group=2, candidates=60, seed=2)
         )
         assert_rank_matches_oracles(sample_relevances(model, 4, 1), None, "cut")
+
+    def test_masked_samples_are_never_expanded(self, monkeypatch):
+        # Neither rank() nor evaluate() expands group masks into rows.
+        def expand(self):
+            raise AssertionError("group masks expanded into rows")
+
+        model = build_synthetic_model(
+            SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
+        )
+        ss = sample_relevances(model, 8, 1)
+        monkeypatch.setattr(SampleSet, "samples", property(expand))
+        for algorithm in ALGORITHMS:
+            assert len(rank(ss, RankerConfig(algorithm=algorithm))) == 40
+        report = evaluate(RankerConfig(), model, 8, 1, 5, 2)
+        assert report.draws == 5 and report.config["algorithm"] == "matchrank-lazy"
 
     def test_more_classes_than_limit_takes_augmenting_path(self):
         model = build_synthetic_model(

@@ -111,7 +111,7 @@ class TestDrawRelevance:
         lay = model.layout
         for a in range(model.candidates):
             row = set(m.row(a).tolist())
-            allowed = [set(lay.group_slots(g).tolist()) for g in model.membership[a]]
+            allowed = [set(lay.slots_of(np.array([g])).tolist()) for g in model.membership[a]]
             # row must be a union of whole blocks among the candidate's groups
             rest = set(row)
             for block in allowed:
