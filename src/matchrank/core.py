@@ -50,8 +50,8 @@ PROB_CLIP = (0.0001, 0.9999)
 #: kernel takes; other sample sets go to its batched kernel.
 #: The cut kernel's work and its per-sample count array grow as 2**groups,
 #: so this also caps that array at n * 2**12 int32 before it is allocated.
-#: Seconds per ranking by each kernel alone (`_cut_greedy` on the samples'
-#: group masks, `_batched_greedy`) on group models of 500 candidates x G
+#: Seconds per ranking by each kernel alone (`_Cut` on the samples' group
+#: masks, `_Batched`) on group models of 500 candidates x G
 #: groups of 10 slots (n=200, mean of two model seeds, 2-core host):
 #:
 #:     G        8     10     11     12     13     14

@@ -21,6 +21,7 @@ from .core import (
     SampleSet,
     SlotLayout,
     SparseProbMatrix,
+    _ID_LIMIT,
 )
 from .evaluation import EvalReport
 from .ranker import ALGORITHMS, TIE_BREAK
@@ -180,6 +181,11 @@ def ingest_model(
     """
     if slots_per_label < 1:
         raise InputError("slots_per_label must be at least 1")
+    if probs.slots * slots_per_label >= _ID_LIMIT:
+        raise InputError(
+            f"{probs.slots} labels x {slots_per_label} slots per label exceed the "
+            f"int32 slot limit: a model holds fewer than {_ID_LIMIT} slots"
+        )
     if max_clip is not None:
         probs = probs.clipped(max_clip)
     if slots_per_label > 1:

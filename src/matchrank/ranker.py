@@ -3,16 +3,18 @@
 The greedy ranker picks, at every rank, the candidate whose addition raises
 the summed matching size across the sample set the most.  :func:`rank` is
 the one dispatch point, and it runs both greedy algorithms (``matchrank``
-and ``matchrank-lazy``) through one of two kernels, which produce identical
-output and eager's work counters:
+and ``matchrank-lazy``) through one greedy loop, :func:`_greedy`, over one
+of two kernels.  Each kernel is an engine with the same two methods:
+``gains()`` returns every candidate's gain for the current pool and
+``commit(a, gain)`` adds candidate ``a``.  Both produce identical output
+and eager's work counters:
 
-* the cut kernel (:func:`_cut_greedy`) for the samples of a group model of
-  at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a
-  candidate is relevant to all slots of a group or to none, and the samples
-  are each draw's group bit masks
-  (:attr:`~matchrank.core.SampleSet.group_masks`); the kernel works on
-  those masks and the cut form of the matching size;
-* the batched kernel (:func:`_batched_greedy`) for every other sample set:
+* the cut kernel (:class:`_Cut`) for the samples of a group model of at
+  most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a candidate
+  is relevant to all slots of a group or to none, and the samples are each
+  draw's group bit masks (:attr:`~matchrank.core.SampleSet.group_masks`);
+  the kernel works on those masks and the cut form of the matching size;
+* the batched kernel (:class:`_Batched`) for every other sample set:
   independent models, group models of more groups, and sets of slot-level
   rows.  It keeps one maximum matching over the disjoint union of all
   samples and advances every sample with one alternating search per round.
@@ -56,6 +58,7 @@ from .core import (
     Ranking,
     SampleSet,
     SparseProbMatrix,
+    _as_count,
     _gather_rows,
     substream,
 )
@@ -104,8 +107,13 @@ class RankerConfig:
             raise InputError(
                 f"unknown algorithm {self.algorithm!r}; valid: {', '.join(ALGORITHMS)}"
             )
-        if self.stop_at is not None and self.stop_at < 1:
-            raise InputError("stop_at must be at least 1")
+        object.__setattr__(self, "seed", _as_count(self.seed, "seed"))
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
+        if self.stop_at is not None:
+            object.__setattr__(self, "stop_at", _as_count(self.stop_at, "stop_at"))
+            if self.stop_at < 1:
+                raise InputError("stop_at must be at least 1")
 
 
 @dataclass
@@ -199,9 +207,13 @@ def matchrank(
                 gains[a] = eng.eval_gain(int(a))
         best = _argbest(ids, gains[ids], eng.tie_key[ids])
         if gains[best] == 0:
+            tail = ids[np.lexsort((ids, -eng.tie_key[ids]))][: limit - len(order)]
             # Commit the tail too, which checks that every gain there is 0.
-            for a in _flush_zeros(ids, eng.tie_key, limit, order, prefix, eng.total, stats):
+            for a in tail:
                 eng.commit(int(a), 0)
+            order += tail.tolist()
+            prefix += [eng.total] * tail.size
+            stats.zero_flushed += tail.size
             break
         eng.commit(best, int(gains[best]))
         stats.productive_rounds += 1
@@ -273,35 +285,40 @@ def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
     return int(ids[np.lexsort((ids, -key))[0]])
 
 
-def _flush_zeros(
-    ids: np.ndarray,
-    tie_key: np.ndarray,
-    limit: int,
-    order: list,
-    prefix: list,
-    total: int,
-    stats: RankerStats,
-) -> np.ndarray:
-    """Append the zero-gain tail, and return it: the remaining `ids` by
-    (normalized relevance, -id), until `order` holds `limit` candidates.
-    Gains never grow, so once the best one is zero no later commit changes
-    `total`."""
-    tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
-    order += tail.tolist()
-    prefix += [total] * tail.size
-    stats.zero_flushed += tail.size
-    return tail
+def _greedy(engine, tie_key: np.ndarray, limit: int, stats: RankerStats) -> Ranking:
+    """Greedy ranking over a kernel's `engine`; output- and counter-identical
+    to :func:`matchrank`.  Gains never grow, so once the best one is zero the
+    rest follow by (normalized relevance, -id) without further commits."""
+    stats.kernel = engine.kernel
+    remaining = np.ones(tie_key.size, dtype=bool)
+    order: list[int] = []
+    prefix: list[int] = []
+    total = 0
+    while len(order) < limit:
+        ids = np.flatnonzero(remaining)
+        stats.gain_evals += ids.size
+        gains = engine.gains()
+        left = gains[ids]
+        if left.max() == 0:
+            tail = ids[np.lexsort((ids, -tie_key[ids]))][: limit - len(order)]
+            order += tail.tolist()
+            prefix += [total] * tail.size
+            stats.zero_flushed += tail.size
+            break
+        best = _argbest(ids, left, tie_key[ids])
+        gain = int(gains[best])
+        engine.commit(best, gain)
+        stats.productive_rounds += 1
+        remaining[best] = False
+        total += gain
+        order.append(best)
+        prefix.append(total)
+    stats.rounds += len(order)
+    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
-def _cut_greedy(
-    samples: SampleSet,
-    cap: np.ndarray,
-    masks: np.ndarray,
-    cfg: RankerConfig,
-    stats: RankerStats | None = None,
-) -> Ranking:
-    """Greedy ranking of a class-structured sample set; output- and
-    counter-identical to :func:`matchrank`.
+class _Cut:
+    """The samples of a class-structured set, as their class bit masks.
 
     By max-flow min-cut, one sample's matching size for a pool P is the
     minimum over class subsets U of cap(U) + #{a in P : mask_a not within U},
@@ -316,52 +333,41 @@ def _cut_greedy(
     bit mask, and `masks` per sample and candidate the bit mask of the
     classes the candidate is relevant to (uint16, n x candidates).
     """
-    stats = stats if stats is not None else RankerStats()
-    stats.kernel = "cut"
-    n, c = masks.shape
-    limit = _resolve_stop(cfg, c)
-    tie_key = _tie_key(samples)
-    subsets = np.arange(cap.size, dtype=np.uint16)
-    outside = np.zeros((n, subsets.size), dtype=np.int32)  # count term per U
-    ustar = np.zeros(n, dtype=np.uint16)  # empty pool: only U = {} costs 0
-    gains = np.count_nonzero(masks, axis=0)
-    stats.gain_evals += c
-    remaining = np.ones(c, dtype=bool)
-    order: list[int] = []
-    prefix: list[int] = []
-    total = 0
-    while len(order) < limit:
-        ids = np.flatnonzero(remaining)
-        if order:  # eager would re-evaluate every remaining candidate here
-            stats.gain_evals += ids.size
-        gains_left = gains[ids]
-        if gains_left.max() == 0:
-            _flush_zeros(ids, tie_key, limit, order, prefix, total, stats)
-            break
-        best = _argbest(ids, gains_left, tie_key[ids])
-        mask = masks[:, best]
+
+    kernel = "cut"
+
+    def __init__(self, cap: np.ndarray, masks: np.ndarray):
+        self.cap, self.masks = cap, masks
+        self.subsets = np.arange(cap.size, dtype=np.uint16)
+        # The count term per sample and U, and U* (the empty pool: only
+        # U = {} costs 0).
+        self.outside = np.zeros((masks.shape[0], cap.size), dtype=np.int32)
+        self.ustar = np.zeros(masks.shape[0], dtype=np.uint16)
+        self._gains = np.count_nonzero(masks, axis=0)
+
+    def gains(self) -> np.ndarray:
+        """Per candidate, the number of samples whose matching it would raise."""
+        return self._gains
+
+    def commit(self, a: int, gain: int):
+        """Add candidate `a`, moving U* in every sample where it gains."""
+        masks, ustar, subsets = self.masks, self.ustar, self.subsets
+        mask = masks[:, a]
         raised = np.flatnonzero(mask & ~ustar)
-        if raised.size != gains[best]:
-            raise ContractError(f"gain of candidate {best} out of step with its commit")
+        if raised.size != gain:
+            raise ContractError(f"gain of candidate {a} out of step with its commit")
         touched = np.flatnonzero(mask)
-        outside[touched] += (mask[touched, None] & ~subsets) != 0
-        cut = outside[raised] + cap
+        self.outside[touched] += (mask[touched, None] & ~subsets) != 0
+        cut = self.outside[raised] + self.cap
         top = np.bitwise_or.reduce(
             np.where(cut == cut.min(axis=1, keepdims=True), subsets, 0), axis=1
         )
         moved = top != ustar[raised]
         rows, new = raised[moved], top[moved]
         block = masks[rows]
-        gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
-        gains += np.count_nonzero(block & ~new[:, None], axis=0)
+        self._gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
+        self._gains += np.count_nonzero(block & ~new[:, None], axis=0)
         ustar[rows] = new
-        stats.productive_rounds += 1
-        remaining[best] = False
-        total += raised.size
-        order.append(best)
-        prefix.append(total)
-    stats.rounds += len(order)
-    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
 class _Batched:
@@ -370,11 +376,21 @@ class _Batched:
     candidate a and slot t of sample j, plus one maximum matching between
     the committed pool and the slots of that union.
 
+    Each :meth:`gains` runs one alternating BFS over the whole union
+    (:meth:`search`) and reads every candidate's gain in every sample off
+    the edges of its result.  The gains depend on the pool alone, not on
+    which maximum matching is kept: the slots left exposed by some maximum
+    matching are the same for all of them (Dulmage–Mendelsohn), so
+    :meth:`commit` may flip any augmenting path, and it takes the paths of
+    the last search.
+
     Only the pool edges of matched candidate-copies are kept, slot-major, for
     the backward search: a pool copy left unmatched by its commit can never
     be matched again, since a flip only rematches copies already on the path.
     Every array is int32 when the union's sizes fit.
     """
+
+    kernel = "batched"
 
     def __init__(self, samples: SampleSet):
         n, c, s = samples.n, samples.candidates, samples.slots
@@ -430,11 +446,14 @@ class _Batched:
             reach[frontier] = True
         return reach, hop
 
-    def gains(self, reach: np.ndarray) -> np.ndarray:
+    def gains(self) -> np.ndarray:
         """Per candidate, the number of samples whose matching it would
-        raise: its row there touches ``reach``.  Read from the smaller side:
-        the edges into ``reach``, or those into its complement (a row
-        misses ``reach`` iff all its edges go there)."""
+        raise: its row there touches the reach set of a fresh
+        :meth:`search`, which is kept for :meth:`commit`.  Read from the
+        smaller side: the edges into ``reach``, or those into its complement
+        (a row misses ``reach`` iff all its edges go there)."""
+        reach, self.hop = self.search()
+        self.reach = reach
         reached = np.flatnonzero(reach)
         if 2 * reached.size <= reach.size:
             touch = np.zeros(self.degrees.size, dtype=bool)
@@ -444,9 +463,11 @@ class _Batched:
             touch = np.bincount(missed, minlength=self.degrees.size) < self.degrees
         return np.count_nonzero(touch.reshape(-1, self.c), axis=0)
 
-    def commit(self, a: int, gain: int, reach: np.ndarray, hop: np.ndarray):
+    def commit(self, a: int, gain: int):
         """Add candidate `a`, flipping one augmenting path in every sample
-        where it gains, all samples in step."""
+        where it gains, all samples in step.  The paths are those of the
+        last :meth:`gains`; a zero-gain commit leaves them valid."""
+        reach, hop = self.reach, self.hop
         # Edges of a's copies in slot-major order: by sample, then by slot.
         at = np.flatnonzero(self.slot_local == a)
         owner = self.slot_cands[at]
@@ -476,49 +497,6 @@ class _Batched:
         step = np.zeros_like(self.pool_ptr)
         step[slots + 1] = 1
         self.pool_ptr += np.cumsum(step, out=step)
-
-
-def _batched_greedy(
-    samples: SampleSet, cfg: RankerConfig, stats: RankerStats | None = None
-) -> Ranking:
-    """Greedy ranking of any sample set; output- and counter-identical to
-    :func:`matchrank`.
-
-    Each round runs one alternating BFS over the union of all samples
-    (:class:`_Batched`) and reads every candidate's gain in every sample off
-    the edges of its result.  The gains depend on the pool alone, not on
-    which maximum matching is kept: the slots left exposed by some maximum
-    matching are the same for all of them (Dulmage–Mendelsohn), so the
-    commit may flip any augmenting path.
-    """
-    stats = stats if stats is not None else RankerStats()
-    stats.kernel = "batched"
-    c = samples.candidates
-    limit = _resolve_stop(cfg, c)
-    tie_key = _tie_key(samples)
-    union = _Batched(samples)
-    remaining = np.ones(c, dtype=bool)
-    order: list[int] = []
-    prefix: list[int] = []
-    total = 0
-    while len(order) < limit:
-        ids = np.flatnonzero(remaining)
-        stats.gain_evals += c if not order else ids.size
-        reach, hop = union.search()
-        gains = union.gains(reach)
-        if gains[ids].max() == 0:
-            _flush_zeros(ids, tie_key, limit, order, prefix, total, stats)
-            break
-        best = _argbest(ids, gains[ids], tie_key[ids])
-        gain = int(gains[best])
-        union.commit(best, gain, reach, hop)
-        stats.productive_rounds += 1
-        remaining[best] = False
-        total += gain
-        order.append(best)
-        prefix.append(total)
-    stats.rounds += len(order)
-    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
@@ -625,10 +603,14 @@ def rank(
     otherwise (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
+        limit = _resolve_stop(cfg, samples.candidates)
         if samples.group_masks is not None:
             layout, masks = samples.group_masks
-            return _cut_greedy(samples, layout.subset_slots, masks, cfg, stats)
-        return _batched_greedy(samples, cfg, stats)
+            engine = _Cut(layout.subset_slots, masks)
+        else:
+            engine = _Batched(samples)
+        stats = stats if stats is not None else RankerStats()
+        return _greedy(engine, _tie_key(samples), limit, stats)
     if cfg.algorithm == "random":
         ranking = random_ranking(samples.candidates, cfg.seed)
         return _truncate(ranking, cfg, samples.candidates)

@@ -15,6 +15,7 @@ misspecification comparison needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     SampleSet,
     SlotLayout,
     SparseProbMatrix,
+    _as_count,
     substream,
 )
 
@@ -69,6 +71,12 @@ class SynthParams:
     clip_range = PROB_CLIP
 
     def __post_init__(self):
+        for name in ("groups", "slots_per_group", "candidates", "memberships", "seed"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
+        if isinstance(self.p_base, bool) or not isinstance(self.p_base, Real):
+            raise InputError(f"p_base must be a real number, got {self.p_base!r}")
+        if self.seed < 0:
+            raise InputError("seed must be non-negative")
         if self.groups < 1 or self.slots_per_group < 1 or self.candidates < 1:
             raise InputError("groups, slots_per_group and candidates must be positive")
         if self.memberships < 1:

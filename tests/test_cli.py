@@ -94,6 +94,16 @@ class TestIngest:
         assert run("ingest", "--probs", str(probs), "--out", str(tmp_path / "m.json")) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_slots_beyond_the_int32_limit_exit_2(self, tmp_path, capsys):
+        # 70,000 x 40,000 slots would wrap the int32 slot ids.
+        probs = tmp_path / "p.txt"
+        probs.write_text("1 70000 1\n0 0 0.5\n")
+        out = tmp_path / "m.json"
+        argv = ("ingest", "--probs", str(probs), "--out", str(out), "--slots-per-label", "40000")
+        assert run(*argv) == 2
+        assert "int32 slot limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run("ingest", "--probs", str(tmp_path / "none.txt"), "--out", str(tmp_path / "m.json")) == 2
 

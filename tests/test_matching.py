@@ -158,14 +158,15 @@ def union_size(union: _Batched, samples: SampleSet) -> int:
 class TestScan:
     def test_empty_state_returns_degree_filter(self, toy_instance):
         union = union_of(toy_instance)
-        gains = union.gains(union.search()[0])
+        gains = union.gains()
         assert np.flatnonzero(gains).tolist() == [0, 1, 2, 3]  # candidate 4 has no edges
 
     def test_saturated_returns_nothing(self):
         m = RelevanceMatrix.from_edges(3, 1, [(0, 0), (1, 0), (2, 0)])
         union = union_of(m)
-        union.commit(0, 1, *union.search())
-        assert not union.gains(union.search()[0]).any()
+        union.gains()
+        union.commit(0, 1)
+        assert not union.gains().any()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_scan_equals_pointwise_gains(self, seed):
@@ -181,9 +182,10 @@ class TestScan:
         committed = rng.permutation(c)[: int(rng.integers(0, c))]
         for a in committed.tolist():
             gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
-            union.commit(a, gain, *union.search())
+            union.gains()
+            union.commit(a, gain)
         frontier = np.setdiff1d(np.arange(c), committed)
-        got = union.gains(union.search()[0])[frontier]
+        got = union.gains()[frontier]
         want = [
             sum(gain_if_added(st_, int(a), m) for st_, m in zip(states, samples.samples))
             for a in frontier
@@ -203,7 +205,8 @@ class TestAugmentingSlots:
         st_ = init_state(m)
         union = union_of(m)
         for a in rng.permutation(c)[: int(rng.integers(1, c))].tolist():
-            union.commit(a, commit_add(st_, a, m), *union.search())
+            union.gains()
+            union.commit(a, commit_add(st_, a, m))
         mask = union.search()[0]
         for a in np.flatnonzero(~st_.pool):
             touches = bool(mask[m.row(int(a))].any())
@@ -219,22 +222,19 @@ class TestAugmentingSlots:
         m = random_relevance(rng, c, s, float(rng.choice([0.2, 0.3, 0.5])))
         samples = SampleSet((m,), 0)
         union = _Batched(samples)
-        found = None
+        union.gains()
         for a in rng.permutation(c).tolist():
-            if found is None:
-                found = union.search()
-            mask = found[0]
             row = m.row(a)
-            if row.size and mask[row].any():
+            if row.size and union.reach[row].any():
                 size_before = union_size(union, samples)
-                union.commit(a, 1, *found)
+                union.commit(a, 1)
                 assert union_size(union, samples) == size_before + 1
-                found = None
+                union.gains()
             else:
                 size_before = union_size(union, samples)
-                union.commit(a, 0, *found)
+                union.commit(a, 0)
                 assert union_size(union, samples) == size_before
-                for x, y in zip(found, union.search()):
+                for x, y in zip((union.reach, union.hop), union.search()):
                     np.testing.assert_array_equal(x, y)
         assert union_size(union, samples) == brute_max_matching(m)
 
@@ -249,12 +249,13 @@ class TestAugmentingSlots:
         st_ = init_state(m)
         union = union_of(m)
         for a in range(k):
-            union.commit(a, commit_add(st_, a, m), *union.search())
-        mask = union.search()[0]
-        assert mask.all()
+            union.gains()
+            union.commit(a, commit_add(st_, a, m))
+        gains = union.gains()
+        assert union.reach.all()
         for a in range(k, 2 * k + 1):
             assert gain_if_added(st_, a, m) == 1
-        assert union.gains(mask)[k:].tolist() == [1] * (k + 1)
+        assert gains[k:].tolist() == [1] * (k + 1)
 
 
 class TestProperties:

@@ -37,8 +37,10 @@ from matchrank.ranker import (
     rank,
     score_ranking,
     _Batched,
-    _batched_greedy,
-    _cut_greedy,
+    _Cut,
+    _greedy,
+    _resolve_stop,
+    _tie_key,
 )
 from matchrank.evaluation import evaluate
 from matchrank.synthgen import (
@@ -75,6 +77,19 @@ class TestRankerConfig:
     def test_rejects_bad_stop(self):
         with pytest.raises(InputError):
             RankerConfig(stop_at=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stop_at", 2.5), ("stop_at", True), ("stop_at", "3"), ("seed", 2.5),
+         ("seed", False), ("seed", None), ("seed", -1)],
+    )
+    def test_fields_are_type_checked(self, field, value):
+        with pytest.raises(InputError, match=field):
+            RankerConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = RankerConfig(seed=np.int64(2), stop_at=np.int32(3))
+        assert (type(cfg.seed), type(cfg.stop_at)) == (int, int)
 
 
 class TestTotalMarginalGain:
@@ -396,6 +411,14 @@ def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str)
     assert_matches_oracles(ss, stop_at, lambda cfg, stats: rank(ss, cfg, stats=stats), kernel)
 
 
+def engine_run(ss: SampleSet, make_engine):
+    """A `run` for `assert_matches_oracles`: the greedy loop of `rank` over a
+    fresh engine from `make_engine()` rather than the one `rank` picks."""
+    return lambda cfg, stats: _greedy(
+        make_engine(), _tie_key(ss), _resolve_stop(cfg, ss.candidates), stats
+    )
+
+
 def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None):
     """The cut kernel, handed every slot as a class of its own (at most
     MAX_CUT_CLASSES slots), equals both augmenting-path greedy functions."""
@@ -406,9 +429,7 @@ def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None):
         dtype=np.uint16,
     )
     cap = np.array([bin(u).count("1") for u in range(1 << ss.slots)])
-    assert_matches_oracles(
-        ss, stop_at, lambda cfg, stats: _cut_greedy(ss, cap, masks, cfg, stats), "cut"
-    )
+    assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Cut(cap, masks)), "cut")
 
 
 class TestCutKernel:
@@ -420,9 +441,7 @@ class TestCutKernel:
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
         assert_rank_matches_oracles(ss, stop_at, "cut")
         # The batched kernel takes group samples too, when called directly.
-        assert_matches_oracles(
-            ss, stop_at, lambda cfg, stats: _batched_greedy(ss, cfg, stats), "batched"
-        )
+        assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Batched(ss)), "batched")
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_samplesets_match_augmenting_path(self, seed):
@@ -453,6 +472,16 @@ class TestCutKernel:
         layout, masks = ss.group_masks
         assert layout.subset_slots[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
         assert_rank_matches_oracles(ss, None, "cut")
+
+    def test_gain_out_of_step_with_commit_is_refused(self, monkeypatch):
+        model = build_synthetic_model(
+            SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
+        )
+        ss = sample_relevances(model, 8, 1)
+        gains = _Cut.gains
+        monkeypatch.setattr(_Cut, "gains", lambda self: gains(self) * 2)
+        with pytest.raises(ContractError, match="out of step"):
+            rank(ss, RankerConfig())
 
     def test_group_model_at_the_limit_takes_cut_kernel(self):
         model = build_synthetic_model(
@@ -529,9 +558,9 @@ class TestBatchedKernel:
     def test_gain_out_of_step_with_commit_is_refused(self, toy_instance, monkeypatch):
         ss = SampleSet((toy_instance,), seed=0)
         gains = _Batched.gains
-        monkeypatch.setattr(_Batched, "gains", lambda self, reach: gains(self, reach) * 2)
+        monkeypatch.setattr(_Batched, "gains", lambda self: gains(self) * 2)
         with pytest.raises(ContractError, match="out of step"):
-            _batched_greedy(ss, RankerConfig())
+            rank(ss, RankerConfig())
 
     def test_path_must_end_at_an_exposed_slot(self, toy_instance, monkeypatch):
         # Candidate 0 gains only by moving candidate 2 from slot 0 to slot 1,
@@ -545,4 +574,4 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(_Batched, "search", without_hops)
         with pytest.raises(ContractError, match="exposed slot"):
-            _batched_greedy(ss, RankerConfig())
+            rank(ss, RankerConfig())

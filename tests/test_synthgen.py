@@ -50,6 +50,35 @@ class TestSynthParams:
         with pytest.raises(InputError):
             SynthParams(memberships=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("candidates", 30.5),
+            ("candidates", True),
+            ("groups", 3.0),
+            ("slots_per_group", "2"),
+            ("memberships", False),
+            ("seed", 1.5),
+            ("seed", None),
+            ("seed", -1),
+            ("p_base", True),
+            ("p_base", "0.3"),
+            ("p_base", None),
+        ],
+    )
+    def test_fields_are_type_checked(self, field, value):
+        params = dict(candidates=30, groups=3, slots_per_group=2)
+        with pytest.raises(InputError, match=field):
+            SynthParams(**{**params, field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        p = SynthParams(candidates=np.int64(30), groups=np.int32(3), seed=np.uint8(4))
+        assert [type(v) for v in (p.candidates, p.groups, p.seed)] == [int] * 3
+        a = build_synthetic_model(p)
+        b = build_synthetic_model(SynthParams(candidates=30, groups=3, seed=4))
+        assert np.array_equal(a.membership, b.membership)
+        assert np.array_equal(a.group_prob, b.group_prob)
+
 
 class TestBuildModel:
     def test_shape_and_determinism(self):
