@@ -18,10 +18,10 @@ from .core import (
     UNMATCHED,
     substream,
 )
-from .matching import MatchState, avg_matching, max_matching_size
+from .matching import max_matching_size
 from .ranker import RankerConfig, rank
 from .synthgen import SynthParams, build_synthetic_model, sample_relevances
-from .evaluation import EvalReport, evaluate, k_min, prefix_match_curve
+from .evaluation import EvalReport, evaluate, k_min
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,6 @@ __all__ = [
     "SparseProbMatrix",
     "UNMATCHED",
     "substream",
-    "MatchState",
-    "avg_matching",
     "max_matching_size",
     "RankerConfig",
     "rank",
@@ -47,5 +45,4 @@ __all__ = [
     "EvalReport",
     "evaluate",
     "k_min",
-    "prefix_match_curve",
 ]

@@ -25,9 +25,6 @@ measures a prefix, and ``_kmin_chunk`` dispatches on it for every draw:
   and :func:`k_min` on any matrix, are the oracle the cut form is tested
   against.
 
-Only :func:`prefix_match_curve`, which needs every prefix size, grows one
-incremental matching (:func:`~matchrank.matching.commit_add`).
-
 Evaluation draws come from dedicated per-draw sub-streams, and both methods
 consume a draw's sub-stream alike, so results are identical whichever method
 and however many worker processes compute them.
@@ -48,9 +45,10 @@ from .core import (
     ProbabilityModel,
     Ranking,
     RelevanceMatrix,
+    _as_count,
     substream,
 )
-from .matching import _matching_size, commit_add, init_state
+from .matching import _matching_size
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 from .synthgen import (
     build_synthetic_model,
@@ -62,7 +60,6 @@ from .synthgen import (
 
 __all__ = [
     "EvalReport",
-    "prefix_match_curve",
     "k_min",
     "kmin_method",
     "evaluate",
@@ -103,17 +100,6 @@ class EvalReport:
         return [k / self.slots for k in self.per_draw_kmin if k is not None]
 
 
-def prefix_match_curve(ranking: Ranking, matrix: RelevanceMatrix) -> np.ndarray:
-    """Maximum matching size after each successive candidate of `ranking`."""
-    _check_ranking_ids(ranking, matrix)
-    state = init_state(matrix)
-    out = np.zeros(len(ranking), dtype=np.int32)
-    for i, a in enumerate(ranking.order):
-        commit_add(state, int(a), matrix)
-        out[i] = state.size
-    return out
-
-
 def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) -> int | None:
     """Smallest prefix length of `ranking` that fills `target` slots.
 
@@ -122,8 +108,7 @@ def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) 
     cover every candidate — otherwise "unfillable" would be ambiguous.
     """
     _check_ranking_ids(ranking, matrix)
-    if target is None:
-        target = matrix.slots
+    target = matrix.slots if target is None else _as_count(target, "target")
     if not 0 <= target <= matrix.slots:
         raise InputError(f"target must lie in [0, {matrix.slots}]")
     if not ranking.is_complete(matrix.candidates):
@@ -257,6 +242,7 @@ def evaluate_ranking(
     The keyword fields describe how the ranking was produced and are echoed
     into the report.
     """
+    draws = _as_count(draws, "draws")
     if draws < 1:
         raise InputError("need at least one evaluation draw")
     if not ranking.is_complete(model.candidates):

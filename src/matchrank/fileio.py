@@ -22,6 +22,7 @@ from .core import (
     SlotLayout,
     SparseProbMatrix,
     _ID_LIMIT,
+    _as_count,
 )
 from .evaluation import EvalReport
 from .ranker import ALGORITHMS, TIE_BREAK
@@ -179,6 +180,7 @@ def ingest_model(
     caps every probability (useful when frequencies of 1 would make the
     "or"/"and" scores degenerate).
     """
+    slots_per_label = _as_count(slots_per_label, "slots_per_label")
     if slots_per_label < 1:
         raise InputError("slots_per_label must be at least 1")
     if probs.slots * slots_per_label >= _ID_LIMIT:

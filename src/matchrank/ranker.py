@@ -7,7 +7,7 @@ and ``matchrank-lazy``) through one greedy loop, :func:`_greedy`, over one
 of two kernels.  Each kernel is an engine with the same two methods:
 ``gains()`` returns every candidate's gain for the current pool and
 ``commit(a, gain)`` adds candidate ``a``.  Both produce identical output
-and eager's work counters:
+and the eager greedy's work counters:
 
 * the cut kernel (:class:`_Cut`) for the samples of a group model of at
   most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a candidate
@@ -19,16 +19,12 @@ and eager's work counters:
   rows.  It keeps one maximum matching over the disjoint union of all
   samples and advances every sample with one alternating search per round.
 
-:func:`matchrank` and :func:`matchrank_lazy`, called directly, are the
-plain reference both kernels are tested against.  They keep one maximum
-matching per sample, and a candidate's gain on a sample is whether one
-alternating search from it finds an augmenting path (Berge):
-
-* :func:`matchrank` re-evaluates every remaining candidate each round;
-* :func:`matchrank_lazy` keeps a max-heap of previously seen gains.  Gains
-  only shrink as the pool grows, so a popped entry whose gain is current is
-  guaranteed optimal; stale entries are re-evaluated only when they surface
-  (Minoux's lazy greedy).
+Both kernels are tested against a plain augmenting-path reference that
+lives with the test oracles: one maximum matching per sample, where a
+candidate's gain on a sample is whether one alternating search from it
+finds an augmenting path (Berge).  It runs an eager greedy, which
+re-evaluates every remaining candidate each round, and a lazy one, which
+re-evaluates only stale entries of a max-heap of gains (Minoux).
 
 Ties are broken identically everywhere: higher total gain first, then higher
 competition-normalized relevance (each slot's empirical frequency column is
@@ -45,7 +41,6 @@ one fixed pass over the counts, so comparisons stay reproducible.
 """
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -62,7 +57,6 @@ from .core import (
     _gather_rows,
     substream,
 )
-from .matching import commit_add, gain_if_added, init_state
 
 __all__ = [
     "ALGORITHMS",
@@ -70,8 +64,6 @@ __all__ = [
     "RankerConfig",
     "RankerStats",
     "rank",
-    "matchrank",
-    "matchrank_lazy",
     "empirical_marginals",
     "baseline_scores",
     "random_ranking",
@@ -126,11 +118,10 @@ class RankerStats:
     counts full marginal-gain evaluations of one candidate (the initial pass
     over all candidates included); `zero_flushed` counts candidates emitted
     after the maximum gain reached zero.  `kernel` names the greedy kernel
-    that ran: ``"cut"`` or ``"batched"`` through
-    :func:`rank`, ``"augmenting"`` for :func:`matchrank` and
-    :func:`matchrank_lazy` called directly.  The cut and batched kernels
-    evaluate every remaining candidate each round, so they report eager
-    :func:`matchrank`'s counters whichever greedy algorithm was asked for.
+    that ran: ``"cut"`` or ``"batched"`` (only the augmenting-path greedies
+    of the test oracles set ``"augmenting"``).  Both kernels evaluate every
+    remaining candidate each round, so they report the eager greedy's
+    counters whichever greedy algorithm was asked for.
     """
 
     rounds: int = 0
@@ -143,131 +134,6 @@ class RankerStats:
 def _tie_key(samples: SampleSet) -> np.ndarray:
     """Secondary sort key: competition-normalized relevance per candidate."""
     return baseline_scores(empirical_marginals(samples), "ntr")
-
-
-class _GreedyBase:
-    """Shared state of both greedy oracles: one :class:`MatchState` per
-    sample, each queried and grown by plain augmenting-path searches."""
-
-    def __init__(self, samples: SampleSet, stats: RankerStats):
-        self.samples = samples
-        self.stats = stats
-        stats.kernel = "augmenting"
-        self.c = samples.candidates
-        self.tie_key = _tie_key(samples)
-        self.states = [init_state(m, j) for j, m in enumerate(samples.samples)]
-        self.total = 0
-
-    def initial_gains(self) -> np.ndarray:
-        """Exact gains for the empty pool: #samples with any edge for `a`."""
-        gains = np.zeros(self.c, dtype=np.int64)
-        for m in self.samples.samples:
-            gains += m.degrees() > 0
-        self.stats.gain_evals += self.c
-        return gains
-
-    def eval_gain(self, a: int) -> int:
-        self.stats.gain_evals += 1
-        return sum(
-            gain_if_added(st, a, m) for st, m in zip(self.states, self.samples.samples)
-        )
-
-    def commit(self, a: int, expected_gain: int):
-        g = sum(commit_add(st, a, m) for st, m in zip(self.states, self.samples.samples))
-        if g != expected_gain:
-            raise ContractError(
-                f"gain of candidate {a} changed between evaluation and commit"
-            )
-        self.total += g
-
-
-def matchrank(
-    samples: SampleSet, cfg: RankerConfig | None = None, stats: RankerStats | None = None
-) -> Ranking:
-    """Greedy ranking, re-evaluating every remaining candidate each round.
-
-    Per round, every remaining candidate's gain is evaluated afresh; the
-    best (gain, normalized relevance, -id) wins.  Once the best gain is zero
-    it stays zero for every remaining candidate, so the tail is emitted in
-    one pass ordered by (normalized relevance, -id).
-    """
-    cfg = cfg or RankerConfig(algorithm="matchrank")
-    stats = stats if stats is not None else RankerStats()
-    eng = _GreedyBase(samples, stats)
-    limit = _resolve_stop(cfg, eng.c)
-    remaining = np.ones(eng.c, dtype=bool)
-    order: list[int] = []
-    prefix: list[int] = []
-    gains = eng.initial_gains()
-    while len(order) < limit:
-        ids = np.flatnonzero(remaining)
-        if order:  # round 1 uses the exact initial gains
-            gains = np.zeros(eng.c, dtype=np.int64)
-            for a in ids:
-                gains[a] = eng.eval_gain(int(a))
-        best = _argbest(ids, gains[ids], eng.tie_key[ids])
-        if gains[best] == 0:
-            tail = ids[np.lexsort((ids, -eng.tie_key[ids]))][: limit - len(order)]
-            # Commit the tail too, which checks that every gain there is 0.
-            for a in tail:
-                eng.commit(int(a), 0)
-            order += tail.tolist()
-            prefix += [eng.total] * tail.size
-            stats.zero_flushed += tail.size
-            break
-        eng.commit(best, int(gains[best]))
-        stats.productive_rounds += 1
-        remaining[best] = False
-        order.append(best)
-        prefix.append(eng.total)
-    stats.rounds += len(order)
-    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
-
-
-def matchrank_lazy(
-    samples: SampleSet, cfg: RankerConfig | None = None, stats: RankerStats | None = None
-) -> Ranking:
-    """Greedy ranking via lazily re-evaluated gains; output-identical to
-    :func:`matchrank`.
-
-    Heap entries are (-gain, -normalized relevance, id).  A popped entry is selected
-    outright if its gain was computed this round or is zero (gains never
-    grow, so zero is always current); otherwise it is re-evaluated and pushed
-    back.  Each candidate is re-evaluated at most once per round, so the
-    total evaluation count never exceeds the eager implementation's.
-    """
-    cfg = cfg or RankerConfig(algorithm="matchrank-lazy")
-    stats = stats if stats is not None else RankerStats()
-    eng = _GreedyBase(samples, stats)
-    limit = _resolve_stop(cfg, eng.c)
-    gains = eng.initial_gains()
-    heap = [(-int(gains[a]), -float(eng.tie_key[a]), a) for a in range(eng.c)]
-    heapq.heapify(heap)
-    eval_round = np.zeros(eng.c, dtype=np.int64)
-    round_no = 0
-    order: list[int] = []
-    prefix: list[int] = []
-    while heap and len(order) < limit:
-        neg_gain, _, a = heapq.heappop(heap)
-        if neg_gain == 0:
-            # True gain is still zero; take the whole tail in heap order.
-            eng.commit(a, 0)
-            stats.zero_flushed += 1
-            order.append(a)
-            prefix.append(eng.total)
-            continue
-        if eval_round[a] < round_no:
-            g = eng.eval_gain(a)
-            eval_round[a] = round_no
-            heapq.heappush(heap, (-g, -float(eng.tie_key[a]), a))
-            continue
-        eng.commit(a, -neg_gain)
-        stats.productive_rounds += 1
-        order.append(a)
-        prefix.append(eng.total)
-        round_no += 1
-    stats.rounds += len(order)
-    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
 def _resolve_stop(cfg: RankerConfig, c: int) -> int:
@@ -287,7 +153,7 @@ def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
 
 def _greedy(engine, tie_key: np.ndarray, limit: int, stats: RankerStats) -> Ranking:
     """Greedy ranking over a kernel's `engine`; output- and counter-identical
-    to :func:`matchrank`.  Gains never grow, so once the best one is zero the
+    to the eager augmenting-path greedy of the test oracles.  Gains never grow, so once the best one is zero the
     rest follow by (normalized relevance, -id) without further commits."""
     stats.kernel = engine.kernel
     remaining = np.ones(tie_key.size, dtype=bool)

@@ -179,6 +179,7 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
     The samples of a group model of at most :data:`MAX_CUT_CLASSES` groups
     are drawn as group masks only (:attr:`SampleSet.group_masks`).
     """
+    n = _as_count(n, "n")
     if n < 1:
         raise InputError("need at least one sample")
     rngs = (substream(seed, PURPOSE_SAMPLE, i) for i in range(n))

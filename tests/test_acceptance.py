@@ -17,21 +17,19 @@ import pytest
 
 from matchrank.evaluation import evaluate, misspecification_run
 from matchrank.fileio import write_report
-from matchrank.matching import (
+from matchrank.matching import max_matching_size
+from matchrank.ranker import RankerConfig, RankerStats
+from matchrank.synthgen import SynthParams, two_block_model
+from conftest import random_relevance, random_sampleset
+from oracles import (
+    all_ksubset_totals,
     avg_matching,
+    brute_max_matching,
     commit_add,
     init_state,
-    max_matching_size,
-)
-from matchrank.ranker import (
-    RankerConfig,
-    RankerStats,
     matchrank,
     matchrank_lazy,
 )
-from matchrank.synthgen import SynthParams, two_block_model
-from conftest import random_relevance, random_sampleset
-from oracles import all_ksubset_totals, brute_max_matching
 
 # Seeds fixed for the benchmark runs below.  Every stage owns its own seed so
 # reruns and thread-count changes cannot perturb any stream.

@@ -27,14 +27,15 @@ from matchrank.evaluation import (
     _kmin_chunk,
     _per_draw_kmins,
     evaluate,
+    evaluate_ranking,
     k_min,
     kmin_method,
     misspecification_run,
-    prefix_match_curve,
 )
-from matchrank.matching import avg_matching, commit_add, init_state, max_matching_size
-from matchrank.ranker import RankerConfig, matchrank
+from matchrank.matching import max_matching_size
+from matchrank.ranker import RankerConfig
 from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
+from oracles import avg_matching, commit_add, init_state, matchrank, prefix_match_curve
 
 
 def full_ranking(order):
@@ -84,6 +85,11 @@ class TestKMin:
         assert k_min(r, toy_instance, target=2) == 2
         with pytest.raises(InputError):
             k_min(r, toy_instance, target=4)
+
+    @pytest.mark.parametrize("target", [1.5, True, "2"])
+    def test_target_must_be_an_integer(self, toy_instance, target):
+        with pytest.raises(InputError, match="target"):
+            k_min(full_ranking([0, 1, 2, 3, 4]), toy_instance, target)
 
     def test_at_least_target_candidates_needed(self):
         rng = np.random.default_rng(1)
@@ -253,6 +259,15 @@ class TestEvaluate:
     def test_rejects_bad_draws(self):
         with pytest.raises(InputError):
             evaluate(self.CFG, self.small_model(), 4, 1, 0, 2)
+
+    @pytest.mark.parametrize("draws", [2.5, True, "3"])
+    def test_draws_must_be_an_integer(self, draws):
+        model = self.small_model()
+        ranking = full_ranking(np.arange(model.candidates))
+        with pytest.raises(InputError, match="draws"):
+            evaluate_ranking(
+                ranking, model, draws, 2, algorithm="ntr", n_samples=4, sample_seed=1
+            )
 
     def test_sample_model_changes_ranking_only(self):
         model = self.small_model()

@@ -94,6 +94,12 @@ class TestIngestModel:
         with pytest.raises(InputError):
             ingest_model(probs, max_clip=0.0)
 
+    @pytest.mark.parametrize("slots_per_label", [2.5, True, "3"])
+    def test_slots_per_label_must_be_an_integer(self, slots_per_label):
+        probs = SparseProbMatrix.from_dense([[0.5]])
+        with pytest.raises(InputError, match="slots_per_label"):
+            ingest_model(probs, slots_per_label)
+
 
 class TestModelFiles:
     def test_group_roundtrip(self, tmp_path):
@@ -336,6 +342,7 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     def test_model(self, valid_files, kind, data):
         path = valid_files["folder"] / f"mangled-{kind}.json"
+        path.unlink(missing_ok=True)
         path.write_bytes(_mutate(valid_files[kind], data.draw, _model_values))
         try:
             model, _ = read_model(path)
@@ -344,6 +351,7 @@ class TestReaderFuzz:
         assert isinstance(model, ProbabilityModel) and model.kind in ("group", "independent")
         draw = draw_relevance(model, substream(0, 0))
         assert (draw.candidates, draw.slots) == (model.candidates, model.slots)
+        path.unlink()
         write_model(model, path)
         again, _ = read_model(path)
         assert draw_relevance(again, substream(0, 0)).tobytes() == draw.tobytes()
@@ -352,6 +360,7 @@ class TestReaderFuzz:
     @settings(max_examples=400, deadline=None)
     def test_ranking(self, valid_files, data):
         path = valid_files["folder"] / "mangled-ranking.json"
+        path.unlink(missing_ok=True)
         path.write_bytes(_mutate(valid_files["ranking"], data.draw))
         try:
             ranking, meta = read_ranking(path)
@@ -366,6 +375,7 @@ class TestReaderFuzz:
     @settings(max_examples=400, deadline=None)
     def test_report(self, valid_files, data):
         path = valid_files["folder"] / "mangled-report.json"
+        path.unlink(missing_ok=True)
         path.write_bytes(_mutate(valid_files["report"], data.draw))
         try:
             rep = read_report(path)
@@ -373,6 +383,7 @@ class TestReaderFuzz:
             return
         assert len(rep.per_draw_kmin) == rep.draws
         report_table([rep])
+        path.unlink()
         write_report(rep, path)
         assert read_report(path) == rep
 
@@ -461,6 +472,7 @@ class TestConfigAndTripletFuzz:
     def test_config(self, cli_inputs, command, data):
         folder = cli_inputs["folder"]
         path = folder / "mangled.json"
+        path.unlink(missing_ok=True)
         path.write_bytes(_mutate_config(json.dumps(VALID_CONFIG).encode(), data.draw))
         try:
             cfg = load_config(path)
@@ -478,6 +490,7 @@ class TestConfigAndTripletFuzz:
             "ingest": ["--probs", str(cli_inputs["probs"])],
             "eval": ["--model", str(cli_inputs["model"]), "--ranking", str(cli_inputs["ranking"])],
         }.get(command, ["--model", str(cli_inputs["model"])])
+        (folder / "out").unlink(missing_ok=True)
         code = main([command, *inputs, "--out", str(folder / "out"), "--config", str(path)])
         assert code == 1 if refused else code in (0, 1)
 
@@ -486,6 +499,7 @@ class TestConfigAndTripletFuzz:
     def test_triplets(self, cli_inputs, data):
         folder = cli_inputs["folder"]
         path = folder / "mangled.txt"
+        path.unlink(missing_ok=True)
         path.write_bytes(_mutate_lines(VALID_TRIPLETS, data.draw))
         try:
             probs = read_prob_triplets(path)
@@ -493,7 +507,9 @@ class TestConfigAndTripletFuzz:
             probs = None
         if probs is not None:
             assert isinstance(probs, SparseProbMatrix)
+            (folder / "again.txt").unlink(missing_ok=True)
             write_prob_triplets(probs, folder / "again.txt")
             assert read_prob_triplets(folder / "again.txt").tobytes() == probs.tobytes()
+        (folder / "model-out.json").unlink(missing_ok=True)
         code = main(["ingest", "--probs", str(path), "--out", str(folder / "model-out.json")])
         assert code == (2 if probs is None else 0)

@@ -6,15 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import random_relevance, random_sampleset
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
-from matchrank.matching import (
-    avg_matching,
-    commit_add,
-    gain_if_added,
-    init_state,
-    max_matching_size,
-)
+from matchrank.matching import max_matching_size
 from matchrank.ranker import _Batched
-from oracles import brute_max_matching
+from oracles import avg_matching, brute_max_matching, commit_add, gain_if_added, init_state
 
 
 def state_snapshot(st_):
@@ -42,6 +36,13 @@ class TestMaxMatchingSize:
         assert max_matching_size(toy_instance, [0, 2]) == 2
         assert max_matching_size(toy_instance, [0, 1, 2]) == 2
         assert max_matching_size(toy_instance, [2, 3]) == 2
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            assert max_matching_size(toy_instance, np.array([2, 3], dtype=dtype)) == 2
+
+    @pytest.mark.parametrize("pool", [[0.5, 1.7], [True, False], ["1"]])
+    def test_rejects_non_integer_pool(self, toy_instance, pool):
+        with pytest.raises(InputError, match="pool"):
+            max_matching_size(toy_instance, pool)
 
     def test_rejects_bad_pool(self, toy_instance):
         with pytest.raises(InputError):

@@ -17,13 +17,6 @@ from matchrank.core import (
     SlotLayout,
     SparseProbMatrix,
 )
-from matchrank.matching import (
-    MatchState,
-    avg_matching,
-    commit_add,
-    gain_if_added,
-    init_state,
-)
 from matchrank.ranker import (
     ALGORITHMS,
     GREEDY_ALGORITHMS,
@@ -31,8 +24,6 @@ from matchrank.ranker import (
     RankerStats,
     baseline_scores,
     empirical_marginals,
-    matchrank,
-    matchrank_lazy,
     random_ranking,
     rank,
     score_ranking,
@@ -49,7 +40,16 @@ from matchrank.synthgen import (
     sample_relevances,
     two_block_model,
 )
-from oracles import all_ksubset_totals
+from oracles import (
+    MatchState,
+    all_ksubset_totals,
+    avg_matching,
+    commit_add,
+    gain_if_added,
+    init_state,
+    matchrank,
+    matchrank_lazy,
+)
 
 
 def total_marginal_gain(states: list[MatchState], a: int, samples: SampleSet) -> int:

@@ -242,6 +242,12 @@ class TestSampleRelevances:
         with pytest.raises(InputError):
             sample_relevances(model, 0, 1)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_n_must_be_an_integer(self, n):
+        model = build_synthetic_model(small_params())
+        with pytest.raises(InputError, match="n must"):
+            sample_relevances(model, n, 1)
+
 
 class TestTwoBlockModel:
     def test_structure(self):
