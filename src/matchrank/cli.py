@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 import time
 import traceback
@@ -19,6 +20,7 @@ from .core import ContractError, InputError
 from .evaluation import evaluate_ranking, kmin_method
 from .fileio import (
     ExperimentConfig,
+    _write_text,
     ingest_model,
     load_config,
     read_model,
@@ -285,8 +287,9 @@ def cmd_report(args) -> int:
     text, rows = report_table(reports)
     print(text)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        _write_text(args.out, buf.getvalue())
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -71,7 +72,11 @@ PURPOSE_RANKER = 3
 
 
 def substream(seed: int, purpose: int, *index: int) -> np.random.Generator:
-    """Return a PCG64 generator for the sub-stream (purpose, *index) of `seed`."""
+    """Return a PCG64 generator for the sub-stream (purpose, *index) of `seed`,
+    a non-negative integer."""
+    seed = _as_count(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=(purpose, *index))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -101,6 +106,11 @@ def _as_count(value, name: str) -> int:
 
 #: Candidate and slot ids are int32, so dimensions stay below this.
 _ID_LIMIT = 2**31
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -353,6 +363,12 @@ class SparseProbMatrix:
         candidates, slots = _as_count(candidates, "candidates"), _as_count(slots, "slots")
         if not (0 <= candidates < _ID_LIMIT and 0 <= slots < _ID_LIMIT):
             raise InputError(f"candidates and slots must lie in [0, {_ID_LIMIT})")
+        # The row pointers follow the declared count, not the entries, so a
+        # few bytes of file could otherwise ask for any amount of memory.
+        if 8 * (candidates + 1) > _physical_memory():
+            raise InputError(
+                f"{candidates} candidates need more memory than this host has"
+            )
         seen = set()
         kept = []
         for a, t, p in entries:

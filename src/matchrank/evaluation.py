@@ -184,7 +184,7 @@ def _kmin_chunk(
 def _draw_chunks(draws: int, threads: int) -> list[tuple[int, int]]:
     """Consecutive draw ranges [lo, hi), one per worker process: as many as
     `threads` asks for, but no more than there are draws or CPUs."""
-    workers = max(1, min(threads, draws, os.cpu_count() or 1))
+    workers = min(threads, draws, os.cpu_count() or 1)
     bounds = np.linspace(0, draws, workers + 1, dtype=int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -245,6 +245,9 @@ def evaluate_ranking(
     draws = _as_count(draws, "draws")
     if draws < 1:
         raise InputError("need at least one evaluation draw")
+    threads = _as_count(threads, "threads")
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     if not ranking.is_complete(model.candidates):
         raise InputError(
             f"ranking dimensions do not match the model "

@@ -8,6 +8,8 @@ where lines exist.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -50,13 +52,41 @@ REPORT_FORMAT = "matchrank-report"
 FORMAT_VERSION = 1
 
 
+def _write_text(path: str | Path, text: str):
+    """Write `text` to `path` as UTF-8, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the written length
+    afterwards.  On ext4 (``auto_da_alloc``), an open that truncates an
+    existing file makes its close wait for writeback, tens of milliseconds;
+    cutting it to a nonzero length does not, and every writer's text ends
+    with a newline.  The inode is kept, so links and the file mode are too.
+    Nothing is fsynced.  A write that fails leaves the file empty, never new
+    bytes followed by old ones, so the readers refuse it.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # A pipe or a terminal (``--out /dev/stdout``) has no length to cut.
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        with open(fd, "wb", closefd=False) as fh:
+            fh.write(data)
+        if regular:
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        if regular:
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def _dump_compact(obj, path: str | Path):
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    Path(path).write_text(text + "\n")
+    _write_text(path, text + "\n")
 
 
 def _dump_pretty(obj, path: str | Path):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_stats(stats: dict, path: str | Path):
@@ -165,7 +195,7 @@ def write_prob_triplets(matrix: SparseProbMatrix, path: str | Path):
     rows = matrix.row_ids()
     for a, t, p in zip(rows.tolist(), matrix.indices.tolist(), matrix.probs.tolist()):
         out.append(f"{a} {t} {p!r}")
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 def ingest_model(
@@ -273,7 +303,7 @@ def write_samples(samples: SampleSet, path: str | Path):
         out.append(f"sample {i} {m.edge_count}")
         for a, t in zip(m.row_ids().tolist(), m.indices.tolist()):
             out.append(f"{a} {t}")
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,20 @@ def read_samples(path) -> SampleSet:
         except InputError as e:
             raise InputError(f"{path}: sample {i}: {e}")
     return SampleSet(tuple(mats), seed)
+
+
+@pytest.fixture
+def os_open_calls(monkeypatch) -> list[tuple[str, int]]:
+    """The path and flags of every ``os.open`` call made while the test runs."""
+    calls = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        calls.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    return calls
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from matchrank import core
 from matchrank.cli import main
 from conftest import read_samples
 from matchrank.fileio import read_model, read_ranking, read_report
@@ -427,6 +429,57 @@ class TestReport:
 
     def test_missing_report_exits_2(self, tmp_path):
         assert run("report", str(tmp_path / "none.json")) == 2
+
+
+class TestOutputsRewrittenInPlace:
+    """An existing ``--out`` file is rewritten in place, not truncated at open."""
+
+    @pytest.fixture
+    def report_path(self, tmp_path, model_path):
+        rk, out = tmp_path / "ranking.json", tmp_path / "report.json"
+        assert run("rank", "--model", str(model_path), "--out", str(rk), "--n", "4") == 0
+        assert run("eval", "--model", str(model_path), "--ranking", str(rk),
+                   "--out", str(out), "--draws", "3") == 0
+        return out
+
+    @pytest.mark.parametrize("before", ["longer", "shorter"])
+    def test_report_csv_bytes_do_not_depend_on_the_file_overwritten(
+        self, tmp_path, report_path, before
+    ):
+        fresh, target = tmp_path / "fresh.csv", tmp_path / "target.csv"
+        assert run("report", str(report_path), "--out", str(fresh)) == 0
+        want = fresh.read_bytes()
+        assert want.endswith(b"\r\n")  # the csv module's line ends, untranslated
+        target.write_bytes(want * 2 if before == "longer" else want[:5])
+        assert run("report", str(report_path), "--out", str(target)) == 0
+        assert target.read_bytes() == want
+
+    def test_report_csv_is_not_opened_with_o_trunc(self, tmp_path, report_path, os_open_calls):
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"an older and longer table\n" * 100)
+        assert run("report", str(report_path), "--out", str(out)) == 0
+        flags = [f for p, f in os_open_calls if p == str(out)]
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_symlinked_out_is_written_through(self, tmp_path, model_path):
+        fresh, target, link = tmp_path / "fresh.json", tmp_path / "target.json", tmp_path / "link.json"
+        assert run("rank", "--model", str(model_path), "--out", str(fresh), "--n", "4") == 0
+        target.write_bytes(b"x" * 10000)
+        link.symlink_to(target)
+        assert run("rank", "--model", str(model_path), "--out", str(link), "--n", "4") == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+
+class TestMemoryPreflight:
+    def test_model_declaring_more_candidates_than_memory_exits_2(
+        self, tmp_path, ingested_model_path, capsys, monkeypatch
+    ):
+        # 24 candidates need 200 bytes of row pointers.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 199)
+        code = run("rank", "--model", str(ingested_model_path), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "24 candidates need more memory than this host has" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_set, random_relevance
+from matchrank import core
 from matchrank.core import (
     InputError,
     MAX_CUT_CLASSES,
@@ -170,6 +171,17 @@ class TestSparseProbMatrix:
             SparseProbMatrix(1, 2, [0, 2], [0, 1], [bad, 0.5])
         with pytest.raises(InputError):
             SparseProbMatrix.from_triplets(1, 2, [(0, 0, bad)])
+
+    def test_from_triplets_refuses_more_candidates_than_memory_holds(self, monkeypatch):
+        # The row pointers of 1,000 candidates take 8,008 bytes.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8007)
+        with pytest.raises(InputError, match="1000 candidates need more memory"):
+            SparseProbMatrix.from_triplets(1000, 2, [])
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8008)
+        assert SparseProbMatrix.from_triplets(1000, 2, []).candidates == 1000
+
+    def test_physical_memory_is_positive(self):
+        assert core._physical_memory() > 0
 
     def test_triplets_zero_dropped_and_sorted(self):
         p = SparseProbMatrix.from_triplets(2, 3, [(1, 2, 0.3), (1, 0, 0.2), (0, 1, 0.0)])
@@ -361,3 +373,11 @@ class TestSubstream:
         x = substream(seed, purpose, idx).integers(0, 2**63)
         y = substream(seed, purpose, idx).integers(0, 2**63)
         assert x == y
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InputError, match="seed must"):
+            substream(seed, 0)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        assert substream(np.uint8(7), 1, 3).random() == substream(7, 1, 3).random()

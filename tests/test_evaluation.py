@@ -269,6 +269,24 @@ class TestEvaluate:
                 ranking, model, draws, 2, algorithm="ntr", n_samples=4, sample_seed=1
             )
 
+    @pytest.mark.parametrize("eval_seed", [1.5, True, -1])
+    def test_eval_seed_must_be_a_non_negative_integer(self, eval_seed):
+        model = self.small_model()
+        ranking = full_ranking(np.arange(model.candidates))
+        with pytest.raises(InputError, match="seed must"):
+            evaluate_ranking(
+                ranking, model, 3, eval_seed, algorithm="ntr", n_samples=4, sample_seed=1
+            )
+
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        model = self.small_model()
+        ranking = full_ranking(np.arange(model.candidates))
+        with pytest.raises(InputError, match="threads must"):
+            evaluate_ranking(
+                ranking, model, 3, 2, threads, algorithm="ntr", n_samples=4, sample_seed=1
+            )
+
     def test_sample_model_changes_ranking_only(self):
         model = self.small_model()
         skew = two_block_model(24, 6, 0.95, 0.1)

@@ -1,5 +1,8 @@
 import dataclasses
+import errno
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sampleset, read_samples
+from matchrank import fileio
 from matchrank.cli import main
 from matchrank.core import InputError, ProbabilityModel, Ranking, SparseProbMatrix, substream
 from matchrank.evaluation import evaluate
@@ -24,6 +28,7 @@ from matchrank.fileio import (
     write_ranking,
     write_report,
     write_samples,
+    write_stats,
 )
 from matchrank.ranker import TIE_BREAK, RankerConfig
 from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
@@ -231,6 +236,103 @@ class TestReportFiles:
         assert "matchrank-lazy" in text
 
 
+_WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "triplets")
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """Every library writer, as a function of the output path."""
+    group = build_synthetic_model(SynthParams(groups=3, slots_per_group=2, candidates=6, seed=1))
+    independent = two_block_model(6, 4, 0.8, 0.7)
+    ranking = Ranking(np.array([2, 0, 3, 1], dtype=np.int32), (1, 2, 2, 2))
+    report = evaluate(RankerConfig(), two_block_model(12, 4, 0.8, 0.7), 4, 1, 3, 2)
+    samples = random_sampleset(np.random.default_rng(3), 6, 4, 3, 0.4, seed=11)
+    return dict(zip(_WRITERS, (
+        lambda p: write_model(group, p, metadata={"note": "x"}),
+        lambda p: write_model(independent, p),
+        lambda p: write_ranking(ranking, p, "matchrank", 4, 2, 5, 1, 0),
+        lambda p: write_report(report, p),
+        lambda p: write_stats({"rank_s": 0.5, "rounds": 4}, p),
+        lambda p: write_samples(samples, p),
+        lambda p: write_prob_triplets(independent.marginals, p),
+    )))
+
+
+class _FullDisk:
+    """Stands in for the output file object: writes half of what it is
+    given, then fails as a full disk does."""
+
+    def __init__(self, fd, mode, closefd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, data):
+        os.write(self.fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestWritersRewriteInPlace:
+    """An existing output file is rewritten in place: never truncated at
+    open, which on ext4 makes the file's close wait for writeback."""
+
+    @pytest.mark.parametrize("before", ["longer", "same length", "shorter"])
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_bytes_do_not_depend_on_the_file_overwritten(self, writers, tmp_path, name, before):
+        fresh, target = tmp_path / "fresh", tmp_path / "target"
+        writers[name](fresh)
+        want = fresh.read_bytes()
+        old = {"longer": want * 2 + b"tail", "same length": b"x" * len(want),
+               "shorter": want[: len(want) // 2]}[before]
+        target.write_bytes(old)
+        writers[name](target)
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_no_writer_opens_with_o_trunc(self, writers, tmp_path, os_open_calls, name):
+        path = tmp_path / "out"
+        path.write_bytes(b"an older and longer file\n" * 100)
+        writers[name](path)
+        flags = [f for p, f in os_open_calls if p == str(path)]
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_overwrite_keeps_the_inode_its_links_and_its_mode(self, writers, tmp_path):
+        path, link = tmp_path / "r.json", tmp_path / "hard.json"
+        path.write_bytes(b"x" * 5000)
+        path.chmod(0o640)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        writers["ranking"](path)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert link.read_bytes() == path.read_bytes() != b"x" * 5000
+
+    @pytest.mark.parametrize("name", _WRITERS)
+    def test_writes_into_a_pipe(self, writers, tmp_path, name):
+        # As ``--out /dev/stdout`` does when piped on: a pipe has no length.
+        writers[name](tmp_path / "fresh")
+        r, w = os.pipe()
+        with open(r, "rb") as reader:
+            with open(w, "wb") as writer_end:
+                writers[name](f"/dev/fd/{writer_end.fileno()}")
+            assert reader.read() == (tmp_path / "fresh").read_bytes()
+
+    def test_a_failed_write_leaves_the_file_empty(self, writers, tmp_path, monkeypatch):
+        # Never the new head followed by the old tail, which could parse.
+        path = tmp_path / "report.json"
+        writers["report"](path)
+        monkeypatch.setattr(fileio, "open", _FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            writers["report"](path)
+        assert path.read_bytes() == b""
+        with pytest.raises(InputError, match="not valid JSON"):
+            read_report(path)
+
+
 class TestExperimentConfig:
     def test_valid(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -351,7 +453,6 @@ class TestReaderFuzz:
         assert isinstance(model, ProbabilityModel) and model.kind in ("group", "independent")
         draw = draw_relevance(model, substream(0, 0))
         assert (draw.candidates, draw.slots) == (model.candidates, model.slots)
-        path.unlink()
         write_model(model, path)
         again, _ = read_model(path)
         assert draw_relevance(again, substream(0, 0)).tobytes() == draw.tobytes()
@@ -383,7 +484,6 @@ class TestReaderFuzz:
             return
         assert len(rep.per_draw_kmin) == rep.draws
         report_table([rep])
-        path.unlink()
         write_report(rep, path)
         assert read_report(path) == rep
 

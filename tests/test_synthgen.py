@@ -248,6 +248,12 @@ class TestSampleRelevances:
         with pytest.raises(InputError, match="n must"):
             sample_relevances(model, n, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        model = build_synthetic_model(small_params())
+        with pytest.raises(InputError, match="seed must"):
+            sample_relevances(model, 2, seed)
+
 
 class TestTwoBlockModel:
     def test_structure(self):
