@@ -6,9 +6,7 @@ inconsistent data files, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import sys
 import time
 import traceback
@@ -20,7 +18,6 @@ from .core import ContractError, InputError
 from .evaluation import evaluate_ranking, kmin_method
 from .fileio import (
     ExperimentConfig,
-    _write_text,
     ingest_model,
     load_config,
     read_model,
@@ -33,6 +30,7 @@ from .fileio import (
     write_report,
     write_samples,
     write_stats,
+    write_table,
 )
 from .ranker import ALGORITHMS, RankerConfig, RankerStats, rank
 from .synthgen import SynthParams, build_synthetic_model, model_metadata, sample_relevances
@@ -287,9 +285,7 @@ def cmd_report(args) -> int:
     text, rows = report_table(reports)
     print(text)
     if args.out:
-        buf = io.StringIO(newline="")
-        csv.writer(buf).writerows(rows)
-        _write_text(args.out, buf.getvalue())
+        write_table(rows, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -109,7 +109,7 @@ _ID_LIMIT = 2**31
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory on this host."""
+    """Bytes of physical memory on this host, not a container's limit."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -221,17 +221,20 @@ def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.n
         raise InputError(f"indptr must have length {candidates + 1}")
     if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
         raise InputError("indptr endpoints do not bracket the entry array")
-    if np.any(np.diff(indptr) < 0):
+    if np.any(indptr[1:] < indptr[:-1]):
         raise InputError("indptr must be non-decreasing")
     if indices.size:
         if indices.min() < 0 or indices.max() >= slots:
             raise InputError(f"slot ids must lie in [0, {slots})")
         # Sorted with no duplicates within each row: strictly increasing runs.
-        diffs = np.diff(indices)
-        row_break = np.zeros(len(diffs), dtype=bool)
+        # Only an entry that opens a row may step down.  `indptr` is sorted,
+        # so the row starts inside (0, nnz) are one slice of it: no temporary
+        # the size of the candidate count.
         interior = indptr[1:-1]
-        row_break[interior[(interior > 0) & (interior < indices.size)] - 1] = True
-        if np.any(~row_break & (diffs <= 0)):
+        lo, hi = np.searchsorted(interior, [1, indices.size])
+        opens_row = np.zeros(indices.size, dtype=bool)
+        opens_row[interior[lo:hi]] = True
+        if np.any(~opens_row[1:] & (np.diff(indices) <= 0)):
             raise InputError("slot ids must be strictly increasing within each row")
 
 
@@ -365,7 +368,9 @@ class SparseProbMatrix:
             raise InputError(f"candidates and slots must lie in [0, {_ID_LIMIT})")
         # The row pointers follow the declared count, not the entries, so a
         # few bytes of file could otherwise ask for any amount of memory.
-        if 8 * (candidates + 1) > _physical_memory():
+        # At the peak, `indptr` and bincount's counts are both held: 16 bytes
+        # a candidate.
+        if 16 * (candidates + 1) > _physical_memory():
             raise InputError(
                 f"{candidates} candidates need more memory than this host has"
             )

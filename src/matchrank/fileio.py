@@ -7,6 +7,8 @@ where lines exist.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import stat
@@ -42,6 +44,7 @@ __all__ = [
     "write_report",
     "read_report",
     "report_table",
+    "write_table",
     "ExperimentConfig",
     "load_config",
 ]
@@ -56,12 +59,18 @@ def _write_text(path: str | Path, text: str):
     """Write `text` to `path` as UTF-8, rewriting an existing file in place.
 
     The file is opened without ``O_TRUNC`` and cut to the written length
-    afterwards.  On ext4 (``auto_da_alloc``), an open that truncates an
-    existing file makes its close wait for writeback, tens of milliseconds;
-    cutting it to a nonzero length does not, and every writer's text ends
-    with a newline.  The inode is kept, so links and the file mode are too.
-    Nothing is fsynced.  A write that fails leaves the file empty, never new
-    bytes followed by old ones, so the readers refuse it.
+    afterwards.  On ext4, an open with ``O_TRUNC`` of a file whose last
+    write also truncated it waited 40-80 ms, so every write of a path from
+    its third on paid that; cutting it to a nonzero length after the write
+    never waited, and every writer's text ends with a newline.  A new file
+    costs the same either way.  The inode is kept, so links and the file
+    mode are too.
+
+    Nothing is fsynced.  A write that fails inside the process leaves the
+    file empty, never new bytes followed by old ones, so the readers refuse
+    it.  A crash or power loss is another matter: the new length can reach
+    the disk before the overwritten pages do, so an overwritten file can
+    then hold old bytes, or old and new ones mixed, which may still parse.
     """
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -436,6 +445,14 @@ def report_table(reports: list[EvalReport]) -> tuple[str, list[list[str]]]:
         if irow == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines), csv_rows
+
+
+def write_table(rows: list[list[str]], path: str | Path):
+    """Write `report_table`'s rows as CSV, with the csv module's CRLF line
+    ends."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 # --------------------------------------------------------------------------

@@ -475,8 +475,8 @@ class TestMemoryPreflight:
     def test_model_declaring_more_candidates_than_memory_exits_2(
         self, tmp_path, ingested_model_path, capsys, monkeypatch
     ):
-        # 24 candidates need 200 bytes of row pointers.
-        monkeypatch.setattr(core, "_physical_memory", lambda: 199)
+        # 24 candidates need 400 bytes: row pointers and their counts.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 399)
         code = run("rank", "--model", str(ingested_model_path), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "24 candidates need more memory than this host has" in capsys.readouterr().err

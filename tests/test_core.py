@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,12 +175,24 @@ class TestSparseProbMatrix:
             SparseProbMatrix.from_triplets(1, 2, [(0, 0, bad)])
 
     def test_from_triplets_refuses_more_candidates_than_memory_holds(self, monkeypatch):
-        # The row pointers of 1,000 candidates take 8,008 bytes.
-        monkeypatch.setattr(core, "_physical_memory", lambda: 8007)
+        # 1,000 candidates take 16,016 bytes: the row pointers and their counts.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16015)
         with pytest.raises(InputError, match="1000 candidates need more memory"):
             SparseProbMatrix.from_triplets(1000, 2, [])
-        monkeypatch.setattr(core, "_physical_memory", lambda: 8008)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16016)
         assert SparseProbMatrix.from_triplets(1000, 2, []).candidates == 1000
+
+    def test_preflight_covers_the_peak_allocation(self):
+        # NumPy reports its arrays to tracemalloc.  A few entries and many
+        # declared candidates: the peak is what the count alone costs.
+        candidates = 200_000
+        tracemalloc.start()
+        try:
+            SparseProbMatrix.from_triplets(candidates, 2, [(0, 1, 0.5), (candidates - 1, 0, 0.5)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * (candidates + 1) < peak <= 16 * (candidates + 1) + 64 * 1024
 
     def test_physical_memory_is_positive(self):
         assert core._physical_memory() > 0

@@ -29,6 +29,7 @@ from matchrank.fileio import (
     write_report,
     write_samples,
     write_stats,
+    write_table,
 )
 from matchrank.ranker import TIE_BREAK, RankerConfig
 from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
@@ -236,7 +237,8 @@ class TestReportFiles:
         assert "matchrank-lazy" in text
 
 
-_WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "triplets")
+_WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "triplets",
+            "table")
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,7 @@ def writers():
         lambda p: write_stats({"rank_s": 0.5, "rounds": 4}, p),
         lambda p: write_samples(samples, p),
         lambda p: write_prob_triplets(independent.marginals, p),
+        lambda p: write_table(report_table([report])[1], p),
     )))
 
 
