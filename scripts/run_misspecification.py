@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from matchrank.evaluation import misspecification_run
-from matchrank.fileio import report_table, write_report
+from matchrank.fileio import report_table, write_report, write_text
 from matchrank.ranker import RankerConfig
 from matchrank.synthgen import SynthParams
 
@@ -70,7 +70,7 @@ def main():
 
     text, _ = report_table(reports)
     print(text)
-    (out / "table.txt").write_text(text + "\n")
+    write_text(out / "table.txt", text + "\n")
     print(f"\n{len(reports)} runs in {time.time()-t0:.1f}s; reports in {out}/")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from matchrank.evaluation import evaluate
-from matchrank.fileio import report_table, write_report
+from matchrank.fileio import report_table, write_report, write_text
 from matchrank.ranker import ALGORITHMS, RankerConfig, RankerStats
 from matchrank.synthgen import SynthParams, build_synthetic_model, model_metadata
 
@@ -80,7 +80,7 @@ def main():
     text, _ = report_table(reports)
     print()
     print(text)
-    (out / "table.txt").write_text(text + "\n")
+    write_text(out / "table.txt", text + "\n")
     print(f"\nreports in {out}/")
 
 

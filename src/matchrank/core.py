@@ -46,20 +46,22 @@ UNMATCHED = -1
 #: Probabilities in generated models are clipped into this closed range.
 PROB_CLIP = (0.0001, 0.9999)
 
-#: Most groups of a group model whose samples are their group masks
-#: (:attr:`SampleSet.group_masks`), and so the most the greedy ranker's cut
-#: kernel takes; other sample sets go to its batched kernel.
-#: The cut kernel's work and its per-sample count array grow as 2**groups,
-#: so this also caps that array at n * 2**12 int32 before it is allocated.
-#: Seconds per ranking by each kernel alone (`_Cut` on the samples' group
-#: masks, `_Batched`) on group models of 500 candidates x G
-#: groups of 10 slots (n=200, mean of two model seeds, 2-core host):
+#: Most groups of a group model whose samples the greedy ranker's cut kernel
+#: takes, as bit masks derived from their group coins; other sample sets go
+#: to its batched kernel.  The cut kernel's work and its per-sample count
+#: array grow as 2**groups, so this also caps that array at n * 2**12 int32.
+#: Seconds per ranking by each kernel alone (`_Cut` on the masks, `_Batched`
+#: on group bins) on group models of C candidates x G groups of k slots
+#: (n=200, mean of two model seeds, 2-core host):
 #:
-#:     G        8     10     11     12     13     14
-#:     cut     0.05   0.22   0.35   0.79   1.71   4.10
-#:     batched 0.85   1.16   1.34   1.46   1.55   1.74
+#:     C x k       G    8      10     11     12     13     14
+#:     500 x 10    cut  0.013  0.047  0.086  0.187  0.376  1.061
+#:                 bat  0.049  0.060  0.068  0.080  0.090  0.095
+#:     10000 x 50  cut         0.31          1.20
+#:                 bat         3.44          4.10
 #:
-#: Cut wins up to 12 and loses from 13 on.  At most 16: masks are uint16.
+#: The batched kernel wins from 11 groups on small models, the cut kernel up
+#: to 12 at the default scale.  At most 16: masks are uint16.
 MAX_CUT_CLASSES = 12
 
 # Spawn-key purposes.  Every consumer of randomness owns one purpose so that
@@ -182,36 +184,59 @@ class SlotLayout:
     def slots_of(self, groups: np.ndarray) -> np.ndarray:
         """Concatenated slot ids of `groups` (repeats allowed), in order, as int32."""
         indptr = np.append(self.group_start, self.total_slots)
-        return _gather_rows(indptr, np.arange(self.total_slots, dtype=np.int32), groups)
-
-    def relevance(self, masks: np.ndarray) -> "RelevanceMatrix":
-        """The matrix whose row a holds the slots of the groups in the bit
-        mask ``masks[a]`` (at most :data:`MAX_CUT_CLASSES` groups)."""
-        _, groups = np.nonzero(masks[:, None] >> np.arange(self.group_count) & 1)
-        indptr = np.zeros(masks.size + 1, dtype=np.int64)
-        np.cumsum(self.subset_slots[masks], out=indptr[1:])
-        return RelevanceMatrix(masks.size, self.total_slots, indptr, self.slots_of(groups))
+        return _row_positions(indptr, groups).astype(np.int32)
 
 
-def _gather_rows(indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenated entries of the given CSR rows, preserving row order.
-
-    Equivalent to ``np.concatenate([entries[indptr[r]:indptr[r+1]] for r in
-    rows])`` without the Python loop; rows may repeat.
-    """
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions, in `indptr`'s dtype, of the entries of CSR `rows` (repeats
+    allowed): ``entries[_row_positions(indptr, rows)]`` is ``np.concatenate(
+    [entries[indptr[r]:indptr[r+1]] for r in rows])`` without the loop."""
     lens = indptr[rows + 1] - indptr[rows]
     total = int(lens.sum())
     if total == 0:
-        return np.empty(0, dtype=entries.dtype)
+        return np.empty(0, dtype=indptr.dtype)
     keep = lens > 0
     r, lens = rows[keep], lens[keep]
     first = indptr[r]
-    # Positions fit the dtype of `indptr`, so an int32 CSR gathers in int32.
     steps = np.ones(total, dtype=indptr.dtype)
     steps[0] = first[0]
     bounds = np.cumsum(lens)[:-1]
     steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
-    return entries[np.cumsum(steps, out=steps)]
+    return np.cumsum(steps, out=steps)
+
+
+def _as_membership(layout: SlotLayout, membership) -> np.ndarray:
+    """`membership` as read-only int32 rows, one per candidate, of strictly
+    increasing group ids of `layout`."""
+    mem = _as_int_array(membership, np.int32, "membership")
+    if mem.ndim != 2 or not 1 <= mem.shape[1] <= layout.group_count:
+        raise InputError("membership must be candidates x memberships, in [1, group_count]")
+    if mem.size and (mem.min() < 0 or mem.max() >= layout.group_count):
+        raise InputError("membership ids out of range")
+    if np.any(np.diff(mem, axis=1) <= 0):
+        raise InputError("membership rows must be strictly increasing")
+    mem.setflags(write=False)
+    return mem
+
+
+def _coin_rows(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) -> RelevanceMatrix:
+    """The draw of one coin per (candidate, membership): row a holds the slots
+    of every group ``membership[a, i]`` whose coin ``coins[a, i]`` is set."""
+    per_cand = (coins * layout.group_sizes[membership]).sum(axis=1)
+    indptr = np.zeros(len(membership) + 1, dtype=np.int64)
+    np.cumsum(per_cand, out=indptr[1:])
+    # Row-major selection keeps each candidate's groups in ascending order,
+    # so the expanded slot ids are sorted within each row.
+    indices = layout.slots_of(membership[coins])
+    return RelevanceMatrix(len(membership), layout.total_slots, indptr, indices)
+
+
+def _coin_masks(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """Per candidate (after any leading draw axes of `coins`), the uint16 bit
+    mask of the groups that own slots and whose coin is set (<= 16 groups)."""
+    # A row's groups are distinct, so the sum of their bits is their OR.
+    bits = ((1 << membership) & layout.slotted_bits).astype(np.uint16)
+    return np.einsum("...cj,cj->...c", coins, bits)
 
 
 def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray):
@@ -473,21 +498,14 @@ class ProbabilityModel:
                 raise InputError("group model requires layout, membership, group_prob")
             if self.marginals is not None:
                 raise InputError("group model must not carry explicit marginals")
-            mem = _as_int_array(self.membership, np.int32, "membership")
+            mem = _as_membership(self.layout, self.membership)
             gp = np.ascontiguousarray(self.group_prob, dtype=np.float64)
-            if mem.ndim != 2 or gp.shape != mem.shape:
+            if gp.shape != mem.shape:
                 raise InputError("membership and group_prob must share shape (candidates, memberships)")
-            if mem.shape[1] < 1 or mem.shape[1] > self.layout.group_count:
-                raise InputError("memberships per candidate must lie in [1, group_count]")
-            if mem.size and (mem.min() < 0 or mem.max() >= self.layout.group_count):
-                raise InputError("membership ids out of range")
-            if mem.shape[1] > 1 and np.any(np.diff(mem, axis=1) <= 0):
-                raise InputError("membership rows must be strictly increasing")
             if gp.size and (
                 not np.isfinite(gp).all() or gp.min() <= 0.0 or gp.max() >= 1.0
             ):
                 raise InputError("group probabilities must lie strictly inside (0, 1)")
-            mem.setflags(write=False)
             gp.setflags(write=False)
             object.__setattr__(self, "membership", mem)
             object.__setattr__(self, "group_prob", gp)
@@ -525,15 +543,9 @@ class ProbabilityModel:
         """Per-(candidate, slot) edge probabilities implied by the model."""
         if self.kind == KIND_INDEPENDENT:
             return self.marginals
-        sizes = self.layout.group_sizes
-        c, a = self.membership.shape
-        per_cand = sizes[self.membership].sum(axis=1)
-        indptr = np.zeros(c + 1, dtype=np.int64)
-        np.cumsum(per_cand, out=indptr[1:])
-        flat_groups = self.membership.ravel()
-        indices = self.layout.slots_of(flat_groups)
-        probs = np.repeat(self.group_prob.ravel(), sizes[flat_groups])
-        return SparseProbMatrix(c, self.layout.total_slots, indptr, indices, probs)
+        m = _coin_rows(self.layout, self.membership, np.ones(self.membership.shape, dtype=bool))
+        probs = np.repeat(self.group_prob.ravel(), self.layout.group_sizes[self.membership.ravel()])
+        return SparseProbMatrix(m.candidates, m.slots, m.indptr, m.indices, probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,59 +553,55 @@ class SampleSet:
     """n relevance matrices drawn i.i.d. from one model, plus the seed used.
 
     A set holds one of two forms, never both.  `rows` is a tuple of
-    slot-level matrices.  `group_masks`, for samples drawn from a group
-    model of at most :data:`MAX_CUT_CLASSES` groups, is ``(layout, masks)``:
-    the model's :class:`SlotLayout`, and per sample and candidate the bit
-    mask of the groups the candidate was drawn relevant to (uint16,
-    n x candidates); groups without slots set no bit.  Such a draw's row is
-    the union of the slots of its mask's groups, and :attr:`samples`
-    expands the masks into those rows on first use.
+    slot-level matrices.  `group_coins`, for samples drawn from a group
+    model, is ``(layout, membership, coins)``: the model's
+    :class:`SlotLayout` and membership, and per sample, candidate and
+    membership whether the candidate won that group (bool, n x candidates x
+    memberships).  Such a draw's row is the union of the slots of the groups
+    it won, and :attr:`samples` expands the coins into those rows on first
+    use.
     """
 
     rows: tuple[RelevanceMatrix, ...] | None
     seed: int
-    group_masks: tuple[SlotLayout, np.ndarray] | None = None
+    group_coins: tuple[SlotLayout, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if (self.rows is None) == (self.group_masks is None):
-            raise InputError("a sample set holds either rows or group masks")
-        if self.group_masks is None:
+        if (self.rows is None) == (self.group_coins is None):
+            raise InputError("a sample set holds either rows or group coins")
+        if self.group_coins is None:
             object.__setattr__(self, "rows", tuple(self.rows))
             if not self.rows:
                 raise InputError("a sample set needs at least one sample")
             if len({(m.candidates, m.slots) for m in self.rows}) > 1:
                 raise InputError("all samples must share dimensions")
             return
-        layout, masks = self.group_masks
-        if layout.group_count > MAX_CUT_CLASSES:
-            raise InputError(f"group masks cover at most {MAX_CUT_CLASSES} groups")
-        masks = _as_int_array(masks, np.uint16, "group masks")
-        if masks.ndim != 2 or not len(masks):
-            raise InputError("group masks must be n x candidates, for at least one sample")
-        if (masks & ~np.uint16(layout.slotted_bits)).any():
-            raise InputError("group masks name groups without slots")
-        masks.setflags(write=False)
-        object.__setattr__(self, "group_masks", (layout, masks))
+        layout, membership, coins = self.group_coins
+        membership, coins = _as_membership(layout, membership), np.asarray(coins)
+        if coins.dtype != bool or coins.shape[1:] != membership.shape or len(coins) < 1:
+            raise InputError("group coins must be n x candidates x memberships booleans, n >= 1")
+        coins.setflags(write=False)
+        object.__setattr__(self, "group_coins", (layout, membership, coins))
 
     @cached_property
     def samples(self) -> tuple[RelevanceMatrix, ...]:
-        """The slot-level matrices: `rows`, or the expanded group masks."""
+        """The slot-level matrices: `rows`, or the expanded group coins."""
         if self.rows is not None:
             return self.rows
-        layout, masks = self.group_masks
-        return tuple(layout.relevance(m) for m in masks)
+        layout, membership, coins = self.group_coins
+        return tuple(_coin_rows(layout, membership, won) for won in coins)
 
     @property
     def n(self) -> int:
-        return len(self.rows or self.group_masks[1])
+        return len(self.rows or self.group_coins[2])
 
     @property
     def candidates(self) -> int:
-        return self.rows[0].candidates if self.rows else self.group_masks[1].shape[1]
+        return self.rows[0].candidates if self.rows else len(self.group_coins[1])
 
     @property
     def slots(self) -> int:
-        return self.rows[0].slots if self.rows else self.group_masks[0].total_slots
+        return self.rows[0].slots if self.rows else self.group_coins[0].total_slots
 
     def tobytes(self) -> bytes:
         head = np.array([self.n, self.seed], dtype=np.int64).tobytes()

@@ -41,6 +41,7 @@ import numpy as np
 from .core import (
     ContractError,
     InputError,
+    MAX_CUT_CLASSES,
     PURPOSE_EVAL,
     ProbabilityModel,
     Ranking,
@@ -52,7 +53,6 @@ from .matching import _matching_size
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 from .synthgen import (
     build_synthetic_model,
-    carries_group_masks,
     draw_group_masks,
     draw_relevance,
     sample_relevances,
@@ -163,10 +163,10 @@ def _bisect(size, n: int, target: int) -> int | None:
 
 
 def kmin_method(model: ProbabilityModel) -> str:
-    """How evaluation finds ``k_min`` on draws of `model`: ``"cut"`` when its
-    draws carry group masks, ``"bisection"`` otherwise (see the module
-    docstring)."""
-    return "cut" if carries_group_masks(model) else "bisection"
+    """How evaluation finds ``k_min`` on draws of `model`: ``"cut"`` for a
+    group model of at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups,
+    ``"bisection"`` otherwise (see the module docstring)."""
+    return "cut" if model.layout and model.layout.group_count <= MAX_CUT_CLASSES else "bisection"
 
 
 def _kmin_chunk(

@@ -45,6 +45,7 @@ __all__ = [
     "read_report",
     "report_table",
     "write_table",
+    "write_text",
     "ExperimentConfig",
     "load_config",
 ]
@@ -55,7 +56,7 @@ REPORT_FORMAT = "matchrank-report"
 FORMAT_VERSION = 1
 
 
-def _write_text(path: str | Path, text: str):
+def write_text(path: str | Path, text: str):
     """Write `text` to `path` as UTF-8, rewriting an existing file in place.
 
     The file is opened without ``O_TRUNC`` and cut to the written length
@@ -91,11 +92,11 @@ def _write_text(path: str | Path, text: str):
 
 def _dump_compact(obj, path: str | Path):
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    _write_text(path, text + "\n")
+    write_text(path, text + "\n")
 
 
 def _dump_pretty(obj, path: str | Path):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_stats(stats: dict, path: str | Path):
@@ -204,7 +205,7 @@ def write_prob_triplets(matrix: SparseProbMatrix, path: str | Path):
     rows = matrix.row_ids()
     for a, t, p in zip(rows.tolist(), matrix.indices.tolist(), matrix.probs.tolist()):
         out.append(f"{a} {t} {p!r}")
-    _write_text(path, "\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")
 
 
 def ingest_model(
@@ -312,7 +313,7 @@ def write_samples(samples: SampleSet, path: str | Path):
         out.append(f"sample {i} {m.edge_count}")
         for a, t in zip(m.row_ids().tolist(), m.indices.tolist()):
             out.append(f"{a} {t}")
-    _write_text(path, "\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +453,7 @@ def write_table(rows: list[list[str]], path: str | Path):
     ends."""
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
-    _write_text(path, buf.getvalue())
+    write_text(path, buf.getvalue())
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .core import InputError, RelevanceMatrix, UNMATCHED, _as_int_array, _gather_rows
+from .core import InputError, RelevanceMatrix, UNMATCHED, _as_int_array, _row_positions
 
 __all__ = ["max_matching_size"]
 
@@ -38,7 +38,7 @@ def _matching_size(matrix: RelevanceMatrix, pool: np.ndarray | None = None) -> i
         counts = matrix.indptr[pool + 1] - matrix.indptr[pool]
         indptr = np.zeros(pool.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        indices = _gather_rows(matrix.indptr, matrix.indices, pool)
+        indices = matrix.indices[_row_positions(matrix.indptr, pool)]
         rows = pool.size
     if indices.size == 0 or matrix.slots == 0:
         return 0

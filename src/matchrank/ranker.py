@@ -10,14 +10,14 @@ of two kernels.  Each kernel is an engine with the same two methods:
 and the eager greedy's work counters:
 
 * the cut kernel (:class:`_Cut`) for the samples of a group model of at
-  most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  There a candidate
-  is relevant to all slots of a group or to none, and the samples are each
-  draw's group bit masks (:attr:`~matchrank.core.SampleSet.group_masks`);
-  the kernel works on those masks and the cut form of the matching size;
-* the batched kernel (:class:`_Batched`) for every other sample set:
-  independent models, group models of more groups, and sets of slot-level
-  rows.  It keeps one maximum matching over the disjoint union of all
-  samples and advances every sample with one alternating search per round.
+  most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  It works on each
+  draw's group bit masks, derived from the group coins the samples hold
+  (:attr:`~matchrank.core.SampleSet.group_coins`), and the cut form of the
+  matching size;
+* the batched kernel (:class:`_Batched`) for every other sample set.  It
+  keeps one maximum b-matching over the disjoint union of all samples, into
+  bins with caps (the slots of an independent sample, the groups of a group
+  sample), and advances every sample with one alternating search per round.
 
 Both kernels are tested against a plain augmenting-path reference that
 lives with the test oracles: one maximum matching per sample, where a
@@ -49,12 +49,15 @@ import numpy as np
 from .core import (
     ContractError,
     InputError,
+    MAX_CUT_CLASSES,
     PURPOSE_RANKER,
     Ranking,
     SampleSet,
     SparseProbMatrix,
     _as_count,
-    _gather_rows,
+    _coin_masks,
+    _coin_rows,
+    _row_positions,
     substream,
 )
 
@@ -237,20 +240,22 @@ class _Cut:
 
 
 class _Batched:
-    """All samples as one graph: the disjoint union of their slot-major
-    CSRs, with candidate-copy ``j*c + a`` and slot-copy ``j*s + t`` for
-    candidate a and slot t of sample j, plus one maximum matching between
-    the committed pool and the slots of that union.
+    """All samples as one graph of candidates and bins with caps, plus one
+    maximum b-matching of the committed pool into the bins: an independent
+    sample's slots, of cap 1, or a group sample's groups, of cap their slot
+    counts (a group's slots are interchangeable).  The graph is the disjoint
+    union of the samples' bin-major CSRs, with candidate-copy ``j*c + a``
+    and bin-copy ``j*b + t`` for candidate a and bin t of sample j.
 
     Each :meth:`gains` runs one alternating BFS over the whole union
     (:meth:`search`) and reads every candidate's gain in every sample off
     the edges of its result.  The gains depend on the pool alone, not on
-    which maximum matching is kept: the slots left exposed by some maximum
+    which maximum matching is kept: the bins left with room by some maximum
     matching are the same for all of them (Dulmage–Mendelsohn), so
     :meth:`commit` may flip any augmenting path, and it takes the paths of
     the last search.
 
-    Only the pool edges of matched candidate-copies are kept, slot-major, for
+    Only the pool edges of matched candidate-copies are kept, bin-major, for
     the backward search: a pool copy left unmatched by its commit can never
     be matched again, since a flip only rematches copies already on the path.
     Every array is int32 when the union's sizes fit.
@@ -259,58 +264,65 @@ class _Batched:
     kernel = "batched"
 
     def __init__(self, samples: SampleSet):
-        n, c, s = samples.n, samples.candidates, samples.slots
-        edges = sum(m.edge_count for m in samples.samples)
-        itype = np.int32 if max(n * c, n * s, edges) < 2**31 else np.int64
+        n, c = samples.n, samples.candidates
+        if samples.group_coins is None:
+            cap = np.ones(samples.slots, dtype=np.int64)
+            edges = sum(m.edge_count for m in samples.samples)
+            draws = ((m.degrees(), m.indices) for m in samples.samples)
+        else:
+            layout, membership, coins = samples.group_coins
+            cap, edges = layout.group_sizes, int(np.count_nonzero(coins))
+            draws = ((np.count_nonzero(won, axis=1), membership[won]) for won in coins)
+        b = cap.size
+        itype = np.int32 if max(n * c, n * b, edges) < 2**31 else np.int64
         self.c = c
+        self.cap = np.tile(cap.astype(itype), n)
         self.degrees = np.empty(n * c, dtype=itype)
-        self.slot_ptr = np.zeros(n * s + 1, dtype=itype)
-        self.slot_cands = np.empty(edges, dtype=itype)
+        self.bin_ptr = np.zeros(n * b + 1, dtype=itype)
+        self.bin_cands = np.empty(edges, dtype=itype)
         # The candidate of every edge as well, in the narrowest type, so a
         # commit finds its candidate's edges in all samples with one compare.
-        self.slot_local = np.empty(edges, dtype=np.min_scalar_type(c))
+        self.bin_local = np.empty(edges, dtype=np.min_scalar_type(c))
         lo = 0
-        for j, m in enumerate(samples.samples):
-            hi = lo + m.edge_count
-            deg = m.degrees()
+        for j, (deg, bins) in enumerate(draws):
+            hi = lo + bins.size
             self.degrees[j * c : (j + 1) * c] = deg
-            self.slot_ptr[j * s + 1 : (j + 1) * s + 1] = np.bincount(m.indices, minlength=s)
-            self.slot_local[lo:hi] = np.repeat(np.arange(c, dtype=itype), deg)[
-                np.argsort(m.indices, kind="stable")
+            self.bin_ptr[j * b + 1 : (j + 1) * b + 1] = np.bincount(bins, minlength=b)
+            self.bin_local[lo:hi] = np.repeat(np.arange(c, dtype=itype), deg)[
+                np.argsort(bins, kind="stable")
             ]
             # Add in the wide type: a narrow loop would wrap j*c + a.
-            np.add(self.slot_local[lo:hi], j * c, out=self.slot_cands[lo:hi], dtype=itype)
+            np.add(self.bin_local[lo:hi], j * c, out=self.bin_cands[lo:hi], dtype=itype)
             lo = hi
-        np.cumsum(self.slot_ptr, out=self.slot_ptr)
-        self.slot_match = np.full(n * s, -1, dtype=itype)
+        np.cumsum(self.bin_ptr, out=self.bin_ptr)
+        self.load = np.zeros(n * b, dtype=itype)
         self.cand_match = np.full(n * c, -1, dtype=itype)
-        self.pool_ptr = np.zeros(n * s + 1, dtype=itype)
+        self.pool_ptr = np.zeros(n * b + 1, dtype=itype)
         self.pool_cand = np.empty(0, dtype=itype)
 
     def search(self) -> tuple[np.ndarray, np.ndarray]:
-        """Backward alternating BFS from every exposed slot-copy at once.
+        """Backward alternating BFS from every bin-copy with room at once.
 
-        Returns ``reach``, the slot-copies from which an alternating path
-        ends at an exposed one (the slots left exposed by some maximum
-        matching of the pool), and ``hop``: for each reached matched slot,
-        the next slot on such a path, where its partner moves if the path
-        is flipped (-1 elsewhere).
+        Returns ``reach``, the bin-copies from which an alternating path
+        ends at one with room (the bins left with room by some maximum
+        matching of the pool), and ``via``: for each reached full bin, the
+        pool edge (index into ``pool_cand``) by which such a path leaves it
+        (-1 elsewhere): its candidate moves to its bin if the path is flipped.
         """
-        reach = self.slot_match < 0
-        hop = np.full(reach.size, -1, dtype=self.slot_match.dtype)
-        frontier = np.flatnonzero(reach).astype(hop.dtype)
+        reach = self.load < self.cap
+        via = np.full(reach.size, -1, dtype=self.load.dtype)
+        frontier = np.flatnonzero(reach).astype(via.dtype)
         while frontier.size:
-            lens = self.pool_ptr[frontier + 1] - self.pool_ptr[frontier]
-            src = np.repeat(frontier, lens)
-            dst = self.cand_match[_gather_rows(self.pool_ptr, self.pool_cand, frontier)]
+            edge = _row_positions(self.pool_ptr, frontier)
+            dst = self.cand_match[self.pool_cand[edge]]
             fresh = ~reach[dst]
-            src, dst = src[fresh], dst[fresh]
-            # A (slot, partner slot) pair occurs once, so of the sources
-            # reaching one slot exactly the one whose hop was kept survives.
-            hop[dst] = src
-            frontier = dst[hop[dst] == src]
+            edge, dst = edge[fresh], dst[fresh]
+            # An edge occurs once, so of the edges reaching one bin exactly
+            # the one kept in `via` survives.
+            via[dst] = edge
+            frontier = dst[via[dst] == edge]
             reach[frontier] = True
-        return reach, hop
+        return reach, via
 
     def gains(self) -> np.ndarray:
         """Per candidate, the number of samples whose matching it would
@@ -318,14 +330,13 @@ class _Batched:
         :meth:`search`, which is kept for :meth:`commit`.  Read from the
         smaller side: the edges into ``reach``, or those into its complement
         (a row misses ``reach`` iff all its edges go there)."""
-        reach, self.hop = self.search()
-        self.reach = reach
-        reached = np.flatnonzero(reach)
-        if 2 * reached.size <= reach.size:
+        self.reach, self.via = self.search()
+        reached = np.flatnonzero(self.reach)
+        if 2 * reached.size <= self.reach.size:
             touch = np.zeros(self.degrees.size, dtype=bool)
-            touch[_gather_rows(self.slot_ptr, self.slot_cands, reached)] = True
+            touch[self.bin_cands[_row_positions(self.bin_ptr, reached)]] = True
         else:
-            missed = _gather_rows(self.slot_ptr, self.slot_cands, np.flatnonzero(~reach))
+            missed = self.bin_cands[_row_positions(self.bin_ptr, np.flatnonzero(~self.reach))]
             touch = np.bincount(missed, minlength=self.degrees.size) < self.degrees
         return np.count_nonzero(touch.reshape(-1, self.c), axis=0)
 
@@ -333,50 +344,53 @@ class _Batched:
         """Add candidate `a`, flipping one augmenting path in every sample
         where it gains, all samples in step.  The paths are those of the
         last :meth:`gains`; a zero-gain commit leaves them valid."""
-        reach, hop = self.reach, self.hop
-        # Edges of a's copies in slot-major order: by sample, then by slot.
-        at = np.flatnonzero(self.slot_local == a)
-        owner = self.slot_cands[at]
-        slots = np.searchsorted(self.slot_ptr, at, side="right") - 1
-        hit = np.flatnonzero(reach[slots])
+        # Edges of a's copies in bin-major order: by sample, then by bin.
+        at = np.flatnonzero(self.bin_local == a)
+        owner = self.bin_cands[at]
+        bins = np.searchsorted(self.bin_ptr, at, side="right") - 1
+        hit = np.flatnonzero(self.reach[bins])
         hit = hit[np.r_[True, owner[hit[1:]] != owner[hit[:-1]]]] if hit.size else hit
         if hit.size != gain:
             raise ContractError(f"gain of candidate {a} out of step with its commit")
         won = np.isin(owner, owner[hit])
-        self._add_pool_edges(slots[won], owner[won])
-        cand, slot = owner[hit], slots[hit]
-        while slot.size:
-            prev = self.slot_match[slot]
-            self.slot_match[slot] = cand
-            self.cand_match[cand] = slot
-            moved = prev >= 0
-            cand, slot = prev[moved], hop[slot[moved]]
-            if np.any(slot < 0):
+        # A candidate enters each bin of the path; a full one sends the
+        # candidate of its `via` edge on to that edge's bin.
+        cand, into = owner[hit], bins[hit]
+        while into.size:
+            self.cand_match[cand] = into
+            room = self.load[into] < self.cap[into]
+            self.load[into[room]] += 1
+            edge = self.via[into[~room]]
+            if np.any(edge < 0):
                 raise ContractError(
-                    f"augmenting path of candidate {a} does not end at an exposed slot"
+                    f"augmenting path of candidate {a} does not end at a bin with room"
                 )
+            cand = self.pool_cand[edge]
+            into = np.searchsorted(self.pool_ptr, edge, side="right") - 1
+        # Last: new pool edges move the positions `via` holds.
+        self._add_pool_edges(bins[won], owner[won])
 
-    def _add_pool_edges(self, slots: np.ndarray, cands: np.ndarray):
-        # Each slot-copy occurs once, so every edge goes to the end of its
-        # slot's run.
-        self.pool_cand = np.insert(self.pool_cand, self.pool_ptr[slots + 1], cands)
+    def _add_pool_edges(self, bins: np.ndarray, cands: np.ndarray):
+        # A candidate-copy has at most one edge to a bin-copy, so every
+        # edge goes to the end of its bin's run.
+        self.pool_cand = np.insert(self.pool_cand, self.pool_ptr[bins + 1], cands)
         step = np.zeros_like(self.pool_ptr)
-        step[slots + 1] = 1
+        step[bins + 1] = 1
         self.pool_ptr += np.cumsum(step, out=step)
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
-    """Per-(candidate, slot) edge frequency across the sample set.  Group
-    masks are counted per (candidate, group); the row count is their oracle."""
+    """Per-(candidate, slot) edge frequency across the sample set.  Group coins
+    are counted per (candidate, membership); the row count is their oracle."""
     c, s = samples.candidates, samples.slots
-    if samples.group_masks is not None:
-        layout, masks = samples.group_masks
-        groups = range(layout.group_count)
-        hits = np.stack([np.count_nonzero(masks >> g & 1, axis=0) for g in groups], axis=1)
+    if samples.group_coins is not None:
+        layout, membership, coins = samples.group_coins
+        hits = coins.sum(axis=0)
         # A candidate's row holds the slots of every group it ever won.
-        won = layout.relevance(np.bitwise_or.reduce(masks, axis=0))
-        freq = hits[won.row_ids(), layout.slot_to_group[won.indices]] / samples.n
-        return SparseProbMatrix(c, s, won.indptr, won.indices, freq)
+        won = hits > 0
+        rows = _coin_rows(layout, membership, won)
+        freq = np.repeat(hits[won], layout.group_sizes[membership[won]]) / samples.n
+        return SparseProbMatrix(c, s, rows.indptr, rows.indices, freq)
     # A count is at most n, so int32 halves the dense array.
     counts = np.zeros(c * s, dtype=np.int32)
     row_keys = np.arange(c, dtype=np.int64) * s
@@ -463,16 +477,16 @@ def rank(
 
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
-    always work from the samples themselves, through the cut kernel when the
-    samples are group masks (a group model of at most
-    :data:`~matchrank.core.MAX_CUT_CLASSES` groups) and the batched kernel
+    always work from the samples themselves, through the cut kernel for the
+    group coins of a group model of at most
+    :data:`~matchrank.core.MAX_CUT_CLASSES` groups and the batched kernel
     otherwise (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
         limit = _resolve_stop(cfg, samples.candidates)
-        if samples.group_masks is not None:
-            layout, masks = samples.group_masks
-            engine = _Cut(layout.subset_slots, masks)
+        coins = samples.group_coins
+        if coins is not None and coins[0].group_count <= MAX_CUT_CLASSES:
+            engine = _Cut(coins[0].subset_slots, _coin_masks(*coins))
         else:
             engine = _Batched(samples)
         stats = stats if stats is not None else RankerStats()

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     InputError,
-    MAX_CUT_CLASSES,
     PROB_CLIP,
     PURPOSE_MODEL,
     PURPOSE_SAMPLE,
@@ -31,6 +30,8 @@ from .core import (
     SlotLayout,
     SparseProbMatrix,
     _as_count,
+    _coin_masks,
+    _coin_rows,
     substream,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "build_synthetic_model",
     "draw_relevance",
     "draw_group_masks",
-    "carries_group_masks",
     "sample_relevances",
     "two_block_model",
     "model_metadata",
@@ -118,45 +118,21 @@ def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> Relevan
     models flip one coin per stored (candidate, slot) probability.
     """
     if model.kind == "group":
-        return _draw_group(model, rng)
+        return _coin_rows(model.layout, model.membership, _group_coins(model, rng))
     return _draw_independent(model.marginals, rng)
 
 
-def carries_group_masks(model: ProbabilityModel) -> bool:
-    """Whether a draw of `model` has a group mask per candidate: a group
-    model of at most :data:`MAX_CUT_CLASSES` groups."""
-    return model.kind == "group" and model.layout.group_count <= MAX_CUT_CLASSES
-
-
 def draw_group_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
-    """The group masks of the draw that ``draw_relevance(model, rng)`` makes,
-    without its slots: per candidate, the bit mask of the groups it was drawn
-    relevant to (uint16).  Groups without slots set no bit.  `model` must
-    carry group masks (:func:`carries_group_masks`)."""
-    # A row's groups are distinct, so the sum of their bits is their OR; a
-    # group without slots leaves the row as it is, so it sets no bit.
-    bits = ((1 << model.membership) & model.layout.slotted_bits).astype(np.uint16)
-    return np.einsum("cj,cj->c", _group_coins(model, rng), bits)
+    """The group masks of the draw ``draw_relevance(model, rng)`` makes, without
+    its slots (uint16; groups without slots set no bit), for a group model of
+    at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups."""
+    return _coin_masks(model.layout, model.membership, _group_coins(model, rng))
 
 
 def _group_coins(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
     """One coin per (candidate, group) membership: True where the candidate
     won the group.  This is all of a group draw's randomness."""
     return rng.random(model.group_prob.shape) < model.group_prob
-
-
-def _draw_group(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
-    layout = model.layout
-    success = _group_coins(model, rng)
-    sizes = layout.group_sizes
-    per_cand = (success * sizes[model.membership]).sum(axis=1)
-    indptr = np.zeros(model.candidates + 1, dtype=np.int64)
-    np.cumsum(per_cand, out=indptr[1:])
-    # Row-major selection keeps each candidate's groups in ascending order,
-    # so the expanded slot ids are sorted within each row.
-    won = model.membership[success]
-    indices = layout.slots_of(won)
-    return RelevanceMatrix(model.candidates, layout.total_slots, indptr, indices)
 
 
 def _draw_independent(marginals: SparseProbMatrix, rng: np.random.Generator) -> RelevanceMatrix:
@@ -176,16 +152,16 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
 
     Sample i comes from the sub-stream (sample, i) of `seed`, so any sample
     can be regenerated alone and the set is independent of iteration order.
-    The samples of a group model of at most :data:`MAX_CUT_CLASSES` groups
-    are drawn as group masks only (:attr:`SampleSet.group_masks`).
+    The samples of a group model are drawn as their group coins only
+    (:attr:`SampleSet.group_coins`).
     """
     n = _as_count(n, "n")
     if n < 1:
         raise InputError("need at least one sample")
     rngs = (substream(seed, PURPOSE_SAMPLE, i) for i in range(n))
-    if carries_group_masks(model):
-        masks = np.stack([draw_group_masks(model, rng) for rng in rngs])
-        return SampleSet(None, seed, (model.layout, masks))
+    if model.kind == "group":
+        coins = np.stack([_group_coins(model, rng) for rng in rngs])
+        return SampleSet(None, seed, (model.layout, model.membership, coins))
     return SampleSet(tuple(draw_relevance(model, rng) for rng in rngs), seed)
 
 
@@ -198,11 +174,12 @@ def two_block_model(
     """Two-population benchmark: the first half of the candidates sees the
     first half of the slots with probability `p_first`, the second half sees
     the rest with `p_second`; entries are independent coins."""
+    candidates, slots = _as_count(candidates, "candidates"), _as_count(slots, "slots")
     if candidates < 2 or slots < 2:
         raise InputError("need at least two candidates and two slots")
     for p in (p_first, p_second):
-        if not 0.0 < p <= 1.0:
-            raise InputError("block probabilities must lie in (0, 1]")
+        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 < p <= 1.0:
+            raise InputError(f"block probabilities must be real numbers in (0, 1], got {p!r}")
     half_c, half_s = candidates // 2, slots // 2
     dense = np.zeros((candidates, slots))
     dense[:half_c, :half_s] = p_first

@@ -271,63 +271,69 @@ class TestSampleSet:
             SampleSet((), 0)
 
 
-class TestSampleSetGroupMasks:
+class TestSampleSetGroupCoins:
     LAYOUT = SlotLayout((2, 0, 1))
-    # Sample 0: candidate 0 holds group 0, candidate 1 groups 0 and 2,
-    # candidate 2 none.  Sample 1: candidate 2 holds group 2.
-    MASKS = [[0b001, 0b101, 0], [0, 0, 0b100]]
+    MEMBERSHIP = [[0, 1], [0, 2], [1, 2]]
+    # Sample 0: candidate 0 wins group 0 (and slotless group 1), candidate 1
+    # groups 0 and 2, candidate 2 nothing.  Sample 1: candidate 2 wins group 2.
+    COINS = [[[1, 1], [1, 1], [0, 0]], [[0, 0], [0, 0], [0, 1]]]
 
     def rows(self):
         m = RelevanceMatrix.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
         return (m, RelevanceMatrix.from_edges(3, 3, [(2, 2)]))
 
-    def test_holds_the_masks_and_derives_the_rows(self):
-        ss = SampleSet(None, 0, (self.LAYOUT, np.array(self.MASKS)))
+    def coins(self, coins=None, membership=None):
+        membership = self.MEMBERSHIP if membership is None else membership
+        coins = np.array(self.COINS if coins is None else coins, dtype=bool)
+        return (self.LAYOUT, np.array(membership), coins)
+
+    def test_holds_the_coins_and_derives_the_rows(self):
+        ss = SampleSet(None, 0, self.coins())
         assert ss.rows is None
-        assert ss.group_masks[1].dtype == np.uint16
-        assert ss.group_masks[1].tolist() == self.MASKS
+        layout, membership, coins = ss.group_coins
+        assert membership.dtype == np.int32 and membership.tolist() == self.MEMBERSHIP
+        assert coins.tolist() == np.array(self.COINS, dtype=bool).tolist()
+        assert not coins.flags.writeable and not membership.flags.writeable
         assert (ss.n, ss.candidates, ss.slots) == (2, 3, 3)
         assert [m.tobytes() for m in ss.samples] == [m.tobytes() for m in self.rows()]
         assert ss.samples is ss.samples  # expanded once
         assert ss.tobytes() == SampleSet(self.rows(), 0).tobytes()
 
+    def test_takes_more_groups_than_the_cut_kernel(self):
+        layout = SlotLayout((1,) * (MAX_CUT_CLASSES + 4))
+        coins = np.array([[[True, False]], [[False, True]]])
+        ss = SampleSet(None, 0, (layout, np.array([[0, MAX_CUT_CLASSES + 3]]), coins))
+        assert [m.row(0).tolist() for m in ss.samples] == [[0], [MAX_CUT_CLASSES + 3]]
+
     @pytest.mark.parametrize(
-        "masks",
+        "coins",
         [
-            [[0b011, 0b101, 0], [0, 0, 0b100]],  # group 1 owns no slot
-            [[0b001, 0b101, 0b1000], [0, 0, 0b100]],  # group 3 is beyond the layout
-            [[0b001, 0b101, 1 << 16], [0, 0, 0b100]],  # beyond a uint16 mask
-            [[0b001, 0b101, -1], [0, 0, 0b100]],
-            [[0.5, 0b101, 0], [0, 0, 0b100]],
+            [[[1, 1], [1, 1], [0, 0]]],  # ints, not booleans
+            [[1, 1, 1], [0, 0, 0]],  # not n x candidates x memberships
+            [[[True, True], [True, True]]],  # two candidates, not three
+            [[[True], [True], [False]]],  # one membership, not two
+            np.zeros((0, 3, 2), dtype=bool),  # no sample
         ],
     )
-    def test_refuses_masks_that_disagree_with_the_rows(self, masks):
-        """A mask stands for the row of its groups' slots, so it names only
-        groups of the layout that own slots, as a uint16 bit mask."""
-        with pytest.raises(InputError, match="group masks"):
-            SampleSet(None, 0, (self.LAYOUT, np.array(masks)))
+    def test_refuses_coins_that_are_not_n_by_candidates_by_memberships(self, coins):
+        with pytest.raises(InputError, match="group coins"):
+            SampleSet(None, 0, (self.LAYOUT, np.array(self.MEMBERSHIP), np.array(coins)))
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
-    def test_refuses_masks_that_are_not_n_by_candidates(self, shape):
-        with pytest.raises(InputError, match="n x candidates"):
-            SampleSet(None, 0, (self.LAYOUT, np.zeros(shape, dtype=np.uint16)))
+    @pytest.mark.parametrize(
+        "membership",
+        [[[0, 1], [0, 3], [1, 2]], [[0, 1], [2, 0], [1, 2]], [[0, 1], [1, 1], [1, 2]],
+         [[0.0, 1.0], [0, 2], [1, 2]], [0, 1, 2]],
+    )
+    def test_refuses_membership_that_is_not_the_layouts(self, membership):
+        with pytest.raises(InputError, match="membership"):
+            SampleSet(None, 0, self.coins(membership=membership))
 
-    def test_refuses_zero_draws(self):
-        with pytest.raises(InputError, match="at least one sample"):
-            SampleSet(None, 0, (self.LAYOUT, np.zeros((0, 3), dtype=np.uint16)))
-
-    def test_refuses_rows_and_masks_together(self):
-        # Even masks that agree with the rows: a set holds one form.
-        with pytest.raises(InputError, match="either rows or group masks"):
-            SampleSet(self.rows(), 0, (self.LAYOUT, np.array(self.MASKS)))
-        with pytest.raises(InputError, match="either rows or group masks"):
+    def test_refuses_rows_and_coins_together(self):
+        # Even coins that agree with the rows: a set holds one form.
+        with pytest.raises(InputError, match="either rows or group coins"):
+            SampleSet(self.rows(), 0, self.coins())
+        with pytest.raises(InputError, match="either rows or group coins"):
             SampleSet(None, 0)
-
-    def test_refuses_a_layout_of_more_groups_than_the_cut_kernel_takes(self):
-        layout = SlotLayout((1, 1, 1) + (0,) * (MAX_CUT_CLASSES - 2))
-        masks = np.zeros((2, 3), dtype=np.uint16)
-        with pytest.raises(InputError, match=f"at most {MAX_CUT_CLASSES}"):
-            SampleSet(None, 0, (layout, masks))
 
 
 class TestNarrowingCasts:

@@ -238,7 +238,7 @@ class TestReportFiles:
 
 
 _WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "triplets",
-            "table")
+            "table", "text")
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +258,7 @@ def writers():
         lambda p: write_samples(samples, p),
         lambda p: write_prob_triplets(independent.marginals, p),
         lambda p: write_table(report_table([report])[1], p),
+        lambda p: fileio.write_text(p, report_table([report])[0] + "\n"),
     )))
 
 
@@ -334,6 +335,22 @@ class TestWritersRewriteInPlace:
         assert path.read_bytes() == b""
         with pytest.raises(InputError, match="not valid JSON"):
             read_report(path)
+
+    def test_text_writer_keeps_links_and_a_failed_write_leaves_it_empty(
+        self, writers, tmp_path, monkeypatch
+    ):
+        # The experiment drivers write their table.txt through write_text.
+        path, link = tmp_path / "table.txt", tmp_path / "hard.txt"
+        path.write_bytes(b"x" * 5000)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        writers["text"](path)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes() != b"x" * 5000
+        monkeypatch.setattr(fileio, "open", _FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            writers["text"](path)
+        assert path.read_bytes() == b""
 
 
 class TestExperimentConfig:

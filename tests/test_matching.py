@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_relevance, random_sampleset
+from conftest import random_group_samples, random_relevance, random_sampleset
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
 from matchrank.matching import max_matching_size
 from matchrank.ranker import _Batched
@@ -144,15 +144,27 @@ def union_of(*samples: RelevanceMatrix) -> _Batched:
     return _Batched(SampleSet(samples, 0))
 
 
+def bins_of(samples: SampleSet, j: int, a: int) -> list[int]:
+    """The bins candidate `a` has an edge to in sample `j`: its slots, or
+    for group coins the groups it won."""
+    if samples.group_coins is None:
+        return samples.samples[j].row(a).tolist()
+    _, membership, coins = samples.group_coins
+    return membership[a][coins[j, a]].tolist()
+
+
 def union_size(union: _Batched, samples: SampleSet) -> int:
-    """The union's matching size, after checking it is a matching of edges."""
-    c, s = samples.candidates, samples.slots
-    matched = np.flatnonzero(union.slot_match >= 0)
-    assert np.array_equal(union.cand_match[union.slot_match[matched]], matched)
-    assert np.count_nonzero(union.cand_match >= 0) == matched.size
-    for t in matched.tolist():
-        j, a = divmod(int(union.slot_match[t]), c)
-        assert t // s == j and t % s in samples.samples[j].row(a).tolist()
+    """The union's matching size, after checking it is a b-matching of
+    edges: each matched candidate-copy sits in a bin-copy of its sample that
+    it has an edge to, and each bin holds its load, at most its cap."""
+    c, b = samples.candidates, union.cap.size // samples.n
+    matched = np.flatnonzero(union.cand_match >= 0)
+    held = union.cand_match[matched]
+    assert np.array_equal(np.bincount(held, minlength=union.load.size), union.load)
+    assert np.all(union.load <= union.cap)
+    for x, t in zip(matched.tolist(), held.tolist()):
+        j, a = divmod(x, c)
+        assert t // b == j and t % b in bins_of(samples, j, a)
     return int(matched.size)
 
 
@@ -178,21 +190,36 @@ class TestScan:
         s = int(rng.integers(1, 11))
         n = int(rng.integers(1, 4))
         samples = random_sampleset(rng, c, s, n, float(rng.choice([0.2, 0.4, 0.7])))
-        states = [init_state(m) for m in samples.samples]
-        union = _Batched(samples)
-        committed = rng.permutation(c)[: int(rng.integers(0, c))]
-        for a in committed.tolist():
-            gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
-            union.gains()
-            union.commit(a, gain)
-        frontier = np.setdiff1d(np.arange(c), committed)
-        got = union.gains()[frontier]
-        want = [
-            sum(gain_if_added(st_, int(a), m) for st_, m in zip(states, samples.samples))
-            for a in frontier
-        ]
-        assert got.tolist() == want
+        assert_scan_equals_pointwise_gains(samples, rng)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_group_bins_scan_equals_pointwise_gains(self, seed):
+        # The same over group bins with caps (zero-slot groups included),
+        # against the per-sample MatchState on the slot-level rows.
+        rng = np.random.default_rng(2500 + seed)
+        samples = random_group_samples(rng, int(rng.integers(1, 17)))
+        assert samples.group_coins is not None
+        assert_scan_equals_pointwise_gains(samples, rng)
+
+
+def assert_scan_equals_pointwise_gains(samples: SampleSet, rng: np.random.Generator):
+    c = samples.candidates
+    states = [init_state(m) for m in samples.samples]
+    union = _Batched(samples)
+    committed = rng.permutation(c)[: int(rng.integers(0, c))]
+    for a in committed.tolist():
+        gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
+        union.gains()
+        union.commit(a, gain)
         assert union_size(union, samples) == sum(st_.size for st_ in states)
+    frontier = np.setdiff1d(np.arange(c), committed)
+    got = union.gains()[frontier]
+    want = [
+        sum(gain_if_added(st_, int(a), m) for st_, m in zip(states, samples.samples))
+        for a in frontier
+    ]
+    assert got.tolist() == want
+    assert union_size(union, samples) == sum(st_.size for st_ in states)
 
 
 class TestAugmentingSlots:
@@ -216,7 +243,7 @@ class TestAugmentingSlots:
     @pytest.mark.parametrize("seed", range(30))
     def test_mask_survives_nonaugmenting_commits(self, seed):
         # Admitting candidates that cannot augment must leave the reach set
-        # and its hops exact, so later commits may still use them.
+        # and its path edges exact, so later commits may still use them.
         rng = np.random.default_rng(4000 + seed)
         c = int(rng.integers(3, 16))
         s = int(rng.integers(1, 11))
@@ -235,7 +262,7 @@ class TestAugmentingSlots:
                 size_before = union_size(union, samples)
                 union.commit(a, 0)
                 assert union_size(union, samples) == size_before
-                for x, y in zip((union.reach, union.hop), union.search()):
+                for x, y in zip((union.reach, union.via), union.search()):
                     np.testing.assert_array_equal(x, y)
         assert union_size(union, samples) == brute_max_matching(m)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_relevance, random_sampleset
+from conftest import random_group_samples, random_relevance, random_sampleset
 from matchrank.core import (
     MAX_CUT_CLASSES,
     ContractError,
@@ -207,7 +207,7 @@ class TestEmpiricalMarginals:
         )
         assert np.array_equal(dense, want)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_bytes_equal_dense_counts(self, seed, groups, grouped):
         # The tie key of every greedy kernel is built from these bytes.
@@ -224,20 +224,20 @@ class TestEmpiricalMarginals:
         assert empirical_marginals(ss).tobytes() == want.tobytes()
 
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_masks_count_as_their_rows(self, seed, groups, blank):
-        # Group samples drawn with zero-slot groups; `blank` also clears
-        # every mask of candidate 0.
+    def test_coins_count_as_their_rows(self, seed, groups, blank):
+        # Group samples drawn with zero-slot groups, on either side of the
+        # cut kernel's limit; `blank` also clears every coin of candidate 0.
         rng = np.random.default_rng(seed)
         ss = random_group_samples(rng, groups)
         if blank:
-            layout, masks = ss.group_masks
-            masks = masks.copy()
-            masks[:, 0] = 0
-            ss = SampleSet(None, ss.seed, (layout, masks))
+            layout, membership, coins = ss.group_coins
+            coins = coins.copy()
+            coins[:, 0] = False
+            ss = SampleSet(None, ss.seed, (layout, membership, coins))
         rows = SampleSet(ss.samples, ss.seed)
-        assert rows.group_masks is None and ss.rows is None
+        assert rows.group_coins is None and ss.rows is None
         assert empirical_marginals(ss).tobytes() == empirical_marginals(rows).tobytes()
 
 
@@ -371,19 +371,6 @@ class TestDispatcher:
             assert len(r) == 3
 
 
-def random_group_samples(rng: np.random.Generator, groups: int) -> SampleSet:
-    """Samples of a random group model: zero-slot groups, near-certain and
-    near-impossible memberships, and slot counts that leave some samples
-    saturated (more able candidates than slots) and some unfillable."""
-    c = int(rng.integers(1, 21))
-    layout = SlotLayout(tuple(int(k) for k in rng.integers(0, 4, size=groups)))
-    k = int(rng.integers(1, groups + 1))
-    membership = np.sort(np.argsort(rng.random((c, groups)), axis=1)[:, :k], axis=1)
-    group_prob = rng.choice([0.02, 0.3, 0.6, 0.98], size=(c, k))
-    model = ProbabilityModel.group_structured(layout, membership, group_prob)
-    return sample_relevances(model, int(rng.integers(1, 7)), int(rng.integers(0, 1000)))
-
-
 def assert_matches_oracles(ss: SampleSet, stop_at: int | None, run, kernel: str):
     """`run(cfg, stats)` equals both augmenting-path greedy functions, with
     eager's counters, for either greedy algorithm."""
@@ -460,7 +447,7 @@ class TestCutKernel:
         # takes the batched kernel, and the cut kernel agrees when handed
         # each slot as a class.
         ss = sample_relevances(two_block_model(60, 10, 0.5, 0.4), 20, 1)
-        assert ss.group_masks is None
+        assert ss.group_coins is None
         assert_rank_matches_oracles(ss, None, "batched")
         assert_cut_matches_oracles(ss, None)
 
@@ -469,7 +456,7 @@ class TestCutKernel:
             SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
         )
         ss = sample_relevances(model, 8, 1)
-        layout, masks = ss.group_masks
+        layout = ss.group_coins[0]
         assert layout.subset_slots[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
         assert_rank_matches_oracles(ss, None, "cut")
 
@@ -490,26 +477,30 @@ class TestCutKernel:
         assert_rank_matches_oracles(sample_relevances(model, 4, 1), None, "cut")
 
     def test_masked_samples_are_never_expanded(self, monkeypatch):
-        # Neither rank() nor evaluate() expands group masks into rows.
+        # Neither rank() nor evaluate() expands group coins into slot rows,
+        # whichever kernel ranks them.
         def expand(self):
-            raise AssertionError("group masks expanded into rows")
+            raise AssertionError("group coins expanded into rows")
 
-        model = build_synthetic_model(
-            SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
-        )
-        ss = sample_relevances(model, 8, 1)
         monkeypatch.setattr(SampleSet, "samples", property(expand))
-        for algorithm in ALGORITHMS:
-            assert len(rank(ss, RankerConfig(algorithm=algorithm))) == 40
-        report = evaluate(RankerConfig(), model, 8, 1, 5, 2)
-        assert report.draws == 5 and report.config["algorithm"] == "matchrank-lazy"
+        for groups, kernel in ((4, "cut"), (13, "batched"), (16, "batched")):
+            model = build_synthetic_model(
+                SynthParams(groups=groups, slots_per_group=3, candidates=40, seed=3)
+            )
+            ss = sample_relevances(model, 8, 1)
+            for algorithm in ALGORITHMS:
+                stats = RankerStats()
+                assert len(rank(ss, RankerConfig(algorithm=algorithm), stats=stats)) == 40
+                assert stats.kernel == (kernel if algorithm in GREEDY_ALGORITHMS else "")
+            report = evaluate(RankerConfig(), model, 8, 1, 5, 2)
+            assert report.draws == 5 and report.config["algorithm"] == "matchrank-lazy"
 
-    def test_more_classes_than_limit_takes_augmenting_path(self):
+    def test_more_groups_than_limit_take_batched_kernel(self):
         model = build_synthetic_model(
             SynthParams(groups=MAX_CUT_CLASSES + 1, slots_per_group=2, candidates=60, seed=2)
         )
         ss = sample_relevances(model, 4, 1)
-        assert ss.group_masks is None
+        assert ss.group_coins is not None
         assert_rank_matches_oracles(ss, None, "batched")
 
 
@@ -538,7 +529,7 @@ class TestBatchedKernel:
             np.random.default_rng(3).uniform(0.05, 0.6, size=(40, 16))
         )
         ss = sample_relevances(ProbabilityModel.independent(marginals), 12, 1)
-        assert ss.group_masks is None
+        assert ss.group_coins is None
         assert_rank_matches_oracles(ss, None, "batched")
 
     def test_candidate_copy_ids_do_not_wrap(self):
@@ -547,31 +538,75 @@ class TestBatchedKernel:
         rng = np.random.default_rng(11)
         ss = SampleSet(tuple(random_relevance(rng, 200, 14, 0.05) for _ in range(3)), 0)
         union = _Batched(ss)
-        assert union.slot_local.dtype == np.uint8
+        assert union.bin_local.dtype == np.uint8
         for j, m in enumerate(ss.samples):
-            ptr = union.slot_ptr[j * ss.slots : (j + 1) * ss.slots + 1]
+            ptr = union.bin_ptr[j * ss.slots : (j + 1) * ss.slots + 1]
             for t in range(ss.slots):
-                got = union.slot_cands[ptr[t] : ptr[t + 1]]
+                got = union.bin_cands[ptr[t] : ptr[t + 1]]
                 assert got.tolist() == [j * 200 + a for a in range(200) if t in m.row(a)]
         assert_rank_matches_oracles(ss, 30, "batched")
 
     def test_gain_out_of_step_with_commit_is_refused(self, toy_instance, monkeypatch):
-        ss = SampleSet((toy_instance,), seed=0)
         gains = _Batched.gains
         monkeypatch.setattr(_Batched, "gains", lambda self: gains(self) * 2)
-        with pytest.raises(ContractError, match="out of step"):
-            rank(ss, RankerConfig())
+        for ss in contract_samples(toy_instance):
+            with pytest.raises(ContractError, match="out of step"):
+                rank(ss, RankerConfig())
 
-    def test_path_must_end_at_an_exposed_slot(self, toy_instance, monkeypatch):
-        # Candidate 0 gains only by moving candidate 2 from slot 0 to slot 1,
-        # so its path needs the hop that is wiped here.
-        ss = SampleSet((toy_instance,), seed=0)
+    def test_path_must_end_at_a_bin_with_room(self, toy_instance, monkeypatch):
+        # In the rows, candidate 0 gains only by moving candidate 2 from
+        # slot 0 to slot 1; in the groups, candidate 2 only by moving
+        # candidate 0 from the full group 0 to group 1.  Both paths need the
+        # search's edge out of a full bin, which is wiped here.
         search = _Batched.search
 
-        def without_hops(self):
-            reach, hop = search(self)
-            return reach, np.full_like(hop, -1)
+        def without_paths(self):
+            reach, via = search(self)
+            return reach, np.full_like(via, -1)
 
-        monkeypatch.setattr(_Batched, "search", without_hops)
-        with pytest.raises(ContractError, match="exposed slot"):
-            rank(ss, RankerConfig())
+        monkeypatch.setattr(_Batched, "search", without_paths)
+        for ss in contract_samples(toy_instance):
+            with pytest.raises(ContractError, match="bin with room"):
+                rank(ss, RankerConfig())
+
+
+def contract_samples(toy_instance) -> list[SampleSet]:
+    """One sample as slot rows, and one as the coins of 13 groups: group 0
+    of 2 slots, group 1 of 1 and 11 without slots, so it ranks through the
+    batched kernel.  Candidate 0 holds groups 0 and 1, candidates 1 and 2
+    group 0, candidate 3 group 1; the greedy takes 0, 1, then 2."""
+    layout = SlotLayout((2, 1) + (0,) * (MAX_CUT_CLASSES - 1))
+    coins = np.array([[[True, True], [True, False], [True, False], [False, True]]])
+    groups = (layout, np.array([[0, 1]] * 4), coins)
+    return [SampleSet((toy_instance,), seed=0), SampleSet(None, 0, groups)]
+
+
+class TestCapacitatedBins:
+    """Group coins ranked by the batched kernel over bins with caps (more
+    groups than the cut kernel takes) against the same draws as slot rows,
+    each slot a bin of cap 1."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(MAX_CUT_CLASSES + 1, 16), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_group_bins_equal_slot_rows_and_oracles(self, seed, groups, truncate):
+        # Zero-slot groups (cap 0), saturated and unfillable samples.
+        rng = np.random.default_rng(seed)
+        ss = random_group_samples(rng, groups)
+        rows = SampleSet(ss.samples, ss.seed)
+        stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
+        for algorithm in GREEDY_ALGORITHMS:
+            cfg = RankerConfig(algorithm=algorithm, stop_at=stop_at)
+            got_stats, want_stats = RankerStats(), RankerStats()
+            got, want = rank(ss, cfg, stats=got_stats), rank(rows, cfg, stats=want_stats)
+            assert got.order.tobytes() == want.order.tobytes()
+            assert got.prefix_gain == want.prefix_gain
+            assert got_stats == want_stats and got_stats.kernel == "batched"
+        assert_rank_matches_oracles(ss, stop_at, "batched")
+
+    def test_path_through_a_full_group(self):
+        # The contract sample: candidate 2 gains only by moving candidate 0
+        # out of the full group 0, and the greedy's totals say it did.
+        ss = contract_samples(RelevanceMatrix.from_edges(4, 3, []))[1]
+        r = rank(ss, RankerConfig())
+        assert r.order.tolist()[:3] == [0, 1, 2] and r.prefix_gain[:3] == (1, 2, 3)
+        assert_rank_matches_oracles(ss, None, "batched")

@@ -205,37 +205,46 @@ class TestSampleRelevances:
             assert s5.samples[i].tobytes() == s3.samples[i].tobytes()
         assert s5.n == 5 and s5.seed == 21
 
-    @pytest.mark.parametrize("sizes", [(3, 0, 2, 0), (1, 2, 3), (0, 4)])
-    def test_group_masks_are_the_won_groups_of_each_row(self, sizes):
+    @pytest.mark.parametrize(
+        "sizes", [(3, 0, 2, 0), (1, 2, 3), (0, 4), (2, 0) * 7, (1,) * 16]
+    )
+    def test_group_coins_are_the_won_groups_of_each_row(self, sizes):
         layout = SlotLayout(sizes)
         g = layout.group_count
         rng = np.random.default_rng(len(sizes))
         membership = np.sort(np.argsort(rng.random((40, g)), axis=1)[:, :2], axis=1)
         model = ProbabilityModel.group_structured(layout, membership, np.full((40, 2), 0.5))
         ss = sample_relevances(model, 6, 3)
-        got_layout, masks = ss.group_masks
-        assert got_layout is layout and masks.shape == (6, 40)
-        for m, row_masks in zip(ss.samples, masks):
-            for a, mask in enumerate(row_masks.tolist()):
-                groups = [k for k in range(g) if mask >> k & 1]
-                assert all(sizes[k] for k in groups)  # no bit of a slotless group
-                assert m.row(a).tolist() == layout.slots_of(np.array(groups, dtype=np.int32)).tolist()
-        # A mask-only draw takes the same coins from the same sub-stream.
-        for i, row_masks in enumerate(masks):
+        got_layout, got_membership, coins = ss.group_coins
+        assert ss.rows is None and got_layout is layout
+        assert np.array_equal(got_membership, membership)
+        assert coins.dtype == bool and coins.shape == (6, 40, 2)
+        for m, won in zip(ss.samples, coins):
+            for a in range(40):
+                groups = membership[a][won[a]]
+                assert m.row(a).tolist() == layout.slots_of(groups).tolist()
+        if g > MAX_CUT_CLASSES:
+            return
+        # A mask-only draw takes the same coins from the same sub-stream, and
+        # sets no bit of a slotless group.
+        for i, won in enumerate(coins):
             alone = draw_group_masks(model, substream(3, PURPOSE_SAMPLE, i))
-            assert alone.dtype == np.uint16 and np.array_equal(alone, row_masks)
+            want = [sum(1 << int(k) for k in membership[a][won[a]] if sizes[k]) for a in range(40)]
+            assert alone.dtype == np.uint16 and alone.tolist() == want
 
-    def test_group_masks_leave_draws_unchanged(self):
-        model = build_synthetic_model(small_params())
+    @pytest.mark.parametrize("groups", [4, MAX_CUT_CLASSES + 1])
+    def test_group_coins_leave_draws_unchanged(self, groups):
+        model = build_synthetic_model(small_params(groups=groups))
         ss = sample_relevances(model, 4, 2)
         for i, m in enumerate(ss.samples):
             plain = draw_relevance(model, substream(2, PURPOSE_SAMPLE, i))
             assert plain.tobytes() == m.tobytes()
 
-    def test_no_group_masks_beyond_the_cut_limit_or_for_independent_models(self):
+    def test_every_group_model_draws_coins_and_independent_models_rows(self):
         wide = build_synthetic_model(small_params(groups=MAX_CUT_CLASSES + 1, slots_per_group=1))
-        assert sample_relevances(wide, 2, 0).group_masks is None
-        assert sample_relevances(two_block_model(8, 4), 2, 0).group_masks is None
+        assert sample_relevances(wide, 2, 0).rows is None
+        independent = sample_relevances(two_block_model(8, 4), 2, 0)
+        assert independent.group_coins is None and len(independent.rows) == 2
 
     def test_rejects_bad_n(self):
         model = build_synthetic_model(small_params())
@@ -270,6 +279,28 @@ class TestTwoBlockModel:
             two_block_model(1, 10)
         with pytest.raises(InputError):
             two_block_model(10, 10, p_first=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(candidates=10.5), "candidates"),
+            (dict(candidates=10.0), "candidates"),
+            (dict(slots=10.0), "slots"),
+            (dict(slots="10"), "slots"),
+            (dict(p_first=True), "real numbers"),
+            (dict(p_second=True), "real numbers"),
+            (dict(p_second="0.4"), "real numbers"),
+            (dict(p_first=None), "real numbers"),
+        ],
+    )
+    def test_rejects_non_integer_sizes_and_non_real_probabilities(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            two_block_model(**{"candidates": 100, "slots": 10, **kwargs})
+
+    def test_accepts_numpy_numbers(self):
+        a = two_block_model(np.int64(10), np.int32(4), np.float64(0.5), 0.25)
+        b = two_block_model(10, 4, 0.5, 0.25)
+        assert a.marginals.tobytes() == b.marginals.tobytes()
 
 
 class TestModelMetadata:
