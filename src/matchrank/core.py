@@ -111,8 +111,36 @@ _ID_LIMIT = 2**31
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory on this host, not a container's limit."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of memory this process can have: the host's RAM, or the cgroup
+    v2 limit (``memory.max``) of the process's cgroup when that is smaller."""
+    host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _cgroup_memory_max()
+    return host if limit is None else min(host, limit)
+
+
+def _cgroup_memory_max() -> int | None:
+    """The ``memory.max`` of this process's cgroup v2 group in bytes, found
+    through ``/proc/self/cgroup``; None when it is ``max`` (no limit) or
+    cannot be read, as on a host without cgroup v2."""
+    groups = _read_text("/proc/self/cgroup")
+    # The cgroup v2 line is "0::<path>"; v1 lines name their controllers.
+    path = next((line[3:] for line in (groups or "").splitlines() if line.startswith("0::")), None)
+    if path is None:
+        return None
+    value = _read_text(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max")
+    try:
+        return int(value)
+    except (TypeError, ValueError):  # None (unreadable) or "max"
+        return None
+
+
+def _read_text(path: str) -> str | None:
+    """The text of the file at `path`, or None when it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -397,7 +425,7 @@ class SparseProbMatrix:
         # a candidate.
         if 16 * (candidates + 1) > _physical_memory():
             raise InputError(
-                f"{candidates} candidates need more memory than this host has"
+                f"{candidates} candidates need more memory than this process may use"
             )
         seen = set()
         kept = []

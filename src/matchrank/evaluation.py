@@ -7,8 +7,15 @@ fill the slots has no ``k_min`` — such draws are reported and excluded from
 the mean/deviation.
 
 Prefix matching size never falls as the prefix grows, so ``k_min`` is found
-by bisection over prefix lengths.  :func:`kmin_method` picks how a probe
-measures a prefix, and ``_kmin_chunk`` dispatches on it for every draw:
+by bisection over prefix lengths, and all draws of a block at once: each
+step is one probe that measures the current prefix of every draw still
+open.  A block takes consecutive draws until their entries reach
+``_BLOCK_ENTRIES`` (one draw at least), which bounds its memory.  Every
+draw's first probe is at k = target: fewer candidates cannot fill the
+target, so a draw that fills it there is settled.  The others check the
+whole candidate set (unfillable draws stop there) and bisect (target, n].
+:func:`kmin_method` picks how a probe measures a prefix, and
+``_kmin_chunk`` dispatches on it:
 
 * ``"cut"``, for a group model of at most
   :data:`~matchrank.core.MAX_CUT_CLASSES` groups: a draw is one group mask
@@ -16,14 +23,20 @@ measures a prefix, and ``_kmin_chunk`` dispatches on it for every draw:
   expanded to slots.  By max-flow min-cut, the matching size of a prefix of
   length k is the minimum over group subsets U of cap(U) + k - F(U), where
   cap(U) counts the slots of U and F(U) the prefix candidates whose mask
-  lies within U: one bincount of the prefix masks and a subset-sum (zeta)
-  transform over the 2**G subsets (Björklund, Husfeldt, Kaski and Koivisto,
-  "Fourier meets Möbius", STOC 2007);
-* ``"bisection"``, for every other model: each probe is a fresh
-  Hopcroft–Karp solve (:func:`~matchrank.matching.max_matching_size`) on the
-  slot-level draw of :func:`~matchrank.synthgen.draw_relevance`.  This path,
-  and :func:`k_min` on any matrix, are the oracle the cut form is tested
-  against.
+  lies within U: a subset-sum (zeta) transform over the 2**G subsets
+  (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius", STOC
+  2007) of the prefix masks' counts.  A probe is one bincount of every
+  probed draw's prefix masks, keyed by draw, and one transform over all of
+  them;
+* ``"bisection"``, for every other model: the block's slot-level draws
+  (:func:`~matchrank.synthgen.draw_relevance`) are stacked as one disjoint
+  union, rows in rank order and each draw's slots in its own columns, and a
+  probe is one Hopcroft–Karp solve on the probed prefix rows
+  (``matching._matching_sizes``).  :func:`k_min` on any matrix is this
+  search on one draw.
+
+The per-draw scalar search in ``tests/oracles.py`` (a fresh matching solve,
+or the cut form, per probe) is the oracle both are tested against.
 
 Evaluation draws come from dedicated per-draw sub-streams, and both methods
 consume a draw's sub-stream alike, so results are identical whichever method
@@ -35,6 +48,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,9 +61,10 @@ from .core import (
     Ranking,
     RelevanceMatrix,
     _as_count,
+    _row_positions,
     substream,
 )
-from .matching import _matching_size
+from .matching import _matching_sizes
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 from .synthgen import (
     build_synthetic_model,
@@ -113,7 +128,8 @@ def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) 
         raise InputError(f"target must lie in [0, {matrix.slots}]")
     if not ranking.is_complete(matrix.candidates):
         raise InputError("k_min needs a complete ranking")
-    return _kmin_bisect(matrix, ranking.order, target)
+    rows = _ranked_rows(matrix, ranking.order)
+    return _lockstep(_union_sizes(matrix.slots, [rows]), 1, len(ranking), target)[0]
 
 
 def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
@@ -121,45 +137,105 @@ def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
         raise InputError("ranking refers to candidates outside the matrix")
 
 
-def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int | None:
-    # `order` is a validated permutation, so its prefixes skip the pool checks.
-    return _bisect(lambda k: _matching_size(matrix, order[:k]), len(order), target)
+#: Entries at which a lockstep block of evaluation draws closes.  A block
+#: takes consecutive draws until their summed entries reach this budget, so it
+#: holds at least one draw and less than the budget plus its last draw; a draw
+#: that reaches it alone is a block of its own.  A draw's entries are what the
+#: probes hold for it: on the cut path its candidates' masks and its 2**G
+#: subset counts, on the bisection path its slot-level edges, its row
+#: pointers (one per candidate) and its slots (the union's columns).
+_BLOCK_ENTRIES = 2**18
 
 
-def _kmin_cut(cap: np.ndarray, masks: np.ndarray, order: np.ndarray, target: int) -> int | None:
-    """`_kmin_bisect` on the cut form: `cap` holds the slot count of every
-    group subset, indexed by its bit mask, and `masks` each candidate's
-    group mask in one draw."""
-
-    def size(k: int) -> int:
-        within = np.bincount(masks[order[:k]], minlength=cap.size)
-        for g in range(cap.size.bit_length() - 1):
-            # Add each subset without group g into the same subset with it.
-            pairs = within.reshape(-1, 2, 1 << g)
-            pairs[:, 1] += pairs[:, 0]
-        return int((cap - within).min()) + k
-
-    return _bisect(size, len(order), target)
-
-
-def _bisect(size, n: int, target: int) -> int | None:
-    """Smallest k whose prefix `size(k)` reaches `target`, for a `size` that
-    never falls as k grows, or None when not even ``size(n)`` does."""
+def _lockstep(sizes, draws: int, n: int, target: int) -> list[int | None]:
+    """Smallest prefix length of each of `draws` draws whose size reaches
+    `target`, or None when not even the whole candidate set's does: a
+    bisection of every draw at once.  ``sizes(d, k)`` measures, in one probe,
+    the prefix of length ``k[i]`` of draw ``d[i]`` for every i, and a draw's
+    prefix size never falls as the prefix grows."""
     if target == 0:
-        return 0
-    # `size(n)`, the whole candidate set, settles reachability.
-    if size(n) < target:
-        return None
-    # Invariant: prefix `lo` falls short of `target`, prefix `hi` reaches it.
-    # Fewer than `target` candidates cannot fill `target` slots.
-    lo, hi = target - 1, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if size(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        return [0] * draws
+    kmin = np.full(draws, -1, dtype=np.int64)  # -1: unfillable
+    d = np.arange(draws)
+    if target <= n:
+        # Fewer than `target` candidates cannot fill `target` slots, so a draw
+        # whose prefix of length `target` fills them is settled by one probe.
+        short = sizes(d, np.full(draws, target)) < target
+        kmin[d[~short]] = target
+        d = d[short]
+        if target < n and d.size:
+            # The whole candidate set settles reachability.
+            d = d[sizes(d, np.full(d.size, n)) >= target]
+            # Invariant: prefix `lo` of a draw falls short of `target`,
+            # prefix `hi` reaches it.
+            lo, hi = np.full(d.size, target), np.full(d.size, n)
+            while (step := np.flatnonzero(hi - lo > 1)).size:
+                mid = (lo[step] + hi[step]) // 2
+                fills = sizes(d[step], mid) >= target
+                hi[step[fills]] = mid[fills]
+                lo[step[~fills]] = mid[~fills]
+            kmin[d] = hi
+    return [None if k < 0 else k for k in kmin.tolist()]
+
+
+def _prefix_positions(d: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """Flat positions, in a draw-major array of `n` entries per draw, of the
+    first ``k[i]`` entries of draw ``d[i]``, for every i in turn."""
+    width = int(k.max())
+    cols = np.arange(width)
+    return (d[:, None] * n + cols)[cols < k[:, None]]
+
+
+def _cut_sizes(cap: np.ndarray, block: list[np.ndarray]):
+    """The lockstep probe on the cut form.  `cap` holds the slot count of
+    every group subset, indexed by its bit mask, and `block` each draw's
+    candidate group masks in rank order."""
+    groups = cap.size.bit_length() - 1
+    n, flat = block[0].size, np.concatenate(block)
+
+    def sizes(d: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # Key each prefix mask by its probed draw's place, so that one
+        # bincount counts the masks of every probed prefix.
+        keys = flat[_prefix_positions(d, k, n)] + (np.repeat(np.arange(d.size), k) << groups)
+        within = np.bincount(keys, minlength=d.size << groups).reshape(d.size, -1)
+        for g in range(groups):
+            # Add each subset without group g into the same subset with it.
+            pairs = within.reshape(d.size, -1, 2, 1 << g)
+            pairs[:, :, 1] += pairs[:, :, 0]
+        return (cap - within).min(axis=1) + k
+
+    return sizes
+
+
+def _ranked_rows(matrix: RelevanceMatrix, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `matrix` taken in `order`: their lengths and their slots."""
+    return np.diff(matrix.indptr)[order], matrix.indices[_row_positions(matrix.indptr, order)]
+
+
+def _union_sizes(slots: int, block: list[tuple[np.ndarray, np.ndarray]]):
+    """The lockstep probe on slot-level draws, each given by its
+    :func:`_ranked_rows`.  The draws are stacked as one disjoint union: draw
+    j's rows come j-th and its slots become the columns ``[j * slots,
+    (j + 1) * slots)``, so one Hopcroft–Karp solve on the probed prefix rows
+    measures every probed draw."""
+    n = block[0][0].size
+    indptr = np.zeros(len(block) * n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([lens for lens, _ in block]), out=indptr[1:])
+    if len(block) == 1:
+        indices = block[0][1]  # a lone draw is its own union: no copy
+    else:
+        indices = np.concatenate([cols + j * slots for j, (_, cols) in enumerate(block)])
+
+    def sizes(d: np.ndarray, k: np.ndarray) -> np.ndarray:
+        if d.size == 1:
+            # One draw's prefix is a run of consecutive rows: solve a view.
+            rows = indptr[d[0] * n : d[0] * n + k[0] + 1]
+            part = (rows - rows[0], indices[rows[0] : rows[-1]])
+            return _matching_sizes(*part, slots, len(block))[d]
+        pool = _prefix_positions(d, k, n)
+        return _matching_sizes(indptr, indices, slots, len(block), pool)[d]
+
+    return sizes
 
 
 def kmin_method(model: ProbabilityModel) -> str:
@@ -172,13 +248,37 @@ def kmin_method(model: ProbabilityModel) -> str:
 def _kmin_chunk(
     model: ProbabilityModel, order: np.ndarray, eval_seed: int, lo: int, hi: int
 ) -> list[int | None]:
-    """k_min of draws [lo, hi) — the process-pool work unit."""
-    target = model.slots
-    rngs = (substream(eval_seed, PURPOSE_EVAL, i) for i in range(lo, hi))
+    """k_min of draws [lo, hi) — the process-pool work unit.  Consecutive
+    draws form a block until their entries reach :data:`_BLOCK_ENTRIES`, and
+    each block is searched in lockstep."""
     if kmin_method(model) == "cut":
         cap = model.layout.subset_slots
-        return [_kmin_cut(cap, draw_group_masks(model, rng), order, target) for rng in rngs]
-    return [_kmin_bisect(draw_relevance(model, rng), order, target) for rng in rngs]
+
+        def draw(rng):
+            return draw_group_masks(model, rng)[order]
+
+        def entries(masks):
+            return masks.size + cap.size
+
+        probe = partial(_cut_sizes, cap)
+    else:
+
+        def draw(rng):
+            return _ranked_rows(draw_relevance(model, rng), order)
+
+        def entries(rows):
+            return rows[0].size + rows[1].size + model.slots
+
+        probe = partial(_union_sizes, model.slots)
+    out: list[int | None] = []
+    block, used = [], 0
+    for i in range(lo, hi):
+        block.append(draw(substream(eval_seed, PURPOSE_EVAL, i)))
+        used += entries(block[-1])
+        if used >= _BLOCK_ENTRIES or i == hi - 1:
+            out += _lockstep(probe(block), len(block), order.size, model.slots)
+            block, used = [], 0
+    return out
 
 
 def _draw_chunks(draws: int, threads: int) -> list[tuple[int, int]]:

@@ -15,6 +15,12 @@ kernels, so agreement is strong evidence of correctness:
   ``rank()`` runs are tested against these greedies.  Alternating-path
   searches scan slots in ascending id order and expand candidates in
   discovery order, so every operation is deterministic.
+
+The scalar ``k_min`` search, one draw at a time, is here too:
+:func:`_kmin_bisect` probes each prefix with a fresh matching solve and
+:func:`_kmin_cut` with the cut form on group masks, both bisecting through
+:func:`_bisect`.  Evaluation's lockstep search over blocks of draws is tested
+against them.
 """
 from __future__ import annotations
 
@@ -396,3 +402,43 @@ def prefix_match_curve(ranking: Ranking, matrix: RelevanceMatrix) -> np.ndarray:
         commit_add(state, int(a), matrix)
         out[i] = state.size
     return out
+
+
+def _kmin_bisect(matrix: RelevanceMatrix, order: np.ndarray, target: int) -> int | None:
+    return _bisect(lambda k: max_matching_size(matrix, order[:k]), len(order), target)
+
+
+def _kmin_cut(cap: np.ndarray, masks: np.ndarray, order: np.ndarray, target: int) -> int | None:
+    """`_kmin_bisect` on the cut form: `cap` holds the slot count of every
+    group subset, indexed by its bit mask, and `masks` each candidate's
+    group mask in one draw."""
+
+    def size(k: int) -> int:
+        within = np.bincount(masks[order[:k]], minlength=cap.size)
+        for g in range(cap.size.bit_length() - 1):
+            # Add each subset without group g into the same subset with it.
+            pairs = within.reshape(-1, 2, 1 << g)
+            pairs[:, 1] += pairs[:, 0]
+        return int((cap - within).min()) + k
+
+    return _bisect(size, len(order), target)
+
+
+def _bisect(size, n: int, target: int) -> int | None:
+    """Smallest k whose prefix `size(k)` reaches `target`, for a `size` that
+    never falls as k grows, or None when not even ``size(n)`` does."""
+    if target == 0:
+        return 0
+    # `size(n)`, the whole candidate set, settles reachability.
+    if size(n) < target:
+        return None
+    # Invariant: prefix `lo` falls short of `target`, prefix `hi` reaches it.
+    # Fewer than `target` candidates cannot fill `target` slots.
+    lo, hi = target - 1, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if size(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -479,7 +479,7 @@ class TestMemoryPreflight:
         monkeypatch.setattr(core, "_physical_memory", lambda: 399)
         code = run("rank", "--model", str(ingested_model_path), "--out", str(tmp_path / "r.json"))
         assert code == 2
-        assert "24 candidates need more memory than this host has" in capsys.readouterr().err
+        assert "24 candidates need more memory than this process may use" in capsys.readouterr().err
 
 
 class TestUsage:

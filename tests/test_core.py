@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,38 @@ class TestSparseProbMatrix:
 
     def test_physical_memory_is_positive(self):
         assert core._physical_memory() > 0
+
+    @pytest.mark.parametrize(
+        "files, want",
+        [
+            # The cgroup's limit, when below the host's RAM.
+            ({"/proc/self/cgroup": "0::/box/run\n", "/sys/fs/cgroup/box/run/memory.max": "4096\n"}, 4096),
+            # The root group, as a container with its own cgroup namespace sees it.
+            ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "8192\n"}, 8192),
+            # "max" is no limit.
+            ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "max\n"}, None),
+            # A missing memory.max, or a host with cgroup v1 controllers only.
+            ({"/proc/self/cgroup": "0::/box\n"}, None),
+            ({"/proc/self/cgroup": "4:memory:/box\n1:cpu:/\n"}, None),
+            ({}, None),
+        ],
+    )
+    def test_physical_memory_takes_the_cgroup_limit(self, monkeypatch, files, want):
+        monkeypatch.setattr(core, "_read_text", files.get)
+        host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert core._physical_memory() == (host if want is None else want)
+
+    def test_read_text_is_none_for_what_cannot_be_read(self, tmp_path):
+        (tmp_path / "memory.max").write_text("4096\n")
+        assert core._read_text(str(tmp_path / "memory.max")) == "4096\n"
+        assert core._read_text(str(tmp_path / "absent")) is None
+        assert core._read_text(str(tmp_path)) is None  # a directory
+
+    def test_cgroup_limit_above_the_host_is_ignored(self, monkeypatch):
+        host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": f"{2 * host}\n"}
+        monkeypatch.setattr(core, "_read_text", files.get)
+        assert core._physical_memory() == host
 
     def test_triplets_zero_dropped_and_sorted(self):
         p = SparseProbMatrix.from_triplets(2, 3, [(1, 2, 0.3), (1, 0, 0.2), (0, 1, 0.0)])

@@ -1,5 +1,7 @@
 from concurrent.futures import Future
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,12 +20,12 @@ from matchrank.core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
+    SparseProbMatrix,
     substream,
 )
 from matchrank.evaluation import (
     EvalReport,
     _draw_chunks,
-    _kmin_bisect,
     _kmin_chunk,
     _per_draw_kmins,
     evaluate,
@@ -34,8 +36,22 @@ from matchrank.evaluation import (
 )
 from matchrank.matching import max_matching_size
 from matchrank.ranker import RankerConfig
-from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
-from oracles import avg_matching, commit_add, init_state, matchrank, prefix_match_curve
+from matchrank.synthgen import (
+    SynthParams,
+    build_synthetic_model,
+    draw_group_masks,
+    draw_relevance,
+    two_block_model,
+)
+from oracles import (
+    _kmin_bisect,
+    _kmin_cut,
+    avg_matching,
+    commit_add,
+    init_state,
+    matchrank,
+    prefix_match_curve,
+)
 
 
 def full_ranking(order):
@@ -171,8 +187,130 @@ class TestCutForm:
         def unused(*args):
             raise AssertionError("the other k_min method ran")
 
-        monkeypatch.setattr(evaluation, "_kmin_bisect" if method == "cut" else "_kmin_cut", unused)
+        monkeypatch.setattr(evaluation, "_union_sizes" if method == "cut" else "_cut_sizes", unused)
         assert _kmin_chunk(model, order, 4, 0, 5) == want
+
+
+def random_independent_model(seed: int) -> ProbabilityModel:
+    """An independent model of up to 12 candidates and 5 slots (none: target
+    0) whose entries are 0, 0.3, 0.7 or 1, so that some draws fill their
+    slots with the first candidates and some cannot fill them at all."""
+    rng = np.random.default_rng(seed)
+    c, s = int(rng.integers(1, 13)), int(rng.integers(0, 6))
+    dense = rng.choice([0.0, 0.3, 0.7, 1.0], size=(c, s), p=[0.4, 0.2, 0.2, 0.2])
+    return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+
+
+def method_draw(model: ProbabilityModel, eval_seed: int, i: int):
+    """Evaluation draw i as its method reads it: group masks on the cut
+    path, a slot-level matrix on the bisection path."""
+    rng = substream(eval_seed, PURPOSE_EVAL, i)
+    return draw_group_masks(model, rng) if kmin_method(model) == "cut" else draw_relevance(model, rng)
+
+
+def scalar_kmins(model: ProbabilityModel, order, eval_seed: int, lo: int, hi: int) -> list:
+    """k_min of draws [lo, hi) by the per-draw scalar search of the oracles."""
+    if kmin_method(model) == "cut":
+        cap = model.layout.subset_slots
+        return [_kmin_cut(cap, method_draw(model, eval_seed, i), order, model.slots) for i in range(lo, hi)]
+    return [_kmin_bisect(method_draw(model, eval_seed, i), order, model.slots) for i in range(lo, hi)]
+
+
+def block_entries(model: ProbabilityModel, draw) -> int:
+    """What one draw counts against the block budget: its candidates' masks
+    and the 2**G subset counts on the cut path; its edges, row pointers and
+    slots on the bisection path."""
+    if kmin_method(model) == "cut":
+        return draw.size + (1 << model.layout.group_count)
+    return draw.edge_count + draw.candidates + draw.slots
+
+
+@contextmanager
+def lockstep_blocks(budget: int):
+    """Evaluation with the block budget set to `budget`; yields the list
+    that collects the number of draws of every lockstep block searched."""
+    sizes, search = [], evaluation._lockstep
+
+    def recording(probe, draws, n, target):
+        sizes.append(draws)
+        return search(probe, draws, n, target)
+
+    with patch.object(evaluation, "_BLOCK_ENTRIES", budget), patch.object(evaluation, "_lockstep", recording):
+        yield sizes
+
+
+class TestLockstep:
+    """The lockstep search over blocks of draws against the per-draw scalar
+    search of the oracles, on the same draws and both methods."""
+
+    @given(
+        st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_CLASSES + 2)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.integers(1, 6),
+        st.sampled_from(["default", "one", "pair"]),
+    )
+    # Unfillable draws beside draws settled at the target and past it.
+    @example(None, 38, 0, 6, "default")
+    @example(None, 170, 0, 6, "pair")
+    @example([3, 2, 3, 3], 82, 0, 6, "pair")
+    @example([3, 0, 0, 2, 1, 0, 0, 0, 3, 0, 2, 0, 3, 1], 122, 0, 6, "pair")
+    # No slots: target 0, on both methods.
+    @example([0, 0, 0], 0, 0, 4, "pair")
+    @example([0] * (MAX_CUT_CLASSES + 2), 0, 0, 4, "one")
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_draw_oracle(self, sizes, seed, lo, count, budget):
+        """`sizes` None: an independent model, else a group model (more than
+        MAX_CUT_CLASSES groups take the bisection path).  The budget is the
+        default (one block), 1 (one draw per block), or one entry more than
+        the first draw holds (a first block of two draws)."""
+        model = random_independent_model(seed) if sizes is None else random_group_model(sizes, seed)
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        want = scalar_kmins(model, order, seed, lo, lo + count)
+        entries = {
+            "default": evaluation._BLOCK_ENTRIES,
+            "one": 1,
+            "pair": block_entries(model, method_draw(model, seed, lo)) + 1,
+        }[budget]
+        with lockstep_blocks(entries) as blocks:
+            assert _kmin_chunk(model, order, seed, lo, lo + count) == want
+        assert sum(blocks) == count
+        if budget == "default":
+            assert blocks == [count]
+        elif budget == "one":
+            assert blocks == [1] * count
+        else:
+            assert blocks[0] == min(2, count)
+
+    @pytest.mark.parametrize(
+        "model",
+        [random_independent_model(170), random_group_model([3, 2, 3, 3], 82)],
+        ids=["bisection", "cut"],
+    )
+    def test_examples_cover_every_outcome(self, model):
+        """The examples above hold unfillable draws, draws settled at the
+        target and draws past it, and a budget that splits the chunk."""
+        seed = 170 if kmin_method(model) == "bisection" else 82
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        want = scalar_kmins(model, order, seed, 0, 6)
+        assert None in want and model.slots in want
+        assert any(k is not None and k > model.slots for k in want)
+        with lockstep_blocks(block_entries(model, method_draw(model, seed, 0)) + 1) as blocks:
+            assert _kmin_chunk(model, order, seed, 0, 6) == want
+        assert len(blocks) > 1 and blocks[0] == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_evaluate_ranking_equals_oracle(self, threads):
+        model = random_independent_model(170)
+        order = np.random.default_rng(1).permutation(model.candidates)
+        want = scalar_kmins(model, order, 9, 0, 16)
+        assert None in want
+        with pytest.warns(UserWarning, match="cannot fill"):
+            report = evaluate_ranking(
+                full_ranking(order), model, 16, 9, threads,
+                algorithm="random", n_samples=1, sample_seed=0,
+            )
+        assert list(report.per_draw_kmin) == want
 
 
 def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_group_samples, random_relevance, random_sampleset
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
-from matchrank.matching import max_matching_size
+from matchrank.matching import _matching_sizes, max_matching_size
 from matchrank.ranker import _Batched
 from oracles import avg_matching, brute_max_matching, commit_add, gain_if_added, init_state
 
@@ -59,6 +59,30 @@ class TestMaxMatchingSize:
         assert max_matching_size(m) == brute_max_matching(m)
         pool = np.flatnonzero(rng.random(c) < 0.6)
         assert max_matching_size(m, pool) == brute_max_matching(m, pool)
+
+
+class TestDisjointUnion:
+    """``_matching_sizes`` solves many draws at once: draw j's rows hold its
+    slots shifted to the columns [j * slots, (j + 1) * slots)."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_draw_matches_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        s, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        draws = [random_relevance(rng, int(rng.integers(0, 8)), s, 0.4) for _ in range(d)]
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate([m.degrees() for m in draws]))])
+        indices = np.concatenate([m.indices + j * s for j, m in enumerate(draws)]).astype(np.int32)
+        got = _matching_sizes(indptr, indices, s, d)
+        assert got.tolist() == [brute_max_matching(m) for m in draws]
+        # A pool of union rows measures each draw's share of it.
+        pool = np.flatnonzero(rng.random(indptr.size - 1) < 0.5)
+        first = np.cumsum([0] + [m.candidates for m in draws])
+        want = [
+            brute_max_matching(m, pool[(pool >= lo) & (pool < hi)] - lo)
+            for m, lo, hi in zip(draws, first[:-1], first[1:])
+        ]
+        assert _matching_sizes(indptr, indices, s, d, pool).tolist() == want
 
 
 class TestIncrementalState:
