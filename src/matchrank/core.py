@@ -55,13 +55,17 @@ PROB_CLIP = (0.0001, 0.9999)
 #: (n=200, mean of two model seeds, 2-core host):
 #:
 #:     C x k       G    8      10     11     12     13     14
-#:     500 x 10    cut  0.013  0.047  0.086  0.187  0.376  1.061
-#:                 bat  0.049  0.060  0.068  0.080  0.090  0.095
-#:     10000 x 50  cut         0.31          1.20
-#:                 bat         3.44          4.10
+#:     500 x 10    cut  0.015  0.049  0.092  0.182  0.306  0.955
+#:                 bat  0.047  0.056  0.064  0.069  0.071  0.080
+#:     10000 x 50  cut         0.228         0.823
+#:                 bat         0.308         0.416
 #:
-#: The batched kernel wins from 11 groups on small models, the cut kernel up
-#: to 12 at the default scale.  At most 16: masks are uint16.
+#: The batched kernel wins from 11 groups on small models and at 12 at the
+#: default scale, the cut kernel at 10.  The limit stays 12 because it also
+#: picks evaluation's method (`evaluation.kmin_method`): on a 12-group
+#: default-scale model the cut form takes 0.8 ms a draw and the slot-level
+#: bisection 19 ms, so 100 draws cost 1.8 s more than the 0.4 s the batched
+#: rank saves.  At most 16: masks are uint16.
 MAX_CUT_CLASSES = 12
 
 # Spawn-key purposes.  Every consumer of randomness owns one purpose so that
@@ -111,23 +115,32 @@ _ID_LIMIT = 2**31
 
 
 def _physical_memory() -> int:
-    """Bytes of memory this process can have: the host's RAM, or the cgroup
-    v2 limit (``memory.max``) of the process's cgroup when that is smaller."""
+    """Bytes of memory this process can have: the host's RAM, or the memory
+    limit of the process's cgroup when that is smaller."""
     host = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     limit = _cgroup_memory_max()
     return host if limit is None else min(host, limit)
 
 
 def _cgroup_memory_max() -> int | None:
-    """The ``memory.max`` of this process's cgroup v2 group in bytes, found
-    through ``/proc/self/cgroup``; None when it is ``max`` (no limit) or
-    cannot be read, as on a host without cgroup v2."""
-    groups = _read_text("/proc/self/cgroup")
-    # The cgroup v2 line is "0::<path>"; v1 lines name their controllers.
-    path = next((line[3:] for line in (groups or "").splitlines() if line.startswith("0::")), None)
-    if path is None:
-        return None
-    value = _read_text(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max")
+    """The memory limit of this process's cgroup in bytes, found through
+    ``/proc/self/cgroup``: the cgroup v2 ``memory.max``, else, as on a
+    hybrid host whose memory controller is on cgroup v1, the v1
+    ``memory.limit_in_bytes``.  None when there is no limit (``max``) or
+    neither can be read.  v1 writes no limit as a huge number, which the
+    host's RAM undercuts."""
+    v2, v1 = [], []
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        # "<id>:<controllers>:<path>"; the v2 line is "0::<path>".
+        fields = line.split(":", 2)
+        if len(fields) < 3:
+            continue
+        path = fields[2].rstrip("/")
+        if fields[:2] == ["0", ""]:
+            v2.append(f"/sys/fs/cgroup{path}/memory.max")
+        elif "memory" in fields[1].split(","):
+            v1.append(f"/sys/fs/cgroup/memory{path}/memory.limit_in_bytes")
+    value = next((v for v in map(_read_text, v2 + v1) if v is not None), None)
     try:
         return int(value)
     except (TypeError, ValueError):  # None (unreadable) or "max"

@@ -17,7 +17,11 @@ and the eager greedy's work counters:
 * the batched kernel (:class:`_Batched`) for every other sample set.  It
   keeps one maximum b-matching over the disjoint union of all samples, into
   bins with caps (the slots of an independent sample, the groups of a group
-  sample), and advances every sample with one alternating search per round.
+  sample), and each sample's reach set: the bins from which an alternating
+  path ends at a bin with room, which a candidate's row touches iff it
+  gains there.  A commit flips one augmenting path in every sample where
+  its candidate gains, all samples in step, and searches a sample's reach
+  set again only where it moved.
 
 Both kernels are tested against a plain augmenting-path reference that
 lives with the test oracles: one maximum matching per sample, where a
@@ -124,7 +128,11 @@ class RankerStats:
     that ran: ``"cut"`` or ``"batched"`` (only the augmenting-path greedies
     of the test oracles set ``"augmenting"``).  Both kernels evaluate every
     remaining candidate each round, so they report the eager greedy's
-    counters whichever greedy algorithm was asked for.
+    counters whichever greedy algorithm was asked for.  `moved_samples`
+    counts the (sample, round) pairs whose blocked set grew: the maximal
+    minimizer of the sample's cut function, which is the cut kernel's U*
+    and the complement of the batched kernel's reach set, so both kernels
+    count alike (the oracles leave it 0).
     """
 
     rounds: int = 0
@@ -132,6 +140,7 @@ class RankerStats:
     gain_evals: int = 0
     zero_flushed: int = 0
     kernel: str = ""
+    moved_samples: int = 0
 
 
 def _tie_key(samples: SampleSet) -> np.ndarray:
@@ -183,6 +192,7 @@ def _greedy(engine, tie_key: np.ndarray, limit: int, stats: RankerStats) -> Rank
         order.append(best)
         prefix.append(total)
     stats.rounds += len(order)
+    stats.moved_samples += engine.moved
     return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
 
 
@@ -208,11 +218,14 @@ class _Cut:
     def __init__(self, cap: np.ndarray, masks: np.ndarray):
         self.cap, self.masks = cap, masks
         self.subsets = np.arange(cap.size, dtype=np.uint16)
-        # The count term per sample and U, and U* (the empty pool: only
-        # U = {} costs 0).
+        # The count term per sample and U, and U* (the empty pool: the
+        # classes without slots, the largest U of cap 0).
         self.outside = np.zeros((masks.shape[0], cap.size), dtype=np.int32)
-        self.ustar = np.zeros(masks.shape[0], dtype=np.uint16)
+        self.ustar = np.full(
+            masks.shape[0], np.bitwise_or.reduce(self.subsets[cap == 0]), dtype=np.uint16
+        )
         self._gains = np.count_nonzero(masks, axis=0)
+        self.moved = 0
 
     def gains(self) -> np.ndarray:
         """Per candidate, the number of samples whose matching it would raise."""
@@ -233,10 +246,16 @@ class _Cut:
         )
         moved = top != ustar[raised]
         rows, new = raised[moved], top[moved]
+        self.moved += rows.size
         block = masks[rows]
         self._gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
         self._gains += np.count_nonzero(block & ~new[:, None], axis=0)
         ustar[rows] = new
+
+
+#: Forward-search marks of a bin-copy (``_Batched._via``); other values are
+#: the position whose candidate enters the bin along the path.
+_UNSEEN, _START = -2, -1
 
 
 class _Batched:
@@ -244,21 +263,37 @@ class _Batched:
     maximum b-matching of the committed pool into the bins: an independent
     sample's slots, of cap 1, or a group sample's groups, of cap their slot
     counts (a group's slots are interchangeable).  The graph is the disjoint
-    union of the samples' bin-major CSRs, with candidate-copy ``j*c + a``
-    and bin-copy ``j*b + t`` for candidate a and bin t of sample j.
+    union of the samples, with candidate-copy ``j*c + a`` and bin-copy
+    ``j*b + t`` for candidate a and bin t of sample j, held in two static
+    CSRs: candidate-major (``cand_ptr``, ``cand_bins``: the samples' rows
+    concatenated) and bin-major (``bin_ptr``, ``bin_cands``).
 
-    Each :meth:`gains` runs one alternating BFS over the whole union
-    (:meth:`search`) and reads every candidate's gain in every sample off
-    the edges of its result.  The gains depend on the pool alone, not on
-    which maximum matching is kept: the bins left with room by some maximum
-    matching are the same for all of them (Dulmage–Mendelsohn), so
-    :meth:`commit` may flip any augmenting path, and it takes the paths of
-    the last search.
+    The b-matching is kept as positions per bin: bin-copy y owns positions
+    ``pos_ptr[y]:pos_ptr[y+1]`` (its cap, or fewer when fewer candidates
+    have an edge to it), of which the first ``load[y]`` hold a candidate-copy
+    (``pos_cand``; ``cand_pos`` is the inverse, -1 for unmatched copies).
+    A flip never unmatches a copy, so positions fill in order.
 
-    Only the pool edges of matched candidate-copies are kept, bin-major, for
-    the backward search: a pool copy left unmatched by its commit can never
-    be matched again, since a flip only rematches copies already on the path.
-    Every array is int32 when the union's sizes fit.
+    The state that gives the gains is ``reach``: the bin-copies from which
+    an alternating path ends at one with room.  It depends on the pool
+    alone, not on which maximum matching is kept (Dulmage–Mendelsohn), and
+    its complement is the maximal minimizer of the sample's cut function
+    (see :class:`_Cut`).  A candidate gains in a sample iff its row there
+    touches ``reach``; ``hits`` counts, per candidate-copy, its edges into
+    ``reach``, and the gains count the copies with hits.  :meth:`search`,
+    the backward alternating search from every bin with room, is the tests'
+    oracle for every reach set; the first is just the bins with room.
+
+    :meth:`commit` keeps them exact without a global search.  A commit of a
+    moves a sample's reach set only where a gains (a zero-gain addition
+    leaves the maximal minimizer alone), and there only when no bin of a's
+    row still reaches room after the flip: a maximal minimizer that grows
+    must take all of a's row.  So it runs a forward search from a's in-reach
+    bins in every sample where a gains, which ends at the first bin with
+    room and gives the augmenting path to flip; then the same search again
+    as the test; and only in the samples where it fails, a backward
+    re-search and an update of their candidates' hits.  Every id and
+    pointer array is int32 when the union's sizes fit.
     """
 
     kernel = "batched"
@@ -275,108 +310,174 @@ class _Batched:
             draws = ((np.count_nonzero(won, axis=1), membership[won]) for won in coins)
         b = cap.size
         itype = np.int32 if max(n * c, n * b, edges) < 2**31 else np.int64
-        self.c = c
+        narrow = np.min_scalar_type(max(b - 1, 0))
+        self.n, self.c, self.b = n, c, b
         self.cap = np.tile(cap.astype(itype), n)
-        self.degrees = np.empty(n * c, dtype=itype)
+        self.cand_ptr = np.zeros(n * c + 1, dtype=itype)
+        self.cand_bins = np.empty(edges, dtype=itype)
         self.bin_ptr = np.zeros(n * b + 1, dtype=itype)
         self.bin_cands = np.empty(edges, dtype=itype)
-        # The candidate of every edge as well, in the narrowest type, so a
-        # commit finds its candidate's edges in all samples with one compare.
-        self.bin_local = np.empty(edges, dtype=np.min_scalar_type(c))
+        # Edges per candidate-copy into ``reach``: at most one per bin.
+        self.hits = np.empty(n * c, dtype=np.min_scalar_type(b))
         lo = 0
         for j, (deg, bins) in enumerate(draws):
             hi = lo + bins.size
-            self.degrees[j * c : (j + 1) * c] = deg
+            np.cumsum(deg, out=self.cand_ptr[j * c + 1 : (j + 1) * c + 1])
+            self.cand_ptr[j * c + 1 : (j + 1) * c + 1] += lo
+            # Add in the wide type: bin ids run to n*b and copy ids to n*c.
+            np.add(bins, j * b, out=self.cand_bins[lo:hi], dtype=itype)
+            local = np.repeat(np.arange(c, dtype=itype), deg)
             self.bin_ptr[j * b + 1 : (j + 1) * b + 1] = np.bincount(bins, minlength=b)
-            self.bin_local[lo:hi] = np.repeat(np.arange(c, dtype=itype), deg)[
-                np.argsort(bins, kind="stable")
-            ]
-            # Add in the wide type: a narrow loop would wrap j*c + a.
-            np.add(self.bin_local[lo:hi], j * c, out=self.bin_cands[lo:hi], dtype=itype)
+            # In the narrowest type a stable argsort is a radix sort.
+            order = np.argsort(bins.astype(narrow), kind="stable")
+            np.add(local[order], j * c, out=self.bin_cands[lo:hi], dtype=itype)
+            # An empty pool leaves room in every bin of positive cap.
+            self.hits[j * c : (j + 1) * c] = np.bincount(local[cap[bins] > 0], minlength=c)
             lo = hi
         np.cumsum(self.bin_ptr, out=self.bin_ptr)
+        # A bin holds at most as many candidates as have an edge to it.
+        places = np.minimum(self.cap, np.diff(self.bin_ptr))
+        self.pos_ptr = np.zeros(n * b + 1, dtype=itype)
+        np.cumsum(places, out=self.pos_ptr[1:])
+        self.pos_bin = np.repeat(np.arange(n * b, dtype=itype), places)
+        self.pos_cand = np.full(self.pos_bin.size, -1, dtype=itype)
+        self.cand_pos = np.full(n * c, -1, dtype=itype)
         self.load = np.zeros(n * b, dtype=itype)
-        self.cand_match = np.full(n * c, -1, dtype=itype)
-        self.pool_ptr = np.zeros(n * b + 1, dtype=itype)
-        self.pool_cand = np.empty(0, dtype=itype)
+        # No candidate is matched yet, so no full bin reaches one with room:
+        # this is what search() returns, without its scan of every edge.
+        self.reach = self.load < self.cap
+        self._gains = np.count_nonzero(self.hits.reshape(n, c), axis=0)
+        # Forward-search scratch, per bin-copy: unseen, a start bin, or the
+        # position whose candidate enters the bin along the path.
+        self._via = np.full(n * b, _UNSEEN, dtype=itype)
+        self.moved = 0
 
-    def search(self) -> tuple[np.ndarray, np.ndarray]:
-        """Backward alternating BFS from every bin-copy with room at once.
-
-        Returns ``reach``, the bin-copies from which an alternating path
-        ends at one with room (the bins left with room by some maximum
-        matching of the pool), and ``via``: for each reached full bin, the
-        pool edge (index into ``pool_cand``) by which such a path leaves it
-        (-1 elsewhere): its candidate moves to its bin if the path is flipped.
-        """
+    def search(self) -> np.ndarray:
+        """The reach set from scratch: a backward alternating search from
+        every bin-copy with room at once."""
         reach = self.load < self.cap
-        via = np.full(reach.size, -1, dtype=self.load.dtype)
-        frontier = np.flatnonzero(reach).astype(via.dtype)
+        self._backward(reach, np.flatnonzero(reach))
+        return reach
+
+    def _backward(self, reach: np.ndarray, frontier: np.ndarray):
+        """Grow `reach` in place by every bin whose candidate can move into
+        a bin of `frontier`, and on from those."""
         while frontier.size:
-            edge = _row_positions(self.pool_ptr, frontier)
-            dst = self.cand_match[self.pool_cand[edge]]
-            fresh = ~reach[dst]
-            edge, dst = edge[fresh], dst[fresh]
-            # An edge occurs once, so of the edges reaching one bin exactly
-            # the one kept in `via` survives.
-            via[dst] = edge
-            frontier = dst[via[dst] == edge]
+            pos = self.cand_pos[self.bin_cands[_row_positions(self.bin_ptr, frontier)]]
+            fresh = self.pos_bin[pos[pos >= 0]]
+            frontier = np.unique(fresh[~reach[fresh]])
             reach[frontier] = True
-        return reach, via
 
     def gains(self) -> np.ndarray:
         """Per candidate, the number of samples whose matching it would
-        raise: its row there touches the reach set of a fresh
-        :meth:`search`, which is kept for :meth:`commit`.  Read from the
-        smaller side: the edges into ``reach``, or those into its complement
-        (a row misses ``reach`` iff all its edges go there)."""
-        self.reach, self.via = self.search()
-        reached = np.flatnonzero(self.reach)
-        if 2 * reached.size <= self.reach.size:
-            touch = np.zeros(self.degrees.size, dtype=bool)
-            touch[self.bin_cands[_row_positions(self.bin_ptr, reached)]] = True
-        else:
-            missed = self.bin_cands[_row_positions(self.bin_ptr, np.flatnonzero(~self.reach))]
-            touch = np.bincount(missed, minlength=self.degrees.size) < self.degrees
-        return np.count_nonzero(touch.reshape(-1, self.c), axis=0)
+        raise: those where its row touches ``reach``."""
+        return self._gains
 
     def commit(self, a: int, gain: int):
         """Add candidate `a`, flipping one augmenting path in every sample
-        where it gains, all samples in step.  The paths are those of the
-        last :meth:`gains`; a zero-gain commit leaves them valid."""
-        # Edges of a's copies in bin-major order: by sample, then by bin.
-        at = np.flatnonzero(self.bin_local == a)
-        owner = self.bin_cands[at]
-        bins = np.searchsorted(self.bin_ptr, at, side="right") - 1
-        hit = np.flatnonzero(self.reach[bins])
-        hit = hit[np.r_[True, owner[hit[1:]] != owner[hit[:-1]]]] if hit.size else hit
-        if hit.size != gain:
+        where it gains, all samples in step, and bring ``reach`` and the
+        gains up to date where its reach set moved."""
+        copies = np.arange(a, self.n * self.c, self.c, dtype=self.cand_ptr.dtype)
+        row = self.cand_bins[_row_positions(self.cand_ptr, copies)]
+        start = row[self.reach[row]]
+        # The row is in sample order, so its samples run in blocks.
+        owner = start // self.b
+        if np.count_nonzero(owner[1:] != owner[:-1]) + bool(start.size) != gain:
             raise ContractError(f"gain of candidate {a} out of step with its commit")
-        won = np.isin(owner, owner[hit])
-        # A candidate enters each bin of the path; a full one sends the
-        # candidate of its `via` edge on to that edge's bin.
-        cand, into = owner[hit], bins[hit]
-        while into.size:
-            self.cand_match[cand] = into
-            room = self.load[into] < self.cap[into]
-            self.load[into[room]] += 1
-            edge = self.via[into[~room]]
-            if np.any(edge < 0):
-                raise ContractError(
-                    f"augmenting path of candidate {a} does not end at a bin with room"
-                )
-            cand = self.pool_cand[edge]
-            into = np.searchsorted(self.pool_ptr, edge, side="right") - 1
-        # Last: new pool edges move the positions `via` holds.
-        self._add_pool_edges(bins[won], owner[won])
+        if not gain:
+            return
+        ends, stuck = self._forward(a, start, flip=True)
+        if stuck.size:
+            raise ContractError(
+                f"augmenting path of candidate {a} does not end at a bin with room"
+            )
+        # The reach set of a sample moved iff none of a's row reaches room now.
+        _, moved = self._forward(a, start, flip=False)
+        self.moved += moved.size
+        if moved.size:
+            self._research(moved)
 
-    def _add_pool_edges(self, bins: np.ndarray, cands: np.ndarray):
-        # A candidate-copy has at most one edge to a bin-copy, so every
-        # edge goes to the end of its bin's run.
-        self.pool_cand = np.insert(self.pool_cand, self.pool_ptr[bins + 1], cands)
-        step = np.zeros_like(self.pool_ptr)
-        step[bins + 1] = 1
-        self.pool_ptr += np.cumsum(step, out=step)
+    def _forward(self, a: int, start: np.ndarray, flip: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Forward alternating search inside ``reach`` from the bins `start`
+        of candidate `a`'s copies, all samples in step, up to the first bin
+        with room in each.  Returns those bins and the samples where none is
+        reached.  With `flip`, the path to each found bin is flipped."""
+        b, load, cap, via = self.b, self.load, self.cap, self._via
+        via[start] = _START
+        seen = [start]
+        done = np.zeros(self.n, dtype=bool)
+        pick = np.empty(self.n, dtype=start.dtype)
+        ends = []
+        frontier = start
+        while frontier.size:
+            room = frontier[load[frontier] < cap[frontier]]
+            if room.size:
+                # One bin with room per sample: whichever write lands.
+                pick[room // b] = room
+                room = room[pick[room // b] == room]
+                done[room // b] = True
+                ends.append(room)
+                frontier = frontier[~done[frontier // b]]
+                if not frontier.size:
+                    break
+            # Every bin left is full: its candidates may move on.
+            pos = _row_positions(self.pos_ptr, frontier)
+            cands = self.pos_cand[pos]
+            dst = self.cand_bins[_row_positions(self.cand_ptr, cands)]
+            pos = np.repeat(pos, self.cand_ptr[cands + 1] - self.cand_ptr[cands])
+            fresh = self.reach[dst] & (via[dst] == _UNSEEN)
+            dst, pos = dst[fresh], pos[fresh]
+            via[dst] = pos
+            frontier = dst[via[dst] == pos]
+            seen.append(frontier)
+        ends = np.concatenate(ends) if ends else start[:0]
+        if flip:
+            self._flip(a, ends)
+        for bins in seen:
+            via[bins] = _UNSEEN
+        started = np.zeros(self.n, dtype=bool)
+        started[start // b] = True
+        return ends, np.flatnonzero(started & ~done)
+
+    def _flip(self, a: int, ends: np.ndarray):
+        """Flip the paths that the marks of a forward search lead back along
+        from `ends` to the committed candidate `a`: each bin on a path takes
+        the candidate entering it at the position of the one leaving it, and
+        each end bin one new position."""
+        b, c, via = self.b, self.c, self._via
+        into, pos = ends, self.pos_ptr[ends] + self.load[ends]
+        self.load[ends] += 1
+        while into.size:
+            leave = via[into]
+            first = leave == _START
+            cand = np.empty_like(into)
+            cand[first] = into[first] // b * c + a
+            cand[~first] = self.pos_cand[leave[~first]]
+            self.pos_cand[pos] = cand
+            self.cand_pos[cand] = pos
+            pos = leave[~first]
+            into = self.pos_bin[pos]
+
+    def _research(self, rows: np.ndarray):
+        """Recompute ``reach`` in samples `rows` by a backward search, and
+        take a sample off the gain of every candidate whose copy there lost
+        its last edge into it.  The hits are updated from the smaller side:
+        minus the edges into the bins that left, or recounted from the
+        edges into the bins that stayed (none once a sample is saturated)."""
+        b, ptr, hits = self.b, self.bin_ptr, self.hits.reshape(self.n, self.c)
+        bins = (rows[:, None] * b + np.arange(b)).ravel()
+        was = self.reach[bins]
+        self.reach[bins] = self.load[bins] < self.cap[bins]
+        self._backward(self.reach, bins[self.reach[bins]])
+        now = self.reach[bins]
+        had = hits[rows] > 0
+        left, kept = bins[was & ~now], bins[now]
+        if (ptr[left + 1] - ptr[left]).sum() <= (ptr[kept + 1] - ptr[kept]).sum():
+            np.subtract.at(self.hits, self.bin_cands[_row_positions(ptr, left)], 1)
+        else:
+            hits[rows] = 0
+            np.add.at(self.hits, self.bin_cands[_row_positions(ptr, kept)], 1)
+        self._gains -= np.count_nonzero(had & (hits[rows] == 0), axis=0)
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:

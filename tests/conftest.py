@@ -26,17 +26,19 @@ def random_sampleset(
     return SampleSet(tuple(random_relevance(rng, c, s, density) for _ in range(n)), seed)
 
 
-def random_group_samples(rng: np.random.Generator, groups: int) -> SampleSet:
-    """Samples of a random group model: zero-slot groups, near-certain and
-    near-impossible memberships, and slot counts that leave some samples
-    saturated (more able candidates than slots) and some unfillable."""
+def random_group_samples(rng: np.random.Generator, groups: int, n: int | None = None) -> SampleSet:
+    """`n` samples (default: 1 to 6) of a random group model: zero-slot
+    groups, near-certain and near-impossible memberships, and slot counts
+    that leave some samples saturated (more able candidates than slots) and
+    some unfillable."""
     c = int(rng.integers(1, 21))
     layout = SlotLayout(tuple(int(k) for k in rng.integers(0, 4, size=groups)))
     k = int(rng.integers(1, groups + 1))
     membership = np.sort(np.argsort(rng.random((c, groups)), axis=1)[:, :k], axis=1)
     group_prob = rng.choice([0.02, 0.3, 0.6, 0.98], size=(c, k))
     model = ProbabilityModel.group_structured(layout, membership, group_prob)
-    return sample_relevances(model, int(rng.integers(1, 7)), int(rng.integers(0, 1000)))
+    n = int(rng.integers(1, 7)) if n is None else n
+    return sample_relevances(model, n, int(rng.integers(0, 1000)))
 
 
 def read_samples(path) -> SampleSet:

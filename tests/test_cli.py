@@ -260,6 +260,9 @@ class TestRank:
         assert got["rank_s"] >= 0 and got["peak_rss_mb"] > 0
         prefix_gain = read_ranking(a)[0].prefix_gain
         assert got["productive_rounds"] == np.count_nonzero(np.diff(prefix_gain, prepend=0)) > 0
+        # (sample, round) pairs whose reach set moved: at most n per round.
+        assert 0 <= got["moved_samples"] <= 6 * got["productive_rounds"]
+        assert "moved_samples" not in a.read_text()
 
 
 def _failing_chunk(model, order, eval_seed, lo, hi):

@@ -207,10 +207,46 @@ class TestSparseProbMatrix:
             ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "8192\n"}, 8192),
             # "max" is no limit.
             ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "max\n"}, None),
-            # A missing memory.max, or a host with cgroup v1 controllers only.
+            # A missing memory.max, or a host with cgroup v1 controllers only
+            # and no limit file.
             ({"/proc/self/cgroup": "0::/box\n"}, None),
             ({"/proc/self/cgroup": "4:memory:/box\n1:cpu:/\n"}, None),
             ({}, None),
+            # A hybrid host: the v2 line names a group without memory.max, and
+            # the memory controller's v1 group holds the limit.
+            (
+                {
+                    "/proc/self/cgroup": "4:memory:/box/run\n1:cpu:/\n0::/\n",
+                    "/sys/fs/cgroup/memory/box/run/memory.limit_in_bytes": "4096\n",
+                },
+                4096,
+            ),
+            (
+                {
+                    "/proc/self/cgroup": "3:cpu,memory:/\n0::/\n",
+                    "/sys/fs/cgroup/memory/memory.limit_in_bytes": "8192\n",
+                },
+                8192,
+            ),
+            # v1 writes "no limit" as this number; the host's RAM is smaller.
+            (
+                {
+                    "/proc/self/cgroup": "4:memory:/box\n0::/\n",
+                    "/sys/fs/cgroup/memory/box/memory.limit_in_bytes": "9223372036854771712\n",
+                },
+                None,
+            ),
+            # Where both exist, the v2 file decides, "max" included.
+            (
+                {
+                    "/proc/self/cgroup": "4:memory:/box\n0::/box\n",
+                    "/sys/fs/cgroup/box/memory.max": "max\n",
+                    "/sys/fs/cgroup/memory/box/memory.limit_in_bytes": "4096\n",
+                },
+                None,
+            ),
+            # Lines that are not hierarchies are skipped.
+            ({"/proc/self/cgroup": "garbage\n0::/\n", "/sys/fs/cgroup/memory.max": "4096\n"}, 4096),
         ],
     )
     def test_physical_memory_takes_the_cgroup_limit(self, monkeypatch, files, want):

@@ -160,8 +160,8 @@ class TestIncrementalState:
 
 
 # The batched kernel (`ranker._Batched`) is where augmenting slots are read
-# off a reach set; the two classes below check its search and gain scan
-# against the per-sample MatchState.
+# off a reach set; the classes below check its search, its incremental reach
+# set and its gain scan against the per-sample MatchState.
 
 
 def union_of(*samples: RelevanceMatrix) -> _Batched:
@@ -179,14 +179,17 @@ def bins_of(samples: SampleSet, j: int, a: int) -> list[int]:
 
 def union_size(union: _Batched, samples: SampleSet) -> int:
     """The union's matching size, after checking it is a b-matching of
-    edges: each matched candidate-copy sits in a bin-copy of its sample that
-    it has an edge to, and each bin holds its load, at most its cap."""
+    edges: each bin-copy holds its load, at most its cap, in its first
+    positions; each matched candidate-copy sits at the position that names
+    it, in a bin-copy of its sample that it has an edge to."""
     c, b = samples.candidates, union.cap.size // samples.n
-    matched = np.flatnonzero(union.cand_match >= 0)
-    held = union.cand_match[matched]
-    assert np.array_equal(np.bincount(held, minlength=union.load.size), union.load)
     assert np.all(union.load <= union.cap)
-    for x, t in zip(matched.tolist(), held.tolist()):
+    rank_in_bin = np.arange(union.pos_bin.size) - union.pos_ptr[union.pos_bin]
+    assert np.array_equal(union.pos_cand >= 0, rank_in_bin < union.load[union.pos_bin])
+    matched = np.flatnonzero(union.cand_pos >= 0)
+    assert np.array_equal(union.pos_cand[union.cand_pos[matched]], matched)
+    assert np.count_nonzero(union.pos_cand >= 0) == matched.size
+    for x, t in zip(matched.tolist(), union.pos_bin[union.cand_pos[matched]].tolist()):
         j, a = divmod(x, c)
         assert t // b == j and t % b in bins_of(samples, j, a)
     return int(matched.size)
@@ -259,7 +262,8 @@ class TestAugmentingSlots:
         for a in rng.permutation(c)[: int(rng.integers(1, c))].tolist():
             union.gains()
             union.commit(a, commit_add(st_, a, m))
-        mask = union.search()[0]
+        mask = union.search()
+        np.testing.assert_array_equal(union.reach, mask)
         for a in np.flatnonzero(~st_.pool):
             touches = bool(mask[m.row(int(a))].any())
             assert touches == bool(gain_if_added(st_, int(a), m))
@@ -267,7 +271,7 @@ class TestAugmentingSlots:
     @pytest.mark.parametrize("seed", range(30))
     def test_mask_survives_nonaugmenting_commits(self, seed):
         # Admitting candidates that cannot augment must leave the reach set
-        # and its path edges exact, so later commits may still use them.
+        # exact, so later commits still find their augmenting paths in it.
         rng = np.random.default_rng(4000 + seed)
         c = int(rng.integers(3, 16))
         s = int(rng.integers(1, 11))
@@ -286,8 +290,7 @@ class TestAugmentingSlots:
                 size_before = union_size(union, samples)
                 union.commit(a, 0)
                 assert union_size(union, samples) == size_before
-                for x, y in zip((union.reach, union.via), union.search()):
-                    np.testing.assert_array_equal(x, y)
+                np.testing.assert_array_equal(union.reach, union.search())
         assert union_size(union, samples) == brute_max_matching(m)
 
     def test_mask_reaches_along_long_paths(self):
@@ -308,6 +311,45 @@ class TestAugmentingSlots:
         for a in range(k, 2 * k + 1):
             assert gain_if_added(st_, a, m) == 1
         assert gains[k:].tolist() == [1] * (k + 1)
+
+
+class TestIncrementalReach:
+    """The reach set the batched kernel keeps from commit to commit, against
+    a fresh backward search (`search()`), and its b-matching and gains
+    against the per-sample MatchState."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_every_commit_leaves_reach_exact(self, seed, grouped):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        if grouped:
+            # Group bins of caps 0 to 3.
+            samples = random_group_samples(rng, int(rng.integers(1, 17)), n)
+        else:
+            c, s = int(rng.integers(1, 16)), int(rng.integers(0, 11))
+            samples = random_sampleset(rng, c, s, n, float(rng.choice([0.15, 0.3, 0.6])))
+        c = samples.candidates
+        states = [init_state(m) for m in samples.samples]
+        union = _Batched(samples)
+        np.testing.assert_array_equal(union.reach, union.search())
+        left = list(range(c))
+        # Any order, so zero-gain commits come between the others.
+        for a in rng.permutation(c).tolist():
+            before, moved = union.reach.reshape(n, union.b).copy(), union.moved
+            gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
+            union.commit(a, gain)
+            left.remove(a)
+            np.testing.assert_array_equal(union.reach, union.search())
+            # A sample counts as moved iff its reach set changed.
+            changed = (union.reach.reshape(n, union.b) != before).any(axis=1)
+            assert union.moved - moved == np.count_nonzero(changed)
+            assert union_size(union, samples) == sum(st_.size for st_ in states)
+            want = [
+                sum(gain_if_added(st_, x, m) for st_, m in zip(states, samples.samples))
+                for x in left
+            ]
+            assert union.gains()[left].tolist() == want
 
 
 class TestProperties:

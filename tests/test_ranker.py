@@ -371,17 +371,22 @@ class TestDispatcher:
             assert len(r) == 3
 
 
-def assert_matches_oracles(ss: SampleSet, stop_at: int | None, run, kernel: str):
+def assert_matches_oracles(
+    ss: SampleSet, stop_at: int | None, run, kernel: str
+) -> list[RankerStats]:
     """`run(cfg, stats)` equals both augmenting-path greedy functions, with
-    eager's counters, for either greedy algorithm."""
+    eager's counters, for either greedy algorithm; returns its stats per
+    algorithm."""
     eager_stats, lazy_stats = RankerStats(), RankerStats()
     eager = matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=stop_at), eager_stats)
     lazy = matchrank_lazy(ss, RankerConfig(stop_at=stop_at), lazy_stats)
     assert eager_stats.kernel == "augmenting"
     productive = int(np.count_nonzero(np.diff(eager.prefix_gain, prepend=0)))
     assert eager_stats.productive_rounds == lazy_stats.productive_rounds == productive
+    runs = []
     for algorithm in GREEDY_ALGORITHMS:
         stats = RankerStats()
+        runs.append(stats)
         r = run(RankerConfig(algorithm=algorithm, stop_at=stop_at), stats)
         for oracle in (eager, lazy):
             assert r.order.tolist() == oracle.order.tolist()
@@ -391,11 +396,14 @@ def assert_matches_oracles(ss: SampleSet, stop_at: int | None, run, kernel: str)
         ) == (
             kernel, eager_stats.rounds, productive, eager_stats.gain_evals, eager_stats.zero_flushed
         )
+    return runs
 
 
-def assert_rank_matches_oracles(ss: SampleSet, stop_at: int | None, kernel: str):
+def assert_rank_matches_oracles(
+    ss: SampleSet, stop_at: int | None, kernel: str
+) -> list[RankerStats]:
     """`rank` runs `kernel` and equals both augmenting-path greedy functions."""
-    assert_matches_oracles(ss, stop_at, lambda cfg, stats: rank(ss, cfg, stats=stats), kernel)
+    return assert_matches_oracles(ss, stop_at, lambda cfg, stats: rank(ss, cfg, stats=stats), kernel)
 
 
 def engine_run(ss: SampleSet, make_engine):
@@ -406,7 +414,7 @@ def engine_run(ss: SampleSet, make_engine):
     )
 
 
-def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None):
+def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None) -> list[RankerStats]:
     """The cut kernel, handed every slot as a class of its own (at most
     MAX_CUT_CLASSES slots), equals both augmenting-path greedy functions."""
     assert ss.slots <= MAX_CUT_CLASSES
@@ -416,7 +424,11 @@ def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None):
         dtype=np.uint16,
     )
     cap = np.array([bin(u).count("1") for u in range(1 << ss.slots)])
-    assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Cut(cap, masks)), "cut")
+    return assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Cut(cap, masks)), "cut")
+
+
+def moved(runs: list[RankerStats]) -> list[int]:
+    return [stats.moved_samples for stats in runs]
 
 
 class TestCutKernel:
@@ -426,9 +438,16 @@ class TestCutKernel:
         rng = np.random.default_rng(seed)
         ss = random_group_samples(rng, groups)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
-        assert_rank_matches_oracles(ss, stop_at, "cut")
+        cut = assert_rank_matches_oracles(ss, stop_at, "cut")
         # The batched kernel takes group samples too, when called directly.
-        assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Batched(ss)), "batched")
+        bins = assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Batched(ss)), "batched")
+        # A sample's maximal minimizer grows in the same rounds over groups,
+        # group bins and slot rows (the slot minimizer is a union of groups).
+        rows = SampleSet(ss.samples, ss.seed)
+        slots = [RankerStats() for _ in GREEDY_ALGORITHMS]
+        for algorithm, stats in zip(GREEDY_ALGORITHMS, slots):
+            rank(rows, RankerConfig(algorithm=algorithm, stop_at=stop_at), stats=stats)
+        assert moved(cut) == moved(bins) == moved(slots)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_samplesets_match_augmenting_path(self, seed):
@@ -520,9 +539,10 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         ss = random_unstructured_samples(rng)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
-        assert_rank_matches_oracles(ss, stop_at, "batched")
+        bat = assert_rank_matches_oracles(ss, stop_at, "batched")
         if ss.slots <= MAX_CUT_CLASSES:
-            assert_cut_matches_oracles(ss, stop_at)
+            # Each slot a class: the blocked sets grow in the same rounds.
+            assert moved(assert_cut_matches_oracles(ss, stop_at)) == moved(bat)
 
     def test_independent_model_takes_batched_kernel(self):
         marginals = SparseProbMatrix.from_dense(
@@ -533,17 +553,21 @@ class TestBatchedKernel:
         assert_rank_matches_oracles(ss, None, "batched")
 
     def test_candidate_copy_ids_do_not_wrap(self):
-        # 200 candidates keep each edge's candidate in uint8, while the copy
-        # ids of the second sample on reach 200 + 199.
+        # 200 candidates and 14 slots fit every local id in uint8, while the
+        # copy ids j*200 + a of the second sample on reach 200 + 199: both
+        # CSRs must compute them, and the bin ids j*14 + t, in the wide type.
         rng = np.random.default_rng(11)
         ss = SampleSet(tuple(random_relevance(rng, 200, 14, 0.05) for _ in range(3)), 0)
         union = _Batched(ss)
-        assert union.bin_local.dtype == np.uint8
+        assert union.cand_bins.dtype == union.bin_cands.dtype == np.int32
         for j, m in enumerate(ss.samples):
             ptr = union.bin_ptr[j * ss.slots : (j + 1) * ss.slots + 1]
             for t in range(ss.slots):
                 got = union.bin_cands[ptr[t] : ptr[t + 1]]
                 assert got.tolist() == [j * 200 + a for a in range(200) if t in m.row(a)]
+            for a in range(200):
+                lo, hi = union.cand_ptr[j * 200 + a : j * 200 + a + 2]
+                assert union.cand_bins[lo:hi].tolist() == (m.row(a) + j * ss.slots).tolist()
         assert_rank_matches_oracles(ss, 30, "batched")
 
     def test_gain_out_of_step_with_commit_is_refused(self, toy_instance, monkeypatch):
@@ -553,21 +577,27 @@ class TestBatchedKernel:
             with pytest.raises(ContractError, match="out of step"):
                 rank(ss, RankerConfig())
 
-    def test_path_must_end_at_a_bin_with_room(self, toy_instance, monkeypatch):
-        # In the rows, candidate 0 gains only by moving candidate 2 from
-        # slot 0 to slot 1; in the groups, candidate 2 only by moving
-        # candidate 0 from the full group 0 to group 1.  Both paths need the
-        # search's edge out of a full bin, which is wiped here.
-        search = _Batched.search
-
-        def without_paths(self):
-            reach, via = search(self)
-            return reach, np.full_like(via, -1)
-
-        monkeypatch.setattr(_Batched, "search", without_paths)
+    def test_path_must_end_at_a_bin_with_room(self, toy_instance):
+        # Once the greedy's productive candidates are in, every bin is full
+        # and none reaches room.  Marked reached anyway, a full bin offers
+        # the first zero-gain candidate with edges (1 in the rows, 3 in the
+        # groups) a sample to gain in, in step with a gain of 1, but its
+        # forward search finds no bin with room.
         for ss in contract_samples(toy_instance):
+            ranking = rank(ss, RankerConfig())
+            union = _Batched(ss)
+            steps = np.diff(ranking.prefix_gain, prepend=0)
+            for a, gain in zip(ranking.order.tolist(), steps.tolist()):
+                if gain:
+                    union.commit(a, gain)
+            assert np.all(union.load == union.cap) and not union.reach.any()
+            idle = next(
+                a for a, gain in zip(ranking.order.tolist(), steps.tolist())
+                if not gain and union.cand_ptr[a + 1] > union.cand_ptr[a]
+            )
+            union.reach[:] = True
             with pytest.raises(ContractError, match="bin with room"):
-                rank(ss, RankerConfig())
+                union.commit(idle, 1)
 
 
 def contract_samples(toy_instance) -> list[SampleSet]:
