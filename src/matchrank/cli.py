@@ -160,8 +160,7 @@ def cmd_sample(args) -> int:
     n, seed = _sampling(args, cfg)
     model, _ = read_model(args.model)
     samples = sample_relevances(model, n, seed)
-    write_samples(samples, args.out)
-    edges = sum(m.edge_count for m in samples.samples)
+    edges = write_samples(samples, args.out)
     print(f"wrote {args.out}: {n} samples, {edges} edges total")
     return EXIT_OK
 

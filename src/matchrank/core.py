@@ -21,7 +21,7 @@ __all__ = [
     "ContractError",
     "UNMATCHED",
     "PROB_CLIP",
-    "MAX_CUT_CLASSES",
+    "MAX_MASK_GROUPS",
     "substream",
     "SlotLayout",
     "RelevanceMatrix",
@@ -46,27 +46,8 @@ UNMATCHED = -1
 #: Probabilities in generated models are clipped into this closed range.
 PROB_CLIP = (0.0001, 0.9999)
 
-#: Most groups of a group model whose samples the greedy ranker's cut kernel
-#: takes, as bit masks derived from their group coins; other sample sets go
-#: to its batched kernel.  The cut kernel's work and its per-sample count
-#: array grow as 2**groups, so this also caps that array at n * 2**12 int32.
-#: Seconds per ranking by each kernel alone (`_Cut` on the masks, `_Batched`
-#: on group bins) on group models of C candidates x G groups of k slots
-#: (n=200, mean of two model seeds, 2-core host):
-#:
-#:     C x k       G    8      10     11     12     13     14
-#:     500 x 10    cut  0.015  0.049  0.092  0.182  0.306  0.955
-#:                 bat  0.047  0.056  0.064  0.069  0.071  0.080
-#:     10000 x 50  cut         0.228         0.823
-#:                 bat         0.308         0.416
-#:
-#: The batched kernel wins from 11 groups on small models and at 12 at the
-#: default scale, the cut kernel at 10.  The limit stays 12 because it also
-#: picks evaluation's method (`evaluation.kmin_method`): on a 12-group
-#: default-scale model the cut form takes 0.8 ms a draw and the slot-level
-#: bisection 19 ms, so 100 draws cost 1.8 s more than the 0.4 s the batched
-#: rank saves.  At most 16: masks are uint16.
-MAX_CUT_CLASSES = 12
+#: Group bit masks are uint16: masks and subset tables hold at most 16 groups.
+MAX_MASK_GROUPS = 16
 
 # Spawn-key purposes.  Every consumer of randomness owns one purpose so that
 # sub-streams for model construction, sampling, evaluation draws, and the
@@ -208,9 +189,9 @@ class SlotLayout:
     @cached_property
     def subset_slots(self) -> np.ndarray:
         """Slot count of every subset of the groups, indexed by its bit mask
-        (at most :data:`MAX_CUT_CLASSES` groups; read-only)."""
-        if self.group_count > MAX_CUT_CLASSES:
-            raise InputError(f"subset tables cover at most {MAX_CUT_CLASSES} groups")
+        (at most :data:`MAX_MASK_GROUPS` groups; read-only)."""
+        if self.group_count > MAX_MASK_GROUPS:
+            raise InputError(f"group masks cover at most {MAX_MASK_GROUPS} groups")
         counts = np.zeros(1 << self.group_count, dtype=np.int64)
         for g, k in enumerate(self.slots_per_group):
             counts[1 << g : 2 << g] = counts[: 1 << g] + k
@@ -275,6 +256,8 @@ def _coin_rows(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) ->
 def _coin_masks(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """Per candidate (after any leading draw axes of `coins`), the uint16 bit
     mask of the groups that own slots and whose coin is set (<= 16 groups)."""
+    if layout.group_count > MAX_MASK_GROUPS:
+        raise InputError(f"group masks cover at most {MAX_MASK_GROUPS} groups")
     # A row's groups are distinct, so the sum of their bits is their OR.
     bits = ((1 << membership) & layout.slotted_bits).astype(np.uint16)
     return np.einsum("...cj,cj->...c", coins, bits)

@@ -15,6 +15,7 @@ import stat
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -56,8 +57,8 @@ REPORT_FORMAT = "matchrank-report"
 FORMAT_VERSION = 1
 
 
-def write_text(path: str | Path, text: str):
-    """Write `text` to `path` as UTF-8, rewriting an existing file in place.
+def write_text(path: str | Path, text: str | Iterable[str]):
+    """Write `text`, a string or its chunks, to `path` as UTF-8 in place.
 
     The file is opened without ``O_TRUNC`` and cut to the written length
     afterwards.  On ext4, an open with ``O_TRUNC`` of a file whose last
@@ -73,15 +74,15 @@ def write_text(path: str | Path, text: str):
     the disk before the overwritten pages do, so an overwritten file can
     then hold old bytes, or old and new ones mixed, which may still parse.
     """
-    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     # A pipe or a terminal (``--out /dev/stdout``) has no length to cut.
     regular = stat.S_ISREG(os.fstat(fd).st_mode)
     try:
         with open(fd, "wb", closefd=False) as fh:
-            fh.write(data)
-        if regular:
-            os.ftruncate(fd, len(data))
+            for chunk in (text,) if isinstance(text, str) else text:
+                fh.write(chunk.encode())
+        if regular:  # to the offset, the bytes written
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except BaseException:
         if regular:
             os.ftruncate(fd, 0)
@@ -307,13 +308,19 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
 # sample-set debug dumps (plain text)
 
 
-def write_samples(samples: SampleSet, path: str | Path):
-    out = [f"{samples.n} {samples.candidates} {samples.slots} {samples.seed}"]
-    for i, m in enumerate(samples.samples):
-        out.append(f"sample {i} {m.edge_count}")
-        for a, t in zip(m.row_ids().tolist(), m.indices.tolist()):
-            out.append(f"{a} {t}")
-    write_text(path, "\n".join(out) + "\n")
+def write_samples(samples: SampleSet, path: str | Path) -> int:
+    """Write the samples as text, one sample at a time; return the edge count."""
+    counts = []
+    def chunks():
+        yield f"{samples.n} {samples.candidates} {samples.slots} {samples.seed}\n"
+        for i, m in enumerate(samples.samples):
+            counts.append(m.edge_count)
+            lines = [f"sample {i} {m.edge_count}"]
+            lines += [f"{a} {t}" for a, t in zip(m.row_ids().tolist(), m.indices.tolist())]
+            yield "\n".join(lines) + "\n"
+
+    write_text(path, chunks())
+    return sum(counts)
 
 
 # --------------------------------------------------------------------------

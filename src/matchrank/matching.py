@@ -10,8 +10,6 @@ call it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import InputError, RelevanceMatrix, UNMATCHED, _as_int_array, _row_positions
 
@@ -39,6 +37,9 @@ def _matching_sizes(
     the rows that take part (default: all); the caller guarantees distinct
     in-range ids (1-D, integer).  One Hopcroft–Karp solve on the union
     matches every draw at once, since no edge joins two draws."""
+    # Imported here, so a process that never solves does not load scipy.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import maximum_bipartite_matching
     if pool is not None:
         counts = indptr[pool + 1] - indptr[pool]
         indices = indices[_row_positions(indptr, pool)]

@@ -10,7 +10,7 @@ of two kernels.  Each kernel is an engine with the same two methods:
 and the eager greedy's work counters:
 
 * the cut kernel (:class:`_Cut`) for the samples of a group model of at
-  most :data:`~matchrank.core.MAX_CUT_CLASSES` groups.  It works on each
+  most :data:`MAX_CUT_KERNEL_GROUPS` groups.  It works on each
   draw's group bit masks, derived from the group coins the samples hold
   (:attr:`~matchrank.core.SampleSet.group_coins`), and the cut form of the
   matching size;
@@ -53,7 +53,6 @@ import numpy as np
 from .core import (
     ContractError,
     InputError,
-    MAX_CUT_CLASSES,
     PURPOSE_RANKER,
     Ranking,
     SampleSet,
@@ -550,15 +549,11 @@ def baseline_scores(marginals: SparseProbMatrix, rule: str) -> np.ndarray:
     return _row_sums(p / col_sums[idx], ptr)
 
 
-def score_ranking(
-    marginals: SparseProbMatrix, rule: str, secondary: np.ndarray | None = None
-) -> Ranking:
+def score_ranking(marginals: SparseProbMatrix, rule: str) -> Ranking:
     """Full ranking by descending score under the shared tie-break policy."""
     scores = baseline_scores(marginals, rule)
-    if secondary is None:
-        secondary = baseline_scores(marginals, "ntr")
-    c = marginals.candidates
-    order = np.lexsort((np.arange(c), -secondary, -scores))
+    tie = scores if rule == "ntr" else baseline_scores(marginals, "ntr")
+    order = np.lexsort((np.arange(marginals.candidates), -tie, -scores))
     return Ranking(order.astype(np.int32))
 
 
@@ -566,6 +561,21 @@ def random_ranking(candidates: int, seed: int) -> Ranking:
     """Uniform random permutation from the ranker's dedicated sub-stream."""
     rng = substream(seed, PURPOSE_RANKER)
     return Ranking(rng.permutation(candidates).astype(np.int32))
+
+
+#: Most groups of a group model whose samples :func:`rank` hands to the cut
+#: kernel (work 2**groups); others go to the batched kernel.  Seconds per rank,
+#: cut/batched, kernel and greedy loop alone, on C candidates x G groups of k
+#: slots (n=200, best of 3, mean of two model seeds, a busy 2-core host):
+#:
+#:     C x k       G=8          10           11           12           13           14
+#:     500 x 10    0.036/0.102  0.092/0.095  0.219/0.110  0.469/0.123  0.902/0.135  2.229/0.150
+#:     500 x 2                  0.025/0.045  0.060/0.050
+#:     2000 x 5                 0.052/0.124  0.111/0.132
+#:     2000 x 20                0.181/0.200  0.433/0.234
+#:     10000 x 50               0.536/0.630  1.061/0.675  2.237/0.727
+#: The batched kernel wins from 11 groups, except on 5-slot groups (0.02 s).
+MAX_CUT_KERNEL_GROUPS = 10
 
 
 def rank(
@@ -578,15 +588,13 @@ def rank(
 
     `marginals` overrides the empirical frequencies for the score baselines
     (e.g. to rank from model probabilities directly); the greedy algorithms
-    always work from the samples themselves, through the cut kernel for the
-    group coins of a group model of at most
-    :data:`~matchrank.core.MAX_CUT_CLASSES` groups and the batched kernel
-    otherwise (``stats.kernel`` tells which ran).
+    always work from the samples themselves, through the kernel
+    :data:`MAX_CUT_KERNEL_GROUPS` picks (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
         limit = _resolve_stop(cfg, samples.candidates)
         coins = samples.group_coins
-        if coins is not None and coins[0].group_count <= MAX_CUT_CLASSES:
+        if coins is not None and coins[0].group_count <= MAX_CUT_KERNEL_GROUPS:
             engine = _Cut(coins[0].subset_slots, _coin_masks(*coins))
         else:
             engine = _Batched(samples)

@@ -125,7 +125,7 @@ def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> Relevan
 def draw_group_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
     """The group masks of the draw ``draw_relevance(model, rng)`` makes, without
     its slots (uint16; groups without slots set no bit), for a group model of
-    at most :data:`~matchrank.core.MAX_CUT_CLASSES` groups."""
+    at most :data:`~matchrank.core.MAX_MASK_GROUPS` groups."""
     return _coin_masks(model.layout, model.membership, _group_coins(model, rng))
 
 

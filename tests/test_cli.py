@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matchrank
 from matchrank import core
 from matchrank.cli import main
 from conftest import read_samples
@@ -472,6 +476,35 @@ class TestOutputsRewrittenInPlace:
         assert run("rank", "--model", str(model_path), "--out", str(link), "--n", "4") == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == fresh.read_bytes()
+
+
+class TestScipyImport:
+    """Only the bisection path of evaluation solves a matching, so only it
+    imports scipy.  Each command runs in a fresh interpreter."""
+
+    PROBE = "import sys\nfrom matchrank.cli import main\nprint(main(sys.argv[1:]), 'scipy' in sys.modules)"
+
+    def loads_scipy(self, *argv) -> bool:
+        src = str(Path(matchrank.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True, env=env
+        )
+        code, loaded = out.stdout.splitlines()[-1].split()
+        assert (out.returncode, code) == (0, "0"), out.stderr
+        return loaded == "True"
+
+    def test_only_a_bisection_eval_imports_scipy(self, tmp_path, ingested_model_path):
+        model, ranking = str(tmp_path / "model.json"), str(tmp_path / "ranking.json")
+        assert not self.loads_scipy("synth", "--out", model, "--groups", "3", "--slots-per-group", "2",
+                                    "--candidates", "30", "--seed", "4")
+        assert not self.loads_scipy("rank", "--model", model, "--out", ranking, "--n", "4")
+        assert not self.loads_scipy("eval", "--model", model, "--ranking", ranking,
+                                    "--out", str(tmp_path / "cut.json"), "--draws", "3")
+        indep = str(tmp_path / "indep.json")
+        assert not self.loads_scipy("rank", "--model", str(ingested_model_path), "--out", indep, "--n", "4")
+        assert self.loads_scipy("eval", "--model", str(ingested_model_path), "--ranking", indep,
+                                "--out", str(tmp_path / "bisection.json"), "--draws", "3")
 
 
 class TestMemoryPreflight:

@@ -10,7 +10,7 @@ from conftest import edge_set, random_relevance
 from matchrank import core
 from matchrank.core import (
     InputError,
-    MAX_CUT_CLASSES,
+    MAX_MASK_GROUPS,
     ProbabilityModel,
     Ranking,
     RelevanceMatrix,
@@ -59,10 +59,22 @@ class TestSlotLayout:
             sum(k for g, k in enumerate(sizes) if u >> g & 1) for u in range(1 << len(sizes))
         ]
 
-    def test_subset_tables_and_slotted_bits(self):
+    def test_slotted_bits(self):
         assert SlotLayout((2, 0, 1, 0)).slotted_bits == 0b101
-        with pytest.raises(InputError, match=f"at most {MAX_CUT_CLASSES}"):
-            SlotLayout((1,) * (MAX_CUT_CLASSES + 1)).subset_slots
+
+    def test_masks_and_subset_tables_hold_at_most_16_groups(self):
+        # uint16 masks: group 16's bit would be dropped, so 17 groups are
+        # refused by both builders rather than masked wrongly.
+        coins = np.ones((1, 1, 2), dtype=bool)
+        full = SlotLayout((1,) * MAX_MASK_GROUPS)
+        assert full.subset_slots.size == 1 << 16 and full.subset_slots[-1] == 16
+        masks = core._coin_masks(full, np.array([[0, 15]]), coins)
+        assert masks.dtype == np.uint16 and masks.tolist() == [[1 | 1 << 15]]
+        wide = SlotLayout((1,) * (MAX_MASK_GROUPS + 1))
+        with pytest.raises(InputError, match="at most 16 groups"):
+            wide.subset_slots
+        with pytest.raises(InputError, match="at most 16 groups"):
+            core._coin_masks(wide, np.array([[0, 16]]), coins)
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(InputError):
@@ -368,11 +380,11 @@ class TestSampleSetGroupCoins:
         assert ss.samples is ss.samples  # expanded once
         assert ss.tobytes() == SampleSet(self.rows(), 0).tobytes()
 
-    def test_takes_more_groups_than_the_cut_kernel(self):
-        layout = SlotLayout((1,) * (MAX_CUT_CLASSES + 4))
+    def test_takes_more_groups_than_masks_hold(self):
+        layout = SlotLayout((1,) * (MAX_MASK_GROUPS + 4))
         coins = np.array([[[True, False]], [[False, True]]])
-        ss = SampleSet(None, 0, (layout, np.array([[0, MAX_CUT_CLASSES + 3]]), coins))
-        assert [m.row(0).tolist() for m in ss.samples] == [[0], [MAX_CUT_CLASSES + 3]]
+        ss = SampleSet(None, 0, (layout, np.array([[0, MAX_MASK_GROUPS + 3]]), coins))
+        assert [m.row(0).tolist() for m in ss.samples] == [[0], [MAX_MASK_GROUPS + 3]]
 
     @pytest.mark.parametrize(
         "coins",

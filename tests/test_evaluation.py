@@ -13,7 +13,6 @@ import matchrank.evaluation as evaluation
 from matchrank.core import (
     ContractError,
     InputError,
-    MAX_CUT_CLASSES,
     PURPOSE_EVAL,
     ProbabilityModel,
     Ranking,
@@ -24,6 +23,7 @@ from matchrank.core import (
     substream,
 )
 from matchrank.evaluation import (
+    MAX_CUT_FORM_GROUPS,
     EvalReport,
     _draw_chunks,
     _kmin_chunk,
@@ -153,7 +153,7 @@ class TestCutForm:
     """k_min on group masks against the bisection on slot-level draws."""
 
     @given(
-        st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_CLASSES),
+        st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS),
         st.integers(0, 2**32 - 1),
     )
     @example([0, 0, 0], 0)  # no slots: target 0
@@ -173,8 +173,8 @@ class TestCutForm:
     @pytest.mark.parametrize(
         "model, method",
         [
-            (build_synthetic_model(SynthParams(groups=MAX_CUT_CLASSES, slots_per_group=1, candidates=30)), "cut"),
-            (build_synthetic_model(SynthParams(groups=MAX_CUT_CLASSES + 1, slots_per_group=1, candidates=30)),
+            (build_synthetic_model(SynthParams(groups=MAX_CUT_FORM_GROUPS, slots_per_group=1, candidates=30)), "cut"),
+            (build_synthetic_model(SynthParams(groups=MAX_CUT_FORM_GROUPS + 1, slots_per_group=1, candidates=30)),
              "bisection"),
             (two_block_model(30, 6, 0.7, 0.6), "bisection"),
         ],
@@ -189,6 +189,13 @@ class TestCutForm:
 
         monkeypatch.setattr(evaluation, "_union_sizes" if method == "cut" else "_cut_sizes", unused)
         assert _kmin_chunk(model, order, 4, 0, 5) == want
+
+    @pytest.mark.parametrize("groups, method", [(10, "cut"), (11, "cut"), (12, "cut"), (13, "bisection")])
+    def test_method_follows_evaluations_own_limit(self, groups, method):
+        # The ranker's cut kernel stops at 10 groups; evaluation keeps the
+        # cut form up to 12.
+        model = build_synthetic_model(SynthParams(groups=groups, slots_per_group=1, candidates=30))
+        assert kmin_method(model) == method
 
 
 def random_independent_model(seed: int) -> ProbabilityModel:
@@ -244,7 +251,7 @@ class TestLockstep:
     search of the oracles, on the same draws and both methods."""
 
     @given(
-        st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_CLASSES + 2)),
+        st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2)),
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
         st.integers(1, 6),
@@ -257,11 +264,11 @@ class TestLockstep:
     @example([3, 0, 0, 2, 1, 0, 0, 0, 3, 0, 2, 0, 3, 1], 122, 0, 6, "pair")
     # No slots: target 0, on both methods.
     @example([0, 0, 0], 0, 0, 4, "pair")
-    @example([0] * (MAX_CUT_CLASSES + 2), 0, 0, 4, "one")
+    @example([0] * (MAX_CUT_FORM_GROUPS + 2), 0, 0, 4, "one")
     @settings(max_examples=300, deadline=None)
     def test_equals_per_draw_oracle(self, sizes, seed, lo, count, budget):
         """`sizes` None: an independent model, else a group model (more than
-        MAX_CUT_CLASSES groups take the bisection path).  The budget is the
+        MAX_CUT_FORM_GROUPS groups take the bisection path).  The budget is the
         default (one block), 1 (one draw per block), or one entry more than
         the first draw holds (a first block of two draws)."""
         model = random_independent_model(seed) if sizes is None else random_group_model(sizes, seed)

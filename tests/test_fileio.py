@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ from matchrank.fileio import (
     write_table,
 )
 from matchrank.ranker import TIE_BREAK, RankerConfig
-from matchrank.synthgen import SynthParams, build_synthetic_model, draw_relevance, two_block_model
+from matchrank.synthgen import (
+    SynthParams,
+    build_synthetic_model,
+    draw_relevance,
+    sample_relevances,
+    two_block_model,
+)
 
 
 class TestTriplets:
@@ -171,6 +178,28 @@ class TestSampleFiles:
         back = read_samples(path)
         assert back.tobytes() == ss.tobytes()
 
+    def test_writes_one_sample_at_a_time(self, tmp_path):
+        # The text of every edge is built per sample, so writing 8 samples
+        # peaks near writing 1, and the bytes are the plain per-edge join.
+        model = build_synthetic_model(SynthParams(groups=4, slots_per_group=5, candidates=2000))
+        peaks = []
+        for n in (1, 8):
+            ss = sample_relevances(model, n, 3)
+            assert sum(m.edge_count for m in ss.samples) > 4000 * n  # expanded before tracing
+            tracemalloc.start()
+            try:
+                edges = write_samples(ss, tmp_path / f"{n}.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            lines = [f"{ss.n} {ss.candidates} {ss.slots} {ss.seed}"]
+            for i, m in enumerate(ss.samples):
+                lines.append(f"sample {i} {m.edge_count}")
+                lines += [f"{a} {t}" for a, t in zip(m.row_ids().tolist(), m.indices.tolist())]
+            assert (tmp_path / f"{n}.txt").read_text() == "\n".join(lines) + "\n"
+            assert edges == sum(m.edge_count for m in ss.samples)
+        assert peaks[1] < 2 * peaks[0]
+
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("2 3 3 0\nsample 0 1\n0 1\n")
@@ -263,11 +292,14 @@ def writers():
 
 
 class _FullDisk:
-    """Stands in for the output file object: writes half of what it is
-    given, then fails as a full disk does."""
+    """Stands in for the output file object: takes what it is given until
+    `ROOM` bytes are in, then fails as a full disk does, so a writer of
+    chunks fails after its first ones."""
+
+    ROOM = 64
 
     def __init__(self, fd, mode, closefd):
-        self.fd = fd
+        self.fd, self.room = fd, self.ROOM
 
     def __enter__(self):
         return self
@@ -276,8 +308,11 @@ class _FullDisk:
         return False
 
     def write(self, data):
-        os.write(self.fd, data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
+        os.write(self.fd, data[: self.room])
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
 
 
 class TestWritersRewriteInPlace:
@@ -336,20 +371,22 @@ class TestWritersRewriteInPlace:
         with pytest.raises(InputError, match="not valid JSON"):
             read_report(path)
 
+    @pytest.mark.parametrize("name", ["text", "samples"])
     def test_text_writer_keeps_links_and_a_failed_write_leaves_it_empty(
-        self, writers, tmp_path, monkeypatch
+        self, writers, tmp_path, monkeypatch, name
     ):
-        # The experiment drivers write their table.txt through write_text.
+        # The experiment drivers write their table.txt through write_text;
+        # the sample writer hands it one chunk per sample.
         path, link = tmp_path / "table.txt", tmp_path / "hard.txt"
         path.write_bytes(b"x" * 5000)
         os.link(path, link)
         inode = path.stat().st_ino
-        writers["text"](path)
+        writers[name](path)
         assert path.stat().st_ino == inode
         assert link.read_bytes() == path.read_bytes() != b"x" * 5000
         monkeypatch.setattr(fileio, "open", _FullDisk, raising=False)
         with pytest.raises(OSError, match="No space"):
-            writers["text"](path)
+            writers[name](path)
         assert path.read_bytes() == b""
 
 

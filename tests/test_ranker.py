@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import random_group_samples, random_relevance, random_sampleset
 from matchrank.core import (
-    MAX_CUT_CLASSES,
     ContractError,
     InputError,
     ProbabilityModel,
@@ -16,10 +16,12 @@ from matchrank.core import (
     SampleSet,
     SlotLayout,
     SparseProbMatrix,
+    _coin_masks,
 )
 from matchrank.ranker import (
     ALGORITHMS,
     GREEDY_ALGORITHMS,
+    MAX_CUT_KERNEL_GROUPS,
     RankerConfig,
     RankerStats,
     baseline_scores,
@@ -416,8 +418,8 @@ def engine_run(ss: SampleSet, make_engine):
 
 def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None) -> list[RankerStats]:
     """The cut kernel, handed every slot as a class of its own (at most
-    MAX_CUT_CLASSES slots), equals both augmenting-path greedy functions."""
-    assert ss.slots <= MAX_CUT_CLASSES
+    MAX_CUT_KERNEL_GROUPS slots), equals both augmenting-path greedy functions."""
+    assert ss.slots <= MAX_CUT_KERNEL_GROUPS
     bits = 1 << np.arange(ss.slots)
     masks = np.array(
         [[bits[m.row(a)].sum() for a in range(ss.candidates)] for m in ss.samples],
@@ -432,7 +434,7 @@ def moved(runs: list[RankerStats]) -> list[int]:
 
 
 class TestCutKernel:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_CLASSES), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, MAX_CUT_KERNEL_GROUPS), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_group_models_match_augmenting_path(self, seed, groups, truncate):
         rng = np.random.default_rng(seed)
@@ -451,14 +453,14 @@ class TestCutKernel:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_samplesets_match_augmenting_path(self, seed):
-        # Up to 16 slots; the cut kernel takes those of at most 12 when
-        # handed each slot as a class.
+        # Up to 16 slots; the cut kernel takes those of at most
+        # MAX_CUT_KERNEL_GROUPS when handed each slot as a class.
         rng = np.random.default_rng(7000 + seed)
         c, s, n = int(rng.integers(1, 20)), int(rng.integers(0, 17)), int(rng.integers(1, 6))
         ss = random_sampleset(rng, c, s, n, float(rng.choice([0.1, 0.3, 0.6])))
         stop_at = int(rng.integers(1, c + 1)) if seed % 3 == 0 else None
         assert_rank_matches_oracles(ss, stop_at, "batched")
-        if s <= MAX_CUT_CLASSES:
+        if s <= MAX_CUT_KERNEL_GROUPS:
             assert_cut_matches_oracles(ss, stop_at)
 
     def test_two_block_model_slots_are_singleton_classes(self):
@@ -491,7 +493,7 @@ class TestCutKernel:
 
     def test_group_model_at_the_limit_takes_cut_kernel(self):
         model = build_synthetic_model(
-            SynthParams(groups=MAX_CUT_CLASSES, slots_per_group=2, candidates=60, seed=2)
+            SynthParams(groups=MAX_CUT_KERNEL_GROUPS, slots_per_group=2, candidates=60, seed=2)
         )
         assert_rank_matches_oracles(sample_relevances(model, 4, 1), None, "cut")
 
@@ -502,7 +504,9 @@ class TestCutKernel:
             raise AssertionError("group coins expanded into rows")
 
         monkeypatch.setattr(SampleSet, "samples", property(expand))
-        for groups, kernel in ((4, "cut"), (13, "batched"), (16, "batched")):
+        kernels = ((4, "cut"), (10, "cut"), (11, "batched"), (12, "batched"), (13, "batched"),
+                   (16, "batched"))
+        for groups, kernel in kernels:
             model = build_synthetic_model(
                 SynthParams(groups=groups, slots_per_group=3, candidates=40, seed=3)
             )
@@ -516,7 +520,7 @@ class TestCutKernel:
 
     def test_more_groups_than_limit_take_batched_kernel(self):
         model = build_synthetic_model(
-            SynthParams(groups=MAX_CUT_CLASSES + 1, slots_per_group=2, candidates=60, seed=2)
+            SynthParams(groups=MAX_CUT_KERNEL_GROUPS + 1, slots_per_group=2, candidates=60, seed=2)
         )
         ss = sample_relevances(model, 4, 1)
         assert ss.group_coins is not None
@@ -540,7 +544,7 @@ class TestBatchedKernel:
         ss = random_unstructured_samples(rng)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
         bat = assert_rank_matches_oracles(ss, stop_at, "batched")
-        if ss.slots <= MAX_CUT_CLASSES:
+        if ss.slots <= MAX_CUT_KERNEL_GROUPS:
             # Each slot a class: the blocked sets grow in the same rounds.
             assert moved(assert_cut_matches_oracles(ss, stop_at)) == moved(bat)
 
@@ -601,11 +605,12 @@ class TestBatchedKernel:
 
 
 def contract_samples(toy_instance) -> list[SampleSet]:
-    """One sample as slot rows, and one as the coins of 13 groups: group 0
-    of 2 slots, group 1 of 1 and 11 without slots, so it ranks through the
-    batched kernel.  Candidate 0 holds groups 0 and 1, candidates 1 and 2
-    group 0, candidate 3 group 1; the greedy takes 0, 1, then 2."""
-    layout = SlotLayout((2, 1) + (0,) * (MAX_CUT_CLASSES - 1))
+    """One sample as slot rows, and one as the coins of MAX_CUT_KERNEL_GROUPS
+    + 1 groups: group 0 of 2 slots, group 1 of 1 and the others without
+    slots, so it ranks through the batched kernel.  Candidate 0 holds
+    groups 0 and 1, candidates 1 and 2 group 0, candidate 3 group 1; the
+    greedy takes 0, 1, then 2."""
+    layout = SlotLayout((2, 1) + (0,) * (MAX_CUT_KERNEL_GROUPS - 1))
     coins = np.array([[[True, True], [True, False], [True, False], [False, True]]])
     groups = (layout, np.array([[0, 1]] * 4), coins)
     return [SampleSet((toy_instance,), seed=0), SampleSet(None, 0, groups)]
@@ -616,7 +621,7 @@ class TestCapacitatedBins:
     groups than the cut kernel takes) against the same draws as slot rows,
     each slot a bin of cap 1."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(MAX_CUT_CLASSES + 1, 16), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(MAX_CUT_KERNEL_GROUPS + 1, 16), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_group_bins_equal_slot_rows_and_oracles(self, seed, groups, truncate):
         # Zero-slot groups (cap 0), saturated and unfillable samples.
@@ -631,6 +636,30 @@ class TestCapacitatedBins:
             assert got.order.tobytes() == want.order.tobytes()
             assert got.prefix_gain == want.prefix_gain
             assert got_stats == want_stats and got_stats.kernel == "batched"
+        assert_rank_matches_oracles(ss, stop_at, "batched")
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([11, 12]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_eleven_and_twelve_groups_rank_batched_as_the_cut_kernel_would(
+        self, seed, groups, truncate
+    ):
+        # Past the ranker's cut limit of 10 groups but within the cut
+        # kernel's reach: rank() takes the batched kernel, and the cut
+        # kernel forced on the same coins gives the same ranking and
+        # counters.  Slot counts 0-3 give 2-slot and cap-0 groups.
+        rng = np.random.default_rng(seed)
+        ss = random_group_samples(rng, groups)
+        layout = ss.group_coins[0]
+        cut = engine_run(ss, lambda: _Cut(layout.subset_slots, _coin_masks(*ss.group_coins)))
+        stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
+        for algorithm in GREEDY_ALGORITHMS:
+            cfg = RankerConfig(algorithm=algorithm, stop_at=stop_at)
+            got_stats, want_stats = RankerStats(), RankerStats()
+            got, want = rank(ss, cfg, stats=got_stats), cut(cfg, want_stats)
+            assert got.order.tobytes() == want.order.tobytes()
+            assert got.prefix_gain == want.prefix_gain
+            assert (got_stats.kernel, want_stats.kernel) == ("batched", "cut")
+            assert replace(got_stats, kernel="") == replace(want_stats, kernel="")
         assert_rank_matches_oracles(ss, stop_at, "batched")
 
     def test_path_through_a_full_group(self):

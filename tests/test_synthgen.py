@@ -3,7 +3,7 @@ import pytest
 
 from matchrank.core import (
     InputError,
-    MAX_CUT_CLASSES,
+    MAX_MASK_GROUPS,
     PROB_CLIP,
     PURPOSE_SAMPLE,
     ProbabilityModel,
@@ -223,8 +223,6 @@ class TestSampleRelevances:
             for a in range(40):
                 groups = membership[a][won[a]]
                 assert m.row(a).tolist() == layout.slots_of(groups).tolist()
-        if g > MAX_CUT_CLASSES:
-            return
         # A mask-only draw takes the same coins from the same sub-stream, and
         # sets no bit of a slotless group.
         for i, won in enumerate(coins):
@@ -232,7 +230,7 @@ class TestSampleRelevances:
             want = [sum(1 << int(k) for k in membership[a][won[a]] if sizes[k]) for a in range(40)]
             assert alone.dtype == np.uint16 and alone.tolist() == want
 
-    @pytest.mark.parametrize("groups", [4, MAX_CUT_CLASSES + 1])
+    @pytest.mark.parametrize("groups", [4, MAX_MASK_GROUPS + 1])
     def test_group_coins_leave_draws_unchanged(self, groups):
         model = build_synthetic_model(small_params(groups=groups))
         ss = sample_relevances(model, 4, 2)
@@ -241,7 +239,7 @@ class TestSampleRelevances:
             assert plain.tobytes() == m.tobytes()
 
     def test_every_group_model_draws_coins_and_independent_models_rows(self):
-        wide = build_synthetic_model(small_params(groups=MAX_CUT_CLASSES + 1, slots_per_group=1))
+        wide = build_synthetic_model(small_params(groups=MAX_MASK_GROUPS + 1, slots_per_group=1))
         assert sample_relevances(wide, 2, 0).rows is None
         independent = sample_relevances(two_block_model(8, 4), 2, 0)
         assert independent.group_coins is None and len(independent.rows) == 2
