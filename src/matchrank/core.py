@@ -103,6 +103,12 @@ def _physical_memory() -> int:
     return host if limit is None else min(host, limit)
 
 
+def _require_memory(nbytes: int, what: str):
+    """Refuse, before allocating, `nbytes` that the process cannot have."""
+    if nbytes > _physical_memory():
+        raise InputError(f"{what} need more memory than this process may use")
+
+
 def _cgroup_memory_max() -> int | None:
     """The memory limit of this process's cgroup in bytes, found through
     ``/proc/self/cgroup``: the cgroup v2 ``memory.max``, else, as on a
@@ -143,13 +149,12 @@ class SlotLayout:
 
     Slot ``t`` belongs to group ``slot_to_group[t]``; group ``j`` owns the
     contiguous id range ``[group_start[j], group_start[j] + slots_per_group[j])``.
+    A layout may have no group: the bins of a model without slots.
     """
 
     slots_per_group: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.slots_per_group) < 1:
-            raise InputError("layout needs at least one group")
         counts = tuple(_as_count(n, "slot count") for n in self.slots_per_group)
         if any(n < 0 for n in counts):
             raise InputError("slot counts must be non-negative")
@@ -171,9 +176,12 @@ class SlotLayout:
     def total_slots(self) -> int:
         return sum(self.slots_per_group)
 
-    @property
+    @cached_property
     def group_sizes(self) -> np.ndarray:
-        return np.array(self.slots_per_group, dtype=np.int64)
+        """Slot count of each group (int64, read-only)."""
+        sizes = np.array(self.slots_per_group, dtype=np.int64)
+        sizes.setflags(write=False)
+        return sizes
 
     @property
     def group_start(self) -> np.ndarray:
@@ -205,8 +213,14 @@ class SlotLayout:
 
     def slots_of(self, groups: np.ndarray) -> np.ndarray:
         """Concatenated slot ids of `groups` (repeats allowed), in order, as int32."""
+        if self._one_slot_each:
+            return groups.astype(np.int32)  # group g is slot g
         indptr = np.append(self.group_start, self.total_slots)
         return _row_positions(indptr, groups).astype(np.int32)
+
+    @cached_property
+    def _one_slot_each(self) -> bool:
+        return all(k == 1 for k in self.slots_per_group)
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -227,40 +241,35 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, out=steps)
 
 
-def _as_membership(layout: SlotLayout, membership) -> np.ndarray:
-    """`membership` as read-only int32 rows, one per candidate, of strictly
-    increasing group ids of `layout`."""
-    mem = _as_int_array(membership, np.int32, "membership")
-    if mem.ndim != 2 or not 1 <= mem.shape[1] <= layout.group_count:
-        raise InputError("membership must be candidates x memberships, in [1, group_count]")
-    if mem.size and (mem.min() < 0 or mem.max() >= layout.group_count):
-        raise InputError("membership ids out of range")
-    if np.any(np.diff(mem, axis=1) <= 0):
-        raise InputError("membership rows must be strictly increasing")
-    mem.setflags(write=False)
-    return mem
+def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
+    """The slot-level draw of `model` whose coins are `won` (bool, one per
+    coin): row a holds the slots of the bins of a's won coins."""
+    bins, won = model.bins, np.flatnonzero(won)
+    won_bins = model.coin_bins[won]
+    ends = np.zeros(won.size + 1, dtype=np.int64)
+    np.cumsum(bins.group_sizes[won_bins], out=ends[1:])
+    # Row a ends after the slots of the won coins before a's last coin.
+    indptr = ends[np.searchsorted(won, model.coin_ptr)]
+    # A candidate's bins ascend, so its slot ids do too.
+    return RelevanceMatrix(model.candidates, model.slots, indptr, bins.slots_of(won_bins))
 
 
-def _coin_rows(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) -> RelevanceMatrix:
-    """The draw of one coin per (candidate, membership): row a holds the slots
-    of every group ``membership[a, i]`` whose coin ``coins[a, i]`` is set."""
-    per_cand = (coins * layout.group_sizes[membership]).sum(axis=1)
-    indptr = np.zeros(len(membership) + 1, dtype=np.int64)
-    np.cumsum(per_cand, out=indptr[1:])
-    # Row-major selection keeps each candidate's groups in ascending order,
-    # so the expanded slot ids are sorted within each row.
-    indices = layout.slots_of(membership[coins])
-    return RelevanceMatrix(len(membership), layout.total_slots, indptr, indices)
-
-
-def _coin_masks(layout: SlotLayout, membership: np.ndarray, coins: np.ndarray) -> np.ndarray:
+def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
     """Per candidate (after any leading draw axes of `coins`), the uint16 bit
-    mask of the groups that own slots and whose coin is set (<= 16 groups)."""
-    if layout.group_count > MAX_MASK_GROUPS:
+    mask of the bins that own slots and whose coin is set (<= 16 bins)."""
+    bins = model.bins
+    if bins.group_count > MAX_MASK_GROUPS:
         raise InputError(f"group masks cover at most {MAX_MASK_GROUPS} groups")
-    # A row's groups are distinct, so the sum of their bits is their OR.
-    bits = ((1 << membership) & layout.slotted_bits).astype(np.uint16)
-    return np.einsum("...cj,cj->...c", coins, bits)
+    bits = ((1 << model.coin_bins) & bins.slotted_bits).astype(np.uint16)
+    # A candidate's coins cover distinct bins, so it has at most 16 and the
+    # sum of their bits is their OR: add them up position by position, a
+    # row past its last coin adding 0.
+    first, lens = model.coin_ptr[:-1], np.diff(model.coin_ptr)
+    masks = np.zeros(coins.shape[:-1] + lens.shape, dtype=np.uint16)
+    for i in range(int(lens.max(initial=0))):
+        at = np.minimum(first + i, bits.size - 1)
+        masks += coins[..., at] * np.where(lens > i, bits[at], 0).astype(np.uint16)
+    return masks
 
 
 def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray):
@@ -419,10 +428,7 @@ class SparseProbMatrix:
         # few bytes of file could otherwise ask for any amount of memory.
         # At the peak, `indptr` and bincount's counts are both held: 16 bytes
         # a candidate.
-        if 16 * (candidates + 1) > _physical_memory():
-            raise InputError(
-                f"{candidates} candidates need more memory than this process may use"
-            )
+        _require_memory(16 * (candidates + 1), f"{candidates} candidates")
         seen = set()
         kept = []
         for a, t, p in entries:
@@ -503,6 +509,14 @@ class ProbabilityModel:
     * ``group`` — each candidate belongs to a few groups; one Bernoulli per
       (candidate, group) toggles *all* slots of that group at once, so edges
       within a group are perfectly correlated for a given candidate.
+
+    Both draw alike: one coin per entry of ``coin_probs``, and a won coin
+    makes its candidate relevant to every slot of its bin.  Candidate a's
+    coins are ``coin_ptr[a]:coin_ptr[a+1]``, each in bin ``coin_bins[i]`` of
+    the layout :attr:`bins`, ascending within a candidate.  A group model's
+    coins are its memberships and its bins its groups; an independent
+    model's coins are its stored entries and its bins its slots, one-slot
+    groups.
     """
 
     kind: str
@@ -510,6 +524,9 @@ class ProbabilityModel:
     layout: SlotLayout | None = None
     membership: np.ndarray | None = None  # (candidates, memberships) int32, rows ascending
     group_prob: np.ndarray | None = None  # same shape, float64
+    coin_ptr: np.ndarray = field(init=False, repr=False)  # int64, candidates + 1
+    coin_bins: np.ndarray = field(init=False, repr=False)  # int32
+    coin_probs: np.ndarray = field(init=False, repr=False)  # float64
 
     def __post_init__(self):
         if self.kind == KIND_INDEPENDENT:
@@ -517,12 +534,21 @@ class ProbabilityModel:
                 raise InputError("independent model requires marginals")
             if self.layout is not None or self.membership is not None:
                 raise InputError("independent model carries marginals only")
+            m = self.marginals
+            coins = (m.indptr, m.indices, m.probs)
         elif self.kind == KIND_GROUP:
             if self.layout is None or self.membership is None or self.group_prob is None:
                 raise InputError("group model requires layout, membership, group_prob")
             if self.marginals is not None:
                 raise InputError("group model must not carry explicit marginals")
-            mem = _as_membership(self.layout, self.membership)
+            g = self.layout.group_count
+            mem = _as_int_array(self.membership, np.int32, "membership")
+            if mem.ndim != 2 or not 1 <= mem.shape[1] <= g:
+                raise InputError("membership must be candidates x memberships, in [1, group_count]")
+            if mem.size and (mem.min() < 0 or mem.max() >= g):
+                raise InputError("membership ids out of range")
+            if np.any(np.diff(mem, axis=1) <= 0):
+                raise InputError("membership rows must be strictly increasing")
             gp = np.ascontiguousarray(self.group_prob, dtype=np.float64)
             if gp.shape != mem.shape:
                 raise InputError("membership and group_prob must share shape (candidates, memberships)")
@@ -530,11 +556,18 @@ class ProbabilityModel:
                 not np.isfinite(gp).all() or gp.min() <= 0.0 or gp.max() >= 1.0
             ):
                 raise InputError("group probabilities must lie strictly inside (0, 1)")
+            mem.setflags(write=False)
             gp.setflags(write=False)
             object.__setattr__(self, "membership", mem)
             object.__setattr__(self, "group_prob", gp)
+            c, k = mem.shape
+            ptr = np.arange(0, c * k + 1, k, dtype=np.int64)
+            ptr.setflags(write=False)
+            coins = (ptr, mem.ravel(), gp.ravel())
         else:
             raise InputError(f"unknown model kind {self.kind!r}")
+        for name, values in zip(("coin_ptr", "coin_bins", "coin_probs"), coins):
+            object.__setattr__(self, name, values)
 
     @classmethod
     def independent(cls, marginals: SparseProbMatrix) -> "ProbabilityModel":
@@ -553,9 +586,7 @@ class ProbabilityModel:
 
     @property
     def candidates(self) -> int:
-        if self.kind == KIND_INDEPENDENT:
-            return self.marginals.candidates
-        return self.membership.shape[0]
+        return self.coin_ptr.size - 1
 
     @property
     def slots(self) -> int:
@@ -563,73 +594,72 @@ class ProbabilityModel:
             return self.marginals.slots
         return self.layout.total_slots
 
+    @cached_property
+    def bins(self) -> SlotLayout:
+        """The layout of the bins the coins fall in (see the class docstring)."""
+        if self.kind == KIND_INDEPENDENT:
+            return SlotLayout((1,) * self.marginals.slots)
+        return self.layout
+
     def marginal_matrix(self) -> SparseProbMatrix:
-        """Per-(candidate, slot) edge probabilities implied by the model."""
+        """Per-(candidate, slot) edge probabilities implied by the model: each
+        coin's probability on every slot of its bin."""
         if self.kind == KIND_INDEPENDENT:
             return self.marginals
-        m = _coin_rows(self.layout, self.membership, np.ones(self.membership.shape, dtype=bool))
-        probs = np.repeat(self.group_prob.ravel(), self.layout.group_sizes[self.membership.ravel()])
+        m = _coin_rows(self, np.ones(self.coin_probs.size, dtype=bool))
+        probs = np.repeat(self.coin_probs, self.layout.group_sizes[self.coin_bins])
         return SparseProbMatrix(m.candidates, m.slots, m.indptr, m.indices, probs)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """n relevance matrices drawn i.i.d. from one model, plus the seed used.
+    """n relevance matrices drawn i.i.d. from `model`, plus the seed used.
 
-    A set holds one of two forms, never both.  `rows` is a tuple of
-    slot-level matrices.  `group_coins`, for samples drawn from a group
-    model, is ``(layout, membership, coins)``: the model's
-    :class:`SlotLayout` and membership, and per sample, candidate and
-    membership whether the candidate won that group (bool, n x candidates x
-    memberships).  Such a draw's row is the union of the slots of the groups
-    it won, and :attr:`samples` expands the coins into those rows on first
-    use.
+    A set holds the coins its draws flipped: per sample and coin of the
+    model, whether the coin was won (bool, n x coins; see
+    :class:`ProbabilityModel`), 1 byte per coin and sample.  A sample's row
+    for candidate a is the slots of the bins of a's won coins;
+    :meth:`sample` expands one sample into its rows, and :attr:`samples`
+    all of them, on first use.
     """
 
-    rows: tuple[RelevanceMatrix, ...] | None
+    model: ProbabilityModel
+    coins: np.ndarray
     seed: int
-    group_coins: tuple[SlotLayout, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if (self.rows is None) == (self.group_coins is None):
-            raise InputError("a sample set holds either rows or group coins")
-        if self.group_coins is None:
-            object.__setattr__(self, "rows", tuple(self.rows))
-            if not self.rows:
-                raise InputError("a sample set needs at least one sample")
-            if len({(m.candidates, m.slots) for m in self.rows}) > 1:
-                raise InputError("all samples must share dimensions")
-            return
-        layout, membership, coins = self.group_coins
-        membership, coins = _as_membership(layout, membership), np.asarray(coins)
-        if coins.dtype != bool or coins.shape[1:] != membership.shape or len(coins) < 1:
-            raise InputError("group coins must be n x candidates x memberships booleans, n >= 1")
+        coins = np.asarray(self.coins)
+        if coins.dtype != bool or coins.ndim != 2 or coins.shape[1] != self.model.coin_probs.size:
+            raise InputError("coins must be n x coins booleans of the model")
+        if len(coins) < 1:
+            raise InputError("a sample set needs at least one sample")
         coins.setflags(write=False)
-        object.__setattr__(self, "group_coins", (layout, membership, coins))
+        object.__setattr__(self, "coins", coins)
+
+    def sample(self, i: int) -> RelevanceMatrix:
+        """Sample i's slot-level matrix, expanded afresh on every call."""
+        return _coin_rows(self.model, self.coins[i])
 
     @cached_property
     def samples(self) -> tuple[RelevanceMatrix, ...]:
-        """The slot-level matrices: `rows`, or the expanded group coins."""
-        if self.rows is not None:
-            return self.rows
-        layout, membership, coins = self.group_coins
-        return tuple(_coin_rows(layout, membership, won) for won in coins)
+        """Every sample's slot-level matrix, expanded once."""
+        return tuple(self.sample(i) for i in range(self.n))
 
     @property
     def n(self) -> int:
-        return len(self.rows or self.group_coins[2])
+        return len(self.coins)
 
     @property
     def candidates(self) -> int:
-        return self.rows[0].candidates if self.rows else len(self.group_coins[1])
+        return self.model.candidates
 
     @property
     def slots(self) -> int:
-        return self.rows[0].slots if self.rows else self.group_coins[0].total_slots
+        return self.model.slots
 
     def tobytes(self) -> bytes:
         head = np.array([self.n, self.seed], dtype=np.int64).tobytes()
-        return head + b"".join(m.tobytes() for m in self.samples)
+        return head + b"".join(self.sample(i).tobytes() for i in range(self.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,11 +17,12 @@ whole candidate set (unfillable draws stop there) and bisect (target, n].
 :func:`kmin_method` picks how a probe measures a prefix, and
 ``_kmin_chunk`` dispatches on it:
 
-* ``"cut"``, for a group model of at most :data:`MAX_CUT_FORM_GROUPS`
-  groups: a draw is one group mask per candidate
-  (:func:`~matchrank.synthgen.draw_group_masks`), never expanded to slots.
+* ``"cut"``, for a model of at most :data:`MAX_CUT_FORM_GROUPS` bins (the
+  groups of a group model, the slots of an independent one): a block's
+  draws are drawn as coins and made into one bin mask per candidate
+  together, never expanded to slots.
   By max-flow min-cut, the matching size of a prefix of length k is the
-  minimum over group subsets U of cap(U) + k - F(U), where cap(U) counts
+  minimum over bin subsets U of cap(U) + k - F(U), where cap(U) counts
   the slots of U and F(U) the prefix candidates whose mask lies within U: a
   subset-sum (zeta) transform over the 2**G subsets (Björklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Möbius", STOC 2007) of the prefix
@@ -59,17 +60,13 @@ from .core import (
     Ranking,
     RelevanceMatrix,
     _as_count,
+    _coin_masks,
     _row_positions,
     substream,
 )
 from .matching import _matching_sizes
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
-from .synthgen import (
-    build_synthetic_model,
-    draw_group_masks,
-    draw_relevance,
-    sample_relevances,
-)
+from .synthgen import _draw_coins, build_synthetic_model, draw_relevance, sample_relevances
 
 __all__ = [
     "EvalReport",
@@ -139,8 +136,8 @@ def _check_ranking_ids(ranking: Ranking, matrix: RelevanceMatrix):
 #: takes consecutive draws until their summed entries reach this budget, so it
 #: holds at least one draw and less than the budget plus its last draw; a draw
 #: that reaches it alone is a block of its own.  A draw's entries are what the
-#: probes hold for it: on the cut path its candidates' masks and its 2**G
-#: subset counts, on the bisection path its slot-level edges, its row
+#: probes hold for it: on the cut path its coins, its candidates' masks and
+#: its 2**G subset counts, on the bisection path its slot-level edges, its row
 #: pointers (one per candidate) and its slots (the union's columns).
 _BLOCK_ENTRIES = 2**18
 
@@ -184,12 +181,12 @@ def _prefix_positions(d: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     return (d[:, None] * n + cols)[cols < k[:, None]]
 
 
-def _cut_sizes(cap: np.ndarray, block: list[np.ndarray]):
+def _cut_sizes(cap: np.ndarray, masks: np.ndarray):
     """The lockstep probe on the cut form.  `cap` holds the slot count of
-    every group subset, indexed by its bit mask, and `block` each draw's
-    candidate group masks in rank order."""
+    every bin subset, indexed by its bit mask, and `masks` each draw's
+    candidate bin masks in rank order (draws x candidates)."""
     groups = cap.size.bit_length() - 1
-    n, flat = block[0].size, np.concatenate(block)
+    n, flat = masks.shape[1], masks.ravel()
 
     def sizes(d: np.ndarray, k: np.ndarray) -> np.ndarray:
         # Key each prefix mask by its probed draw's place, so that one
@@ -236,15 +233,17 @@ def _union_sizes(slots: int, block: list[tuple[np.ndarray, np.ndarray]]):
     return sizes
 
 
-#: Most groups of a group model evaluated in the cut form (2**groups per draw
-#: and probe): 0.8 ms a draw on 10,000 candidates x 12 groups x 50 slots, 19 ms by bisection.
+#: Most bins (groups of a group model, slots of an independent one) of a model
+#: evaluated in the cut form (2**bins per draw and probe): 0.8 ms a draw on
+#: 10,000 candidates x 12 groups x 50 slots, 19 ms by bisection; 1.3 ms a draw
+#: on 5,000 candidates x 12 independent slots, 1.7 ms by bisection.
 MAX_CUT_FORM_GROUPS = 12
 
 
 def kmin_method(model: ProbabilityModel) -> str:
     """How evaluation finds ``k_min`` on draws of `model` (see the module
-    docstring): ``"cut"`` up to :data:`MAX_CUT_FORM_GROUPS` groups, else ``"bisection"``."""
-    return "cut" if model.layout and model.layout.group_count <= MAX_CUT_FORM_GROUPS else "bisection"
+    docstring): ``"cut"`` up to :data:`MAX_CUT_FORM_GROUPS` bins, else ``"bisection"``."""
+    return "cut" if model.bins.group_count <= MAX_CUT_FORM_GROUPS else "bisection"
 
 
 def _kmin_chunk(
@@ -254,15 +253,16 @@ def _kmin_chunk(
     draws form a block until their entries reach :data:`_BLOCK_ENTRIES`, and
     each block is searched in lockstep."""
     if kmin_method(model) == "cut":
-        cap = model.layout.subset_slots
+        cap = model.bins.subset_slots
 
         def draw(rng):
-            return draw_group_masks(model, rng)[order]
+            return _draw_coins(model, rng)
 
-        def entries(masks):
-            return masks.size + cap.size
+        def entries(coins):
+            return coins.size + order.size + cap.size
 
-        probe = partial(_cut_sizes, cap)
+        def probe(block):
+            return _cut_sizes(cap, _coin_masks(model, np.stack(block))[:, order])
     else:
 
         def draw(rng):

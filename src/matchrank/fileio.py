@@ -309,11 +309,13 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
 
 
 def write_samples(samples: SampleSet, path: str | Path) -> int:
-    """Write the samples as text, one sample at a time; return the edge count."""
+    """Write the samples as text, one sample at a time, expanding none ahead
+    and keeping none; return the edge count."""
     counts = []
     def chunks():
         yield f"{samples.n} {samples.candidates} {samples.slots} {samples.seed}\n"
-        for i, m in enumerate(samples.samples):
+        for i in range(samples.n):
+            m = samples.sample(i)
             counts.append(m.edge_count)
             lines = [f"sample {i} {m.edge_count}"]
             lines += [f"{a} {t}" for a, t in zip(m.row_ids().tolist(), m.indices.tolist())]

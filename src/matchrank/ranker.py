@@ -9,10 +9,11 @@ of two kernels.  Each kernel is an engine with the same two methods:
 ``commit(a, gain)`` adds candidate ``a``.  Both produce identical output
 and the eager greedy's work counters:
 
-* the cut kernel (:class:`_Cut`) for the samples of a group model of at
-  most :data:`MAX_CUT_KERNEL_GROUPS` groups.  It works on each
-  draw's group bit masks, derived from the group coins the samples hold
-  (:attr:`~matchrank.core.SampleSet.group_coins`), and the cut form of the
+* the cut kernel (:class:`_Cut`) for a sample set of at most
+  :data:`MAX_CUT_KERNEL_GROUPS` bins: the groups of a group model, the
+  slots of an independent one.  It works on each draw's bin bit masks,
+  derived from the coins the samples hold
+  (:attr:`~matchrank.core.SampleSet.coins`), and the cut form of the
   matching size;
 * the batched kernel (:class:`_Batched`) for every other sample set.  It
   keeps one maximum b-matching over the disjoint union of all samples, into
@@ -298,18 +299,13 @@ class _Batched:
     kernel = "batched"
 
     def __init__(self, samples: SampleSet):
-        n, c = samples.n, samples.candidates
-        if samples.group_coins is None:
-            cap = np.ones(samples.slots, dtype=np.int64)
-            edges = sum(m.edge_count for m in samples.samples)
-            draws = ((m.degrees(), m.indices) for m in samples.samples)
-        else:
-            layout, membership, coins = samples.group_coins
-            cap, edges = layout.group_sizes, int(np.count_nonzero(coins))
-            draws = ((np.count_nonzero(won, axis=1), membership[won]) for won in coins)
+        n, c, model = samples.n, samples.candidates, samples.model
+        cap, edges = model.bins.group_sizes, int(np.count_nonzero(samples.coins))
         b = cap.size
         itype = np.int32 if max(n * c, n * b, edges) < 2**31 else np.int64
         narrow = np.min_scalar_type(max(b - 1, 0))
+        owner = np.repeat(np.arange(c, dtype=itype), np.diff(model.coin_ptr))
+        row_ends = model.coin_ptr[1:]
         self.n, self.c, self.b = n, c, b
         self.cap = np.tile(cap.astype(itype), n)
         self.cand_ptr = np.zeros(n * c + 1, dtype=itype)
@@ -319,13 +315,16 @@ class _Batched:
         # Edges per candidate-copy into ``reach``: at most one per bin.
         self.hits = np.empty(n * c, dtype=np.min_scalar_type(b))
         lo = 0
-        for j, (deg, bins) in enumerate(draws):
+        for j, coins in enumerate(samples.coins):
+            # A sample's edges: its won coins, each into the coin's bin.
+            won = np.flatnonzero(coins)
+            bins, local = model.coin_bins[won], owner[won]
             hi = lo + bins.size
-            np.cumsum(deg, out=self.cand_ptr[j * c + 1 : (j + 1) * c + 1])
-            self.cand_ptr[j * c + 1 : (j + 1) * c + 1] += lo
+            # A candidate's edges end after the won coins before its end.
+            ptr = self.cand_ptr[j * c + 1 : (j + 1) * c + 1]
+            np.add(np.searchsorted(won, row_ends), lo, out=ptr)
             # Add in the wide type: bin ids run to n*b and copy ids to n*c.
             np.add(bins, j * b, out=self.cand_bins[lo:hi], dtype=itype)
-            local = np.repeat(np.arange(c, dtype=itype), deg)
             self.bin_ptr[j * b + 1 : (j + 1) * b + 1] = np.bincount(bins, minlength=b)
             # In the narrowest type a stable argsort is a radix sort.
             order = np.argsort(bins.astype(narrow), kind="stable")
@@ -480,33 +479,15 @@ class _Batched:
 
 
 def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
-    """Per-(candidate, slot) edge frequency across the sample set.  Group coins
-    are counted per (candidate, membership); the row count is their oracle."""
-    c, s = samples.candidates, samples.slots
-    if samples.group_coins is not None:
-        layout, membership, coins = samples.group_coins
-        hits = coins.sum(axis=0)
-        # A candidate's row holds the slots of every group it ever won.
-        won = hits > 0
-        rows = _coin_rows(layout, membership, won)
-        freq = np.repeat(hits[won], layout.group_sizes[membership[won]]) / samples.n
-        return SparseProbMatrix(c, s, rows.indptr, rows.indices, freq)
-    # A count is at most n, so int32 halves the dense array.
-    counts = np.zeros(c * s, dtype=np.int32)
-    row_keys = np.arange(c, dtype=np.int64) * s
-    for m in samples.samples:
-        # Slot ids strictly increase within a row, so one sample's keys are
-        # distinct and the fancy-indexed increment counts each exactly once.
-        keys = np.repeat(row_keys, m.degrees())
-        keys += m.indices
-        counts[keys] += 1
-    nz = np.flatnonzero(counts)
-    rows = nz // s
-    indptr = np.zeros(c + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
-    return SparseProbMatrix(
-        c, s, indptr, (nz % s).astype(np.int32), counts[nz] / samples.n
-    )
+    """Per-(candidate, slot) edge frequency across the sample set: each
+    coin's win count, spread over its bin's slots."""
+    hits = np.count_nonzero(samples.coins, axis=0)
+    # A candidate's row holds the slots of every coin it ever won.
+    won = hits > 0
+    rows = _coin_rows(samples.model, won)
+    spread = samples.model.bins.group_sizes[samples.model.coin_bins[won]]
+    freq = np.repeat(hits[won], spread) / samples.n
+    return SparseProbMatrix(rows.candidates, rows.slots, rows.indptr, rows.indices, freq)
 
 
 def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -563,10 +544,11 @@ def random_ranking(candidates: int, seed: int) -> Ranking:
     return Ranking(rng.permutation(candidates).astype(np.int32))
 
 
-#: Most groups of a group model whose samples :func:`rank` hands to the cut
-#: kernel (work 2**groups); others go to the batched kernel.  Seconds per rank,
-#: cut/batched, kernel and greedy loop alone, on C candidates x G groups of k
-#: slots (n=200, best of 3, mean of two model seeds, a busy 2-core host):
+#: Most bins (groups of a group model, slots of an independent one) of a sample
+#: set that :func:`rank` hands to the cut kernel (work 2**bins); others go to
+#: the batched kernel.  Seconds per rank, cut/batched, kernel and greedy loop
+#: alone, on C candidates x G groups of k slots (n=200, best of 3, mean of two
+#: model seeds, a busy 2-core host):
 #:
 #:     C x k       G=8          10           11           12           13           14
 #:     500 x 10    0.036/0.102  0.092/0.095  0.219/0.110  0.469/0.123  0.902/0.135  2.229/0.150
@@ -575,6 +557,9 @@ def random_ranking(candidates: int, seed: int) -> Ranking:
 #:     2000 x 20                0.181/0.200  0.433/0.234
 #:     10000 x 50               0.536/0.630  1.061/0.675  2.237/0.727
 #: The batched kernel wins from 11 groups, except on 5-slot groups (0.02 s).
+#: Independent sets within the limit rank faster on the cut kernel too
+#: (n=200, best of 3): two-block 1,000 x 10 slots 0.024/0.057, 200 x 8 at
+#: density 0.3 0.003/0.012, 5,000 x 10 0.038/0.079.
 MAX_CUT_KERNEL_GROUPS = 10
 
 
@@ -593,9 +578,9 @@ def rank(
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
         limit = _resolve_stop(cfg, samples.candidates)
-        coins = samples.group_coins
-        if coins is not None and coins[0].group_count <= MAX_CUT_KERNEL_GROUPS:
-            engine = _Cut(coins[0].subset_slots, _coin_masks(*coins))
+        bins = samples.model.bins
+        if bins.group_count <= MAX_CUT_KERNEL_GROUPS:
+            engine = _Cut(bins.subset_slots, _coin_masks(samples.model, samples.coins))
         else:
             engine = _Batched(samples)
         stats = stats if stats is not None else RankerStats()

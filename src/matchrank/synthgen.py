@@ -5,7 +5,8 @@ at random and gives each (candidate, group) pair a success probability drawn
 from a Gaussian whose mean rises linearly with the group id — later groups
 are systematically easier.  Probabilities are drawn once, at model
 construction; sampling a relevance matrix afterwards only flips the
-per-(candidate, group) coins.
+per-(candidate, group) coins.  Every model is sampled alike, by its coins
+(:class:`~matchrank.core.ProbabilityModel`), and a sample set keeps them.
 
 Keeping the probability draw inside the model (and keyed off the model seed
 alone) means two models built with the same seed but different base rates
@@ -30,8 +31,8 @@ from .core import (
     SlotLayout,
     SparseProbMatrix,
     _as_count,
-    _coin_masks,
     _coin_rows,
+    _require_memory,
     substream,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "SynthParams",
     "build_synthetic_model",
     "draw_relevance",
-    "draw_group_masks",
     "sample_relevances",
     "two_block_model",
     "model_metadata",
@@ -117,52 +117,33 @@ def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> Relevan
     makes the candidate relevant to every slot of that group.  Independent
     models flip one coin per stored (candidate, slot) probability.
     """
-    if model.kind == "group":
-        return _coin_rows(model.layout, model.membership, _group_coins(model, rng))
-    return _draw_independent(model.marginals, rng)
+    return _coin_rows(model, _draw_coins(model, rng))
 
 
-def draw_group_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
-    """The group masks of the draw ``draw_relevance(model, rng)`` makes, without
-    its slots (uint16; groups without slots set no bit), for a group model of
-    at most :data:`~matchrank.core.MAX_MASK_GROUPS` groups."""
-    return _coin_masks(model.layout, model.membership, _group_coins(model, rng))
-
-
-def _group_coins(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
-    """One coin per (candidate, group) membership: True where the candidate
-    won the group.  This is all of a group draw's randomness."""
-    return rng.random(model.group_prob.shape) < model.group_prob
-
-
-def _draw_independent(marginals: SparseProbMatrix, rng: np.random.Generator) -> RelevanceMatrix:
-    keep = rng.random(marginals.probs.shape) < marginals.probs
-    counts = np.bincount(
-        marginals.row_ids()[keep].astype(np.int64), minlength=marginals.candidates
-    )
-    indptr = np.zeros(marginals.candidates + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return RelevanceMatrix(
-        marginals.candidates, marginals.slots, indptr, marginals.indices[keep]
-    )
+def _draw_coins(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
+    """One coin per coin of `model`: True where the candidate won it.  This
+    is all of a draw's randomness."""
+    return rng.random(model.coin_probs.size) < model.coin_probs
 
 
 def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
-    """Draw `n` i.i.d. relevance matrices.
+    """Draw `n` i.i.d. relevance matrices, as their coins
+    (:class:`~matchrank.core.SampleSet`).
 
     Sample i comes from the sub-stream (sample, i) of `seed`, so any sample
     can be regenerated alone and the set is independent of iteration order.
-    The samples of a group model are drawn as their group coins only
-    (:attr:`SampleSet.group_coins`).
+    The set holds exactly n bytes per coin of the model, and is refused
+    before anything is drawn when the process cannot have that much memory.
     """
     n = _as_count(n, "n")
     if n < 1:
         raise InputError("need at least one sample")
-    rngs = (substream(seed, PURPOSE_SAMPLE, i) for i in range(n))
-    if model.kind == "group":
-        coins = np.stack([_group_coins(model, rng) for rng in rngs])
-        return SampleSet(None, seed, (model.layout, model.membership, coins))
-    return SampleSet(tuple(draw_relevance(model, rng) for rng in rngs), seed)
+    size = model.coin_probs.size
+    _require_memory(n * size, f"{n} samples of {size} coins")
+    coins = np.empty((n, size), dtype=bool)
+    for i, won in enumerate(coins):
+        won[:] = _draw_coins(model, substream(seed, PURPOSE_SAMPLE, i))
+    return SampleSet(model, coins, seed)
 
 
 def two_block_model(

@@ -7,8 +7,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from matchrank.core import InputError, ProbabilityModel, RelevanceMatrix, SampleSet, SlotLayout
-from matchrank.synthgen import sample_relevances
+from matchrank.core import (
+    InputError,
+    ProbabilityModel,
+    RelevanceMatrix,
+    SampleSet,
+    SlotLayout,
+    SparseProbMatrix,
+)
+from matchrank.core import _coin_masks
+from matchrank.synthgen import _draw_coins, sample_relevances
+
+
+def draw_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
+    """The bin masks of the draw ``draw_relevance(model, rng)`` makes, from
+    the same coins (uint16; bins without slots set no bit)."""
+    return _coin_masks(model, _draw_coins(model, rng))
 
 
 def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -> RelevanceMatrix:
@@ -20,10 +34,30 @@ def edge_set(matrix: RelevanceMatrix) -> set[tuple[int, int]]:
     return set(zip(matrix.row_ids().tolist(), matrix.indices.tolist()))
 
 
+def sample_set(rows, seed: int = 0) -> SampleSet:
+    """The sample set whose samples are the slot-level matrices `rows` (at
+    least one, of equal dimensions): the coins of an independent model whose
+    support is the union of the rows, each entry at its frequency in them."""
+    rows = tuple(rows)
+    c, s = rows[0].candidates, rows[0].slots
+    if any((m.candidates, m.slots) != (c, s) for m in rows):
+        raise InputError("all samples must share dimensions")
+    keys = [m.row_ids().astype(np.int64) * s + m.indices for m in rows]
+    support, counts = np.unique(np.concatenate(keys), return_counts=True)
+    cands, slots = np.divmod(support, max(s, 1))
+    indptr = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cands, minlength=c), out=indptr[1:])
+    model = ProbabilityModel.independent(
+        SparseProbMatrix(c, s, indptr, slots.astype(np.int32), counts / len(rows))
+    )
+    coins = np.array([np.isin(support, k) for k in keys]).reshape(len(rows), support.size)
+    return SampleSet(model, coins, seed)
+
+
 def random_sampleset(
     rng: np.random.Generator, c: int, s: int, n: int, density: float, seed: int = 0
 ) -> SampleSet:
-    return SampleSet(tuple(random_relevance(rng, c, s, density) for _ in range(n)), seed)
+    return sample_set((random_relevance(rng, c, s, density) for _ in range(n)), seed)
 
 
 def random_group_samples(rng: np.random.Generator, groups: int, n: int | None = None) -> SampleSet:
@@ -37,6 +71,17 @@ def random_group_samples(rng: np.random.Generator, groups: int, n: int | None = 
     membership = np.sort(np.argsort(rng.random((c, groups)), axis=1)[:, :k], axis=1)
     group_prob = rng.choice([0.02, 0.3, 0.6, 0.98], size=(c, k))
     model = ProbabilityModel.group_structured(layout, membership, group_prob)
+    n = int(rng.integers(1, 7)) if n is None else n
+    return sample_relevances(model, n, int(rng.integers(0, 1000)))
+
+
+def random_independent_samples(rng: np.random.Generator, slots: int, n: int | None = None) -> SampleSet:
+    """`n` samples (default: 1 to 6) of a random independent model of `slots`
+    slots: empty rows and columns, near-impossible and sure entries."""
+    c = int(rng.integers(1, 21))
+    dense = rng.choice([0.02, 0.3, 0.6, 1.0], size=(c, slots))
+    dense[rng.random((c, slots)) < rng.choice([0.2, 0.5, 0.9])] = 0.0
+    model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
     n = int(rng.integers(1, 7)) if n is None else n
     return sample_relevances(model, n, int(rng.integers(0, 1000)))
 
@@ -75,7 +120,7 @@ def read_samples(path) -> SampleSet:
             mats.append(RelevanceMatrix.from_edges(c, s, pairs))
         except InputError as e:
             raise InputError(f"{path}: sample {i}: {e}")
-    return SampleSet(tuple(mats), seed)
+    return sample_set(mats, seed)
 
 
 @pytest.fixture

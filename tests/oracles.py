@@ -16,6 +16,9 @@ kernels, so agreement is strong evidence of correctness:
   searches scan slots in ascending id order and expand candidates in
   discovery order, so every operation is deterministic.
 
+The slot-level edge count, :func:`row_count_marginals`, is the oracle of
+``ranker.empirical_marginals``, which counts coins instead.
+
 The scalar ``k_min`` search, one draw at a time, is here too:
 :func:`_kmin_bisect` probes each prefix with a fresh matching solve and
 :func:`_kmin_cut` with the cut form on group masks, both bisecting through
@@ -38,11 +41,34 @@ from matchrank.core import (
     Ranking,
     RelevanceMatrix,
     SampleSet,
+    SparseProbMatrix,
     UNMATCHED,
 )
 from matchrank.evaluation import _check_ranking_ids
 from matchrank.matching import max_matching_size
 from matchrank.ranker import RankerConfig, RankerStats, _argbest, _resolve_stop, _tie_key
+
+
+def row_count_marginals(samples: SampleSet) -> SparseProbMatrix:
+    """Per-(candidate, slot) edge frequency across the sample set, counted
+    over every sample's slot-level rows."""
+    c, s = samples.candidates, samples.slots
+    # A count is at most n, so int32 halves the dense array.
+    counts = np.zeros(c * s, dtype=np.int32)
+    row_keys = np.arange(c, dtype=np.int64) * s
+    for m in samples.samples:
+        # Slot ids strictly increase within a row, so one sample's keys are
+        # distinct and the fancy-indexed increment counts each exactly once.
+        keys = np.repeat(row_keys, m.degrees())
+        keys += m.indices
+        counts[keys] += 1
+    nz = np.flatnonzero(counts)
+    rows = nz // s
+    indptr = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
+    return SparseProbMatrix(
+        c, s, indptr, (nz % s).astype(np.int32), counts[nz] / samples.n
+    )
 
 
 def brute_max_matching(matrix: RelevanceMatrix, pool=None) -> int:

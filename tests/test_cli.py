@@ -517,6 +517,20 @@ class TestMemoryPreflight:
         assert code == 2
         assert "24 candidates need more memory than this process may use" in capsys.readouterr().err
 
+    def test_samples_outgrowing_memory_exit_2_before_drawing(
+        self, tmp_path, ingested_model_path, capsys, monkeypatch
+    ):
+        # The model reads in 400 bytes; 10 samples of its coins need more.
+        coins = read_model(ingested_model_path)[0].coin_probs.size
+        monkeypatch.setattr(core, "_physical_memory", lambda: 10 * coins - 1)
+        out = tmp_path / "r.json"
+        code = run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10")
+        assert code == 2
+        assert f"10 samples of {coins} coins need more memory" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(core, "_physical_memory", lambda: 10 * coins)
+        assert run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10") == 0
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_set, random_relevance
+from conftest import edge_set
 from matchrank import core
 from matchrank.core import (
     InputError,
@@ -65,20 +65,27 @@ class TestSlotLayout:
     def test_masks_and_subset_tables_hold_at_most_16_groups(self):
         # uint16 masks: group 16's bit would be dropped, so 17 groups are
         # refused by both builders rather than masked wrongly.
-        coins = np.ones((1, 1, 2), dtype=bool)
+        coins = np.ones((1, 2), dtype=bool)
         full = SlotLayout((1,) * MAX_MASK_GROUPS)
         assert full.subset_slots.size == 1 << 16 and full.subset_slots[-1] == 16
-        masks = core._coin_masks(full, np.array([[0, 15]]), coins)
+        model = ProbabilityModel.group_structured(full, [[0, 15]], [[0.5, 0.5]])
+        masks = core._coin_masks(model, coins)
         assert masks.dtype == np.uint16 and masks.tolist() == [[1 | 1 << 15]]
         wide = SlotLayout((1,) * (MAX_MASK_GROUPS + 1))
         with pytest.raises(InputError, match="at most 16 groups"):
             wide.subset_slots
+        model = ProbabilityModel.group_structured(wide, [[0, 16]], [[0.5, 0.5]])
         with pytest.raises(InputError, match="at most 16 groups"):
-            core._coin_masks(wide, np.array([[0, 16]]), coins)
+            core._coin_masks(model, coins)
+
+    def test_zero_groups_are_the_layout_of_no_slots(self):
+        # The bins of an independent model without slots.
+        lay = SlotLayout(())
+        assert (lay.group_count, lay.total_slots, lay.slotted_bits) == (0, 0, 0)
+        assert lay.subset_slots.tolist() == [0]
+        assert lay.group_start.size == lay.slots_of(np.zeros(0, dtype=np.int32)).size == 0
 
     def test_rejects_bad_layouts(self):
-        with pytest.raises(InputError):
-            SlotLayout(())
         with pytest.raises(InputError):
             SlotLayout((3, -1))
         with pytest.raises(InputError):
@@ -292,6 +299,26 @@ class TestSparseProbMatrix:
 
 
 class TestProbabilityModel:
+    @pytest.mark.parametrize(
+        "membership",
+        [[[0, 1], [0, 3], [1, 2]], [[0, 1], [2, 0], [1, 2]], [[0, 1], [1, 1], [1, 2]],
+         [[0.0, 1.0], [0, 2], [1, 2]], [0, 1, 2]],
+    )
+    def test_refuses_membership_that_is_not_the_layouts(self, membership):
+        with pytest.raises(InputError, match="membership"):
+            ProbabilityModel.group_structured(
+                SlotLayout((2, 0, 1)), np.array(membership), np.full((3, 2), 0.5)
+            )
+
+    def test_group_coins_are_the_memberships(self):
+        model = ProbabilityModel.group_structured(
+            SlotLayout((2, 0, 1)), [[0, 1], [0, 2]], [[0.5, 0.25], [0.4, 0.8]]
+        )
+        assert model.bins is model.layout
+        assert model.coin_ptr.tolist() == [0, 2, 4]
+        assert model.coin_bins.tolist() == [0, 1, 0, 2]
+        assert model.coin_probs.tolist() == [0.5, 0.25, 0.4, 0.8]
+
     def test_independent_marginals_identity(self):
         p = SparseProbMatrix.from_dense([[0.5, 0.2], [0.0, 0.7]])
         model = ProbabilityModel.independent(p)
@@ -335,86 +362,63 @@ class TestProbabilityModel:
 
 
 class TestSampleSet:
-    def test_basic(self):
-        rng = np.random.default_rng(0)
-        ms = tuple(random_relevance(rng, 4, 3, 0.5) for _ in range(5))
-        ss = SampleSet(ms, seed=42)
-        assert ss.n == 5
-        assert ss.candidates == 4
-        assert ss.slots == 3
-        assert ss.seed == 42
-
-    def test_rejects_mixed_dims(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InputError):
-            SampleSet((random_relevance(rng, 4, 3, 0.5), random_relevance(rng, 4, 2, 0.5)), 0)
-        with pytest.raises(InputError):
-            SampleSet((), 0)
-
-
-class TestSampleSetGroupCoins:
     LAYOUT = SlotLayout((2, 0, 1))
     MEMBERSHIP = [[0, 1], [0, 2], [1, 2]]
     # Sample 0: candidate 0 wins group 0 (and slotless group 1), candidate 1
     # groups 0 and 2, candidate 2 nothing.  Sample 1: candidate 2 wins group 2.
-    COINS = [[[1, 1], [1, 1], [0, 0]], [[0, 0], [0, 0], [0, 1]]]
+    COINS = [[1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
+
+    def model(self):
+        return ProbabilityModel.group_structured(
+            self.LAYOUT, self.MEMBERSHIP, np.full((3, 2), 0.5)
+        )
 
     def rows(self):
         m = RelevanceMatrix.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
         return (m, RelevanceMatrix.from_edges(3, 3, [(2, 2)]))
 
-    def coins(self, coins=None, membership=None):
-        membership = self.MEMBERSHIP if membership is None else membership
-        coins = np.array(self.COINS if coins is None else coins, dtype=bool)
-        return (self.LAYOUT, np.array(membership), coins)
-
     def test_holds_the_coins_and_derives_the_rows(self):
-        ss = SampleSet(None, 0, self.coins())
-        assert ss.rows is None
-        layout, membership, coins = ss.group_coins
-        assert membership.dtype == np.int32 and membership.tolist() == self.MEMBERSHIP
-        assert coins.tolist() == np.array(self.COINS, dtype=bool).tolist()
-        assert not coins.flags.writeable and not membership.flags.writeable
-        assert (ss.n, ss.candidates, ss.slots) == (2, 3, 3)
+        ss = SampleSet(self.model(), np.array(self.COINS, dtype=bool), seed=42)
+        assert ss.coins.tolist() == np.array(self.COINS, dtype=bool).tolist()
+        assert not ss.coins.flags.writeable
+        assert (ss.n, ss.candidates, ss.slots, ss.seed) == (2, 3, 3, 42)
         assert [m.tobytes() for m in ss.samples] == [m.tobytes() for m in self.rows()]
         assert ss.samples is ss.samples  # expanded once
-        assert ss.tobytes() == SampleSet(self.rows(), 0).tobytes()
+        # One sample at a time, afresh on every call.
+        assert ss.sample(1).tobytes() == self.rows()[1].tobytes()
+        assert ss.sample(1) is not ss.sample(1)
+        head = np.array([2, 42], dtype=np.int64).tobytes()
+        assert ss.tobytes() == head + b"".join(m.tobytes() for m in self.rows())
+
+    def test_an_independent_model_draws_its_entries(self):
+        # Each coin is one stored entry; its bin is its slot, of one slot.
+        p = SparseProbMatrix.from_dense([[0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
+        model = ProbabilityModel.independent(p)
+        assert model.bins == SlotLayout((1, 1, 1))
+        assert (model.coin_ptr.tolist(), model.coin_bins.tolist()) == ([0, 2, 2, 4], [0, 2, 0, 1])
+        ss = SampleSet(model, np.array([[1, 1, 0, 1], [0, 1, 0, 0]], dtype=bool), 0)
+        assert [sorted(edge_set(m)) for m in ss.samples] == [
+            [(0, 0), (0, 2), (2, 1)], [(0, 2)]
+        ]
 
     def test_takes_more_groups_than_masks_hold(self):
         layout = SlotLayout((1,) * (MAX_MASK_GROUPS + 4))
-        coins = np.array([[[True, False]], [[False, True]]])
-        ss = SampleSet(None, 0, (layout, np.array([[0, MAX_MASK_GROUPS + 3]]), coins))
+        model = ProbabilityModel.group_structured(layout, [[0, MAX_MASK_GROUPS + 3]], [[0.5, 0.5]])
+        ss = SampleSet(model, np.array([[True, False], [False, True]]), 0)
         assert [m.row(0).tolist() for m in ss.samples] == [[0], [MAX_MASK_GROUPS + 3]]
 
     @pytest.mark.parametrize(
         "coins",
         [
-            [[[1, 1], [1, 1], [0, 0]]],  # ints, not booleans
-            [[1, 1, 1], [0, 0, 0]],  # not n x candidates x memberships
-            [[[True, True], [True, True]]],  # two candidates, not three
-            [[[True], [True], [False]]],  # one membership, not two
-            np.zeros((0, 3, 2), dtype=bool),  # no sample
+            [[1, 1, 1, 1, 0, 0]],  # ints, not booleans
+            [[True] * 5],  # five coins, not six
+            [[[True, True]] * 3],  # n x candidates x memberships, not n x coins
+            np.zeros((0, 6), dtype=bool),  # no sample
         ],
     )
-    def test_refuses_coins_that_are_not_n_by_candidates_by_memberships(self, coins):
-        with pytest.raises(InputError, match="group coins"):
-            SampleSet(None, 0, (self.LAYOUT, np.array(self.MEMBERSHIP), np.array(coins)))
-
-    @pytest.mark.parametrize(
-        "membership",
-        [[[0, 1], [0, 3], [1, 2]], [[0, 1], [2, 0], [1, 2]], [[0, 1], [1, 1], [1, 2]],
-         [[0.0, 1.0], [0, 2], [1, 2]], [0, 1, 2]],
-    )
-    def test_refuses_membership_that_is_not_the_layouts(self, membership):
-        with pytest.raises(InputError, match="membership"):
-            SampleSet(None, 0, self.coins(membership=membership))
-
-    def test_refuses_rows_and_coins_together(self):
-        # Even coins that agree with the rows: a set holds one form.
-        with pytest.raises(InputError, match="either rows or group coins"):
-            SampleSet(self.rows(), 0, self.coins())
-        with pytest.raises(InputError, match="either rows or group coins"):
-            SampleSet(None, 0)
+    def test_refuses_coins_that_are_not_n_by_coins(self, coins):
+        with pytest.raises(InputError, match="coins|at least one sample"):
+            SampleSet(self.model(), np.array(coins), 0)
 
 
 class TestNarrowingCasts:

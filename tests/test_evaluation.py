@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_relevance, random_sampleset
+from conftest import draw_masks, random_relevance, random_sampleset
 import matchrank.evaluation as evaluation
 from matchrank.core import (
     ContractError,
@@ -39,7 +39,6 @@ from matchrank.ranker import RankerConfig
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
-    draw_group_masks,
     draw_relevance,
     two_block_model,
 )
@@ -165,6 +164,16 @@ class TestCutForm:
         order = np.random.default_rng(seed).permutation(model.candidates)
         assert _kmin_chunk(model, order, seed, 0, 6) == bisection_kmins(model, order, seed, 6)
 
+    @given(st.integers(0, MAX_CUT_FORM_GROUPS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_independent_slots_equal_bisection_on_the_same_draws(self, slots, seed):
+        # An independent model's bins are its slots: within the limit its
+        # draws are evaluated as slot masks.
+        model = random_independent_model(seed, slots)
+        assert kmin_method(model) == "cut"
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        assert _kmin_chunk(model, order, seed, 0, 6) == bisection_kmins(model, order, seed, 6)
+
     def test_default_scale_agrees_with_bisection(self):
         model = build_synthetic_model(SynthParams(seed=3))
         order = np.random.default_rng(0).permutation(model.candidates)
@@ -176,7 +185,8 @@ class TestCutForm:
             (build_synthetic_model(SynthParams(groups=MAX_CUT_FORM_GROUPS, slots_per_group=1, candidates=30)), "cut"),
             (build_synthetic_model(SynthParams(groups=MAX_CUT_FORM_GROUPS + 1, slots_per_group=1, candidates=30)),
              "bisection"),
-            (two_block_model(30, 6, 0.7, 0.6), "bisection"),
+            (two_block_model(30, MAX_CUT_FORM_GROUPS, 0.7, 0.6), "cut"),
+            (two_block_model(30, MAX_CUT_FORM_GROUPS + 1, 0.7, 0.6), "bisection"),
         ],
     )
     def test_dispatch(self, monkeypatch, model, method):
@@ -197,38 +207,48 @@ class TestCutForm:
         model = build_synthetic_model(SynthParams(groups=groups, slots_per_group=1, candidates=30))
         assert kmin_method(model) == method
 
+    @pytest.mark.parametrize("slots, method", [(0, "cut"), (12, "cut"), (13, "bisection")])
+    def test_method_counts_bins_not_model_kinds(self, slots, method):
+        # An independent model's bins are its slots.
+        dense = np.full((20, slots), 0.5)
+        assert kmin_method(ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))) == method
 
-def random_independent_model(seed: int) -> ProbabilityModel:
-    """An independent model of up to 12 candidates and 5 slots (none: target
-    0) whose entries are 0, 0.3, 0.7 or 1, so that some draws fill their
-    slots with the first candidates and some cannot fill them at all."""
+
+def random_independent_model(seed: int, slots: int | None = None) -> ProbabilityModel:
+    """An independent model of `slots` slots (default: up to 5; none: target
+    0) and up to 12 candidates (2 * slots + 2 when `slots` is given) whose
+    entries are 0, 0.3, 0.7 or 1, so that some draws fill their slots with
+    the first candidates and some cannot fill them at all."""
     rng = np.random.default_rng(seed)
-    c, s = int(rng.integers(1, 13)), int(rng.integers(0, 6))
+    if slots is None:
+        c, s = int(rng.integers(1, 13)), int(rng.integers(0, 6))
+    else:
+        c, s = int(rng.integers(1, 2 * slots + 3)), slots
     dense = rng.choice([0.0, 0.3, 0.7, 1.0], size=(c, s), p=[0.4, 0.2, 0.2, 0.2])
     return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
 
 
 def method_draw(model: ProbabilityModel, eval_seed: int, i: int):
-    """Evaluation draw i as its method reads it: group masks on the cut
+    """Evaluation draw i as its method reads it: bin masks on the cut
     path, a slot-level matrix on the bisection path."""
     rng = substream(eval_seed, PURPOSE_EVAL, i)
-    return draw_group_masks(model, rng) if kmin_method(model) == "cut" else draw_relevance(model, rng)
+    return draw_masks(model, rng) if kmin_method(model) == "cut" else draw_relevance(model, rng)
 
 
 def scalar_kmins(model: ProbabilityModel, order, eval_seed: int, lo: int, hi: int) -> list:
     """k_min of draws [lo, hi) by the per-draw scalar search of the oracles."""
     if kmin_method(model) == "cut":
-        cap = model.layout.subset_slots
+        cap = model.bins.subset_slots
         return [_kmin_cut(cap, method_draw(model, eval_seed, i), order, model.slots) for i in range(lo, hi)]
     return [_kmin_bisect(method_draw(model, eval_seed, i), order, model.slots) for i in range(lo, hi)]
 
 
 def block_entries(model: ProbabilityModel, draw) -> int:
-    """What one draw counts against the block budget: its candidates' masks
-    and the 2**G subset counts on the cut path; its edges, row pointers and
-    slots on the bisection path."""
+    """What one draw counts against the block budget: its coins, its
+    candidates' masks and the 2**G subset counts on the cut path; its edges,
+    row pointers and slots on the bisection path."""
     if kmin_method(model) == "cut":
-        return draw.size + (1 << model.layout.group_count)
+        return model.coin_probs.size + draw.size + (1 << model.bins.group_count)
     return draw.edge_count + draw.candidates + draw.slots
 
 
@@ -251,7 +271,11 @@ class TestLockstep:
     search of the oracles, on the same draws and both methods."""
 
     @given(
-        st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2)),
+        st.one_of(
+            st.none(),
+            st.integers(0, MAX_CUT_FORM_GROUPS + 3),
+            st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2),
+        ),
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
         st.integers(1, 6),
@@ -267,11 +291,16 @@ class TestLockstep:
     @example([0] * (MAX_CUT_FORM_GROUPS + 2), 0, 0, 4, "one")
     @settings(max_examples=300, deadline=None)
     def test_equals_per_draw_oracle(self, sizes, seed, lo, count, budget):
-        """`sizes` None: an independent model, else a group model (more than
-        MAX_CUT_FORM_GROUPS groups take the bisection path).  The budget is the
+        """`sizes` None: an independent model of up to 5 slots; an int: one of
+        that many slots; a list: a group model of those slot counts (more
+        than MAX_CUT_FORM_GROUPS bins, slots or groups, take the bisection
+        path).  The budget is the
         default (one block), 1 (one draw per block), or one entry more than
         the first draw holds (a first block of two draws)."""
-        model = random_independent_model(seed) if sizes is None else random_group_model(sizes, seed)
+        if sizes is None or isinstance(sizes, int):
+            model = random_independent_model(seed, sizes)
+        else:
+            model = random_group_model(sizes, seed)
         order = np.random.default_rng(seed).permutation(model.candidates)
         want = scalar_kmins(model, order, seed, lo, lo + count)
         entries = {
@@ -290,14 +319,18 @@ class TestLockstep:
             assert blocks[0] == min(2, count)
 
     @pytest.mark.parametrize(
-        "model",
-        [random_independent_model(170), random_group_model([3, 2, 3, 3], 82)],
-        ids=["bisection", "cut"],
+        "model, seed, method",
+        [
+            (random_independent_model(170), 170, "cut"),
+            (random_group_model([3, 2, 3, 3], 82), 82, "cut"),
+            (random_group_model([3, 0, 0, 2, 1, 0, 0, 0, 3, 0, 2, 0, 3, 1], 122), 122, "bisection"),
+        ],
+        ids=["independent", "group", "wide-group"],
     )
-    def test_examples_cover_every_outcome(self, model):
+    def test_examples_cover_every_outcome(self, model, seed, method):
         """The examples above hold unfillable draws, draws settled at the
         target and draws past it, and a budget that splits the chunk."""
-        seed = 170 if kmin_method(model) == "bisection" else 82
+        assert kmin_method(model) == method
         order = np.random.default_rng(seed).permutation(model.candidates)
         want = scalar_kmins(model, order, seed, 0, 6)
         assert None in want and model.slots in want
@@ -307,8 +340,10 @@ class TestLockstep:
         assert len(blocks) > 1 and blocks[0] == 2
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_evaluate_ranking_equals_oracle(self, threads):
-        model = random_independent_model(170)
+    @pytest.mark.parametrize("slots, seed", [(None, 170), (MAX_CUT_FORM_GROUPS + 1, 25)])
+    def test_evaluate_ranking_equals_oracle(self, threads, slots, seed):
+        # Slot masks within the cut form's limit, slot rows past it.
+        model = random_independent_model(seed, slots)
         order = np.random.default_rng(1).permutation(model.candidates)
         want = scalar_kmins(model, order, 9, 0, 16)
         assert None in want

@@ -1,9 +1,11 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import stat
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,32 +181,77 @@ class TestSampleFiles:
         assert back.tobytes() == ss.tobytes()
 
     def test_writes_one_sample_at_a_time(self, tmp_path):
-        # The text of every edge is built per sample, so writing 8 samples
-        # peaks near writing 1, and the bytes are the plain per-edge join.
+        # Each sample is expanded from its coins as it is written and then
+        # dropped, so writing 32 samples peaks under writing 2 plus two
+        # samples' rows, and the bytes are the plain per-edge join.
         model = build_synthetic_model(SynthParams(groups=4, slots_per_group=5, candidates=2000))
-        peaks = []
-        for n in (1, 8):
+        peaks = {}
+        for n in (2, 32):
             ss = sample_relevances(model, n, 3)
-            assert sum(m.edge_count for m in ss.samples) > 4000 * n  # expanded before tracing
             tracemalloc.start()
             try:
                 edges = write_samples(ss, tmp_path / f"{n}.txt")
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert "samples" not in vars(ss)  # no sample was kept
             lines = [f"{ss.n} {ss.candidates} {ss.slots} {ss.seed}"]
             for i, m in enumerate(ss.samples):
                 lines.append(f"sample {i} {m.edge_count}")
                 lines += [f"{a} {t}" for a, t in zip(m.row_ids().tolist(), m.indices.tolist())]
             assert (tmp_path / f"{n}.txt").read_text() == "\n".join(lines) + "\n"
             assert edges == sum(m.edge_count for m in ss.samples)
-        assert peaks[1] < 2 * peaks[0]
+        rows = max(m.indptr.nbytes + m.indices.nbytes for m in ss.samples)
+        assert rows > 40_000
+        assert peaks[32] < peaks[2] + 2 * rows
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("2 3 3 0\nsample 0 1\n0 1\n")
         with pytest.raises(InputError, match="truncated"):
             read_samples(path)
+
+
+class TestPinnedBytes:
+    """Sample dumps and reports at fixed seeds, pinned by their sha256: a
+    change in how any sub-stream is consumed, or in what is drawn from it,
+    shows here.  The independent model has empty rows and sure entries,
+    and draws that cannot fill its slots."""
+
+    @staticmethod
+    def independent_model() -> ProbabilityModel:
+        rng = np.random.default_rng(11)
+        dense = np.where(
+            rng.random((24, 8)) < 0.3,
+            rng.choice([0.2, 0.4, 1.0], size=(24, 8), p=[0.5, 0.4, 0.1]),
+            0.0,
+        )
+        dense[:3] = 0.0
+        return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+
+    @pytest.mark.parametrize(
+        "kind, dump, report",
+        [
+            ("group", "590a818fc32e26d3702bcae0b2578e093a81fc12447a707939632a369db2da57",
+             "54261a3bf6428a19c6ef42564cd6fa04d3056b09d0879f8affeb17d68de3487b"),
+            ("independent", "32f99159a7b9fa0fb8337918f2c0a6816712677dc135f15cf94fa35e4ef2448f",
+             "64ac9d731e18b2e7bcd421817474e284ea32b609eb775f43b7f195237a9eefd8"),
+        ],
+    )
+    def test_dump_and_report_bytes(self, tmp_path, kind, dump, report):
+        if kind == "group":
+            model = build_synthetic_model(
+                SynthParams(groups=4, slots_per_group=3, candidates=60, seed=5)
+            )
+        else:
+            model = self.independent_model()
+        write_samples(sample_relevances(model, 5, 7), tmp_path / "s.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the independent model's unfillable draws
+            rep = evaluate(RankerConfig(), model, n_samples=20, sample_seed=7, draws=10, eval_seed=9)
+        write_report(rep, tmp_path / "r.json")
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert (digest("s.txt"), digest("r.json")) == (dump, report)
 
 
 class TestRankingFiles:

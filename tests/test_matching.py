@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_group_samples, random_relevance, random_sampleset
+from conftest import random_group_samples, random_relevance, random_sampleset, sample_set
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
 from matchrank.matching import _matching_sizes, max_matching_size
 from matchrank.ranker import _Batched
@@ -165,16 +165,15 @@ class TestIncrementalState:
 
 
 def union_of(*samples: RelevanceMatrix) -> _Batched:
-    return _Batched(SampleSet(samples, 0))
+    return _Batched(sample_set(samples))
 
 
 def bins_of(samples: SampleSet, j: int, a: int) -> list[int]:
-    """The bins candidate `a` has an edge to in sample `j`: its slots, or
-    for group coins the groups it won."""
-    if samples.group_coins is None:
-        return samples.samples[j].row(a).tolist()
-    _, membership, coins = samples.group_coins
-    return membership[a][coins[j, a]].tolist()
+    """The bins candidate `a` has an edge to in sample `j`: those of the
+    coins it won (its slots for an independent model, its groups for a
+    group model)."""
+    lo, hi = samples.model.coin_ptr[a : a + 2]
+    return samples.model.coin_bins[lo:hi][samples.coins[j, lo:hi]].tolist()
 
 
 def union_size(union: _Batched, samples: SampleSet) -> int:
@@ -225,7 +224,6 @@ class TestScan:
         # against the per-sample MatchState on the slot-level rows.
         rng = np.random.default_rng(2500 + seed)
         samples = random_group_samples(rng, int(rng.integers(1, 17)))
-        assert samples.group_coins is not None
         assert_scan_equals_pointwise_gains(samples, rng)
 
 
@@ -276,7 +274,7 @@ class TestAugmentingSlots:
         c = int(rng.integers(3, 16))
         s = int(rng.integers(1, 11))
         m = random_relevance(rng, c, s, float(rng.choice([0.2, 0.3, 0.5])))
-        samples = SampleSet((m,), 0)
+        samples = sample_set((m,))
         union = _Batched(samples)
         union.gains()
         for a in rng.permutation(c).tolist():
@@ -388,13 +386,13 @@ class TestProperties:
 
 class TestAvgMatching:
     def test_trivial_cases(self, toy_instance):
-        ss = SampleSet((toy_instance, toy_instance), seed=0)
+        ss = sample_set((toy_instance, toy_instance))
         assert avg_matching([], ss) == 0
         assert avg_matching([0, 1, 2, 3, 4], ss) == 3
 
     def test_mixed_samples_exact_fraction(self, toy_instance):
         other = RelevanceMatrix.from_edges(5, 3, [(0, 0), (1, 0)])
-        ss = SampleSet((toy_instance, other), seed=0)
+        ss = sample_set((toy_instance, other))
         assert avg_matching([0, 1], ss) == Fraction(3, 2)
 
     @pytest.mark.parametrize("seed", range(15))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_group_samples, random_relevance, random_sampleset
+from conftest import (
+    random_group_samples,
+    random_independent_samples,
+    random_relevance,
+    random_sampleset,
+    sample_set,
+)
 from matchrank.core import (
     ContractError,
     InputError,
@@ -51,6 +57,7 @@ from oracles import (
     init_state,
     matchrank,
     matchrank_lazy,
+    row_count_marginals,
 )
 
 
@@ -97,7 +104,7 @@ class TestRankerConfig:
 class TestTotalMarginalGain:
     def test_counts_each_sample(self, toy_instance):
         thin = RelevanceMatrix.from_edges(5, 3, [(1, 0)])
-        ss = SampleSet((toy_instance, thin), seed=0)
+        ss = sample_set((toy_instance, thin))
         states = [init_state(m, j) for j, m in enumerate(ss.samples)]
         assert total_marginal_gain(states, 1, ss) == 2
         assert total_marginal_gain(states, 4, ss) == 0
@@ -106,7 +113,7 @@ class TestTotalMarginalGain:
         assert total_marginal_gain(states, 0, ss) == 1  # thin sample is full
 
     def test_rejects_inconsistent_pools(self, toy_instance):
-        ss = SampleSet((toy_instance, toy_instance), seed=0)
+        ss = sample_set((toy_instance, toy_instance))
         states = [init_state(m, j) for j, m in enumerate(ss.samples)]
         commit_add(states[0], 0, ss.samples[0])
         with pytest.raises(ContractError):
@@ -115,7 +122,7 @@ class TestTotalMarginalGain:
 
 class TestGreedy:
     def test_hand_checked_order(self, toy_instance):
-        ss = SampleSet((toy_instance,), seed=0)
+        ss = sample_set((toy_instance,))
         ranking = matchrank(ss)
         # Candidate 2 has the most edges.  Among the remaining gain-1 ties,
         # candidate 3 — the sole provider of slot 2 — outranks 0 and 1 on the
@@ -125,7 +132,7 @@ class TestGreedy:
         assert ranking.prefix_gain == (1, 2, 3, 3, 3)
 
     def test_stop_at(self, toy_instance):
-        ss = SampleSet((toy_instance,), seed=0)
+        ss = sample_set((toy_instance,))
         r3 = matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=3))
         assert r3.order.tolist() == [2, 3, 0]
         assert r3.prefix_gain == (1, 2, 3)
@@ -136,7 +143,7 @@ class TestGreedy:
 
     def test_all_zero_instance_flushes_by_id(self):
         empty = RelevanceMatrix.from_edges(4, 2, [])
-        ss = SampleSet((empty,), seed=0)
+        ss = sample_set((empty,))
         for fn in (matchrank, matchrank_lazy):
             r = fn(ss)
             assert r.order.tolist() == [0, 1, 2, 3]
@@ -195,7 +202,7 @@ def test_greedy_increments_never_increase(seed):
 class TestEmpiricalMarginals:
     def test_counts(self, toy_instance):
         thin = RelevanceMatrix.from_edges(5, 3, [(0, 0), (2, 1)])
-        ss = SampleSet((toy_instance, thin), seed=0)
+        ss = sample_set((toy_instance, thin))
         m = empirical_marginals(ss)
         dense = m.to_dense()
         want = np.array(
@@ -226,21 +233,22 @@ class TestEmpiricalMarginals:
         assert empirical_marginals(ss).tobytes() == want.tobytes()
 
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_coins_count_as_their_rows(self, seed, groups, blank):
-        # Group samples drawn with zero-slot groups, on either side of the
-        # cut kernel's limit; `blank` also clears every coin of candidate 0.
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_coins_count_as_their_rows(self, seed, bins, grouped, blank):
+        # Group sets with zero-slot groups, and independent sets of up to
+        # 16 slots (none included) with empty rows and sure entries; `blank`
+        # also clears every coin of candidate 0.
         rng = np.random.default_rng(seed)
-        ss = random_group_samples(rng, groups)
+        if grouped:
+            ss = random_group_samples(rng, max(bins, 1))
+        else:
+            ss = random_independent_samples(rng, bins)
         if blank:
-            layout, membership, coins = ss.group_coins
-            coins = coins.copy()
-            coins[:, 0] = False
-            ss = SampleSet(None, ss.seed, (layout, membership, coins))
-        rows = SampleSet(ss.samples, ss.seed)
-        assert rows.group_coins is None and ss.rows is None
-        assert empirical_marginals(ss).tobytes() == empirical_marginals(rows).tobytes()
+            coins = ss.coins.copy()
+            coins[:, ss.model.coin_ptr[0] : ss.model.coin_ptr[1]] = False
+            ss = SampleSet(ss.model, coins, ss.seed)
+        assert empirical_marginals(ss).tobytes() == row_count_marginals(ss).tobytes()
 
 
 class TestBaselineScores:
@@ -445,7 +453,7 @@ class TestCutKernel:
         bins = assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Batched(ss)), "batched")
         # A sample's maximal minimizer grows in the same rounds over groups,
         # group bins and slot rows (the slot minimizer is a union of groups).
-        rows = SampleSet(ss.samples, ss.seed)
+        rows = sample_set(ss.samples, ss.seed)
         slots = [RankerStats() for _ in GREEDY_ALGORITHMS]
         for algorithm, stats in zip(GREEDY_ALGORITHMS, slots):
             rank(rows, RankerConfig(algorithm=algorithm, stop_at=stop_at), stats=stats)
@@ -459,25 +467,21 @@ class TestCutKernel:
         c, s, n = int(rng.integers(1, 20)), int(rng.integers(0, 17)), int(rng.integers(1, 6))
         ss = random_sampleset(rng, c, s, n, float(rng.choice([0.1, 0.3, 0.6])))
         stop_at = int(rng.integers(1, c + 1)) if seed % 3 == 0 else None
-        assert_rank_matches_oracles(ss, stop_at, "batched")
-        if s <= MAX_CUT_KERNEL_GROUPS:
-            assert_cut_matches_oracles(ss, stop_at)
+        assert_both_kernels_match_oracles(ss, stop_at)
 
     def test_two_block_model_slots_are_singleton_classes(self):
-        # Independent coins: the samples carry no group masks, so rank()
-        # takes the batched kernel, and the cut kernel agrees when handed
-        # each slot as a class.
+        # Independent coins of 10 slots: their bins are the slots, so rank()
+        # takes the cut kernel, and the batched kernel agrees.
         ss = sample_relevances(two_block_model(60, 10, 0.5, 0.4), 20, 1)
-        assert ss.group_coins is None
-        assert_rank_matches_oracles(ss, None, "batched")
-        assert_cut_matches_oracles(ss, None)
+        assert ss.model.bins.group_count == MAX_CUT_KERNEL_GROUPS
+        assert_both_kernels_match_oracles(ss, None)
 
     def test_group_model_takes_cut_kernel(self):
         model = build_synthetic_model(
             SynthParams(groups=4, slots_per_group=3, candidates=40, seed=3)
         )
         ss = sample_relevances(model, 8, 1)
-        layout = ss.group_coins[0]
+        layout = ss.model.bins
         assert layout.subset_slots[[1, 2, 4, 8, 15]].tolist() == [3, 3, 3, 3, 12]
         assert_rank_matches_oracles(ss, None, "cut")
 
@@ -500,10 +504,11 @@ class TestCutKernel:
     def test_masked_samples_are_never_expanded(self, monkeypatch):
         # Neither rank() nor evaluate() expands group coins into slot rows,
         # whichever kernel ranks them.
-        def expand(self):
+        def expand(self, *i):
             raise AssertionError("group coins expanded into rows")
 
         monkeypatch.setattr(SampleSet, "samples", property(expand))
+        monkeypatch.setattr(SampleSet, "sample", expand)
         kernels = ((4, "cut"), (10, "cut"), (11, "batched"), (12, "batched"), (13, "batched"),
                    (16, "batched"))
         for groups, kernel in kernels:
@@ -523,17 +528,57 @@ class TestCutKernel:
             SynthParams(groups=MAX_CUT_KERNEL_GROUPS + 1, slots_per_group=2, candidates=60, seed=2)
         )
         ss = sample_relevances(model, 4, 1)
-        assert ss.group_coins is not None
         assert_rank_matches_oracles(ss, None, "batched")
 
 
+class TestKernelDispatch:
+    """rank() picks the kernel from the sample set's bin count alone: at most
+    MAX_CUT_KERNEL_GROUPS bins take the cut kernel, whatever the model kind."""
+
+    @pytest.mark.parametrize("slots", [0, 1, MAX_CUT_KERNEL_GROUPS, MAX_CUT_KERNEL_GROUPS + 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_independent_sets_on_both_sides_of_the_limit(self, slots, seed):
+        rng = np.random.default_rng(9000 + 10 * seed + slots)
+        ss = random_independent_samples(rng, slots)
+        assert ss.model.bins.group_count == slots
+        assert_both_kernels_match_oracles(ss, None)
+
+    @pytest.mark.parametrize("groups", [MAX_CUT_KERNEL_GROUPS, MAX_CUT_KERNEL_GROUPS + 1])
+    def test_group_sets_on_both_sides_of_the_limit(self, groups):
+        ss = random_group_samples(np.random.default_rng(groups), groups, n=5)
+        assert_both_kernels_match_oracles(ss, None)
+
+    def test_zero_slot_independent_set_takes_cut_kernel(self):
+        model = ProbabilityModel.independent(SparseProbMatrix.from_dense(np.zeros((4, 0))))
+        ss = sample_relevances(model, 3, 0)
+        assert ss.coins.shape == (3, 0)
+        stats = RankerStats()
+        r = rank(ss, RankerConfig(), stats=stats)
+        assert r.order.tolist() == [0, 1, 2, 3] and r.prefix_gain == (0, 0, 0, 0)
+        assert (stats.kernel, stats.zero_flushed) == ("cut", 4)
+        assert_both_kernels_match_oracles(ss, None)
+
+
+def assert_both_kernels_match_oracles(ss: SampleSet, stop_at: int | None):
+    """rank() takes the kernel the bin count picks, and it and the batched
+    kernel, run directly, equal both augmenting-path greedy functions; within
+    the cut kernel's limit, so does the cut kernel handed each slot of the
+    expanded rows as a class.  Their blocked sets grow in the same rounds."""
+    cut = ss.model.bins.group_count <= MAX_CUT_KERNEL_GROUPS
+    ranked = assert_rank_matches_oracles(ss, stop_at, "cut" if cut else "batched")
+    bat = assert_matches_oracles(ss, stop_at, engine_run(ss, lambda: _Batched(ss)), "batched")
+    assert moved(ranked) == moved(bat)
+    if ss.slots <= MAX_CUT_KERNEL_GROUPS:
+        assert moved(assert_cut_matches_oracles(ss, stop_at)) == moved(bat)
+
+
 def random_unstructured_samples(rng: np.random.Generator) -> SampleSet:
-    """Independent samples with up to 20 slots, so mostly more distinct
-    columns than the cut kernel takes; each sample has its own density, so
-    rows are empty, samples saturated or unfillable, and slots may be 0."""
+    """Independent samples with up to 20 slots, on both sides of the cut
+    kernel's limit of bins; each sample has its own density, so rows are
+    empty, samples saturated or unfillable, and slots may be 0."""
     c, s, n = int(rng.integers(1, 25)), int(rng.integers(0, 21)), int(rng.integers(1, 7))
     densities = rng.choice([0.05, 0.15, 0.3, 0.6, 0.9], size=n)
-    return SampleSet(tuple(random_relevance(rng, c, s, float(d)) for d in densities), 0)
+    return sample_set(random_relevance(rng, c, s, float(d)) for d in densities)
 
 
 class TestBatchedKernel:
@@ -543,17 +588,13 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         ss = random_unstructured_samples(rng)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
-        bat = assert_rank_matches_oracles(ss, stop_at, "batched")
-        if ss.slots <= MAX_CUT_KERNEL_GROUPS:
-            # Each slot a class: the blocked sets grow in the same rounds.
-            assert moved(assert_cut_matches_oracles(ss, stop_at)) == moved(bat)
+        assert_both_kernels_match_oracles(ss, stop_at)
 
     def test_independent_model_takes_batched_kernel(self):
         marginals = SparseProbMatrix.from_dense(
             np.random.default_rng(3).uniform(0.05, 0.6, size=(40, 16))
         )
         ss = sample_relevances(ProbabilityModel.independent(marginals), 12, 1)
-        assert ss.group_coins is None
         assert_rank_matches_oracles(ss, None, "batched")
 
     def test_candidate_copy_ids_do_not_wrap(self):
@@ -561,7 +602,7 @@ class TestBatchedKernel:
         # copy ids j*200 + a of the second sample on reach 200 + 199: both
         # CSRs must compute them, and the bin ids j*14 + t, in the wide type.
         rng = np.random.default_rng(11)
-        ss = SampleSet(tuple(random_relevance(rng, 200, 14, 0.05) for _ in range(3)), 0)
+        ss = sample_set(random_relevance(rng, 200, 14, 0.05) for _ in range(3))
         union = _Batched(ss)
         assert union.cand_bins.dtype == union.bin_cands.dtype == np.int32
         for j, m in enumerate(ss.samples):
@@ -579,7 +620,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(_Batched, "gains", lambda self: gains(self) * 2)
         for ss in contract_samples(toy_instance):
             with pytest.raises(ContractError, match="out of step"):
-                rank(ss, RankerConfig())
+                engine_run(ss, lambda: _Batched(ss))(RankerConfig(), RankerStats())
 
     def test_path_must_end_at_a_bin_with_room(self, toy_instance):
         # Once the greedy's productive candidates are in, every bin is full
@@ -611,9 +652,9 @@ def contract_samples(toy_instance) -> list[SampleSet]:
     groups 0 and 1, candidates 1 and 2 group 0, candidate 3 group 1; the
     greedy takes 0, 1, then 2."""
     layout = SlotLayout((2, 1) + (0,) * (MAX_CUT_KERNEL_GROUPS - 1))
-    coins = np.array([[[True, True], [True, False], [True, False], [False, True]]])
-    groups = (layout, np.array([[0, 1]] * 4), coins)
-    return [SampleSet((toy_instance,), seed=0), SampleSet(None, 0, groups)]
+    model = ProbabilityModel.group_structured(layout, [[0, 1]] * 4, np.full((4, 2), 0.5))
+    coins = np.array([[True, True, True, False, True, False, False, True]])
+    return [sample_set((toy_instance,)), SampleSet(model, coins, 0)]
 
 
 class TestCapacitatedBins:
@@ -627,7 +668,7 @@ class TestCapacitatedBins:
         # Zero-slot groups (cap 0), saturated and unfillable samples.
         rng = np.random.default_rng(seed)
         ss = random_group_samples(rng, groups)
-        rows = SampleSet(ss.samples, ss.seed)
+        rows = sample_set(ss.samples, ss.seed)
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
         for algorithm in GREEDY_ALGORITHMS:
             cfg = RankerConfig(algorithm=algorithm, stop_at=stop_at)
@@ -635,7 +676,8 @@ class TestCapacitatedBins:
             got, want = rank(ss, cfg, stats=got_stats), rank(rows, cfg, stats=want_stats)
             assert got.order.tobytes() == want.order.tobytes()
             assert got.prefix_gain == want.prefix_gain
-            assert got_stats == want_stats and got_stats.kernel == "batched"
+            assert replace(got_stats, kernel="") == replace(want_stats, kernel="")
+            assert got_stats.kernel == "batched"
         assert_rank_matches_oracles(ss, stop_at, "batched")
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([11, 12]), st.booleans())
@@ -649,8 +691,8 @@ class TestCapacitatedBins:
         # counters.  Slot counts 0-3 give 2-slot and cap-0 groups.
         rng = np.random.default_rng(seed)
         ss = random_group_samples(rng, groups)
-        layout = ss.group_coins[0]
-        cut = engine_run(ss, lambda: _Cut(layout.subset_slots, _coin_masks(*ss.group_coins)))
+        layout = ss.model.bins
+        cut = engine_run(ss, lambda: _Cut(layout.subset_slots, _coin_masks(ss.model, ss.coins)))
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
         for algorithm in GREEDY_ALGORITHMS:
             cfg = RankerConfig(algorithm=algorithm, stop_at=stop_at)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import draw_masks, edge_set
+from matchrank import core, synthgen
 from matchrank.core import (
     InputError,
     MAX_MASK_GROUPS,
@@ -8,12 +10,12 @@ from matchrank.core import (
     PURPOSE_SAMPLE,
     ProbabilityModel,
     SlotLayout,
+    SparseProbMatrix,
     substream,
 )
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
-    draw_group_masks,
     draw_relevance,
     model_metadata,
     sample_relevances,
@@ -215,20 +217,30 @@ class TestSampleRelevances:
         membership = np.sort(np.argsort(rng.random((40, g)), axis=1)[:, :2], axis=1)
         model = ProbabilityModel.group_structured(layout, membership, np.full((40, 2), 0.5))
         ss = sample_relevances(model, 6, 3)
-        got_layout, got_membership, coins = ss.group_coins
-        assert ss.rows is None and got_layout is layout
-        assert np.array_equal(got_membership, membership)
-        assert coins.dtype == bool and coins.shape == (6, 40, 2)
-        for m, won in zip(ss.samples, coins):
+        assert ss.model is model
+        assert ss.coins.dtype == bool and ss.coins.shape == (6, 80)
+        for m, won in zip(ss.samples, ss.coins.reshape(6, 40, 2)):
             for a in range(40):
                 groups = membership[a][won[a]]
                 assert m.row(a).tolist() == layout.slots_of(groups).tolist()
         # A mask-only draw takes the same coins from the same sub-stream, and
         # sets no bit of a slotless group.
-        for i, won in enumerate(coins):
-            alone = draw_group_masks(model, substream(3, PURPOSE_SAMPLE, i))
+        for i, won in enumerate(ss.coins.reshape(6, 40, 2)):
+            alone = draw_masks(model, substream(3, PURPOSE_SAMPLE, i))
             want = [sum(1 << int(k) for k in membership[a][won[a]] if sizes[k]) for a in range(40)]
             assert alone.dtype == np.uint16 and alone.tolist() == want
+
+    def test_independent_coins_are_the_drawn_entries(self):
+        # An independent model's bins are its slots: a mask is the set of
+        # slots of the candidate's row.
+        model = two_block_model(30, 6, 0.5, 0.4)
+        ss = sample_relevances(model, 5, 4)
+        assert ss.coins.shape == (5, model.marginals.probs.size)
+        entries = model.marginals.row_ids(), model.marginals.indices
+        for i, (m, won) in enumerate(zip(ss.samples, ss.coins)):
+            assert edge_set(m) == set(zip(entries[0][won].tolist(), entries[1][won].tolist()))
+            alone = draw_masks(model, substream(4, PURPOSE_SAMPLE, i))
+            assert alone.tolist() == [sum(1 << int(t) for t in m.row(a)) for a in range(30)]
 
     @pytest.mark.parametrize("groups", [4, MAX_MASK_GROUPS + 1])
     def test_group_coins_leave_draws_unchanged(self, groups):
@@ -238,11 +250,33 @@ class TestSampleRelevances:
             plain = draw_relevance(model, substream(2, PURPOSE_SAMPLE, i))
             assert plain.tobytes() == m.tobytes()
 
-    def test_every_group_model_draws_coins_and_independent_models_rows(self):
-        wide = build_synthetic_model(small_params(groups=MAX_MASK_GROUPS + 1, slots_per_group=1))
-        assert sample_relevances(wide, 2, 0).rows is None
-        independent = sample_relevances(two_block_model(8, 4), 2, 0)
-        assert independent.group_coins is None and len(independent.rows) == 2
+    def test_independent_coins_leave_draws_unchanged(self):
+        # Sure entries and empty rows: one coin per stored entry, in order.
+        dense = np.zeros((12, 5))
+        dense[2:, :3] = 0.4
+        dense[5, 4] = dense[7, 3] = 1.0
+        model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+        ss = sample_relevances(model, 4, 2)
+        for i, m in enumerate(ss.samples):
+            rng = substream(2, PURPOSE_SAMPLE, i)
+            keep = rng.random(model.marginals.probs.size) < model.marginals.probs
+            assert edge_set(m) == set(zip(model.marginals.row_ids()[keep].tolist(),
+                                          model.marginals.indices[keep].tolist()))
+            assert {(5, 4), (7, 3)} <= edge_set(m)
+            assert draw_relevance(model, substream(2, PURPOSE_SAMPLE, i)).tobytes() == m.tobytes()
+
+    def test_refuses_samples_that_outgrow_memory_before_drawing(self, monkeypatch):
+        # 3 samples of 300 x 2 coins hold 1,800 bytes.
+        model = build_synthetic_model(small_params())
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1799)
+        drawn = []
+        monkeypatch.setattr(synthgen, "substream", lambda *a: drawn.append(a))
+        with pytest.raises(InputError, match="3 samples of 600 coins need more memory"):
+            sample_relevances(model, 3, 0)
+        assert drawn == []
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1800)
+        assert sample_relevances(model, 3, 0).coins.nbytes == 1800
 
     def test_rejects_bad_n(self):
         model = build_synthetic_model(small_params())
