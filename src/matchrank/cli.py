@@ -130,7 +130,7 @@ def cmd_synth(args) -> int:
     write_model(model, args.out, metadata=meta)
     print(
         f"wrote {args.out}: {model.candidates} candidates, "
-        f"{model.layout.group_count} groups x {params.slots_per_group} slots"
+        f"{params.groups} groups x {params.slots_per_group} slots"
     )
     return EXIT_OK
 

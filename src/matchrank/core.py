@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -111,27 +111,29 @@ def _require_memory(nbytes: int, what: str):
 
 def _cgroup_memory_max() -> int | None:
     """The memory limit of this process's cgroup in bytes, found through
-    ``/proc/self/cgroup``: the cgroup v2 ``memory.max``, else, as on a
-    hybrid host whose memory controller is on cgroup v1, the v1
-    ``memory.limit_in_bytes``.  None when there is no limit (``max``) or
-    neither can be read.  v1 writes no limit as a huge number, which the
-    host's RAM undercuts."""
+    ``/proc/self/cgroup``: the smallest limit on the path from its group up
+    to the root, as cgroup v2 ``memory.max`` files, else, as on a hybrid
+    host whose memory controller is on cgroup v1, as v1
+    ``memory.limit_in_bytes`` files.  None when no group on the path has a
+    limit (``max``) or none can be read.  v1 writes no limit as a huge
+    number, which the host's RAM undercuts."""
     v2, v1 = [], []
     for line in (_read_text("/proc/self/cgroup") or "").splitlines():
         # "<id>:<controllers>:<path>"; the v2 line is "0::<path>".
         fields = line.split(":", 2)
         if len(fields) < 3:
             continue
-        path = fields[2].rstrip("/")
+        parts = fields[2].rstrip("/").split("/")
+        groups = ["/".join(parts[:i]) for i in range(len(parts), 0, -1)]
         if fields[:2] == ["0", ""]:
-            v2.append(f"/sys/fs/cgroup{path}/memory.max")
+            v2 += [f"/sys/fs/cgroup{g}/memory.max" for g in groups]
         elif "memory" in fields[1].split(","):
-            v1.append(f"/sys/fs/cgroup/memory{path}/memory.limit_in_bytes")
-    value = next((v for v in map(_read_text, v2 + v1) if v is not None), None)
-    try:
-        return int(value)
-    except (TypeError, ValueError):  # None (unreadable) or "max"
-        return None
+            v1 += [f"/sys/fs/cgroup/memory{g}/memory.limit_in_bytes" for g in groups]
+    for files in (v2, v1):
+        values = [v for v in map(_read_text, files) if v is not None]
+        if values:  # the first hierarchy with a readable file decides
+            return min((int(v) for v in values if v.strip().isdecimal()), default=None)
+    return None
 
 
 def _read_text(path: str) -> str | None:
@@ -155,8 +157,11 @@ class SlotLayout:
     slots_per_group: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(_as_count(n, "slot count") for n in self.slots_per_group)
-        if any(n < 0 for n in counts):
+        counts = tuple(self.slots_per_group)
+        # Plain ints, as one-slot bins are, pass in one pass that runs in C.
+        if not set(map(type, counts)) <= {int}:
+            counts = tuple(_as_count(n, "slot count") for n in counts)
+        if min(counts, default=0) < 0:
             raise InputError("slot counts must be non-negative")
         if sum(counts) >= _ID_LIMIT:
             raise InputError(f"a layout holds fewer than {_ID_LIMIT} slots (ids are int32)")
@@ -172,7 +177,7 @@ class SlotLayout:
     def group_count(self) -> int:
         return len(self.slots_per_group)
 
-    @property
+    @cached_property
     def total_slots(self) -> int:
         return sum(self.slots_per_group)
 
@@ -254,6 +259,15 @@ def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
     return RelevanceMatrix(model.candidates, model.slots, indptr, bins.slots_of(won_bins))
 
 
+def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarray):
+    """The per-(candidate, slot) SparseProbMatrix of `model`'s coins where
+    `keep` (bool, one per coin) is set: each coin's entry of `values` on
+    every slot of its bin."""
+    rows = _coin_rows(model, keep)
+    spread = np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]])
+    return SparseProbMatrix(rows.candidates, rows.slots, rows.indptr, rows.indices, spread)
+
+
 def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
     """Per candidate (after any leading draw axes of `coins`), the uint16 bit
     mask of the bins that own slots and whose coin is set (<= 16 bins)."""
@@ -272,28 +286,28 @@ def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray):
+def _validate_csr(candidates: int, slots: int, indptr: np.ndarray, indices: np.ndarray, what="slot"):
     if candidates < 0 or slots < 0:
         raise InputError("dimensions must be non-negative")
     if indptr.shape != (candidates + 1,):
         raise InputError(f"indptr must have length {candidates + 1}")
     if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
         raise InputError("indptr endpoints do not bracket the entry array")
-    if np.any(indptr[1:] < indptr[:-1]):
+    if (indptr[1:] < indptr[:-1]).any():
         raise InputError("indptr must be non-decreasing")
     if indices.size:
         if indices.min() < 0 or indices.max() >= slots:
-            raise InputError(f"slot ids must lie in [0, {slots})")
+            raise InputError(f"{what} ids must lie in [0, {slots})")
         # Sorted with no duplicates within each row: strictly increasing runs.
         # Only an entry that opens a row may step down.  `indptr` is sorted,
         # so the row starts inside (0, nnz) are one slice of it: no temporary
         # the size of the candidate count.
         interior = indptr[1:-1]
         lo, hi = np.searchsorted(interior, [1, indices.size])
-        opens_row = np.zeros(indices.size, dtype=bool)
-        opens_row[interior[lo:hi]] = True
-        if np.any(~opens_row[1:] & (np.diff(indices) <= 0)):
-            raise InputError("slot ids must be strictly increasing within each row")
+        steps_down = indices[1:] <= indices[:-1]
+        steps_down[interior[lo:hi] - 1] = False  # the steps into a row's first entry
+        if steps_down.any():
+            raise InputError(f"{what} ids must be strictly increasing within each row")
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,89 +514,76 @@ KIND_GROUP = "group"
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
-    """Distribution over relevance matrices.
+    """Distribution over relevance matrices: coins in bins of slots.
 
-    Two kinds:
+    A draw flips one coin per entry of ``coin_probs``, and a won coin makes
+    its candidate relevant to every slot of its bin.  Candidate a's coins
+    are ``coin_ptr[a]:coin_ptr[a+1]``, in bins ``coin_bins`` of the layout
+    ``bins``, ascending within a candidate.  ``kind`` names the file format
+    and what a model of it may hold:
 
-    * ``independent`` — every (candidate, slot) entry is an independent
-      Bernoulli with probability ``marginals[a, t]``.
-    * ``group`` — each candidate belongs to a few groups; one Bernoulli per
-      (candidate, group) toggles *all* slots of that group at once, so edges
-      within a group are perfectly correlated for a given candidate.
-
-    Both draw alike: one coin per entry of ``coin_probs``, and a won coin
-    makes its candidate relevant to every slot of its bin.  Candidate a's
-    coins are ``coin_ptr[a]:coin_ptr[a+1]``, each in bin ``coin_bins[i]`` of
-    the layout :attr:`bins`, ascending within a candidate.  A group model's
-    coins are its memberships and its bins its groups; an independent
-    model's coins are its stored entries and its bins its slots, one-slot
-    groups.
+    * ``group`` — the bins are groups, and every candidate has a coin in
+      the same number of them, strictly inside (0, 1): a won coin toggles
+      *all* slots of its group at once.
+    * ``independent`` — every bin is one slot, so every stored (candidate,
+      slot) entry is an independent coin, in (0, 1].
     """
 
     kind: str
-    marginals: SparseProbMatrix | None = None
-    layout: SlotLayout | None = None
-    membership: np.ndarray | None = None  # (candidates, memberships) int32, rows ascending
-    group_prob: np.ndarray | None = None  # same shape, float64
-    coin_ptr: np.ndarray = field(init=False, repr=False)  # int64, candidates + 1
-    coin_bins: np.ndarray = field(init=False, repr=False)  # int32
-    coin_probs: np.ndarray = field(init=False, repr=False)  # float64
+    bins: SlotLayout
+    coin_ptr: np.ndarray  # int64, candidates + 1
+    coin_bins: np.ndarray  # int32
+    coin_probs: np.ndarray  # float64
 
     def __post_init__(self):
-        if self.kind == KIND_INDEPENDENT:
-            if self.marginals is None:
-                raise InputError("independent model requires marginals")
-            if self.layout is not None or self.membership is not None:
-                raise InputError("independent model carries marginals only")
-            m = self.marginals
-            coins = (m.indptr, m.indices, m.probs)
-        elif self.kind == KIND_GROUP:
-            if self.layout is None or self.membership is None or self.group_prob is None:
-                raise InputError("group model requires layout, membership, group_prob")
-            if self.marginals is not None:
-                raise InputError("group model must not carry explicit marginals")
-            g = self.layout.group_count
-            mem = _as_int_array(self.membership, np.int32, "membership")
-            if mem.ndim != 2 or not 1 <= mem.shape[1] <= g:
-                raise InputError("membership must be candidates x memberships, in [1, group_count]")
-            if mem.size and (mem.min() < 0 or mem.max() >= g):
-                raise InputError("membership ids out of range")
-            if np.any(np.diff(mem, axis=1) <= 0):
-                raise InputError("membership rows must be strictly increasing")
-            gp = np.ascontiguousarray(self.group_prob, dtype=np.float64)
-            if gp.shape != mem.shape:
-                raise InputError("membership and group_prob must share shape (candidates, memberships)")
-            if gp.size and (
-                not np.isfinite(gp).all() or gp.min() <= 0.0 or gp.max() >= 1.0
-            ):
-                raise InputError("group probabilities must lie strictly inside (0, 1)")
-            mem.setflags(write=False)
-            gp.setflags(write=False)
-            object.__setattr__(self, "membership", mem)
-            object.__setattr__(self, "group_prob", gp)
-            c, k = mem.shape
-            ptr = np.arange(0, c * k + 1, k, dtype=np.int64)
-            ptr.setflags(write=False)
-            coins = (ptr, mem.ravel(), gp.ravel())
-        else:
+        if self.kind not in (KIND_INDEPENDENT, KIND_GROUP):
             raise InputError(f"unknown model kind {self.kind!r}")
-        for name, values in zip(("coin_ptr", "coin_bins", "coin_probs"), coins):
+        ptr = _as_int_array(self.coin_ptr, np.int64, "coin_ptr")
+        coin_bins = _as_int_array(self.coin_bins, np.int32, "coin_bins")
+        probs = np.ascontiguousarray(self.coin_probs, dtype=np.float64)
+        if ptr.ndim != 1 or coin_bins.ndim != 1 or probs.shape != coin_bins.shape:
+            raise InputError("coin_ptr, coin_bins and coin_probs must be 1-D, the last two aligned")
+        # The coins are a CSR over the bins: bins ascend within a candidate.
+        _validate_csr(ptr.size - 1, self.bins.group_count, ptr, coin_bins, "bin")
+        if self.kind == KIND_INDEPENDENT:
+            if probs.size and not (np.isfinite(probs).all() and 0 < probs.min() <= probs.max() <= 1):
+                raise InputError("stored probabilities must lie in (0, 1]")
+        else:
+            if probs.size and not (np.isfinite(probs).all() and 0 < probs.min() <= probs.max() < 1):
+                raise InputError("group probabilities must lie strictly inside (0, 1)")
+            if (lens := ptr[1:] - ptr[:-1]).size and lens.min() != lens.max():
+                raise InputError("every candidate of a group model needs the same number of groups")
+        for name, values in (("coin_ptr", ptr), ("coin_bins", coin_bins), ("coin_probs", probs)):
+            values.setflags(write=False)
             object.__setattr__(self, name, values)
 
     @classmethod
     def independent(cls, marginals: SparseProbMatrix) -> "ProbabilityModel":
-        return cls(kind=KIND_INDEPENDENT, marginals=marginals)
+        """One coin per stored entry of `marginals`, each in a one-slot bin."""
+        m = marginals
+        _require_memory(8 * m.slots, f"{m.slots} one-slot bins")  # a pointer each
+        return cls(KIND_INDEPENDENT, SlotLayout((1,) * m.slots), m.indptr, m.indices, m.probs)
 
     @classmethod
     def group_structured(
         cls, layout: SlotLayout, membership, group_prob
     ) -> "ProbabilityModel":
-        return cls(
-            kind=KIND_GROUP,
-            layout=layout,
-            membership=np.asarray(membership),
-            group_prob=np.asarray(group_prob),
-        )
+        """One coin per (candidate, group) of `membership` (candidates x
+        memberships, rows ascending), won with `group_prob` (same shape)."""
+        g = layout.group_count
+        mem = _as_int_array(membership, np.int32, "membership")
+        if mem.ndim != 2 or not 1 <= mem.shape[1] <= g:
+            raise InputError("membership must be candidates x memberships, in [1, group_count]")
+        if mem.size and (mem.min() < 0 or mem.max() >= g):
+            raise InputError("membership ids out of range")
+        if (mem[:, 1:] <= mem[:, :-1]).any():
+            raise InputError("membership rows must be strictly increasing")
+        gp = np.ascontiguousarray(group_prob, dtype=np.float64)
+        if gp.shape != mem.shape:
+            raise InputError("membership and group_prob must share shape (candidates, memberships)")
+        c, k = mem.shape
+        ptr = np.arange(0, c * k + 1, k, dtype=np.int64)
+        return cls(KIND_GROUP, layout, ptr, mem.ravel(), gp.ravel())
 
     @property
     def candidates(self) -> int:
@@ -590,25 +591,12 @@ class ProbabilityModel:
 
     @property
     def slots(self) -> int:
-        if self.kind == KIND_INDEPENDENT:
-            return self.marginals.slots
-        return self.layout.total_slots
-
-    @cached_property
-    def bins(self) -> SlotLayout:
-        """The layout of the bins the coins fall in (see the class docstring)."""
-        if self.kind == KIND_INDEPENDENT:
-            return SlotLayout((1,) * self.marginals.slots)
-        return self.layout
+        return self.bins.total_slots
 
     def marginal_matrix(self) -> SparseProbMatrix:
         """Per-(candidate, slot) edge probabilities implied by the model: each
         coin's probability on every slot of its bin."""
-        if self.kind == KIND_INDEPENDENT:
-            return self.marginals
-        m = _coin_rows(self, np.ones(self.coin_probs.size, dtype=bool))
-        probs = np.repeat(self.coin_probs, self.layout.group_sizes[self.coin_bins])
-        return SparseProbMatrix(m.candidates, m.slots, m.indptr, m.indices, probs)
+        return _spread_coins(self, self.coin_probs, np.ones(self.coin_probs.size, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)

@@ -161,19 +161,27 @@ def read_prob_triplets(path: str | Path) -> SparseProbMatrix:
     blank lines and ``#`` comments are allowed.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a text file ({e})")
     rows = [
         (no, line.split())
-        for no, raw in enumerate(lines, start=1)
+        for no, raw in enumerate(text.splitlines(), start=1)
         if (line := raw.split("#")[0].strip())
     ]
     if not rows:
         raise InputError(f"{path}: empty file")
     head_no, head = rows[0]
+    # int() and float() also read PEP 515 underscores and the digits of
+    # other scripts, which the format does not.  Only a file that holds
+    # either has its numbers checked one by one.
+    if not text.isascii() or "_" in text:
+        for no, parts in rows:
+            if not all(t.isascii() and "_" not in t for t in parts):
+                what = "header values must be integers" if no == head_no else "malformed numbers"
+                raise InputError(f"{path}:{no}: {what}")
     if len(head) != 3:
         raise InputError(f"{path}:{head_no}: header must be 'candidates slots nnz'")
     try:
@@ -255,18 +263,19 @@ def write_model(model: ProbabilityModel, path: str | Path, metadata: dict | None
         "kind": model.kind,
         "metadata": metadata or {},
     }
+    c = model.candidates
     if model.kind == "group":
-        obj["slots_per_group"] = list(model.layout.slots_per_group)
-        obj["membership"] = model.membership.tolist()
-        obj["group_prob"] = model.group_prob.tolist()
-    else:
-        m = model.marginals
-        obj["candidates"] = m.candidates
-        obj["slots"] = m.slots
-        obj["entries"] = [
-            [int(a), int(t), float(p)]
-            for a, t, p in zip(m.row_ids().tolist(), m.indices.tolist(), m.probs.tolist())
-        ]
+        # Every candidate has the same number of coins, its memberships.
+        shape = (c, model.coin_bins.size // max(c, 1))
+        obj["slots_per_group"] = list(model.bins.slots_per_group)
+        obj["membership"] = model.coin_bins.reshape(shape).tolist()
+        obj["group_prob"] = model.coin_probs.reshape(shape).tolist()
+    else:  # one coin per stored entry, in one-slot bins: bin t is slot t
+        rows = np.repeat(np.arange(c), np.diff(model.coin_ptr))
+        obj["candidates"] = c
+        obj["slots"] = model.slots
+        coins = zip(rows.tolist(), model.coin_bins.tolist(), model.coin_probs.tolist())
+        obj["entries"] = list(map(list, coins))
     _dump_compact(obj, path)
 
 

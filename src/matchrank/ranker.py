@@ -60,8 +60,8 @@ from .core import (
     SparseProbMatrix,
     _as_count,
     _coin_masks,
-    _coin_rows,
     _row_positions,
+    _spread_coins,
     substream,
 )
 
@@ -483,11 +483,7 @@ def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
     coin's win count, spread over its bin's slots."""
     hits = np.count_nonzero(samples.coins, axis=0)
     # A candidate's row holds the slots of every coin it ever won.
-    won = hits > 0
-    rows = _coin_rows(samples.model, won)
-    spread = samples.model.bins.group_sizes[samples.model.coin_bins[won]]
-    freq = np.repeat(hits[won], spread) / samples.n
-    return SparseProbMatrix(rows.candidates, rows.slots, rows.indptr, rows.indices, freq)
+    return _spread_coins(samples.model, hits / samples.n, hits > 0)
 
 
 def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

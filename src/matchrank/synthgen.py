@@ -175,21 +175,17 @@ def model_metadata(model: ProbabilityModel) -> dict:
         "candidates": model.candidates,
         "slots": model.slots,
     }
+    probs = model.coin_probs
     if model.kind == "group":
-        counts = np.bincount(
-            model.membership.ravel(), minlength=model.layout.group_count
-        )
-        meta["group_count"] = model.layout.group_count
-        meta["slots_per_group"] = list(model.layout.slots_per_group)
-        meta["members_per_group"] = counts.tolist()
-        meta["memberships_per_candidate"] = int(model.membership.shape[1])
-        meta["group_prob_min"] = float(model.group_prob.min())
-        meta["group_prob_max"] = float(model.group_prob.max())
-        meta["group_prob_mean"] = float(model.group_prob.mean())
+        meta["group_count"] = g = model.bins.group_count
+        meta["slots_per_group"] = list(model.bins.slots_per_group)
+        meta["members_per_group"] = np.bincount(model.coin_bins, minlength=g).tolist()
+        meta["memberships_per_candidate"] = probs.size // max(model.candidates, 1)
+        name = "group_prob"
     else:
-        meta["stored_entries"] = int(model.marginals.probs.size)
-        if model.marginals.probs.size:
-            meta["prob_min"] = float(model.marginals.probs.min())
-            meta["prob_max"] = float(model.marginals.probs.max())
-            meta["prob_mean"] = float(model.marginals.probs.mean())
+        meta["stored_entries"] = probs.size
+        name = "prob"
+    if probs.size:
+        for stat in ("min", "max", "mean"):
+            meta[f"{name}_{stat}"] = float(getattr(probs, stat)())
     return meta

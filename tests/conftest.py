@@ -25,6 +25,11 @@ def draw_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
     return _coin_masks(model, _draw_coins(model, rng))
 
 
+def coin_view(model) -> bytes:
+    """Every array of a model's coins, to compare two models by."""
+    return model.coin_ptr.tobytes() + model.coin_bins.tobytes() + model.coin_probs.tobytes()
+
+
 def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -> RelevanceMatrix:
     return RelevanceMatrix.from_dense(rng.random((c, s)) < density)
 

@@ -100,6 +100,15 @@ class TestIngest:
         assert run("ingest", "--probs", str(probs), "--out", str(tmp_path / "m.json")) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["2 2 1\n0_1 0 0.5\n", "\u0662 2 1\n0 0 0.5\n"])
+    def test_numbers_outside_the_format_exit_2(self, tmp_path, capsys, body):
+        probs = tmp_path / "p.txt"
+        probs.write_text(body, encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run("ingest", "--probs", str(probs), "--out", str(out)) == 2
+        assert "p.txt:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_slots_beyond_the_int32_limit_exit_2(self, tmp_path, capsys):
         # 70,000 x 40,000 slots would wrap the int32 slot ids.
         probs = tmp_path / "p.txt"
@@ -516,6 +525,19 @@ class TestMemoryPreflight:
         code = run("rank", "--model", str(ingested_model_path), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "24 candidates need more memory than this process may use" in capsys.readouterr().err
+
+    def test_model_declaring_more_slots_than_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An independent model's bins are its slots: 2,000,000 one-slot bins
+        # take a pointer, 8 bytes, each.
+        probs = tmp_path / "p.txt"
+        probs.write_text("1 2000000 1\n0 0 0.5\n")
+        out = tmp_path / "m.json"
+        monkeypatch.setattr(core, "_physical_memory", lambda: 15_999_999)
+        assert run("ingest", "--probs", str(probs), "--out", str(out)) == 2
+        assert "2000000 one-slot bins need more memory" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16_000_000)
+        assert run("ingest", "--probs", str(probs), "--out", str(out)) == 0
 
     def test_samples_outgrowing_memory_exit_2_before_drawing(
         self, tmp_path, ingested_model_path, capsys, monkeypatch

@@ -264,6 +264,34 @@ class TestSparseProbMatrix:
                 },
                 None,
             ),
+            # A parent's limit below the group's own is the one that holds.
+            (
+                {
+                    "/proc/self/cgroup": "0::/box/run\n",
+                    "/sys/fs/cgroup/box/run/memory.max": "8192\n",
+                    "/sys/fs/cgroup/box/memory.max": "4096\n",
+                },
+                4096,
+            ),
+            # So is a limited parent's above a group without a limit.
+            (
+                {
+                    "/proc/self/cgroup": "0::/box/run/job\n",
+                    "/sys/fs/cgroup/box/run/job/memory.max": "max\n",
+                    "/sys/fs/cgroup/box/run/memory.max": "max\n",
+                    "/sys/fs/cgroup/box/memory.max": "4096\n",
+                },
+                4096,
+            ),
+            # The same on cgroup v1, up to the hierarchy's root.
+            (
+                {
+                    "/proc/self/cgroup": "4:memory:/box/run\n",
+                    "/sys/fs/cgroup/memory/box/run/memory.limit_in_bytes": "9223372036854771712\n",
+                    "/sys/fs/cgroup/memory/memory.limit_in_bytes": "4096\n",
+                },
+                4096,
+            ),
             # Lines that are not hierarchies are skipped.
             ({"/proc/self/cgroup": "garbage\n0::/\n", "/sys/fs/cgroup/memory.max": "4096\n"}, 4096),
         ],
@@ -311,10 +339,11 @@ class TestProbabilityModel:
             )
 
     def test_group_coins_are_the_memberships(self):
+        layout = SlotLayout((2, 0, 1))
         model = ProbabilityModel.group_structured(
-            SlotLayout((2, 0, 1)), [[0, 1], [0, 2]], [[0.5, 0.25], [0.4, 0.8]]
+            layout, [[0, 1], [0, 2]], [[0.5, 0.25], [0.4, 0.8]]
         )
-        assert model.bins is model.layout
+        assert model.bins is layout
         assert model.coin_ptr.tolist() == [0, 2, 4]
         assert model.coin_bins.tolist() == [0, 1, 0, 2]
         assert model.coin_probs.tolist() == [0.5, 0.25, 0.4, 0.8]
@@ -324,7 +353,8 @@ class TestProbabilityModel:
         model = ProbabilityModel.independent(p)
         assert model.candidates == 2
         assert model.slots == 2
-        assert model.marginal_matrix() is p
+        assert model.bins == SlotLayout((1, 1))
+        assert model.marginal_matrix().tobytes() == p.tobytes()
 
     def test_group_marginal_expansion(self):
         lay = SlotLayout((2, 1, 2))
@@ -350,8 +380,49 @@ class TestProbabilityModel:
             ProbabilityModel.group_structured(lay, [[0, 2]], [[0.5, 0.5]])
         with pytest.raises(InputError):
             ProbabilityModel.group_structured(lay, [[0, 1]], [[0.5, 1.0]])
-        with pytest.raises(InputError):
-            ProbabilityModel(kind="nope")
+        with pytest.raises(InputError, match="unknown model kind"):
+            ProbabilityModel("nope", lay, [0, 2], [0, 1], [0.5, 0.5])
+
+    # One candidate with coins in bins 0 and 2 of three one-slot bins.
+    VALID = dict(bins=SlotLayout((1, 1, 1)), coin_ptr=[0, 2], coin_bins=[0, 2], coin_probs=[0.5, 0.25])
+
+    @pytest.mark.parametrize("kind", ["independent", "group"])
+    def test_direct_construction_takes_valid_coins(self, kind):
+        model = ProbabilityModel(kind, **self.VALID)
+        assert (model.candidates, model.slots) == (1, 3)
+        assert model.marginal_matrix().to_dense().tolist() == [[0.5, 0.0, 0.25]]
+
+    @pytest.mark.parametrize("kind", ["independent", "group"])
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (dict(coin_bins=[0, 3]), "bin ids must lie in"),
+            (dict(coin_bins=[2, 0]), "strictly increasing"),
+            (dict(coin_bins=[1, 1]), "strictly increasing"),
+            (dict(coin_ptr=[0, 1]), "bracket"),
+            (dict(coin_ptr=[1, 2]), "bracket"),
+            (dict(coin_ptr=[0, 3, 2]), "non-decreasing"),
+            (dict(coin_ptr=[]), "non-negative"),
+            (dict(coin_ptr=[[0, 2]]), "1-D"),
+            (dict(coin_probs=[0.5]), "aligned"),
+            (dict(coin_probs=[0.5, 0.0]), "probabilities"),
+            (dict(coin_probs=[np.nan, 0.5]), "probabilities"),
+            (dict(coin_probs=[0.5, 1.5]), "probabilities"),
+        ],
+    )
+    def test_direct_construction_refuses_bad_coins(self, kind, change, match):
+        with pytest.raises(InputError, match=match):
+            ProbabilityModel(kind, **{**self.VALID, **change})
+
+    def test_group_coins_stay_below_one_and_even(self):
+        assert ProbabilityModel("independent", **{**self.VALID, "coin_probs": [1.0, 0.5]})
+        with pytest.raises(InputError, match="strictly inside"):
+            ProbabilityModel("group", **{**self.VALID, "coin_probs": [1.0, 0.5]})
+        # Two candidates with one coin and two coins.
+        uneven = dict(self.VALID, coin_ptr=[0, 1, 3], coin_bins=[0, 0, 2], coin_probs=[0.5] * 3)
+        assert ProbabilityModel("independent", **uneven).candidates == 2
+        with pytest.raises(InputError, match="same number"):
+            ProbabilityModel("group", **uneven)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_group_rejects_non_finite(self, bad):

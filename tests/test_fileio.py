@@ -12,10 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sampleset, read_samples
+from conftest import coin_view, random_sampleset, read_samples
 from matchrank import fileio
 from matchrank.cli import main
-from matchrank.core import InputError, ProbabilityModel, Ranking, SparseProbMatrix, substream
+from matchrank.core import (
+    InputError,
+    ProbabilityModel,
+    Ranking,
+    SlotLayout,
+    SparseProbMatrix,
+    substream,
+)
 from matchrank.evaluation import evaluate
 from matchrank.fileio import (
     ExperimentConfig,
@@ -34,11 +41,12 @@ from matchrank.fileio import (
     write_stats,
     write_table,
 )
-from matchrank.ranker import TIE_BREAK, RankerConfig
+from matchrank.ranker import TIE_BREAK, RankerConfig, score_ranking
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
     draw_relevance,
+    model_metadata,
     sample_relevances,
     two_block_model,
 )
@@ -75,17 +83,30 @@ class TestTriplets:
             ("2 2 1\n5 0 0.5\n", "out of range"),
             ("2 2 1\n0 0 1.5\n", "out of range"),
             ("2 2 2\n0 0 0.5\n0 0 0.6\n", "duplicate"),
+            # int() and float() read PEP 515 underscores and the digits of
+            # other scripts; the format does not.
+            ("2 2 1\n0_1 0 0.5\n", "bad.txt:2: malformed"),
+            ("2 2 1\n0 1 0.2_5\n", "bad.txt:2: malformed"),
+            ("2 2 1\n\u0660 1 0.25\n", "bad.txt:2: malformed"),
+            ("2 2 1\n0 1 \u0660.5\n", "bad.txt:2: malformed"),
+            ("\u0662 2 1\n0 0 0.5\n", "bad.txt:1: header values must be integers"),
+            ("2 2_0 1\n0 0 0.5\n", "bad.txt:1: header values must be integers"),
         ],
     )
     def test_parse_errors(self, tmp_path, body, fragment):
         path = tmp_path / "bad.txt"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8")
         with pytest.raises(InputError, match=fragment):
             read_prob_triplets(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
             read_prob_triplets(tmp_path / "nope.txt")
+
+    def test_other_whitespace_and_comments_may_be_unicode(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("2 2 1  # k\u00e4se\n1\u30000 0.5\n", encoding="utf-8")
+        assert read_prob_triplets(path).to_dense().tolist() == [[0.0, 0.0], [0.5, 0.0]]
 
 
 class TestIngestModel:
@@ -100,7 +121,7 @@ class TestIngestModel:
     def test_max_clip(self):
         probs = SparseProbMatrix.from_dense([[1.0, 0.5]])
         model = ingest_model(probs, max_clip=0.9999)
-        assert model.marginals.probs.max() == 0.9999
+        assert model.coin_probs.tolist() == [0.9999, 0.5]
 
     def test_validation(self):
         probs = SparseProbMatrix.from_dense([[0.5]])
@@ -126,9 +147,8 @@ class TestModelFiles:
         back, meta = read_model(path)
         assert meta == {"note": "x"}
         assert back.kind == "group"
-        assert np.array_equal(back.membership, model.membership)
-        assert np.array_equal(back.group_prob, model.group_prob)
-        assert back.layout.slots_per_group == model.layout.slots_per_group
+        assert back.bins == model.bins
+        assert coin_view(back) == coin_view(model)
 
     def test_independent_roundtrip_and_bytes(self, tmp_path):
         model = two_block_model(8, 4, 0.5, 0.25)
@@ -138,7 +158,30 @@ class TestModelFiles:
         assert p1.read_bytes() == p2.read_bytes()
         back, _ = read_model(p1)
         assert back.kind == "independent"
-        assert back.marginals.tobytes() == model.marginals.tobytes()
+        assert back.bins == model.bins
+        assert coin_view(back) == coin_view(model)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_keeps_kind_bins_and_coins(self, tmp_path_factory, data):
+        draw = data.draw
+        if draw(st.booleans()):
+            sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+            c, k = draw(st.integers(1, 6)), draw(st.integers(1, len(sizes)))
+            membership = [sorted(draw(st.permutations(range(len(sizes))))[:k]) for _ in range(c)]
+            prob = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            group_prob = [[draw(prob) for _ in range(k)] for _ in range(c)]
+            model = ProbabilityModel.group_structured(SlotLayout(tuple(sizes)), membership, group_prob)
+        else:
+            c, s = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+            entry = st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True)
+            dense = np.array([[draw(entry) for _ in range(s)] for _ in range(c)]).reshape(c, s)
+            model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+        path = tmp_path_factory.getbasetemp() / "roundtrip-model.json"
+        write_model(model, path)
+        back, _ = read_model(path)
+        assert (back.kind, back.bins) == (model.kind, model.bins)
+        assert coin_view(back) == coin_view(model)
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "x.json"
@@ -213,13 +256,16 @@ class TestSampleFiles:
 
 
 class TestPinnedBytes:
-    """Sample dumps and reports at fixed seeds, pinned by their sha256: a
-    change in how any sub-stream is consumed, or in what is drawn from it,
-    shows here.  The independent model has empty rows and sure entries,
-    and draws that cannot fill its slots."""
+    """Sample dumps, reports, model files and rankings at fixed seeds,
+    pinned by their sha256: a change in how any sub-stream is consumed, in
+    what is drawn from it, or in how a model is written, shows here.  The
+    independent model has empty rows and sure entries, and draws that
+    cannot fill its slots."""
 
     @staticmethod
-    def independent_model() -> ProbabilityModel:
+    def model(kind: str) -> ProbabilityModel:
+        if kind == "group":
+            return build_synthetic_model(SynthParams(groups=4, slots_per_group=3, candidates=60, seed=5))
         rng = np.random.default_rng(11)
         dense = np.where(
             rng.random((24, 8)) < 0.3,
@@ -239,12 +285,7 @@ class TestPinnedBytes:
         ],
     )
     def test_dump_and_report_bytes(self, tmp_path, kind, dump, report):
-        if kind == "group":
-            model = build_synthetic_model(
-                SynthParams(groups=4, slots_per_group=3, candidates=60, seed=5)
-            )
-        else:
-            model = self.independent_model()
+        model = self.model(kind)
         write_samples(sample_relevances(model, 5, 7), tmp_path / "s.txt")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the independent model's unfillable draws
@@ -252,6 +293,23 @@ class TestPinnedBytes:
         write_report(rep, tmp_path / "r.json")
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert (digest("s.txt"), digest("r.json")) == (dump, report)
+
+    @pytest.mark.parametrize(
+        "kind, model_file, ranking",
+        [
+            ("group", "7c20d3f2582e88e954c424fe84cb3710d2c5ab140898d1aa86b3943f3896eb92",
+             "92305ed0820e547b1188150c51de02da2d2fca11fccad1ce17b79a58ad7b48c5"),
+            ("independent", "8598adc42af99578d0f3d0076cba053cbcf0851c8fc166f19c5c14d002c1ea5b",
+             "f6a246132a3f3846d2199ab2890fdfcf08222328773fe71bd08b15327baa51e3"),
+        ],
+    )
+    def test_model_file_and_model_marginal_ranking_bytes(self, tmp_path, kind, model_file, ranking):
+        model = self.model(kind)
+        write_model(model, tmp_path / "m.json", metadata=model_metadata(model))
+        order = score_ranking(model.marginal_matrix(), "ntr")
+        write_ranking(order, tmp_path / "r.json", "ntr", model.candidates, model.slots, 5, 7, 0)
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert (digest("m.json"), digest("r.json")) == (model_file, ranking)
 
 
 class TestRankingFiles:
@@ -332,7 +390,7 @@ def writers():
         lambda p: write_report(report, p),
         lambda p: write_stats({"rank_s": 0.5, "rounds": 4}, p),
         lambda p: write_samples(samples, p),
-        lambda p: write_prob_triplets(independent.marginals, p),
+        lambda p: write_prob_triplets(independent.marginal_matrix(), p),
         lambda p: write_table(report_table([report])[1], p),
         lambda p: fileio.write_text(p, report_table([report])[0] + "\n"),
     )))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_masks, edge_set
+from conftest import coin_view, draw_masks, edge_set
 from matchrank import core, synthgen
 from matchrank.core import (
     InputError,
@@ -21,6 +21,18 @@ from matchrank.synthgen import (
     sample_relevances,
     two_block_model,
 )
+
+
+def group_rows(model):
+    """A group model's memberships and their probabilities: its coins as
+    candidates x memberships."""
+    shape = (model.candidates, -1)
+    return model.coin_bins.reshape(shape), model.coin_probs.reshape(shape)
+
+
+def coin_candidates(model) -> np.ndarray:
+    """The candidate of every coin."""
+    return np.repeat(np.arange(model.candidates), np.diff(model.coin_ptr))
 
 
 def small_params(**kw):
@@ -78,8 +90,7 @@ class TestSynthParams:
         assert [type(v) for v in (p.candidates, p.groups, p.seed)] == [int] * 3
         a = build_synthetic_model(p)
         b = build_synthetic_model(SynthParams(candidates=30, groups=3, seed=4))
-        assert np.array_equal(a.membership, b.membership)
-        assert np.array_equal(a.group_prob, b.group_prob)
+        assert coin_view(a) == coin_view(b)
 
 
 class TestBuildModel:
@@ -89,27 +100,26 @@ class TestBuildModel:
         m3 = build_synthetic_model(small_params(seed=2))
         assert m1.slots == 12
         assert m1.candidates == 300
-        assert np.array_equal(m1.membership, m2.membership)
-        assert np.array_equal(m1.group_prob, m2.group_prob)
-        assert not np.array_equal(m1.group_prob, m3.group_prob)
+        assert coin_view(m1) == coin_view(m2)
+        assert not np.array_equal(m1.coin_probs, m3.coin_probs)
 
     def test_membership_rows_distinct_sorted(self):
         m = build_synthetic_model(small_params(memberships=3))
-        assert np.all(np.diff(m.membership, axis=1) > 0)
-        assert m.membership.min() >= 0
-        assert m.membership.max() < 4
+        membership, _ = group_rows(m)
+        assert membership.shape == (300, 3)
+        assert np.all(np.diff(membership, axis=1) > 0)
+        assert membership.min() >= 0
+        assert membership.max() < 4
 
     def test_membership_roughly_uniform(self):
         m = build_synthetic_model(small_params(candidates=8000))
-        counts = np.bincount(m.membership.ravel(), minlength=4)
+        counts = np.bincount(m.coin_bins, minlength=4)
         # 8000 candidates x 2 memberships over 4 groups: expect 4000 each.
         assert np.all(np.abs(counts - 4000) < 300)
 
     def test_group_means_rise_with_group_id(self):
         m = build_synthetic_model(small_params(candidates=20000, groups=6, memberships=1))
-        means = [
-            float(m.group_prob[m.membership[:, 0] == j].mean()) for j in range(6)
-        ]
+        means = [float(m.coin_probs[m.coin_bins == j].mean()) for j in range(6)]
         # Mean should track p_base + slope * (j+1) within sampling noise.
         for j, got in enumerate(means):
             assert got == pytest.approx(0.3 + 0.03 * (j + 1), abs=0.01)
@@ -117,21 +127,21 @@ class TestBuildModel:
     def test_clipping_hits_exact_bounds(self):
         hi = build_synthetic_model(small_params(p_base=0.98, candidates=2000))
         lo = build_synthetic_model(small_params(p_base=0.001, candidates=2000))
-        assert hi.group_prob.max() == PROB_CLIP[1]
-        assert np.mean(hi.group_prob == PROB_CLIP[1]) > 0.05
-        assert lo.group_prob.min() == PROB_CLIP[0]
-        assert np.mean(lo.group_prob == PROB_CLIP[0]) > 0.05
+        assert hi.coin_probs.max() == PROB_CLIP[1]
+        assert np.mean(hi.coin_probs == PROB_CLIP[1]) > 0.05
+        assert lo.coin_probs.min() == PROB_CLIP[0]
+        assert np.mean(lo.coin_probs == PROB_CLIP[0]) > 0.05
 
     def test_p_base_shift_shares_memberships_and_noise(self):
         a = build_synthetic_model(small_params(p_base=0.2))
         b = build_synthetic_model(small_params(p_base=0.4))
-        assert np.array_equal(a.membership, b.membership)
+        assert np.array_equal(a.coin_bins, b.coin_bins)
         inner = (
-            (a.group_prob > PROB_CLIP[0]) & (a.group_prob < PROB_CLIP[1])
-            & (b.group_prob > PROB_CLIP[0]) & (b.group_prob < PROB_CLIP[1])
+            (a.coin_probs > PROB_CLIP[0]) & (a.coin_probs < PROB_CLIP[1])
+            & (b.coin_probs > PROB_CLIP[0]) & (b.coin_probs < PROB_CLIP[1])
         )
         assert inner.any()
-        shift = b.group_prob[inner] - a.group_prob[inner]
+        shift = b.coin_probs[inner] - a.coin_probs[inner]
         assert np.allclose(shift, 0.2)
 
 
@@ -139,10 +149,10 @@ class TestDrawRelevance:
     def test_rows_are_unions_of_member_group_blocks(self):
         model = build_synthetic_model(small_params(seed=3))
         m = draw_relevance(model, substream(9, 1, 0))
-        lay = model.layout
+        lay, (membership, _) = model.bins, group_rows(model)
         for a in range(model.candidates):
             row = set(m.row(a).tolist())
-            allowed = [set(lay.slots_of(np.array([g])).tolist()) for g in model.membership[a]]
+            allowed = [set(lay.slots_of(np.array([g])).tolist()) for g in membership[a]]
             # row must be a union of whole blocks among the candidate's groups
             rest = set(row)
             for block in allowed:
@@ -161,18 +171,18 @@ class TestDrawRelevance:
 
     def test_group_block_frequency(self):
         model = build_synthetic_model(small_params(candidates=60, seed=5))
-        lay = model.layout
-        hits = np.zeros_like(model.group_prob)
+        lay, (membership, group_prob) = model.bins, group_rows(model)
+        hits = np.zeros_like(group_prob)
         trials = 1500
         for i in range(trials):
             m = draw_relevance(model, substream(11, 1, i))
             for cand in range(model.candidates):
                 row = m.row(cand)
-                for k, g in enumerate(model.membership[cand]):
+                for k, g in enumerate(membership[cand]):
                     start = int(lay.group_start[g])
                     hits[cand, k] += np.isin(start, row)
         freq = hits / trials
-        err = np.abs(freq - model.group_prob)
+        err = np.abs(freq - group_prob)
         assert err.mean() < 0.01
         assert err.max() < 0.06
 
@@ -235,8 +245,8 @@ class TestSampleRelevances:
         # slots of the candidate's row.
         model = two_block_model(30, 6, 0.5, 0.4)
         ss = sample_relevances(model, 5, 4)
-        assert ss.coins.shape == (5, model.marginals.probs.size)
-        entries = model.marginals.row_ids(), model.marginals.indices
+        assert ss.coins.shape == (5, model.coin_probs.size)
+        entries = coin_candidates(model), model.coin_bins
         for i, (m, won) in enumerate(zip(ss.samples, ss.coins)):
             assert edge_set(m) == set(zip(entries[0][won].tolist(), entries[1][won].tolist()))
             alone = draw_masks(model, substream(4, PURPOSE_SAMPLE, i))
@@ -259,9 +269,9 @@ class TestSampleRelevances:
         ss = sample_relevances(model, 4, 2)
         for i, m in enumerate(ss.samples):
             rng = substream(2, PURPOSE_SAMPLE, i)
-            keep = rng.random(model.marginals.probs.size) < model.marginals.probs
-            assert edge_set(m) == set(zip(model.marginals.row_ids()[keep].tolist(),
-                                          model.marginals.indices[keep].tolist()))
+            keep = rng.random(model.coin_probs.size) < model.coin_probs
+            assert edge_set(m) == set(zip(coin_candidates(model)[keep].tolist(),
+                                          model.coin_bins[keep].tolist()))
             assert {(5, 4), (7, 3)} <= edge_set(m)
             assert draw_relevance(model, substream(2, PURPOSE_SAMPLE, i)).tobytes() == m.tobytes()
 
@@ -332,7 +342,7 @@ class TestTwoBlockModel:
     def test_accepts_numpy_numbers(self):
         a = two_block_model(np.int64(10), np.int32(4), np.float64(0.5), 0.25)
         b = two_block_model(10, 4, 0.5, 0.25)
-        assert a.marginals.tobytes() == b.marginals.tobytes()
+        assert a.slots == b.slots and coin_view(a) == coin_view(b)
 
 
 class TestModelMetadata:
