@@ -14,7 +14,6 @@ from .core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     UNMATCHED,
     substream,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "RelevanceMatrix",
     "SampleSet",
     "SlotLayout",
-    "SparseProbMatrix",
     "UNMATCHED",
     "substream",
     "max_matching_size",

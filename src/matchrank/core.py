@@ -25,7 +25,6 @@ __all__ = [
     "substream",
     "SlotLayout",
     "RelevanceMatrix",
-    "SparseProbMatrix",
     "ProbabilityModel",
     "SampleSet",
     "Ranking",
@@ -260,12 +259,12 @@ def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
 
 
 def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarray):
-    """The per-(candidate, slot) SparseProbMatrix of `model`'s coins where
-    `keep` (bool, one per coin) is set: each coin's entry of `values` on
-    every slot of its bin."""
+    """The independent model of per-(candidate, slot) probabilities of
+    `model`'s coins where `keep` (bool, one per coin) is set: each coin's
+    entry of `values` on every slot of its bin."""
     rows = _coin_rows(model, keep)
     spread = np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]])
-    return SparseProbMatrix(rows.candidates, rows.slots, rows.indptr, rows.indices, spread)
+    return ProbabilityModel.independent(rows.slots, rows.indptr, rows.indices, spread)
 
 
 def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
@@ -381,133 +380,6 @@ class RelevanceMatrix:
         return head.tobytes() + self.indptr.tobytes() + self.indices.tobytes()
 
 
-@dataclass(frozen=True, eq=False)
-class SparseProbMatrix:
-    """Per-(candidate, slot) probabilities in CSR form; absent entries are 0."""
-
-    candidates: int
-    slots: int
-    indptr: np.ndarray  # int64
-    indices: np.ndarray  # int32
-    probs: np.ndarray  # float64, each in (0, 1]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indptr", _as_int_array(self.indptr, np.int64, "indptr"))
-        object.__setattr__(self, "indices", _as_int_array(self.indices, np.int32, "indices"))
-        object.__setattr__(
-            self, "probs", np.ascontiguousarray(self.probs, dtype=np.float64)
-        )
-        _validate_csr(self.candidates, self.slots, self.indptr, self.indices)
-        if self.probs.shape != self.indices.shape:
-            raise InputError("probs must align with indices")
-        if self.probs.size and (
-            not np.isfinite(self.probs).all()
-            or self.probs.min() <= 0.0
-            or self.probs.max() > 1.0
-        ):
-            raise InputError("stored probabilities must lie in (0, 1]")
-        for arr in (self.indptr, self.indices, self.probs):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseProbMatrix":
-        arr = np.asarray(dense, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InputError("dense probability matrix must be 2-D")
-        if arr.size and (
-            not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0
-        ):
-            raise InputError("probabilities must lie in [0, 1]")
-        rows, cols = np.nonzero(arr)
-        c, s = arr.shape
-        indptr = np.zeros(c + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
-        return cls(c, s, indptr, cols.astype(np.int32), arr[rows, cols])
-
-    @classmethod
-    def from_triplets(
-        cls,
-        candidates: int,
-        slots: int,
-        entries: Sequence[tuple[int, int, float]],
-    ) -> "SparseProbMatrix":
-        """Build from (candidate, slot, p) triplets; zero entries are dropped.
-
-        Dimensions and ids must be integers and probabilities real numbers:
-        nothing is truncated, and no bool passes for a number."""
-        candidates, slots = _as_count(candidates, "candidates"), _as_count(slots, "slots")
-        if not (0 <= candidates < _ID_LIMIT and 0 <= slots < _ID_LIMIT):
-            raise InputError(f"candidates and slots must lie in [0, {_ID_LIMIT})")
-        # The row pointers follow the declared count, not the entries, so a
-        # few bytes of file could otherwise ask for any amount of memory.
-        # At the peak, `indptr` and bincount's counts are both held: 16 bytes
-        # a candidate.
-        _require_memory(16 * (candidates + 1), f"{candidates} candidates")
-        seen = set()
-        kept = []
-        for a, t, p in entries:
-            # Plain ints and floats, as JSON and the triplet reader give
-            # them, skip the slower checks.
-            if type(a) is not int or type(t) is not int:
-                a, t = _as_count(a, "candidate id"), _as_count(t, "slot id")
-            if type(p) is not float:
-                if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                    raise InputError(f"probability must be a number, got {p!r}")
-                p = float(p)
-            if not 0 <= a < candidates:
-                raise InputError(f"candidate id {a} out of range [0, {candidates})")
-            if not 0 <= t < slots:
-                raise InputError(f"slot id {t} out of range [0, {slots})")
-            if not 0.0 <= p <= 1.0:
-                raise InputError(f"probability {p} out of range [0, 1]")
-            if (a, t) in seen:
-                raise InputError(f"duplicate entry for candidate {a}, slot {t}")
-            seen.add((a, t))
-            if p > 0.0:
-                kept.append((a, t, p))
-        kept.sort()
-        rows = np.array([e[0] for e in kept], dtype=np.int64)
-        indptr = np.zeros(candidates + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=candidates), out=indptr[1:])
-        cols = np.array([e[1] for e in kept], dtype=np.int32)
-        vals = np.array([e[2] for e in kept], dtype=np.float64)
-        return cls(candidates, slots, indptr, cols, vals)
-
-    def row(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[a], self.indptr[a + 1]
-        return self.indices[lo:hi], self.probs[lo:hi]
-
-    def row_ids(self) -> np.ndarray:
-        """Candidate id of every stored entry, aligned with `indices`."""
-        return np.repeat(np.arange(self.candidates, dtype=np.int32), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.candidates, self.slots), dtype=np.float64)
-        dense[self.row_ids(), self.indices] = self.probs
-        return dense
-
-    def clipped(self, max_prob: float) -> "SparseProbMatrix":
-        """Copy with every stored probability capped at `max_prob`."""
-        if not 0.0 < max_prob <= 1.0:
-            raise InputError("max_prob must lie in (0, 1]")
-        return SparseProbMatrix(
-            self.candidates,
-            self.slots,
-            self.indptr,
-            self.indices,
-            np.minimum(self.probs, max_prob),
-        )
-
-    def tobytes(self) -> bytes:
-        head = np.array([self.candidates, self.slots], dtype=np.int64)
-        return (
-            head.tobytes()
-            + self.indptr.tobytes()
-            + self.indices.tobytes()
-            + self.probs.tobytes()
-        )
-
-
 KIND_INDEPENDENT = "independent"
 KIND_GROUP = "group"
 
@@ -558,11 +430,83 @@ class ProbabilityModel:
             object.__setattr__(self, name, values)
 
     @classmethod
-    def independent(cls, marginals: SparseProbMatrix) -> "ProbabilityModel":
-        """One coin per stored entry of `marginals`, each in a one-slot bin."""
-        m = marginals
-        _require_memory(8 * m.slots, f"{m.slots} one-slot bins")  # a pointer each
-        return cls(KIND_INDEPENDENT, SlotLayout((1,) * m.slots), m.indptr, m.indices, m.probs)
+    def independent(cls, slots: int, coin_ptr, coin_bins, coin_probs) -> "ProbabilityModel":
+        """One coin per stored (candidate, slot) entry, each in a one-slot
+        bin: candidate a's entries are ``coin_ptr[a]:coin_ptr[a+1]``, on the
+        slots ``coin_bins`` (ascending within a candidate), each won with
+        its ``coin_probs`` in (0, 1]."""
+        slots = _as_count(slots, "slots")
+        if not 0 <= slots < _ID_LIMIT:
+            raise InputError(f"slots must lie in [0, {_ID_LIMIT})")
+        _require_memory(8 * slots, f"{slots} one-slot bins")  # a pointer each
+        return cls(KIND_INDEPENDENT, SlotLayout((1,) * slots), coin_ptr, coin_bins, coin_probs)
+
+    @classmethod
+    def from_dense(cls, dense) -> "ProbabilityModel":
+        """Independent model of a dense candidates x slots probability
+        matrix; zero entries hold no coin."""
+        arr = np.asarray(dense, dtype=np.float64)
+        if arr.ndim != 2:
+            raise InputError("dense probability matrix must be 2-D")
+        if arr.size and (
+            not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0
+        ):
+            raise InputError("probabilities must lie in [0, 1]")
+        rows, cols = np.nonzero(arr)
+        c, s = arr.shape
+        indptr = np.zeros(c + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
+        return cls.independent(s, indptr, cols.astype(np.int32), arr[rows, cols])
+
+    @classmethod
+    def from_triplets(
+        cls,
+        candidates: int,
+        slots: int,
+        entries: Sequence[tuple[int, int, float]],
+    ) -> "ProbabilityModel":
+        """Independent model of (candidate, slot, p) triplets; zero entries
+        are dropped.
+
+        Dimensions and ids must be integers and probabilities real numbers:
+        nothing is truncated, and no bool passes for a number."""
+        candidates, slots = _as_count(candidates, "candidates"), _as_count(slots, "slots")
+        if not (0 <= candidates < _ID_LIMIT and 0 <= slots < _ID_LIMIT):
+            raise InputError(f"candidates and slots must lie in [0, {_ID_LIMIT})")
+        # The row pointers follow the declared count, not the entries, so a
+        # few bytes of file could otherwise ask for any amount of memory.
+        # At the peak, `indptr` and bincount's counts are both held: 16 bytes
+        # a candidate.
+        _require_memory(16 * (candidates + 1), f"{candidates} candidates")
+        seen = set()
+        kept = []
+        for a, t, p in entries:
+            # Plain ints and floats, as JSON and the triplet reader give
+            # them, skip the slower checks.
+            if type(a) is not int or type(t) is not int:
+                a, t = _as_count(a, "candidate id"), _as_count(t, "slot id")
+            if type(p) is not float:
+                if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                    raise InputError(f"probability must be a number, got {p!r}")
+                p = float(p)
+            if not 0 <= a < candidates:
+                raise InputError(f"candidate id {a} out of range [0, {candidates})")
+            if not 0 <= t < slots:
+                raise InputError(f"slot id {t} out of range [0, {slots})")
+            if not 0.0 <= p <= 1.0:
+                raise InputError(f"probability {p} out of range [0, 1]")
+            if (a, t) in seen:
+                raise InputError(f"duplicate entry for candidate {a}, slot {t}")
+            seen.add((a, t))
+            if p > 0.0:
+                kept.append((a, t, p))
+        kept.sort()
+        rows = np.array([e[0] for e in kept], dtype=np.int64)
+        indptr = np.zeros(candidates + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=candidates), out=indptr[1:])
+        cols = np.array([e[1] for e in kept], dtype=np.int32)
+        vals = np.array([e[2] for e in kept], dtype=np.float64)
+        return cls.independent(slots, indptr, cols, vals)
 
     @classmethod
     def group_structured(
@@ -593,9 +537,10 @@ class ProbabilityModel:
     def slots(self) -> int:
         return self.bins.total_slots
 
-    def marginal_matrix(self) -> SparseProbMatrix:
-        """Per-(candidate, slot) edge probabilities implied by the model: each
-        coin's probability on every slot of its bin."""
+    def marginal_matrix(self) -> "ProbabilityModel":
+        """Per-(candidate, slot) edge probabilities implied by the model, as
+        an independent model: each coin's probability on every slot of its
+        bin."""
         return _spread_coins(self, self.coin_probs, np.ones(self.coin_probs.size, dtype=bool))
 
 

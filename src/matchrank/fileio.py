@@ -25,16 +25,15 @@ from .core import (
     Ranking,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     _ID_LIMIT,
     _as_count,
+    _require_memory,
 )
 from .evaluation import EvalReport
 from .ranker import ALGORITHMS, TIE_BREAK
 
 __all__ = [
     "read_prob_triplets",
-    "write_prob_triplets",
     "ingest_model",
     "write_model",
     "read_model",
@@ -153,8 +152,8 @@ def _ints(values: list, path: str | Path, key: str, allow_none: bool = False):
 # probability triplet text files
 
 
-def read_prob_triplets(path: str | Path) -> SparseProbMatrix:
-    """Parse a whitespace triplet file.
+def read_prob_triplets(path: str | Path) -> ProbabilityModel:
+    """Parse a whitespace triplet file into an independent model.
 
     Line 1: ``candidates slots nnz``; then nnz lines ``candidate slot p``
     with 0-based ids.  Zero probabilities may be listed but are dropped;
@@ -204,52 +203,50 @@ def read_prob_triplets(path: str | Path) -> SparseProbMatrix:
             raise InputError(f"{path}:{no}: malformed numbers")
         entries.append((a, t, p))
     try:
-        return SparseProbMatrix.from_triplets(c, s, entries)
+        return ProbabilityModel.from_triplets(c, s, entries)
     except InputError as e:
         raise InputError(f"{path}: {e}")
 
 
-def write_prob_triplets(matrix: SparseProbMatrix, path: str | Path):
-    out = [f"{matrix.candidates} {matrix.slots} {matrix.probs.size}"]
-    rows = matrix.row_ids()
-    for a, t, p in zip(rows.tolist(), matrix.indices.tolist(), matrix.probs.tolist()):
-        out.append(f"{a} {t} {p!r}")
-    write_text(path, "\n".join(out) + "\n")
-
-
 def ingest_model(
-    probs: SparseProbMatrix,
+    probs: ProbabilityModel,
     slots_per_label: int = 1,
     max_clip: float | None = None,
 ) -> ProbabilityModel:
-    """Independent model from a probability matrix.
+    """Independent model over slots from one over labels, such as
+    :func:`read_prob_triplets` returns.
 
-    Each input column is a label; with ``slots_per_label`` = k, label t
+    Each slot of `probs` is a label; with ``slots_per_label`` = k, label t
     expands to slots [t*k, (t+1)*k) sharing its probability.  ``max_clip``
     caps every probability (useful when frequencies of 1 would make the
     "or"/"and" scores degenerate).
     """
-    slots_per_label = _as_count(slots_per_label, "slots_per_label")
-    if slots_per_label < 1:
+    if probs.kind != "independent":
+        raise InputError(f"ingest takes an independent model, not a {probs.kind} one")
+    k = _as_count(slots_per_label, "slots_per_label")
+    if k < 1:
         raise InputError("slots_per_label must be at least 1")
-    if probs.slots * slots_per_label >= _ID_LIMIT:
+    slots = probs.slots * k
+    if slots >= _ID_LIMIT:
         raise InputError(
-            f"{probs.slots} labels x {slots_per_label} slots per label exceed the "
+            f"{probs.slots} labels x {k} slots per label exceed the "
             f"int32 slot limit: a model holds fewer than {_ID_LIMIT} slots"
         )
+    if max_clip is not None and not 0.0 < max_clip <= 1.0:
+        raise InputError("max_clip must lie in (0, 1]")
+    indptr, indices, vals = probs.coin_ptr, probs.coin_bins, probs.coin_probs
     if max_clip is not None:
-        probs = probs.clipped(max_clip)
-    if slots_per_label > 1:
-        k = slots_per_label
-        indptr = np.zeros(probs.candidates + 1, dtype=np.int64)
-        np.cumsum(np.diff(probs.indptr) * k, out=indptr[1:])
-        base = probs.indices.astype(np.int64) * k
+        vals = np.minimum(vals, max_clip)
+    if k > 1:
+        # An expanded entry holds 20 bytes at the peak (an int64 slot id,
+        # its int32 copy and its probability), and a one-slot bin 8.
+        entries = vals.size * k
+        _require_memory(20 * entries + 8 * slots, f"{entries} entries in {slots} one-slot bins")
+        indptr = indptr * k
+        base = indices.astype(np.int64) * k
         indices = (base[:, None] + np.arange(k)[None, :]).ravel().astype(np.int32)
-        vals = np.repeat(probs.probs, k)
-        probs = SparseProbMatrix(
-            probs.candidates, probs.slots * k, indptr, indices, vals
-        )
-    return ProbabilityModel.independent(probs)
+        vals = np.repeat(vals, k)
+    return ProbabilityModel.independent(slots, indptr, indices, vals)
 
 
 # --------------------------------------------------------------------------
@@ -297,9 +294,7 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
                 np.array(obj["group_prob"], dtype=np.float64),
             )
         elif obj["kind"] == "independent":
-            model = ProbabilityModel.independent(
-                SparseProbMatrix.from_triplets(obj["candidates"], obj["slots"], obj["entries"])
-            )
+            model = ProbabilityModel.from_triplets(obj["candidates"], obj["slots"], obj["entries"])
         else:
             raise InputError(f"unknown model kind {obj.get('kind')!r}")
     except KeyError as e:

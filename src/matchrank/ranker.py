@@ -54,12 +54,14 @@ import numpy as np
 from .core import (
     ContractError,
     InputError,
+    KIND_INDEPENDENT,
     PURPOSE_RANKER,
+    ProbabilityModel,
     Ranking,
     SampleSet,
-    SparseProbMatrix,
     _as_count,
     _coin_masks,
+    _require_memory,
     _row_positions,
     _spread_coins,
     substream,
@@ -304,6 +306,14 @@ class _Batched:
         b = cap.size
         itype = np.int32 if max(n * c, n * b, edges) < 2**31 else np.int64
         narrow = np.min_scalar_type(max(b - 1, 0))
+        # Four arrays per edge, two per candidate-copy, seven per bin-copy,
+        # and the hits: refused before any is allocated.
+        hits_type = np.min_scalar_type(b)
+        _require_memory(
+            np.dtype(itype).itemsize * (4 * edges + 2 * n * c + 7 * n * b)
+            + hits_type.itemsize * n * c,
+            f"the arrays of a batched union of {n} samples ({edges} edges)",
+        )
         owner = np.repeat(np.arange(c, dtype=itype), np.diff(model.coin_ptr))
         row_ends = model.coin_ptr[1:]
         self.n, self.c, self.b = n, c, b
@@ -313,7 +323,7 @@ class _Batched:
         self.bin_ptr = np.zeros(n * b + 1, dtype=itype)
         self.bin_cands = np.empty(edges, dtype=itype)
         # Edges per candidate-copy into ``reach``: at most one per bin.
-        self.hits = np.empty(n * c, dtype=np.min_scalar_type(b))
+        self.hits = np.empty(n * c, dtype=hits_type)
         lo = 0
         for j, coins in enumerate(samples.coins):
             # A sample's edges: its won coins, each into the coin's bin.
@@ -478,9 +488,9 @@ class _Batched:
         self._gains -= np.count_nonzero(had & (hits[rows] == 0), axis=0)
 
 
-def empirical_marginals(samples: SampleSet) -> SparseProbMatrix:
-    """Per-(candidate, slot) edge frequency across the sample set: each
-    coin's win count, spread over its bin's slots."""
+def empirical_marginals(samples: SampleSet) -> ProbabilityModel:
+    """Per-(candidate, slot) edge frequency across the sample set, as an
+    independent model: each coin's win count, spread over its bin's slots."""
     hits = np.count_nonzero(samples.coins, axis=0)
     # A candidate's row holds the slots of every coin it ever won.
     return _spread_coins(samples.model, hits / samples.n, hits > 0)
@@ -494,8 +504,9 @@ def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.bincount(ids, weights=values, minlength=rows)
 
 
-def baseline_scores(marginals: SparseProbMatrix, rule: str) -> np.ndarray:
-    """Per-candidate score under one of the probability-aggregation rules.
+def baseline_scores(marginals: ProbabilityModel, rule: str) -> np.ndarray:
+    """Per-candidate score under one of the probability-aggregation rules,
+    from the per-(candidate, slot) probabilities of an independent model.
 
     * ``and`` — log-probability that *every* listed slot edge appears;
       candidates with no entries score -inf.
@@ -506,7 +517,10 @@ def baseline_scores(marginals: SparseProbMatrix, rule: str) -> np.ndarray:
     """
     if rule not in SCORE_RULES:
         raise InputError(f"unknown score rule {rule!r}; valid: {', '.join(SCORE_RULES)}")
-    p, idx, ptr = marginals.probs, marginals.indices, marginals.indptr
+    if marginals.kind != KIND_INDEPENDENT:
+        # A group model's coin bins are groups, not slots.
+        raise InputError("scores need per-slot probabilities: an independent model")
+    p, idx, ptr = marginals.coin_probs, marginals.coin_bins, marginals.coin_ptr
     if rule == "and":
         scores = _row_sums(np.log(p), ptr)
         scores[np.diff(ptr) == 0] = -np.inf
@@ -526,7 +540,7 @@ def baseline_scores(marginals: SparseProbMatrix, rule: str) -> np.ndarray:
     return _row_sums(p / col_sums[idx], ptr)
 
 
-def score_ranking(marginals: SparseProbMatrix, rule: str) -> Ranking:
+def score_ranking(marginals: ProbabilityModel, rule: str) -> Ranking:
     """Full ranking by descending score under the shared tie-break policy."""
     scores = baseline_scores(marginals, rule)
     tie = scores if rule == "ntr" else baseline_scores(marginals, "ntr")
@@ -562,15 +576,17 @@ MAX_CUT_KERNEL_GROUPS = 10
 def rank(
     samples: SampleSet,
     cfg: RankerConfig,
-    marginals: SparseProbMatrix | None = None,
+    marginals: ProbabilityModel | None = None,
     stats: RankerStats | None = None,
 ) -> Ranking:
     """Run the configured algorithm over a sample set.
 
-    `marginals` overrides the empirical frequencies for the score baselines
-    (e.g. to rank from model probabilities directly); the greedy algorithms
-    always work from the samples themselves, through the kernel
-    :data:`MAX_CUT_KERNEL_GROUPS` picks (``stats.kernel`` tells which ran).
+    `marginals`, an independent model of per-(candidate, slot)
+    probabilities, overrides the empirical frequencies for the score
+    baselines (``model.marginal_matrix()`` ranks from the model's
+    probabilities directly); the greedy algorithms always work from the
+    samples themselves, through the kernel :data:`MAX_CUT_KERNEL_GROUPS`
+    picks (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
         limit = _resolve_stop(cfg, samples.candidates)

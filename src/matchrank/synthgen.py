@@ -29,7 +29,6 @@ from .core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     _as_count,
     _coin_rows,
     _require_memory,
@@ -165,7 +164,7 @@ def two_block_model(
     dense = np.zeros((candidates, slots))
     dense[:half_c, :half_s] = p_first
     dense[half_c:, half_s:] = p_second
-    return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+    return ProbabilityModel.from_dense(dense)
 
 
 def model_metadata(model: ProbabilityModel) -> dict:

@@ -13,7 +13,6 @@ from matchrank.core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
 )
 from matchrank.core import _coin_masks
 from matchrank.synthgen import _draw_coins, sample_relevances
@@ -28,6 +27,29 @@ def draw_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:
 def coin_view(model) -> bytes:
     """Every array of a model's coins, to compare two models by."""
     return model.coin_ptr.tobytes() + model.coin_bins.tobytes() + model.coin_probs.tobytes()
+
+
+def coin_candidates(model) -> np.ndarray:
+    """The candidate of every coin."""
+    return np.repeat(np.arange(model.candidates), np.diff(model.coin_ptr))
+
+
+def dense_probs(model) -> np.ndarray:
+    """The candidates x slots matrix of `model`'s per-(candidate, slot)
+    probabilities (its `marginal_matrix()`), 0 where none is stored."""
+    m = model.marginal_matrix()
+    dense = np.zeros((m.candidates, m.slots))
+    dense[coin_candidates(m), m.coin_bins] = m.coin_probs
+    return dense
+
+
+def write_triplets(model, path):
+    """Write an independent model as a triplet file (`read_prob_triplets`'s
+    format): one line per coin, its slot being its bin."""
+    coins = zip(coin_candidates(model).tolist(), model.coin_bins.tolist(), model.coin_probs.tolist())
+    lines = [f"{model.candidates} {model.slots} {model.coin_probs.size}"]
+    lines += [f"{a} {t} {p!r}" for a, t, p in coins]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -> RelevanceMatrix:
@@ -52,9 +74,7 @@ def sample_set(rows, seed: int = 0) -> SampleSet:
     cands, slots = np.divmod(support, max(s, 1))
     indptr = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(np.bincount(cands, minlength=c), out=indptr[1:])
-    model = ProbabilityModel.independent(
-        SparseProbMatrix(c, s, indptr, slots.astype(np.int32), counts / len(rows))
-    )
+    model = ProbabilityModel.independent(s, indptr, slots.astype(np.int32), counts / len(rows))
     coins = np.array([np.isin(support, k) for k in keys]).reshape(len(rows), support.size)
     return SampleSet(model, coins, seed)
 
@@ -86,7 +106,7 @@ def random_independent_samples(rng: np.random.Generator, slots: int, n: int | No
     c = int(rng.integers(1, 21))
     dense = rng.choice([0.02, 0.3, 0.6, 1.0], size=(c, slots))
     dense[rng.random((c, slots)) < rng.choice([0.2, 0.5, 0.9])] = 0.0
-    model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+    model = ProbabilityModel.from_dense(dense)
     n = int(rng.integers(1, 7)) if n is None else n
     return sample_relevances(model, n, int(rng.integers(0, 1000)))
 

@@ -38,10 +38,10 @@ import numpy as np
 from matchrank.core import (
     ContractError,
     InputError,
+    ProbabilityModel,
     Ranking,
     RelevanceMatrix,
     SampleSet,
-    SparseProbMatrix,
     UNMATCHED,
 )
 from matchrank.evaluation import _check_ranking_ids
@@ -49,7 +49,7 @@ from matchrank.matching import max_matching_size
 from matchrank.ranker import RankerConfig, RankerStats, _argbest, _resolve_stop, _tie_key
 
 
-def row_count_marginals(samples: SampleSet) -> SparseProbMatrix:
+def row_count_marginals(samples: SampleSet) -> ProbabilityModel:
     """Per-(candidate, slot) edge frequency across the sample set, counted
     over every sample's slot-level rows."""
     c, s = samples.candidates, samples.slots
@@ -66,9 +66,7 @@ def row_count_marginals(samples: SampleSet) -> SparseProbMatrix:
     rows = nz // s
     indptr = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
-    return SparseProbMatrix(
-        c, s, indptr, (nz % s).astype(np.int32), counts[nz] / samples.n
-    )
+    return ProbabilityModel.independent(s, indptr, (nz % s).astype(np.int32), counts[nz] / samples.n)
 
 
 def brute_max_matching(matrix: RelevanceMatrix, pool=None) -> int:

@@ -550,8 +550,33 @@ class TestMemoryPreflight:
         assert code == 2
         assert f"10 samples of {coins} coins need more memory" in capsys.readouterr().err
         assert not out.exists()
+        # The samples fit; ntr, unlike a greedy, builds no batched union.
         monkeypatch.setattr(core, "_physical_memory", lambda: 10 * coins)
-        assert run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10") == 0
+        assert run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10",
+                   "--algorithm", "ntr") == 0
+
+    def test_batched_union_outgrowing_memory_exits_2(
+        self, tmp_path, ingested_model_path, capsys, monkeypatch
+    ):
+        # The model's 16 slots rank through the batched kernel, whose union
+        # of 10 samples needs more than the samples themselves.
+        coins = read_model(ingested_model_path)[0].coin_probs.size
+        monkeypatch.setattr(core, "_physical_memory", lambda: 10 * coins)
+        out = tmp_path / "r.json"
+        code = run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10")
+        assert code == 2
+        assert "batched union of 10 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_expanding_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # One entry read in a few bytes, expanded to 200,000 slots.
+        probs, out = tmp_path / "p.txt", tmp_path / "m.json"
+        probs.write_text("1 2 1\n0 0 0.5\n")
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
+        code = run("ingest", "--probs", str(probs), "--out", str(out), "--slots-per-label", "200000")
+        assert code == 2
+        assert "200000 entries in 400000 one-slot bins need more memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

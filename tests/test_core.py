@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_set
+from conftest import coin_view, dense_probs, edge_set
 from matchrank import core
 from matchrank.core import (
     InputError,
@@ -16,7 +16,6 @@ from matchrank.core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     substream,
 )
 
@@ -146,20 +145,26 @@ class TestRelevanceMatrix:
         assert a.tobytes() == c.tobytes()
 
 
-class TestSparseProbMatrix:
+class TestIndependentModel:
+    """The constructors of an independent model: one coin per stored
+    (candidate, slot) entry, in one-slot bins."""
+
     def test_from_dense_drops_zeros(self):
-        p = SparseProbMatrix.from_dense([[0.5, 0.0], [0.0, 1.0]])
-        assert p.row(0)[0].tolist() == [0]
-        assert p.row(1)[1].tolist() == [1.0]
-        assert np.array_equal(p.to_dense(), [[0.5, 0.0], [0.0, 1.0]])
+        p = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 1.0]])
+        assert p.kind == "independent" and p.bins == SlotLayout((1, 1))
+        assert (p.coin_ptr.tolist(), p.coin_bins.tolist()) == ([0, 1, 2], [0, 1])
+        assert p.coin_probs.tolist() == [0.5, 1.0]
+        assert np.array_equal(dense_probs(p), [[0.5, 0.0], [0.0, 1.0]])
 
     def test_from_triplets_validates(self):
         with pytest.raises(InputError):
-            SparseProbMatrix.from_triplets(2, 2, [(0, 0, 1.5)])
+            ProbabilityModel.from_triplets(2, 2, [(0, 0, 1.5)])
         with pytest.raises(InputError):
-            SparseProbMatrix.from_triplets(2, 2, [(0, 0, 0.5), (0, 0, 0.6)])
+            ProbabilityModel.from_triplets(2, 2, [(0, 0, 0.5), (0, 0, 0.6)])
         with pytest.raises(InputError):
-            SparseProbMatrix.from_triplets(2, 2, [(2, 0, 0.5)])
+            ProbabilityModel.from_triplets(2, 2, [(2, 0, 0.5)])
+        with pytest.raises(InputError):
+            ProbabilityModel.from_triplets(2, 2, [(0, 2, 0.5)])
 
     @pytest.mark.parametrize(
         "dims, entry, fragment",
@@ -177,30 +182,45 @@ class TestSparseProbMatrix:
     )
     def test_from_triplets_refuses_truncation(self, dims, entry, fragment):
         with pytest.raises(InputError, match=fragment):
-            SparseProbMatrix.from_triplets(*dims, [entry])
+            ProbabilityModel.from_triplets(*dims, [entry])
+
+    @pytest.mark.parametrize(
+        "slots, fragment",
+        [(2.0, "slots must be an integer"), (True, "slots must be an integer"),
+         (-1, "slots must lie in"), (2**31, "slots must lie in")],
+    )
+    def test_independent_refuses_bad_slot_counts(self, slots, fragment):
+        with pytest.raises(InputError, match=fragment):
+            ProbabilityModel.independent(slots, [0, 1], [0], [0.5])
 
     def test_from_triplets_takes_numpy_scalars_and_integer_probabilities(self):
-        p = SparseProbMatrix.from_triplets(
+        p = ProbabilityModel.from_triplets(
             np.int64(2), 2, [(np.int32(1), np.int64(0), np.float64(0.5)), (0, 1, 1)]
         )
-        assert p.to_dense().tolist() == [[0.0, 1.0], [0.5, 0.0]]
+        assert dense_probs(p).tolist() == [[0.0, 1.0], [0.5, 0.0]]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(InputError):
-            SparseProbMatrix.from_dense([[bad, 0.5]])
-        with pytest.raises(InputError):
-            SparseProbMatrix(1, 2, [0, 2], [0, 1], [bad, 0.5])
-        with pytest.raises(InputError):
-            SparseProbMatrix.from_triplets(1, 2, [(0, 0, bad)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1.5])
+    def test_rejects_stored_probabilities_outside_0_1(self, bad):
+        # A dense 0 is no entry, but a stored one is no coin.
+        if bad != 0.0:
+            with pytest.raises(InputError):
+                ProbabilityModel.from_dense([[bad, 0.5]])
+            with pytest.raises(InputError):
+                ProbabilityModel.from_triplets(1, 2, [(0, 0, bad)])
+        with pytest.raises(InputError, match="stored probabilities"):
+            ProbabilityModel.independent(2, [0, 2], [0, 1], [bad, 0.5])
+
+    def test_from_dense_refuses_other_shapes(self):
+        with pytest.raises(InputError, match="2-D"):
+            ProbabilityModel.from_dense([0.5, 0.25])
 
     def test_from_triplets_refuses_more_candidates_than_memory_holds(self, monkeypatch):
         # 1,000 candidates take 16,016 bytes: the row pointers and their counts.
         monkeypatch.setattr(core, "_physical_memory", lambda: 16015)
         with pytest.raises(InputError, match="1000 candidates need more memory"):
-            SparseProbMatrix.from_triplets(1000, 2, [])
+            ProbabilityModel.from_triplets(1000, 2, [])
         monkeypatch.setattr(core, "_physical_memory", lambda: 16016)
-        assert SparseProbMatrix.from_triplets(1000, 2, []).candidates == 1000
+        assert ProbabilityModel.from_triplets(1000, 2, []).candidates == 1000
 
     def test_preflight_covers_the_peak_allocation(self):
         # NumPy reports its arrays to tracemalloc.  A few entries and many
@@ -208,12 +228,19 @@ class TestSparseProbMatrix:
         candidates = 200_000
         tracemalloc.start()
         try:
-            SparseProbMatrix.from_triplets(candidates, 2, [(0, 1, 0.5), (candidates - 1, 0, 0.5)])
+            ProbabilityModel.from_triplets(candidates, 2, [(0, 1, 0.5), (candidates - 1, 0, 0.5)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 8 * (candidates + 1) < peak <= 16 * (candidates + 1) + 64 * 1024
 
+    def test_triplets_zero_dropped_and_sorted(self):
+        p = ProbabilityModel.from_triplets(2, 3, [(1, 2, 0.3), (1, 0, 0.2), (0, 1, 0.0)])
+        assert p.coin_probs.tolist() == [0.2, 0.3]
+        assert (p.coin_ptr.tolist(), p.coin_bins.tolist()) == ([0, 0, 2], [0, 2])
+
+
+class TestPhysicalMemory:
     def test_physical_memory_is_positive(self):
         assert core._physical_memory() > 0
 
@@ -313,18 +340,6 @@ class TestSparseProbMatrix:
         monkeypatch.setattr(core, "_read_text", files.get)
         assert core._physical_memory() == host
 
-    def test_triplets_zero_dropped_and_sorted(self):
-        p = SparseProbMatrix.from_triplets(2, 3, [(1, 2, 0.3), (1, 0, 0.2), (0, 1, 0.0)])
-        assert p.probs.size == 2
-        assert p.row(0)[0].size == 0
-        assert p.row(1)[0].tolist() == [0, 2]
-
-    def test_clipped(self):
-        p = SparseProbMatrix.from_dense([[0.5, 0.999], [1.0, 0.0]])
-        q = p.clipped(0.9)
-        assert q.probs.max() == 0.9
-        assert p.probs.max() == 1.0  # original untouched
-
 
 class TestProbabilityModel:
     @pytest.mark.parametrize(
@@ -349,19 +364,20 @@ class TestProbabilityModel:
         assert model.coin_probs.tolist() == [0.5, 0.25, 0.4, 0.8]
 
     def test_independent_marginals_identity(self):
-        p = SparseProbMatrix.from_dense([[0.5, 0.2], [0.0, 0.7]])
-        model = ProbabilityModel.independent(p)
+        model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])
         assert model.candidates == 2
         assert model.slots == 2
         assert model.bins == SlotLayout((1, 1))
-        assert model.marginal_matrix().tobytes() == p.tobytes()
+        marginals = model.marginal_matrix()
+        assert (marginals.kind, marginals.bins) == ("independent", model.bins)
+        assert coin_view(marginals) == coin_view(model)
 
     def test_group_marginal_expansion(self):
         lay = SlotLayout((2, 1, 2))
         model = ProbabilityModel.group_structured(
             lay, [[0, 2], [1, 2]], [[0.5, 0.25], [0.4, 0.8]]
         )
-        dense = model.marginal_matrix().to_dense()
+        dense = dense_probs(model)
         want = np.array(
             [
                 [0.5, 0.5, 0.0, 0.25, 0.25],
@@ -390,7 +406,7 @@ class TestProbabilityModel:
     def test_direct_construction_takes_valid_coins(self, kind):
         model = ProbabilityModel(kind, **self.VALID)
         assert (model.candidates, model.slots) == (1, 3)
-        assert model.marginal_matrix().to_dense().tolist() == [[0.5, 0.0, 0.25]]
+        assert dense_probs(model).tolist() == [[0.5, 0.0, 0.25]]
 
     @pytest.mark.parametrize("kind", ["independent", "group"])
     @pytest.mark.parametrize(
@@ -463,8 +479,7 @@ class TestSampleSet:
 
     def test_an_independent_model_draws_its_entries(self):
         # Each coin is one stored entry; its bin is its slot, of one slot.
-        p = SparseProbMatrix.from_dense([[0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
-        model = ProbabilityModel.independent(p)
+        model = ProbabilityModel.from_dense([[0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
         assert model.bins == SlotLayout((1, 1, 1))
         assert (model.coin_ptr.tolist(), model.coin_bins.tolist()) == ([0, 2, 2, 4], [0, 2, 0, 1])
         ss = SampleSet(model, np.array([[1, 1, 0, 1], [0, 1, 0, 0]], dtype=bool), 0)

@@ -19,7 +19,6 @@ from matchrank.core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     substream,
 )
 from matchrank.evaluation import (
@@ -211,7 +210,7 @@ class TestCutForm:
     def test_method_counts_bins_not_model_kinds(self, slots, method):
         # An independent model's bins are its slots.
         dense = np.full((20, slots), 0.5)
-        assert kmin_method(ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))) == method
+        assert kmin_method(ProbabilityModel.from_dense(dense)) == method
 
 
 def random_independent_model(seed: int, slots: int | None = None) -> ProbabilityModel:
@@ -225,7 +224,7 @@ def random_independent_model(seed: int, slots: int | None = None) -> Probability
     else:
         c, s = int(rng.integers(1, 2 * slots + 3)), slots
     dense = rng.choice([0.0, 0.3, 0.7, 1.0], size=(c, s), p=[0.4, 0.2, 0.2, 0.2])
-    return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+    return ProbabilityModel.from_dense(dense)
 
 
 def method_draw(model: ProbabilityModel, eval_seed: int, i: int):
@@ -420,11 +419,9 @@ class TestEvaluate:
 
     def test_unfillable_all_draws(self):
         # Slot 3 has no probability mass anywhere: never fillable.
-        from matchrank.core import ProbabilityModel, SparseProbMatrix
-
         dense = np.zeros((6, 4))
         dense[:, :3] = 0.8
-        model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+        model = ProbabilityModel.from_dense(dense)
         with pytest.warns(UserWarning, match="cannot fill"):
             rep = evaluate(self.CFG, model, 4, 1, 5, 2)
         assert rep.unfillable_count == 5

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coin_view, random_sampleset, read_samples
-from matchrank import fileio
+from conftest import coin_view, dense_probs, random_sampleset, read_samples, write_triplets
+from matchrank import core, fileio
 from matchrank.cli import main
 from matchrank.core import (
     InputError,
     ProbabilityModel,
     Ranking,
     SlotLayout,
-    SparseProbMatrix,
     substream,
 )
 from matchrank.evaluation import evaluate
@@ -34,7 +33,6 @@ from matchrank.fileio import (
     read_report,
     report_table,
     write_model,
-    write_prob_triplets,
     write_ranking,
     write_report,
     write_samples,
@@ -54,22 +52,32 @@ from matchrank.synthgen import (
 
 class TestTriplets:
     def test_roundtrip(self, tmp_path):
-        m = SparseProbMatrix.from_dense([[0.5, 0.0, 0.125], [0.0, 1.0, 0.0]])
+        m = ProbabilityModel.from_dense([[0.5, 0.0, 0.125], [0.0, 1.0, 0.0]])
         path = tmp_path / "probs.txt"
-        write_prob_triplets(m, path)
+        write_triplets(m, path)
         back = read_prob_triplets(path)
-        assert back.tobytes() == m.tobytes()
+        assert (back.candidates, back.slots) == (2, 3)
+        assert coin_view(back) == coin_view(m)
+
+    def test_reads_an_independent_model_of_one_slot_bins(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("3 4 2\n2 3 0.5\n0 1 0.25\n")
+        m = read_prob_triplets(path)
+        assert m.kind == "independent"
+        assert m.bins == SlotLayout((1,) * 4)
+        assert (m.coin_ptr.tolist(), m.coin_bins.tolist()) == ([0, 1, 1, 2], [1, 3])
+        assert m.coin_probs.tolist() == [0.25, 0.5]
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# a comment\n2 2 2\n\n0 0 0.5  # trailing\n1 1 0.25\n")
         m = read_prob_triplets(path)
-        assert m.to_dense().tolist() == [[0.5, 0.0], [0.0, 0.25]]
+        assert dense_probs(m).tolist() == [[0.5, 0.0], [0.0, 0.25]]
 
     def test_zero_entries_dropped(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("2 2 2\n0 0 0.0\n1 1 0.25\n")
-        assert read_prob_triplets(path).probs.tolist() == [0.25]
+        assert read_prob_triplets(path).coin_probs.tolist() == [0.25]
 
     @pytest.mark.parametrize(
         "body,fragment",
@@ -106,35 +114,62 @@ class TestTriplets:
     def test_other_whitespace_and_comments_may_be_unicode(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("2 2 1  # k\u00e4se\n1\u30000 0.5\n", encoding="utf-8")
-        assert read_prob_triplets(path).to_dense().tolist() == [[0.0, 0.0], [0.5, 0.0]]
+        assert dense_probs(read_prob_triplets(path)).tolist() == [[0.0, 0.0], [0.5, 0.0]]
 
 
 class TestIngestModel:
     def test_label_broadcast(self):
-        probs = SparseProbMatrix.from_dense([[0.5, 0.0], [0.0, 0.4]])
+        probs = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 0.4]])
         model = ingest_model(probs, slots_per_label=3)
-        dense = model.marginal_matrix().to_dense()
+        dense = dense_probs(model)
         assert dense.shape == (2, 6)
         assert dense[0].tolist() == [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
         assert dense[1].tolist() == [0.0, 0.0, 0.0, 0.4, 0.4, 0.4]
 
     def test_max_clip(self):
-        probs = SparseProbMatrix.from_dense([[1.0, 0.5]])
-        model = ingest_model(probs, max_clip=0.9999)
-        assert model.coin_probs.tolist() == [0.9999, 0.5]
+        probs = ProbabilityModel.from_dense([[1.0, 0.5], [0.999, 0.0]])
+        model = ingest_model(probs, max_clip=0.9)
+        assert model.coin_probs.tolist() == [0.9, 0.5, 0.9]
+        assert probs.coin_probs.tolist() == [1.0, 0.5, 0.999]  # the input untouched
+        assert ingest_model(probs, 2, max_clip=0.9).coin_probs.tolist() == [0.9, 0.9, 0.5, 0.5, 0.9, 0.9]
 
     def test_validation(self):
-        probs = SparseProbMatrix.from_dense([[0.5]])
+        probs = ProbabilityModel.from_dense([[0.5]])
         with pytest.raises(InputError):
             ingest_model(probs, slots_per_label=0)
         with pytest.raises(InputError):
             ingest_model(probs, max_clip=0.0)
 
+    def test_refuses_a_group_model(self):
+        group = build_synthetic_model(SynthParams(groups=3, slots_per_group=2, candidates=6, seed=1))
+        with pytest.raises(InputError, match="independent"):
+            ingest_model(group)
+
     @pytest.mark.parametrize("slots_per_label", [2.5, True, "3"])
     def test_slots_per_label_must_be_an_integer(self, slots_per_label):
-        probs = SparseProbMatrix.from_dense([[0.5]])
+        probs = ProbabilityModel.from_dense([[0.5]])
         with pytest.raises(InputError, match="slots_per_label"):
             ingest_model(probs, slots_per_label)
+
+    def test_refuses_an_expansion_beyond_memory_before_making_it(self, monkeypatch):
+        # One entry at 200,000 slots per label: 4 MB of expanded entries and
+        # 3.2 MB of one-slot bins, against 1 MiB.
+        probs = ProbabilityModel.from_dense([[0.5, 0.0]])
+        monkeypatch.setattr(core, "_physical_memory", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="200000 entries in 400000 one-slot bins need more memory"):
+                ingest_model(probs, slots_per_label=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # 8 slots per label: 8 expanded entries of 20 bytes, 16 bins of 8.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 20 + 16 * 8 - 1)
+        with pytest.raises(InputError, match="8 entries in 16 one-slot bins"):
+            ingest_model(probs, slots_per_label=8)
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 20 + 16 * 8)
+        assert ingest_model(probs, slots_per_label=8).coin_probs.size == 8
 
 
 class TestModelFiles:
@@ -176,7 +211,7 @@ class TestModelFiles:
             c, s = draw(st.integers(0, 6)), draw(st.integers(0, 6))
             entry = st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True)
             dense = np.array([[draw(entry) for _ in range(s)] for _ in range(c)]).reshape(c, s)
-            model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+            model = ProbabilityModel.from_dense(dense)
         path = tmp_path_factory.getbasetemp() / "roundtrip-model.json"
         write_model(model, path)
         back, _ = read_model(path)
@@ -273,7 +308,7 @@ class TestPinnedBytes:
             0.0,
         )
         dense[:3] = 0.0
-        return ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+        return ProbabilityModel.from_dense(dense)
 
     @pytest.mark.parametrize(
         "kind, dump, report",
@@ -371,8 +406,7 @@ class TestReportFiles:
         assert "matchrank-lazy" in text
 
 
-_WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "triplets",
-            "table", "text")
+_WRITERS = ("group-model", "independent-model", "ranking", "report", "stats", "samples", "table", "text")
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +424,6 @@ def writers():
         lambda p: write_report(report, p),
         lambda p: write_stats({"rank_s": 0.5, "rounds": 4}, p),
         lambda p: write_samples(samples, p),
-        lambda p: write_prob_triplets(independent.marginal_matrix(), p),
         lambda p: write_table(report_table([report])[1], p),
         lambda p: fileio.write_text(p, report_table([report])[0] + "\n"),
     )))
@@ -768,10 +801,12 @@ class TestConfigAndTripletFuzz:
         except InputError:
             probs = None
         if probs is not None:
-            assert isinstance(probs, SparseProbMatrix)
+            assert isinstance(probs, ProbabilityModel) and probs.kind == "independent"
             (folder / "again.txt").unlink(missing_ok=True)
-            write_prob_triplets(probs, folder / "again.txt")
-            assert read_prob_triplets(folder / "again.txt").tobytes() == probs.tobytes()
+            write_triplets(probs, folder / "again.txt")
+            again = read_prob_triplets(folder / "again.txt")
+            assert (again.candidates, again.slots) == (probs.candidates, probs.slots)
+            assert coin_view(again) == coin_view(probs)
         (folder / "model-out.json").unlink(missing_ok=True)
         code = main(["ingest", "--probs", str(path), "--out", str(folder / "model-out.json")])
         assert code == (2 if probs is None else 0)

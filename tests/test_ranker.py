@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coin_view,
+    dense_probs,
     random_group_samples,
     random_independent_samples,
     random_relevance,
     random_sampleset,
     sample_set,
 )
+from matchrank import core
 from matchrank.core import (
     ContractError,
     InputError,
@@ -21,7 +25,6 @@ from matchrank.core import (
     RelevanceMatrix,
     SampleSet,
     SlotLayout,
-    SparseProbMatrix,
     _coin_masks,
 )
 from matchrank.ranker import (
@@ -203,8 +206,7 @@ class TestEmpiricalMarginals:
     def test_counts(self, toy_instance):
         thin = RelevanceMatrix.from_edges(5, 3, [(0, 0), (2, 1)])
         ss = sample_set((toy_instance, thin))
-        m = empirical_marginals(ss)
-        dense = m.to_dense()
+        dense = dense_probs(empirical_marginals(ss))
         want = np.array(
             [
                 [1.0, 0, 0],
@@ -229,8 +231,8 @@ class TestEmpiricalMarginals:
         for m in ss.samples:
             for a in range(m.candidates):
                 counts[a, m.row(a)] += 1
-        want = SparseProbMatrix.from_dense(counts / ss.n)
-        assert empirical_marginals(ss).tobytes() == want.tobytes()
+        want, got = ProbabilityModel.from_dense(counts / ss.n), empirical_marginals(ss)
+        assert (got.kind, got.bins, coin_view(got)) == ("independent", want.bins, coin_view(want))
 
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.booleans(), st.booleans())
@@ -248,12 +250,13 @@ class TestEmpiricalMarginals:
             coins = ss.coins.copy()
             coins[:, ss.model.coin_ptr[0] : ss.model.coin_ptr[1]] = False
             ss = SampleSet(ss.model, coins, ss.seed)
-        assert empirical_marginals(ss).tobytes() == row_count_marginals(ss).tobytes()
+        got, want = empirical_marginals(ss), row_count_marginals(ss)
+        assert (got.bins, coin_view(got)) == (want.bins, coin_view(want))
 
 
 class TestBaselineScores:
     def make(self, dense):
-        return SparseProbMatrix.from_dense(dense)
+        return ProbabilityModel.from_dense(dense)
 
     def test_and_formula_and_empty_rows(self):
         m = self.make([[0.5, 0.2], [0.0, 0.0], [1.0, 1.0]])
@@ -310,21 +313,28 @@ class TestBaselineScores:
         with pytest.raises(InputError):
             baseline_scores(m, "xor")
 
+    def test_rejects_a_group_model(self):
+        # Its coins' bins are groups, not slots.
+        group = ProbabilityModel.group_structured(SlotLayout((2, 1)), [[0], [1]], [[0.5], [0.5]])
+        with pytest.raises(InputError, match="independent"):
+            baseline_scores(group, "tr")
+        assert baseline_scores(group.marginal_matrix(), "tr").tolist() == [1.0, 0.5]
+
 
 class TestScoreRanking:
     def test_tie_break_by_normalized_relevance_then_id(self):
-        m = SparseProbMatrix.from_dense([[0.4, 0.0], [0.4, 0.2], [0.9, 0.9]])
+        m = ProbabilityModel.from_dense([[0.4, 0.0], [0.4, 0.2], [0.9, 0.9]])
         r = score_ranking(m, "and")
         # and-scores: log(.4) ; log(.4)+log(.2) ; log(.81): best is row 2
         assert r.order[0] == 2
-        m2 = SparseProbMatrix.from_dense([[0.4, 0.2], [0.2, 0.4], [0.1, 0.1]])
+        m2 = ProbabilityModel.from_dense([[0.4, 0.2], [0.2, 0.4], [0.1, 0.1]])
         r2 = score_ranking(m2, "and")  # rows 0,1 tie on product and on the
         assert r2.order.tolist() == [0, 1, 2]  # symmetric secondary -> id
 
     def test_tie_break_prefers_uncrowded_slots(self):
         # Rows 0 and 1 tie on total relevance, but row 1 owns its slot
         # outright while row 0 competes with row 2.
-        m = SparseProbMatrix.from_dense([[0.5, 0.0], [0.0, 0.5], [0.4, 0.0]])
+        m = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 0.5], [0.4, 0.0]])
         r = score_ranking(m, "tr")
         assert r.order.tolist() == [1, 0, 2]
 
@@ -360,7 +370,7 @@ class TestDispatcher:
     def test_marginal_override_changes_baseline(self):
         rng = np.random.default_rng(22)
         ss = random_sampleset(rng, 6, 3, 5, 0.5)
-        override = SparseProbMatrix.from_dense(
+        override = ProbabilityModel.from_dense(
             np.linspace(0.9, 0.1, 18).reshape(6, 3)
         )
         b = rank(ss, RankerConfig(algorithm="tr"), marginals=override)
@@ -369,9 +379,21 @@ class TestDispatcher:
     def test_marginal_dim_mismatch(self):
         rng = np.random.default_rng(23)
         ss = random_sampleset(rng, 6, 3, 2, 0.5)
-        bad = SparseProbMatrix.from_dense(np.full((5, 3), 0.5))
+        bad = ProbabilityModel.from_dense(np.full((5, 3), 0.5))
         with pytest.raises(InputError):
             rank(ss, RankerConfig(algorithm="tr"), marginals=bad)
+
+    @pytest.mark.parametrize("algorithm", ["and", "or", "tr", "ntr"])
+    def test_marginals_must_be_an_independent_model(self, algorithm):
+        # Six candidates in 3 one-slot groups: the dimensions match, but
+        # the coins' bins are groups.
+        group = ProbabilityModel.group_structured(
+            SlotLayout((1, 1, 1)), [[0], [1], [2], [0], [1], [2]], np.full((6, 1), 0.5)
+        )
+        ss = random_sampleset(np.random.default_rng(23), 6, 3, 2, 0.5)
+        with pytest.raises(InputError, match="independent"):
+            rank(ss, RankerConfig(algorithm=algorithm), marginals=group)
+        rank(ss, RankerConfig(algorithm=algorithm), marginals=group.marginal_matrix())
 
     def test_stop_at_truncates_baselines(self):
         rng = np.random.default_rng(24)
@@ -549,7 +571,7 @@ class TestKernelDispatch:
         assert_both_kernels_match_oracles(ss, None)
 
     def test_zero_slot_independent_set_takes_cut_kernel(self):
-        model = ProbabilityModel.independent(SparseProbMatrix.from_dense(np.zeros((4, 0))))
+        model = ProbabilityModel.from_dense(np.zeros((4, 0)))
         ss = sample_relevances(model, 3, 0)
         assert ss.coins.shape == (3, 0)
         stats = RankerStats()
@@ -591,10 +613,10 @@ class TestBatchedKernel:
         assert_both_kernels_match_oracles(ss, stop_at)
 
     def test_independent_model_takes_batched_kernel(self):
-        marginals = SparseProbMatrix.from_dense(
+        model = ProbabilityModel.from_dense(
             np.random.default_rng(3).uniform(0.05, 0.6, size=(40, 16))
         )
-        ss = sample_relevances(ProbabilityModel.independent(marginals), 12, 1)
+        ss = sample_relevances(model, 12, 1)
         assert_rank_matches_oracles(ss, None, "batched")
 
     def test_candidate_copy_ids_do_not_wrap(self):
@@ -614,6 +636,28 @@ class TestBatchedKernel:
                 lo, hi = union.cand_ptr[j * 200 + a : j * 200 + a + 2]
                 assert union.cand_bins[lo:hi].tolist() == (m.row(a) + j * ss.slots).tolist()
         assert_rank_matches_oracles(ss, 30, "batched")
+
+    def test_union_beyond_memory_is_refused_before_it_is_built(self, monkeypatch):
+        # 20 samples of 200 candidates into 14 bins, int32: four words per
+        # edge, two per candidate-copy, seven per bin-copy, and a uint8 hit
+        # count per candidate-copy.
+        rng = np.random.default_rng(11)
+        ss = sample_set(random_relevance(rng, 200, 14, 0.05) for _ in range(20))
+        edges = int(np.count_nonzero(ss.coins))
+        need = 4 * (4 * edges + 2 * 20 * 200 + 7 * 20 * 14) + 20 * 200
+        monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=rf"batched union of 20 samples \({edges} edges\) need more"):
+                _Batched(ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need / 8
+        with pytest.raises(InputError, match="need more memory"):
+            rank(ss, RankerConfig())
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
+        assert _Batched(ss).gains().size == 200
 
     def test_gain_out_of_step_with_commit_is_refused(self, toy_instance, monkeypatch):
         gains = _Batched.gains

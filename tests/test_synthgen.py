@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import coin_view, draw_masks, edge_set
+from conftest import coin_candidates, coin_view, dense_probs, draw_masks, edge_set
 from matchrank import core, synthgen
 from matchrank.core import (
     InputError,
@@ -10,7 +10,6 @@ from matchrank.core import (
     PURPOSE_SAMPLE,
     ProbabilityModel,
     SlotLayout,
-    SparseProbMatrix,
     substream,
 )
 from matchrank.synthgen import (
@@ -28,11 +27,6 @@ def group_rows(model):
     candidates x memberships."""
     shape = (model.candidates, -1)
     return model.coin_bins.reshape(shape), model.coin_probs.reshape(shape)
-
-
-def coin_candidates(model) -> np.ndarray:
-    """The candidate of every coin."""
-    return np.repeat(np.arange(model.candidates), np.diff(model.coin_ptr))
 
 
 def small_params(**kw):
@@ -188,13 +182,12 @@ class TestDrawRelevance:
 
     def test_independent_draw_frequencies(self):
         model = two_block_model(40, 6, 0.5, 0.2)
-        marg = model.marginal_matrix()
         acc = np.zeros((40, 6))
         trials = 2000
         for i in range(trials):
             acc += draw_relevance(model, substream(13, 1, i)).to_dense()
         freq = acc / trials
-        assert np.abs(freq - marg.to_dense()).max() < 0.06
+        assert np.abs(freq - dense_probs(model)).max() < 0.06
 
     def test_zero_prob_entries_never_appear(self):
         model = two_block_model(20, 4, 0.9, 0.9)
@@ -265,7 +258,7 @@ class TestSampleRelevances:
         dense = np.zeros((12, 5))
         dense[2:, :3] = 0.4
         dense[5, 4] = dense[7, 3] = 1.0
-        model = ProbabilityModel.independent(SparseProbMatrix.from_dense(dense))
+        model = ProbabilityModel.from_dense(dense)
         ss = sample_relevances(model, 4, 2)
         for i, m in enumerate(ss.samples):
             rng = substream(2, PURPOSE_SAMPLE, i)
@@ -309,7 +302,7 @@ class TestSampleRelevances:
 class TestTwoBlockModel:
     def test_structure(self):
         m = two_block_model(1000, 10, 0.5, 0.4)
-        dense = m.marginal_matrix().to_dense()
+        dense = dense_probs(m)
         assert dense.shape == (1000, 10)
         assert np.all(dense[:500, :5] == 0.5)
         assert np.all(dense[500:, 5:] == 0.4)
