@@ -245,9 +245,9 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, out=steps)
 
 
-def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
-    """The slot-level draw of `model` whose coins are `won` (bool, one per
-    coin): row a holds the slots of the bins of a's won coins."""
+def _coin_slots(model: "ProbabilityModel", won: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (indptr, slot ids) over candidates of the slots of the bins of
+    `model`'s coins where `won` (bool, one per coin) is set."""
     bins, won = model.bins, np.flatnonzero(won)
     won_bins = model.coin_bins[won]
     ends = np.zeros(won.size + 1, dtype=np.int64)
@@ -255,16 +255,22 @@ def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
     # Row a ends after the slots of the won coins before a's last coin.
     indptr = ends[np.searchsorted(won, model.coin_ptr)]
     # A candidate's bins ascend, so its slot ids do too.
-    return RelevanceMatrix(model.candidates, model.slots, indptr, bins.slots_of(won_bins))
+    return indptr, bins.slots_of(won_bins)
+
+
+def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
+    """The slot-level draw of `model` whose coins are `won` (bool, one per
+    coin): row a holds the slots of the bins of a's won coins."""
+    return RelevanceMatrix(model.candidates, model.slots, *_coin_slots(model, won))
 
 
 def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarray):
     """The independent model of per-(candidate, slot) probabilities of
     `model`'s coins where `keep` (bool, one per coin) is set: each coin's
     entry of `values` on every slot of its bin."""
-    rows = _coin_rows(model, keep)
     spread = np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]])
-    return ProbabilityModel.independent(rows.slots, rows.indptr, rows.indices, spread)
+    # independent() validates the CSR, once.
+    return ProbabilityModel.independent(model.slots, *_coin_slots(model, keep), spread)
 
 
 def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ one fixed pass over the counts, so comparisons stay reproducible.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -206,26 +207,40 @@ class _Cut:
     where cap(U) counts the slots of U.  That function is submodular, so its
     minimizers are closed under union and the maximal one, U*, is unique;
     adding candidate a raises the matching iff mask_a is not within U*.
-    Each sample keeps the count term for every U and its U*.  A commit
+    Each sample keeps that cut value for every U, and its U*.  A commit
     recomputes U* only where it raised the matching (a zero-gain addition
     leaves U* a minimizer, and still the maximal one), and the gains of all
     candidates are updated in one vectorized pass over the samples whose U*
     moved.  `cap` holds the slot count of every class subset, indexed by its
     bit mask, and `masks` per sample and candidate the bit mask of the
     classes the candidate is relevant to (uint16, n x candidates).
+
+    The cut values are stored in reversed subset order: column i holds the
+    one of U = full ^ i (full: every class), so a candidate of mask m
+    counts in it iff m & i, which :func:`_counts_in` tabulates.  U* contains every other minimizer, so as an integer it is
+    the largest one, and it sits in the first minimal column, which is
+    where ``np.argmin`` stops.  A cut value is at most candidates + slots,
+    so it is int16 when that fits.
     """
 
     kernel = "cut"
 
     def __init__(self, cap: np.ndarray, masks: np.ndarray):
-        self.cap, self.masks = cap, masks
-        self.subsets = np.arange(cap.size, dtype=np.uint16)
-        # The count term per sample and U, and U* (the empty pool: the
-        # classes without slots, the largest U of cap 0).
-        self.outside = np.zeros((masks.shape[0], cap.size), dtype=np.int32)
-        self.ustar = np.full(
-            masks.shape[0], np.bitwise_or.reduce(self.subsets[cap == 0]), dtype=np.uint16
+        n, c = masks.shape
+        self.full = cap.size - 1
+        ctype = np.int16 if c + int(cap[self.full]) < 2**15 - 1 else np.int32
+        # The cut values and the table of which columns a mask counts in,
+        # refused before either is allocated.
+        _require_memory(
+            np.dtype(ctype).itemsize * n * cap.size + cap.size**2,
+            f"the cut values of {n} samples over {cap.size} class subsets",
         )
+        self.masks, self.counts_in = masks, _counts_in(cap.size)
+        # The empty pool: every cut value is cap(U), and U* is the classes
+        # without slots, the largest U of cap 0.
+        empty = cap[::-1].astype(ctype)
+        self.cut = np.tile(empty, (n, 1))
+        self.ustar = np.full(n, self.full ^ np.argmin(empty), dtype=np.uint16)
         self._gains = np.count_nonzero(masks, axis=0)
         self.moved = 0
 
@@ -235,17 +250,14 @@ class _Cut:
 
     def commit(self, a: int, gain: int):
         """Add candidate `a`, moving U* in every sample where it gains."""
-        masks, ustar, subsets = self.masks, self.ustar, self.subsets
+        masks, ustar = self.masks, self.ustar
         mask = masks[:, a]
         raised = np.flatnonzero(mask & ~ustar)
         if raised.size != gain:
             raise ContractError(f"gain of candidate {a} out of step with its commit")
         touched = np.flatnonzero(mask)
-        self.outside[touched] += (mask[touched, None] & ~subsets) != 0
-        cut = self.outside[raised] + self.cap
-        top = np.bitwise_or.reduce(
-            np.where(cut == cut.min(axis=1, keepdims=True), subsets, 0), axis=1
-        )
+        self.cut[touched] += self.counts_in[mask[touched]]
+        top = (self.full ^ np.argmin(self.cut[raised], axis=1)).astype(np.uint16)
         moved = top != ustar[raised]
         rows, new = raised[moved], top[moved]
         self.moved += rows.size
@@ -253,6 +265,17 @@ class _Cut:
         self._gains -= np.count_nonzero(block & ~ustar[rows, None], axis=0)
         self._gains += np.count_nonzero(block & ~new[:, None], axis=0)
         ustar[rows] = new
+
+
+@functools.cache
+def _counts_in(size: int) -> np.ndarray:
+    """Whether a candidate of mask m counts in column i of the reversed cut
+    values (``m & i``), for every mask and column below `size`, a power of
+    two: one row per mask, built once per class count (read-only)."""
+    subsets = np.arange(size, dtype=np.uint16)
+    table = np.bitwise_and.outer(subsets, subsets) != 0
+    table.setflags(write=False)
+    return table
 
 
 #: Forward-search marks of a bin-copy (``_Batched._via``); other values are
@@ -557,20 +580,23 @@ def random_ranking(candidates: int, seed: int) -> Ranking:
 #: Most bins (groups of a group model, slots of an independent one) of a sample
 #: set that :func:`rank` hands to the cut kernel (work 2**bins); others go to
 #: the batched kernel.  Seconds per rank, cut/batched, kernel and greedy loop
-#: alone, on C candidates x G groups of k slots (n=200, best of 3, mean of two
-#: model seeds, a busy 2-core host):
+#: alone, on C candidates x G groups of k slots (n=200, best of 3, so without
+#: the first build of the mask table, mean of two model seeds, 2-core host):
 #:
-#:     C x k       G=8          10           11           12           13           14
-#:     500 x 10    0.036/0.102  0.092/0.095  0.219/0.110  0.469/0.123  0.902/0.135  2.229/0.150
-#:     500 x 2                  0.025/0.045  0.060/0.050
-#:     2000 x 5                 0.052/0.124  0.111/0.132
-#:     2000 x 20                0.181/0.200  0.433/0.234
-#:     10000 x 50               0.536/0.630  1.061/0.675  2.237/0.727
-#: The batched kernel wins from 11 groups, except on 5-slot groups (0.02 s).
-#: Independent sets within the limit rank faster on the cut kernel too
-#: (n=200, best of 3): two-block 1,000 x 10 slots 0.024/0.057, 200 x 8 at
-#: density 0.3 0.003/0.012, 5,000 x 10 0.038/0.079.
-MAX_CUT_KERNEL_GROUPS = 10
+#:     C x k       G=8          10           11           12           13
+#:     500 x 10    0.007/0.053  0.013/0.068  0.025/0.076  0.067/0.082  0.155/0.088
+#:     500 x 2                  0.005/0.026  0.008/0.029  0.018/0.031
+#:     2000 x 5                 0.012/0.063  0.017/0.068  0.038/0.074
+#:     2000 x 20                0.028/0.134  0.047/0.146  0.127/0.158
+#:     10000 x 50               0.089/0.424  0.148/0.465  0.342/0.503
+#: The cut kernel wins through 11 groups at every shape, by 3-5x.  At 12 it
+#: still wins by 1.2-2x before the first build of its 16 MiB mask table
+#: (0.012 s), too slim a margin for the limit; from 13 the batched kernel
+#: wins.  Independent sets rank faster on the cut kernel too (n=200, best of 3): two-block 1,000 x 10
+#: slots 0.005/0.039 and x 11 0.007/0.043; at density 0.3, 200 x 8
+#: 0.002/0.012, 200 x 11 0.005/0.016, 5,000 x 10 0.017/0.074, 5,000 x 11
+#: 0.021/0.074.
+MAX_CUT_KERNEL_GROUPS = 11
 
 
 def rank(

@@ -253,6 +253,17 @@ class TestEmpiricalMarginals:
         got, want = empirical_marginals(ss), row_count_marginals(ss)
         assert (got.bins, coin_view(got)) == (want.bins, coin_view(want))
 
+    def test_the_spread_csr_is_validated_once(self, monkeypatch):
+        # The rows go straight into the independent model, whose own
+        # check is the only one they pass.
+        ss = random_group_samples(np.random.default_rng(5), 6)
+        calls = []
+        validate = core._validate_csr
+        monkeypatch.setattr(core, "_validate_csr", lambda *a, **k: calls.append(a) or validate(*a, **k))
+        got = empirical_marginals(ss)
+        assert len(calls) == 1 and calls[0][2] is got.coin_ptr
+        assert coin_view(got) == coin_view(row_count_marginals(ss))
+
 
 class TestBaselineScores:
     def make(self, dense):
@@ -492,9 +503,10 @@ class TestCutKernel:
         assert_both_kernels_match_oracles(ss, stop_at)
 
     def test_two_block_model_slots_are_singleton_classes(self):
-        # Independent coins of 10 slots: their bins are the slots, so rank()
-        # takes the cut kernel, and the batched kernel agrees.
-        ss = sample_relevances(two_block_model(60, 10, 0.5, 0.4), 20, 1)
+        # Independent coins of as many slots as the limit: their bins are
+        # the slots, so rank() takes the cut kernel, and the batched kernel
+        # agrees.
+        ss = sample_relevances(two_block_model(60, MAX_CUT_KERNEL_GROUPS, 0.5, 0.4), 20, 1)
         assert ss.model.bins.group_count == MAX_CUT_KERNEL_GROUPS
         assert_both_kernels_match_oracles(ss, None)
 
@@ -531,7 +543,7 @@ class TestCutKernel:
 
         monkeypatch.setattr(SampleSet, "samples", property(expand))
         monkeypatch.setattr(SampleSet, "sample", expand)
-        kernels = ((4, "cut"), (10, "cut"), (11, "batched"), (12, "batched"), (13, "batched"),
+        kernels = ((4, "cut"), (10, "cut"), (11, "cut"), (12, "batched"), (13, "batched"),
                    (16, "batched"))
         for groups, kernel in kernels:
             model = build_synthetic_model(
@@ -551,6 +563,49 @@ class TestCutKernel:
         )
         ss = sample_relevances(model, 4, 1)
         assert_rank_matches_oracles(ss, None, "batched")
+
+    def test_cut_values_beyond_memory_are_refused_before_they_are_built(self, monkeypatch):
+        # 20 samples over the 2**8 subsets of 8 groups: an int16 cut value
+        # per sample and subset, and the 4**8 bools of the mask table.
+        ss = random_group_samples(np.random.default_rng(8), 8, n=20)
+        cap, masks = ss.model.bins.subset_slots, _coin_masks(ss.model, ss.coins)
+        need = 2 * 20 * 2**8 + 4**8
+        monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"cut values of 20 samples over 256 class subsets need more"):
+                _Cut(cap, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need / 8
+        with pytest.raises(InputError, match="need more memory"):
+            rank(ss, RankerConfig())
+        monkeypatch.setattr(core, "_physical_memory", lambda: need)
+        assert _Cut(cap, masks).gains().size == ss.candidates
+
+    def test_cut_values_are_int16_while_candidates_and_slots_fit(self):
+        # One sample of 3 groups (6 slots): 40 candidates of random masks,
+        # padded with mask-0 candidates up to candidates + slots of
+        # 2**15 - 2 (int16) and 2**15 - 1 (int32).  The padding never
+        # gains, and both engines keep the same gains and U* commit by commit.
+        cap = SlotLayout((1, 2, 3)).subset_slots
+        head = np.random.default_rng(3).integers(0, 8, size=40)
+        engines = []
+        for total, ctype in ((2**15 - 2, np.int16), (2**15 - 1, np.int32)):
+            masks = np.zeros((1, total - 6), dtype=np.uint16)
+            masks[0, :40] = head
+            engine = _Cut(cap, masks)
+            assert engine.cut.dtype == ctype
+            engines.append(engine)
+        narrow, wide = engines
+        for a in range(40):
+            gains = narrow.gains().copy()
+            assert np.array_equal(gains, wide.gains()[:-1]) and not gains[40:].any()
+            narrow.commit(a, int(gains[a]))
+            wide.commit(a, int(gains[a]))
+            assert narrow.ustar.tolist() == wide.ustar.tolist()
+            assert np.array_equal(narrow.cut, wide.cut)
 
 
 class TestKernelDispatch:
@@ -724,17 +779,15 @@ class TestCapacitatedBins:
             assert got_stats.kernel == "batched"
         assert_rank_matches_oracles(ss, stop_at, "batched")
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([11, 12]), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_eleven_and_twelve_groups_rank_batched_as_the_cut_kernel_would(
-        self, seed, groups, truncate
-    ):
-        # Past the ranker's cut limit of 10 groups but within the cut
+    def test_twelve_groups_rank_batched_as_the_cut_kernel_would(self, seed, truncate):
+        # One group past the ranker's cut limit of 11 but within the cut
         # kernel's reach: rank() takes the batched kernel, and the cut
         # kernel forced on the same coins gives the same ranking and
         # counters.  Slot counts 0-3 give 2-slot and cap-0 groups.
         rng = np.random.default_rng(seed)
-        ss = random_group_samples(rng, groups)
+        ss = random_group_samples(rng, MAX_CUT_KERNEL_GROUPS + 1)
         layout = ss.model.bins
         cut = engine_run(ss, lambda: _Cut(layout.subset_slots, _coin_masks(ss.model, ss.coins)))
         stop_at = int(rng.integers(1, ss.candidates + 1)) if truncate else None
