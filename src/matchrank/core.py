@@ -11,8 +11,8 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +108,7 @@ def _require_memory(nbytes: int, what: str):
         raise InputError(f"{what} need more memory than this process may use")
 
 
+@cache
 def _cgroup_memory_max() -> int | None:
     """The memory limit of this process's cgroup in bytes, found through
     ``/proc/self/cgroup``: the smallest limit on the path from its group up
@@ -115,7 +116,7 @@ def _cgroup_memory_max() -> int | None:
     host whose memory controller is on cgroup v1, as v1
     ``memory.limit_in_bytes`` files.  None when no group on the path has a
     limit (``max``) or none can be read.  v1 writes no limit as a huge
-    number, which the host's RAM undercuts."""
+    number, which the host's RAM undercuts.  Read once per process."""
     v2, v1 = [], []
     for line in (_read_text("/proc/self/cgroup") or "").splitlines():
         # "<id>:<controllers>:<path>"; the v2 line is "0::<path>".
@@ -148,8 +149,8 @@ def _read_text(path: str) -> str | None:
 class SlotLayout:
     """Slots partitioned into groups; slot ids are dense and group-contiguous.
 
-    Slot ``t`` belongs to group ``slot_to_group[t]``; group ``j`` owns the
-    contiguous id range ``[group_start[j], group_start[j] + slots_per_group[j])``.
+    Group ``j`` owns the contiguous slot id range
+    ``[group_start[j], group_start[j] + slots_per_group[j])``.
     A layout may have no group: the bins of a model without slots.
     """
 
@@ -193,10 +194,6 @@ class SlotLayout:
         starts = np.zeros(self.group_count, dtype=np.int64)
         np.cumsum(self.group_sizes[:-1], out=starts[1:])
         return starts
-
-    @property
-    def slot_to_group(self) -> np.ndarray:
-        return np.repeat(np.arange(self.group_count, dtype=np.int32), self.group_sizes)
 
     @cached_property
     def subset_slots(self) -> np.ndarray:
@@ -335,35 +332,6 @@ class RelevanceMatrix:
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
-    @classmethod
-    def from_edges(
-        cls, candidates: int, slots: int, edges: Iterable[tuple[int, int]]
-    ) -> "RelevanceMatrix":
-        """Build from (candidate, slot) pairs; duplicates collapse to one edge."""
-        pairs = sorted(set((int(a), int(t)) for a, t in edges))
-        rows = np.array([p[0] for p in pairs], dtype=np.int64)
-        cols = np.array([p[1] for p in pairs], dtype=np.int32)
-        if rows.size and (rows.min() < 0 or rows.max() >= candidates):
-            raise InputError(f"candidate ids must lie in [0, {candidates})")
-        indptr = np.zeros(candidates + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=candidates), out=indptr[1:])
-        return cls(candidates, slots, indptr, cols)
-
-    @classmethod
-    def from_dense(cls, dense) -> "RelevanceMatrix":
-        arr = np.asarray(dense)
-        if arr.ndim != 2:
-            raise InputError("dense relevance matrix must be 2-D")
-        rows, cols = np.nonzero(arr)
-        c, s = arr.shape
-        indptr = np.zeros(c + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
-        return cls(c, s, indptr, cols.astype(np.int32))
-
-    def row(self, a: int) -> np.ndarray:
-        """Slots relevant to candidate `a` (ascending, read-only view)."""
-        return self.indices[self.indptr[a] : self.indptr[a + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -374,16 +342,6 @@ class RelevanceMatrix:
     def row_ids(self) -> np.ndarray:
         """Candidate id of every edge, aligned with `indices`."""
         return np.repeat(np.arange(self.candidates, dtype=np.int32), self.degrees())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.candidates, self.slots), dtype=np.int8)
-        dense[self.row_ids(), self.indices] = 1
-        return dense
-
-    def tobytes(self) -> bytes:
-        """Canonical byte encoding, for determinism checks."""
-        head = np.array([self.candidates, self.slots], dtype=np.int64)
-        return head.tobytes() + self.indptr.tobytes() + self.indices.tobytes()
 
 
 KIND_INDEPENDENT = "independent"
@@ -422,7 +380,8 @@ class ProbabilityModel:
         if ptr.ndim != 1 or coin_bins.ndim != 1 or probs.shape != coin_bins.shape:
             raise InputError("coin_ptr, coin_bins and coin_probs must be 1-D, the last two aligned")
         # The coins are a CSR over the bins: bins ascend within a candidate.
-        _validate_csr(ptr.size - 1, self.bins.group_count, ptr, coin_bins, "bin")
+        what = "membership" if self.kind == KIND_GROUP else "bin"
+        _validate_csr(ptr.size - 1, self.bins.group_count, ptr, coin_bins, what)
         if self.kind == KIND_INDEPENDENT:
             if probs.size and not (np.isfinite(probs).all() and 0 < probs.min() <= probs.max() <= 1):
                 raise InputError("stored probabilities must lie in (0, 1]")
@@ -524,10 +483,6 @@ class ProbabilityModel:
         mem = _as_int_array(membership, np.int32, "membership")
         if mem.ndim != 2 or not 1 <= mem.shape[1] <= g:
             raise InputError("membership must be candidates x memberships, in [1, group_count]")
-        if mem.size and (mem.min() < 0 or mem.max() >= g):
-            raise InputError("membership ids out of range")
-        if (mem[:, 1:] <= mem[:, :-1]).any():
-            raise InputError("membership rows must be strictly increasing")
         gp = np.ascontiguousarray(group_prob, dtype=np.float64)
         if gp.shape != mem.shape:
             raise InputError("membership and group_prob must share shape (candidates, memberships)")
@@ -596,10 +551,6 @@ class SampleSet:
     def slots(self) -> int:
         return self.model.slots
 
-    def tobytes(self) -> bytes:
-        head = np.array([self.n, self.seed], dtype=np.int64).tobytes()
-        return head + b"".join(self.sample(i).tobytes() for i in range(self.n))
-
 
 @dataclass(frozen=True, eq=False)
 class Ranking:
@@ -636,4 +587,6 @@ class Ranking:
 
     def is_complete(self, candidates: int) -> bool:
         """True when the ranking is a full permutation of range(candidates)."""
-        return len(self) == candidates
+        # Ids are distinct and non-negative, so `candidates` of them below
+        # `candidates` are all of them.
+        return len(self) == candidates and int(self.order.max(initial=-1)) < candidates

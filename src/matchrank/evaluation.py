@@ -106,9 +106,6 @@ class EvalReport:
         if len(self.per_draw_kmin) != self.draws:
             raise InputError("per_draw_kmin must have one entry per draw")
 
-    def normalized_kmins(self) -> list[float]:
-        return [k / self.slots for k in self.per_draw_kmin if k is not None]
-
 
 def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) -> int | None:
     """Smallest prefix length of `ranking` that fills `target` slots.

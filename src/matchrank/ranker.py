@@ -305,9 +305,10 @@ class _Batched:
     its complement is the maximal minimizer of the sample's cut function
     (see :class:`_Cut`).  A candidate gains in a sample iff its row there
     touches ``reach``; ``hits`` counts, per candidate-copy, its edges into
-    ``reach``, and the gains count the copies with hits.  :meth:`search`,
-    the backward alternating search from every bin with room, is the tests'
-    oracle for every reach set; the first is just the bins with room.
+    ``reach``, and the gains count the copies with hits.  The first reach
+    set is just the bins with room; every later one is tested against
+    ``batched_reach`` in ``tests/oracles.py``, the backward alternating
+    search (:meth:`_backward`) from every bin with room.
 
     :meth:`commit` keeps them exact without a global search.  A commit of a
     moves a sample's reach set only where a gains (a zero-gain addition
@@ -375,20 +376,13 @@ class _Batched:
         self.cand_pos = np.full(n * c, -1, dtype=itype)
         self.load = np.zeros(n * b, dtype=itype)
         # No candidate is matched yet, so no full bin reaches one with room:
-        # this is what search() returns, without its scan of every edge.
+        # the backward search would add nothing, so it is not run.
         self.reach = self.load < self.cap
         self._gains = np.count_nonzero(self.hits.reshape(n, c), axis=0)
         # Forward-search scratch, per bin-copy: unseen, a start bin, or the
         # position whose candidate enters the bin along the path.
         self._via = np.full(n * b, _UNSEEN, dtype=itype)
         self.moved = 0
-
-    def search(self) -> np.ndarray:
-        """The reach set from scratch: a backward alternating search from
-        every bin-copy with room at once."""
-        reach = self.load < self.cap
-        self._backward(reach, np.flatnonzero(reach))
-        return reach
 
     def _backward(self, reach: np.ndarray, frontier: np.ndarray):
         """Grow `reach` in place by every bin whose candidate can move into

@@ -52,8 +52,18 @@ def write_triplets(model, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def relevance_matrix(c: int, s: int, edges) -> RelevanceMatrix:
+    """The c x s relevance matrix of the (candidate, slot) pairs `edges`;
+    duplicates collapse to one edge.  The constructor refuses an id out of
+    range: a candidate's, through the row pointers' endpoints."""
+    pairs = sorted({(int(a), int(t)) for a, t in edges})
+    rows = np.array([a for a, _ in pairs], dtype=np.int64)
+    slots = np.array([t for _, t in pairs], dtype=np.int64)
+    return RelevanceMatrix(c, s, np.searchsorted(rows, np.arange(c + 1)), slots)
+
+
 def random_relevance(rng: np.random.Generator, c: int, s: int, density: float) -> RelevanceMatrix:
-    return RelevanceMatrix.from_dense(rng.random((c, s)) < density)
+    return relevance_matrix(c, s, zip(*np.nonzero(rng.random((c, s)) < density)))
 
 
 def edge_set(matrix: RelevanceMatrix) -> set[tuple[int, int]]:
@@ -142,7 +152,7 @@ def read_samples(path) -> SampleSet:
             pairs.append((a, t))
         pos += edges
         try:
-            mats.append(RelevanceMatrix.from_edges(c, s, pairs))
+            mats.append(relevance_matrix(c, s, pairs))
         except InputError as e:
             raise InputError(f"{path}: sample {i}: {e}")
     return sample_set(mats, seed)
@@ -168,6 +178,4 @@ def toy_instance() -> RelevanceMatrix:
 
     Candidate 2 bridges slots 0 and 1, candidate 4 is isolated.
     """
-    return RelevanceMatrix.from_edges(
-        5, 3, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 2)]
-    )
+    return relevance_matrix(5, 3, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 2)])

@@ -17,7 +17,9 @@ kernels, so agreement is strong evidence of correctness:
   discovery order, so every operation is deterministic.
 
 The slot-level edge count, :func:`row_count_marginals`, is the oracle of
-``ranker.empirical_marginals``, which counts coins instead.
+``ranker.empirical_marginals``, which counts coins instead.  The reach set
+that the batched kernel keeps from commit to commit is tested against
+:func:`batched_reach`, a fresh backward search over its current matching.
 
 The scalar ``k_min`` search, one draw at a time, is here too:
 :func:`_kmin_bisect` probes each prefix with a fresh matching solve and
@@ -76,7 +78,7 @@ def brute_max_matching(matrix: RelevanceMatrix, pool=None) -> int:
     rows = range(matrix.candidates) if pool is None else pool
     best = {0: 0}
     for a in rows:
-        row = matrix.row(int(a))
+        row = matrix.indices[matrix.indptr[a] : matrix.indptr[a + 1]]
         new = dict(best)
         for mask, v in best.items():
             for t in row:
@@ -98,7 +100,7 @@ def hall_matching_size(matrix: RelevanceMatrix, pool=None) -> int:
     row_masks = []
     for a in rows:
         mask = 0
-        for t in matrix.row(int(a)):
+        for t in matrix.indices[matrix.indptr[a] : matrix.indptr[a + 1]]:
             mask |= 1 << int(t)
         row_masks.append(mask)
     worst = 0
@@ -127,7 +129,7 @@ def all_ksubset_totals(samples, k: int) -> dict[tuple[int, ...], int]:
         hits = np.zeros((c, 1 << s), dtype=np.int64)
         for a in range(c):
             mask = 0
-            for t in m.row(a):
+            for t in m.indices[m.indptr[a] : m.indptr[a + 1]]:
                 mask |= 1 << int(t)
             if mask:
                 tm = np.arange(1 << s)
@@ -176,7 +178,7 @@ class MatchState:
                 raise ContractError(f"pair ({a}, {t}) not mutual")
             if not self.pool[a]:
                 raise ContractError(f"matched candidate {a} outside pool")
-            if t not in matrix.row(int(a)):
+            if t not in matrix.indices[matrix.indptr[a] : matrix.indptr[a + 1]]:
                 raise ContractError(f"pair ({a}, {t}) is not an edge")
         if not np.array_equal(self.unmatched_slot, self.slot_match == UNMATCHED):
             raise ContractError("unmatched_slot mask out of sync")
@@ -215,7 +217,8 @@ def _find_augmenting_path(state: MatchState, a: int, matrix: RelevanceMatrix):
     array for path reconstruction, or (None, None) when no augmenting path
     exists.  Cheap common case first: any unmatched slot directly adjacent.
     """
-    row = matrix.row(a)
+    ptr, slots = matrix.indptr, matrix.indices
+    row = slots[ptr[a] : ptr[a + 1]]
     if row.size == 0 or state.size == matrix.slots:
         return None, None
     direct = row[state.unmatched_slot[row]]
@@ -233,7 +236,7 @@ def _find_augmenting_path(state: MatchState, a: int, matrix: RelevanceMatrix):
         partners = state.slot_match[frontier]
         new_slots = []
         for b in partners:
-            rb = matrix.row(int(b))
+            rb = slots[ptr[b] : ptr[b + 1]]
             fresh = rb[~visited[rb]]
             if fresh.size == 0:
                 continue
@@ -290,6 +293,14 @@ def avg_matching(pool: Sequence[int], samples: SampleSet) -> Fraction:
     pool = np.asarray(list(pool), dtype=np.int64)
     total = sum(max_matching_size(m, pool) for m in samples.samples)
     return Fraction(int(total), samples.n)
+
+
+def batched_reach(union) -> np.ndarray:
+    """The reach set of a ``ranker._Batched`` union from scratch: a backward
+    alternating search from every bin-copy with room at once."""
+    reach = union.load < union.cap
+    union._backward(reach, np.flatnonzero(reach))
+    return reach
 
 
 class _GreedyBase:

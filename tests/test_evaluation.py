@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_masks, random_relevance, random_sampleset
+from conftest import draw_masks, random_relevance, random_sampleset, relevance_matrix
 import matchrank.evaluation as evaluation
 from matchrank.core import (
     ContractError,
@@ -16,7 +16,6 @@ from matchrank.core import (
     PURPOSE_EVAL,
     ProbabilityModel,
     Ranking,
-    RelevanceMatrix,
     SampleSet,
     SlotLayout,
     substream,
@@ -86,7 +85,7 @@ class TestKMin:
         assert k_min(full_ranking([2, 0, 3, 1, 4]), toy_instance) == 3
 
     def test_unfillable_returns_none(self):
-        m = RelevanceMatrix.from_edges(3, 2, [(0, 0), (1, 0), (2, 0)])
+        m = relevance_matrix(3, 2, [(0, 0), (1, 0), (2, 0)])
         assert k_min(full_ranking([0, 1, 2]), m) is None
 
     def test_needs_complete_ranking(self, toy_instance):
@@ -119,7 +118,7 @@ class TestKMin:
         # bisection: k_min is the first prefix whose size reaches the target.
         c, s = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 6))
         cells = data.draw(st.lists(st.booleans(), min_size=c * s, max_size=c * s))
-        m = RelevanceMatrix.from_dense(np.array(cells, dtype=bool).reshape(c, s))
+        m = relevance_matrix(c, s, zip(*np.nonzero(np.array(cells, dtype=bool).reshape(c, s))))
         r = full_ranking(data.draw(st.permutations(range(c))))
         sizes = [0, *prefix_match_curve(r, m).tolist()]
         for target in range(s + 1):
@@ -396,7 +395,7 @@ class TestEvaluate:
         assert a.draws == 12 and len(a.per_draw_kmin) == 12
         assert a.candidates == 24 and a.slots == 6
         assert a.config["algorithm"] == "matchrank-lazy"
-        assert a.unfillable_count + len(a.normalized_kmins()) == 12
+        assert a.unfillable_count == a.per_draw_kmin.count(None)
 
     def test_threads_do_not_change_results(self):
         model = self.small_model()
@@ -407,8 +406,8 @@ class TestEvaluate:
     def test_normalized_depth_at_least_one(self):
         model = self.small_model()
         rep = evaluate(self.CFG, model, 8, 1, 10, 2)
-        for v in rep.normalized_kmins():
-            assert v >= 1.0
+        for k in rep.per_draw_kmin:
+            assert k is None or k >= rep.slots
 
     def test_near_certain_model_gives_exact_depth(self):
         model = two_block_model(12, 4, 0.9999, 0.9999)
@@ -436,6 +435,20 @@ class TestEvaluate:
     def test_rejects_bad_draws(self):
         with pytest.raises(InputError):
             evaluate(self.CFG, self.small_model(), 4, 1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ProbabilityModel.from_dense(np.full((2, 2), 0.5)),
+            ProbabilityModel.from_dense(np.full((2, 20), 0.5)),
+            ProbabilityModel.group_structured(SlotLayout((1, 2, 1)), [[0], [1], [2]], np.full((3, 1), 0.5)),
+        ],
+    )
+    def test_refuses_ids_beyond_the_candidates(self, model):
+        # As many distinct ids as candidates, the last of them none.
+        ranking = full_ranking([*range(model.candidates - 1), model.candidates + 3])
+        with pytest.raises(InputError, match="permutation"):
+            evaluate_ranking(ranking, model, 3, 0, algorithm="ntr", n_samples=4, sample_seed=1)
 
     @pytest.mark.parametrize("draws", [2.5, True, "3"])
     def test_draws_must_be_an_integer(self, draws):

@@ -4,11 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_group_samples, random_relevance, random_sampleset, sample_set
+from conftest import random_group_samples, random_relevance, random_sampleset, relevance_matrix, sample_set
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
 from matchrank.matching import _matching_sizes, max_matching_size
 from matchrank.ranker import _Batched
-from oracles import avg_matching, brute_max_matching, commit_add, gain_if_added, init_state
+from oracles import avg_matching, batched_reach, brute_max_matching, commit_add, gain_if_added, init_state
 
 
 def state_snapshot(st_):
@@ -28,7 +28,7 @@ class TestMaxMatchingSize:
 
     def test_empty_pool_and_no_edges(self, toy_instance):
         assert max_matching_size(toy_instance, []) == 0
-        empty = RelevanceMatrix.from_edges(4, 3, [])
+        empty = relevance_matrix(4, 3, [])
         assert max_matching_size(empty) == 0
 
     def test_pool_variants(self, toy_instance):
@@ -106,7 +106,7 @@ class TestIncrementalState:
     def test_commit_rearranges_via_augmenting_path(self):
         # Candidate 1 prefers slot 0 which candidate 0 holds; committing 1
         # must displace 0 onto slot 1 rather than give up.
-        m = RelevanceMatrix.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+        m = relevance_matrix(2, 2, [(0, 0), (0, 1), (1, 0)])
         st_ = init_state(m)
         assert commit_add(st_, 0, m) == 1
         assert st_.candidate_match[0] == 0
@@ -151,7 +151,7 @@ class TestIncrementalState:
             st_.check_invariants(m)
 
     def test_gain_zero_when_saturated(self):
-        m = RelevanceMatrix.from_edges(3, 1, [(0, 0), (1, 0), (2, 0)])
+        m = relevance_matrix(3, 1, [(0, 0), (1, 0), (2, 0)])
         st_ = init_state(m)
         commit_add(st_, 0, m)
         assert gain_if_added(st_, 1, m) == 0
@@ -201,7 +201,7 @@ class TestScan:
         assert np.flatnonzero(gains).tolist() == [0, 1, 2, 3]  # candidate 4 has no edges
 
     def test_saturated_returns_nothing(self):
-        m = RelevanceMatrix.from_edges(3, 1, [(0, 0), (1, 0), (2, 0)])
+        m = relevance_matrix(3, 1, [(0, 0), (1, 0), (2, 0)])
         union = union_of(m)
         union.gains()
         union.commit(0, 1)
@@ -260,10 +260,10 @@ class TestAugmentingSlots:
         for a in rng.permutation(c)[: int(rng.integers(1, c))].tolist():
             union.gains()
             union.commit(a, commit_add(st_, a, m))
-        mask = union.search()
+        mask = batched_reach(union)
         np.testing.assert_array_equal(union.reach, mask)
         for a in np.flatnonzero(~st_.pool):
-            touches = bool(mask[m.row(int(a))].any())
+            touches = bool(mask[m.indices[m.indptr[a] : m.indptr[a + 1]]].any())
             assert touches == bool(gain_if_added(st_, int(a), m))
 
     @pytest.mark.parametrize("seed", range(30))
@@ -278,7 +278,7 @@ class TestAugmentingSlots:
         union = _Batched(samples)
         union.gains()
         for a in rng.permutation(c).tolist():
-            row = m.row(a)
+            row = m.indices[m.indptr[a] : m.indptr[a + 1]]
             if row.size and union.reach[row].any():
                 size_before = union_size(union, samples)
                 union.commit(a, 1)
@@ -288,7 +288,7 @@ class TestAugmentingSlots:
                 size_before = union_size(union, samples)
                 union.commit(a, 0)
                 assert union_size(union, samples) == size_before
-                np.testing.assert_array_equal(union.reach, union.search())
+                np.testing.assert_array_equal(union.reach, batched_reach(union))
         assert union_size(union, samples) == brute_max_matching(m)
 
     def test_mask_reaches_along_long_paths(self):
@@ -298,7 +298,7 @@ class TestAugmentingSlots:
         k = 8
         edges = [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k)]
         edges += [(k + t, t) for t in range(k + 1)]
-        m = RelevanceMatrix.from_edges(2 * k + 1, k + 1, edges)
+        m = relevance_matrix(2 * k + 1, k + 1, edges)
         st_ = init_state(m)
         union = union_of(m)
         for a in range(k):
@@ -313,7 +313,7 @@ class TestAugmentingSlots:
 
 class TestIncrementalReach:
     """The reach set the batched kernel keeps from commit to commit, against
-    a fresh backward search (`search()`), and its b-matching and gains
+    a fresh backward search (`batched_reach`), and its b-matching and gains
     against the per-sample MatchState."""
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -330,7 +330,7 @@ class TestIncrementalReach:
         c = samples.candidates
         states = [init_state(m) for m in samples.samples]
         union = _Batched(samples)
-        np.testing.assert_array_equal(union.reach, union.search())
+        np.testing.assert_array_equal(union.reach, batched_reach(union))
         left = list(range(c))
         # Any order, so zero-gain commits come between the others.
         for a in rng.permutation(c).tolist():
@@ -338,7 +338,7 @@ class TestIncrementalReach:
             gain = sum(commit_add(st_, a, m) for st_, m in zip(states, samples.samples))
             union.commit(a, gain)
             left.remove(a)
-            np.testing.assert_array_equal(union.reach, union.search())
+            np.testing.assert_array_equal(union.reach, batched_reach(union))
             # A sample counts as moved iff its reach set changed.
             changed = (union.reach.reshape(n, union.b) != before).any(axis=1)
             assert union.moved - moved == np.count_nonzero(changed)
@@ -391,7 +391,7 @@ class TestAvgMatching:
         assert avg_matching([0, 1, 2, 3, 4], ss) == 3
 
     def test_mixed_samples_exact_fraction(self, toy_instance):
-        other = RelevanceMatrix.from_edges(5, 3, [(0, 0), (1, 0)])
+        other = relevance_matrix(5, 3, [(0, 0), (1, 0)])
         ss = sample_set((toy_instance, other))
         assert avg_matching([0, 1], ss) == Fraction(3, 2)
 

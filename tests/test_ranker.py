@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     coin_view,
     dense_probs,
+    edge_set,
     random_group_samples,
     random_independent_samples,
     random_relevance,
     random_sampleset,
+    relevance_matrix,
     sample_set,
 )
 from matchrank import core
@@ -22,7 +24,6 @@ from matchrank.core import (
     InputError,
     ProbabilityModel,
     Ranking,
-    RelevanceMatrix,
     SampleSet,
     SlotLayout,
     _coin_masks,
@@ -106,7 +107,7 @@ class TestRankerConfig:
 
 class TestTotalMarginalGain:
     def test_counts_each_sample(self, toy_instance):
-        thin = RelevanceMatrix.from_edges(5, 3, [(1, 0)])
+        thin = relevance_matrix(5, 3, [(1, 0)])
         ss = sample_set((toy_instance, thin))
         states = [init_state(m, j) for j, m in enumerate(ss.samples)]
         assert total_marginal_gain(states, 1, ss) == 2
@@ -145,7 +146,7 @@ class TestGreedy:
             matchrank(ss, RankerConfig(algorithm="matchrank", stop_at=6))
 
     def test_all_zero_instance_flushes_by_id(self):
-        empty = RelevanceMatrix.from_edges(4, 2, [])
+        empty = relevance_matrix(4, 2, [])
         ss = sample_set((empty,))
         for fn in (matchrank, matchrank_lazy):
             r = fn(ss)
@@ -204,7 +205,7 @@ def test_greedy_increments_never_increase(seed):
 
 class TestEmpiricalMarginals:
     def test_counts(self, toy_instance):
-        thin = RelevanceMatrix.from_edges(5, 3, [(0, 0), (2, 1)])
+        thin = relevance_matrix(5, 3, [(0, 0), (2, 1)])
         ss = sample_set((toy_instance, thin))
         dense = dense_probs(empirical_marginals(ss))
         want = np.array(
@@ -229,8 +230,7 @@ class TestEmpiricalMarginals:
             ss = random_unstructured_samples(rng)
         counts = np.zeros((ss.candidates, ss.slots))
         for m in ss.samples:
-            for a in range(m.candidates):
-                counts[a, m.row(a)] += 1
+            counts[m.row_ids(), m.indices] += 1
         want, got = ProbabilityModel.from_dense(counts / ss.n), empirical_marginals(ss)
         assert (got.kind, got.bins, coin_view(got)) == ("independent", want.bins, coin_view(want))
 
@@ -463,7 +463,7 @@ def assert_cut_matches_oracles(ss: SampleSet, stop_at: int | None) -> list[Ranke
     assert ss.slots <= MAX_CUT_KERNEL_GROUPS
     bits = 1 << np.arange(ss.slots)
     masks = np.array(
-        [[bits[m.row(a)].sum() for a in range(ss.candidates)] for m in ss.samples],
+        [np.bincount(m.row_ids(), bits[m.indices], ss.candidates) for m in ss.samples],
         dtype=np.uint16,
     )
     cap = np.array([bin(u).count("1") for u in range(1 << ss.slots)])
@@ -683,13 +683,14 @@ class TestBatchedKernel:
         union = _Batched(ss)
         assert union.cand_bins.dtype == union.bin_cands.dtype == np.int32
         for j, m in enumerate(ss.samples):
-            ptr = union.bin_ptr[j * ss.slots : (j + 1) * ss.slots + 1]
+            ptr, edges = union.bin_ptr[j * ss.slots : (j + 1) * ss.slots + 1], edge_set(m)
             for t in range(ss.slots):
                 got = union.bin_cands[ptr[t] : ptr[t + 1]]
-                assert got.tolist() == [j * 200 + a for a in range(200) if t in m.row(a)]
+                assert got.tolist() == [j * 200 + a for a in range(200) if (a, t) in edges]
             for a in range(200):
                 lo, hi = union.cand_ptr[j * 200 + a : j * 200 + a + 2]
-                assert union.cand_bins[lo:hi].tolist() == (m.row(a) + j * ss.slots).tolist()
+                row = m.indices[m.indptr[a] : m.indptr[a + 1]]
+                assert union.cand_bins[lo:hi].tolist() == (row + j * ss.slots).tolist()
         assert_rank_matches_oracles(ss, 30, "batched")
 
     def test_union_beyond_memory_is_refused_before_it_is_built(self, monkeypatch):
@@ -804,7 +805,7 @@ class TestCapacitatedBins:
     def test_path_through_a_full_group(self):
         # The contract sample: candidate 2 gains only by moving candidate 0
         # out of the full group 0, and the greedy's totals say it did.
-        ss = contract_samples(RelevanceMatrix.from_edges(4, 3, []))[1]
+        ss = contract_samples(relevance_matrix(4, 3, []))[1]
         r = rank(ss, RankerConfig())
         assert r.order.tolist()[:3] == [0, 1, 2] and r.prefix_gain[:3] == (1, 2, 3)
         assert_rank_matches_oracles(ss, None, "batched")
