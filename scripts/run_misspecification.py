@@ -7,21 +7,16 @@ A matched rate should win, and overestimating relevance should hurt more
 than underestimating it — overconfident rankings waste their prefix on
 candidates that turn out irrelevant.
 """
-import argparse
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import _drivers  # first: puts src/ on the import path
 from matchrank.evaluation import misspecification_run
-from matchrank.fileio import report_table, write_report, write_text
 from matchrank.ranker import RankerConfig
 from matchrank.synthgen import SynthParams
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = _drivers.parser(__doc__, "results/misspecification")
     ap.add_argument("--true-p-base", type=float, default=0.3)
     ap.add_argument(
         "--assumed",
@@ -35,13 +30,7 @@ def main():
     ap.add_argument("--slots-per-group", type=int, default=10)
     ap.add_argument("--memberships", type=int, default=2)
     ap.add_argument("--model-seed", type=int, default=0)
-    ap.add_argument("--n-samples", type=int, default=200)
-    ap.add_argument("--draws", type=int, default=100)
-    ap.add_argument("--sample-seed", type=int, default=1)
-    ap.add_argument("--eval-seed", type=int, default=2)
     ap.add_argument("--algorithm", default="matchrank-lazy")
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--out-dir", default="results/misspecification")
     args = ap.parse_args()
 
     params = SynthParams(
@@ -63,15 +52,8 @@ def main():
         args.eval_seed,
         threads=args.threads,
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for rep in reports:
-        write_report(rep, out / f"p_base_{rep.config['assumed_p_base']}.json")
-
-    text, _ = report_table(reports)
-    print(text)
-    write_text(out / "table.txt", text + "\n")
-    print(f"\n{len(reports)} runs in {time.time()-t0:.1f}s; reports in {out}/")
+    names = [f"p_base_{rep.config['assumed_p_base']}" for rep in reports]
+    _drivers.write_reports(args, reports, names, t0)
 
 
 if __name__ == "__main__":

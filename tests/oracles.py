@@ -46,7 +46,6 @@ from matchrank.core import (
     SampleSet,
     UNMATCHED,
 )
-from matchrank.evaluation import _check_ranking_ids
 from matchrank.matching import max_matching_size
 from matchrank.ranker import RankerConfig, RankerStats, _argbest, _resolve_stop, _tie_key
 
@@ -429,8 +428,10 @@ def matchrank_lazy(
 
 
 def prefix_match_curve(ranking: Ranking, matrix: RelevanceMatrix) -> np.ndarray:
-    """Maximum matching size after each successive candidate of `ranking`."""
-    _check_ranking_ids(ranking, matrix)
+    """Maximum matching size after each successive candidate of `ranking`,
+    which may be partial."""
+    if len(ranking) and int(ranking.order.max()) >= matrix.candidates:
+        raise InputError("ranking refers to candidates outside the matrix")
     state = init_state(matrix)
     out = np.zeros(len(ranking), dtype=np.int32)
     for i, a in enumerate(ranking.order):

@@ -362,6 +362,19 @@ class TestEval:
         assert code == 2
         assert "dimensions" in capsys.readouterr().err
 
+    def test_model_without_slots_exits_2(self, tmp_path, capsys):
+        probs, model, ranking = (tmp_path / name for name in ("p.txt", "m.json", "r.json"))
+        probs.write_text("3 0 0\n")
+        assert run("ingest", "--probs", str(probs), "--out", str(model)) == 0
+        assert run("rank", "--model", str(model), "--out", str(ranking), "--n", "5") == 0
+        code = run(
+            "eval", "--model", str(model), "--ranking", str(ranking),
+            "--out", str(tmp_path / "rep.json"), "--draws", "3",
+        )
+        assert code == 2
+        assert "without slots" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_truncated_ranking_rejected(self, tmp_path, model_path, capsys):
         part = tmp_path / "part.json"
         assert run("rank", "--model", str(model_path), "--out", str(part), "--n", "4", "--stop-at", "3") == 0

@@ -92,6 +92,10 @@ class TestKMin:
         with pytest.raises(InputError, match="complete"):
             k_min(full_ranking([2, 0, 3]), toy_instance)
 
+    def test_refuses_an_id_beyond_the_matrix(self, toy_instance):
+        with pytest.raises(InputError, match="complete"):
+            k_min(full_ranking([0, 1, 2, 3, 5]), toy_instance)
+
     def test_target_variants(self, toy_instance):
         r = full_ranking([0, 1, 2, 3, 4])
         assert k_min(r, toy_instance, target=0) == 0
@@ -448,6 +452,18 @@ class TestEvaluate:
         # As many distinct ids as candidates, the last of them none.
         ranking = full_ranking([*range(model.candidates - 1), model.candidates + 3])
         with pytest.raises(InputError, match="permutation"):
+            evaluate_ranking(ranking, model, 3, 0, algorithm="ntr", n_samples=4, sample_seed=1)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ProbabilityModel.from_dense(np.zeros((3, 0))),
+            ProbabilityModel.group_structured(SlotLayout((0, 0)), [[0], [1], [0]], np.full((3, 1), 0.5)),
+        ],
+    )
+    def test_refuses_a_model_without_slots(self, model):
+        ranking = full_ranking(np.arange(model.candidates))
+        with pytest.raises(InputError, match="without slots"):
             evaluate_ranking(ranking, model, 3, 0, algorithm="ntr", n_samples=4, sample_seed=1)
 
     @pytest.mark.parametrize("draws", [2.5, True, "3"])
