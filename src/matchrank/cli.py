@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ContractError, InputError
-from .evaluation import evaluate_ranking, kmin_method
+from .evaluation import evaluate_ranking, kmin_method, require_slots
 from .fileio import (
     ExperimentConfig,
     ingest_model,
@@ -173,6 +173,7 @@ def cmd_rank(args) -> int:
         args.use_model_marginals, cfg.ranker, "use_model_marginals", False
     )
     model, _ = read_model(args.model)
+    require_slots(model, "rank")
     if (rcfg.stop_at or 0) > model.candidates:
         raise UsageError(f"stop_at {rcfg.stop_at} exceeds {model.candidates} candidates")
     samples = sample_relevances(model, n, sample_seed)

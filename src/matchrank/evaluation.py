@@ -75,6 +75,7 @@ __all__ = [
     "evaluate",
     "evaluate_ranking",
     "misspecification_run",
+    "require_slots",
 ]
 
 
@@ -332,6 +333,13 @@ def _chunk_result(run, lo: int, hi: int) -> list[int | None]:
         raise ContractError(f"evaluation of draws [{lo}, {hi}) failed: {e!r}") from e
 
 
+def require_slots(model: ProbabilityModel, verb: str = "evaluate"):
+    """Refuse a model without slots, whose rankings cannot be evaluated:
+    k_min is reported over the slot count."""
+    if model.slots == 0:
+        raise InputError(f"cannot {verb} a model without slots")
+
+
 def evaluate_ranking(
     ranking: Ranking,
     model: ProbabilityModel,
@@ -359,9 +367,7 @@ def evaluate_ranking(
     threads = _as_count(threads, "threads")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
-    if model.slots == 0:
-        # k_min is reported over the slot count.
-        raise InputError("cannot evaluate a model without slots")
+    require_slots(model)
     if not ranking.is_complete(model.candidates):
         raise InputError(
             f"ranking dimensions do not match the model "
@@ -409,6 +415,7 @@ def evaluate(
     The ranker sees samples from `sample_model` when given (a deliberately
     wrong model, say), while evaluation draws always come from `model`.
     """
+    require_slots(model)
     if cfg.stop_at is not None:
         raise InputError("evaluation needs complete rankings; unset stop_at")
     ranking_source = sample_model if sample_model is not None else model

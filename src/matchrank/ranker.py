@@ -278,9 +278,10 @@ def _counts_in(size: int) -> np.ndarray:
     return table
 
 
-#: Forward-search marks of a bin-copy (``_Batched._via``); other values are
-#: the position whose candidate enters the bin along the path.
-_UNSEEN, _START = -2, -1
+#: Forward-search marks of a bin-copy (``_Batched._via``): outside
+#: ``reach``, unseen, or a start bin; other values are the position whose
+#: candidate enters the bin along the path.
+_OUT, _UNSEEN, _START = -3, -2, -1
 
 
 class _Batched:
@@ -315,11 +316,23 @@ class _Batched:
     leaves the maximal minimizer alone), and there only when no bin of a's
     row still reaches room after the flip: a maximal minimizer that grows
     must take all of a's row.  So it runs a forward search from a's in-reach
-    bins in every sample where a gains, which ends at the first bin with
-    room and gives the augmenting path to flip; then the same search again
-    as the test; and only in the samples where it fails, a backward
-    re-search and an update of their candidates' hits.  Every id and
-    pointer array is int32 when the union's sizes fit.
+    bins in every sample where a gains, which ends at the first level with
+    a bin with room and gives the augmenting path to flip; then, only in
+    the samples where none of those start bins still has room, the same
+    search again as the test; and only in the samples where that fails, a
+    backward re-search and an update of their candidates' hits.
+
+    Where a level reaches several bins with room in a sample, the path ends
+    at whichever one the search writes last.  No choice of path changes
+    the output: every augmenting path leaves a maximum b-matching of the
+    grown pool, and ``reach``, so every gain and the moved count, does not
+    depend on which one is kept.
+
+    The search marks (``_via``) hold ``_OUT`` on every bin outside
+    ``reach``, kept so by :meth:`_research`, so a level tests one mark per
+    bin it meets.  When no bin has two positions (``one_place``: every
+    independent set), a full bin's candidate sits at its first position.
+    Every id and pointer array is int32 when the union's sizes fit.
     """
 
     kernel = "batched"
@@ -371,6 +384,9 @@ class _Batched:
         places = np.minimum(self.cap, np.diff(self.bin_ptr))
         self.pos_ptr = np.zeros(n * b + 1, dtype=itype)
         np.cumsum(places, out=self.pos_ptr[1:])
+        # With at most one position per bin, a full bin's candidate sits
+        # at its first.
+        self.one_place = bool(places.max(initial=0) <= 1)
         self.pos_bin = np.repeat(np.arange(n * b, dtype=itype), places)
         self.pos_cand = np.full(self.pos_bin.size, -1, dtype=itype)
         self.cand_pos = np.full(n * c, -1, dtype=itype)
@@ -379,9 +395,10 @@ class _Batched:
         # the backward search would add nothing, so it is not run.
         self.reach = self.load < self.cap
         self._gains = np.count_nonzero(self.hits.reshape(n, c), axis=0)
-        # Forward-search scratch, per bin-copy: unseen, a start bin, or the
-        # position whose candidate enters the bin along the path.
-        self._via = np.full(n * b, _UNSEEN, dtype=itype)
+        # Forward-search marks, per bin-copy: outside ``reach``, unseen, a
+        # start bin, or the position whose candidate enters the bin along
+        # the path.
+        self._via = np.where(self.reach, _UNSEEN, _OUT).astype(itype)
         self.moved = 0
 
     def _backward(self, reach: np.ndarray, frontier: np.ndarray):
@@ -416,7 +433,14 @@ class _Batched:
             raise ContractError(
                 f"augmenting path of candidate {a} does not end at a bin with room"
             )
-        # The reach set of a sample moved iff none of a's row reaches room now.
+        # The reach set of a sample moved iff none of a's row reaches room
+        # now: searched for only where no start bin still has room.
+        b, load, cap = self.b, self.load, self.cap
+        roomy = np.zeros(self.n, dtype=bool)
+        roomy[start[load[start] < cap[start]] // b] = True
+        start = start[~roomy[start // b]]
+        if not start.size:
+            return
         _, moved = self._forward(a, start, flip=False)
         self.moved += moved.size
         if moved.size:
@@ -446,11 +470,14 @@ class _Batched:
                 if not frontier.size:
                     break
             # Every bin left is full: its candidates may move on.
-            pos = _row_positions(self.pos_ptr, frontier)
+            if self.one_place:
+                pos = self.pos_ptr[frontier]
+            else:
+                pos = _row_positions(self.pos_ptr, frontier)
             cands = self.pos_cand[pos]
             dst = self.cand_bins[_row_positions(self.cand_ptr, cands)]
             pos = np.repeat(pos, self.cand_ptr[cands + 1] - self.cand_ptr[cands])
-            fresh = self.reach[dst] & (via[dst] == _UNSEEN)
+            fresh = via[dst] == _UNSEEN
             dst, pos = dst[fresh], pos[fresh]
             via[dst] = pos
             frontier = dst[via[dst] == pos]
@@ -495,6 +522,7 @@ class _Batched:
         self.reach[bins] = self.load[bins] < self.cap[bins]
         self._backward(self.reach, bins[self.reach[bins]])
         now = self.reach[bins]
+        self._via[bins] = np.where(now, _UNSEEN, _OUT)
         had = hits[rows] > 0
         left, kept = bins[was & ~now], bins[now]
         if (ptr[left + 1] - ptr[left]).sum() <= (ptr[kept + 1] - ptr[kept]).sum():
@@ -578,18 +606,18 @@ def random_ranking(candidates: int, seed: int) -> Ranking:
 #: the first build of the mask table, mean of two model seeds, 2-core host):
 #:
 #:     C x k       G=8          10           11           12           13
-#:     500 x 10    0.007/0.053  0.013/0.068  0.025/0.076  0.067/0.082  0.155/0.088
-#:     500 x 2                  0.005/0.026  0.008/0.029  0.018/0.031
-#:     2000 x 5                 0.012/0.063  0.017/0.068  0.038/0.074
-#:     2000 x 20                0.028/0.134  0.047/0.146  0.127/0.158
-#:     10000 x 50               0.089/0.424  0.148/0.465  0.342/0.503
-#: The cut kernel wins through 11 groups at every shape, by 3-5x.  At 12 it
-#: still wins by 1.2-2x before the first build of its 16 MiB mask table
+#:     500 x 10    0.007/0.050  0.013/0.063  0.024/0.072  0.064/0.078  0.147/0.084
+#:     500 x 2                  0.005/0.026  0.007/0.028  0.018/0.030
+#:     2000 x 5                 0.010/0.060  0.015/0.065  0.037/0.071
+#:     2000 x 20                0.026/0.120  0.045/0.131  0.121/0.148
+#:     10000 x 50               0.087/0.374  0.141/0.422  0.328/0.464
+#: The cut kernel wins through 11 groups at every shape, by 2.9-7x.  At 12 it
+#: still wins by 1.2-1.9x before the first build of its 16 MiB mask table
 #: (0.012 s), too slim a margin for the limit; from 13 the batched kernel
-#: wins.  Independent sets rank faster on the cut kernel too (n=200, best of 3): two-block 1,000 x 10
-#: slots 0.005/0.039 and x 11 0.007/0.043; at density 0.3, 200 x 8
-#: 0.002/0.012, 200 x 11 0.005/0.016, 5,000 x 10 0.017/0.074, 5,000 x 11
-#: 0.021/0.074.
+#: wins.  Independent sets rank faster on the cut kernel too (n=200, best
+#: of 3): two-block 1,000 x 10 slots 0.004/0.035 and x 11 0.006/0.038; at
+#: density 0.3, 200 x 8 0.001/0.008, 200 x 11 0.003/0.010, 5,000 x 10
+#: 0.014/0.046, 5,000 x 11 0.017/0.046.
 MAX_CUT_KERNEL_GROUPS = 11
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,6 +17,17 @@ from matchrank.core import (
 )
 from matchrank.core import _coin_masks
 from matchrank.synthgen import _draw_coins, sample_relevances
+
+
+#: ``pytest --hypothesis-profile thorough`` runs the property tests sized
+#: by :func:`examples` at 1,000 examples each.
+settings.register_profile("thorough", max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """`n` examples, or the thorough profile's count while it is loaded."""
+    thorough = settings.get_profile("thorough")
+    return thorough.max_examples if settings.default is thorough else n
 
 
 def draw_masks(model: ProbabilityModel, rng: np.random.Generator) -> np.ndarray:

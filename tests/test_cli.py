@@ -9,9 +9,11 @@ import pytest
 
 import matchrank
 from matchrank import core
+from matchrank import cli
 from matchrank.cli import main
+from matchrank.core import Ranking
 from conftest import read_samples
-from matchrank.fileio import read_model, read_ranking, read_report
+from matchrank.fileio import read_model, read_ranking, read_report, write_ranking
 
 
 def run(*argv):
@@ -159,6 +161,19 @@ class TestRank:
         ranking, _ = read_ranking(out)
         assert len(ranking) == 7
         assert ranking.prefix_gain is None
+
+    def test_model_without_slots_exits_2(self, tmp_path, capsys, monkeypatch):
+        probs, model, ranking = (tmp_path / name for name in ("p.txt", "m.json", "r.json"))
+        probs.write_text("3 0 0\n")
+        assert run("ingest", "--probs", str(probs), "--out", str(model)) == 0
+
+        def no_sampling(*args):
+            raise AssertionError("sampled a model without slots")
+
+        monkeypatch.setattr(cli, "sample_relevances", no_sampling)
+        assert run("rank", "--model", str(model), "--out", str(ranking), "--n", "5") == 2
+        assert "cannot rank a model without slots" in capsys.readouterr().err
+        assert not ranking.exists()
 
     def test_unknown_algorithm_usage_error(self, tmp_path, model_path, capsys):
         code = run("rank", "--model", str(model_path), "--out", str(tmp_path / "r.json"), "--algorithm", "astar")
@@ -363,10 +378,14 @@ class TestEval:
         assert "dimensions" in capsys.readouterr().err
 
     def test_model_without_slots_exits_2(self, tmp_path, capsys):
+        # rank refuses such a model, so its ranking is written directly.
         probs, model, ranking = (tmp_path / name for name in ("p.txt", "m.json", "r.json"))
         probs.write_text("3 0 0\n")
         assert run("ingest", "--probs", str(probs), "--out", str(model)) == 0
-        assert run("rank", "--model", str(model), "--out", str(ranking), "--n", "5") == 0
+        write_ranking(
+            Ranking(np.arange(3, dtype=np.int32)), ranking, algorithm="ntr",
+            candidates=3, slots=0, n_samples=5, sample_seed=0, ranker_seed=0,
+        )
         code = run(
             "eval", "--model", str(model), "--ranking", str(ranking),
             "--out", str(tmp_path / "rep.json"), "--draws", "3",

@@ -466,6 +466,18 @@ class TestEvaluate:
         with pytest.raises(InputError, match="without slots"):
             evaluate_ranking(ranking, model, 3, 0, algorithm="ntr", n_samples=4, sample_seed=1)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ProbabilityModel.from_dense(np.zeros((3, 0))),
+            ProbabilityModel.group_structured(SlotLayout((0, 0)), [[0], [1], [0]], np.full((3, 1), 0.5)),
+        ],
+    )
+    def test_evaluate_refuses_a_model_without_slots_before_sampling(self, model):
+        with patch.object(evaluation, "sample_relevances", side_effect=AssertionError("sampled")):
+            with pytest.raises(InputError, match="without slots"):
+                evaluate(self.CFG, model, 4, 1, 3, 0)
+
     @pytest.mark.parametrize("draws", [2.5, True, "3"])
     def test_draws_must_be_an_integer(self, draws):
         model = self.small_model()

@@ -4,10 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_group_samples, random_relevance, random_sampleset, relevance_matrix, sample_set
+from conftest import examples, random_group_samples, random_relevance, random_sampleset, relevance_matrix, sample_set
 from matchrank.core import ContractError, InputError, RelevanceMatrix, SampleSet, UNMATCHED
 from matchrank.matching import _matching_sizes, max_matching_size
-from matchrank.ranker import _Batched
+from matchrank.ranker import _OUT, _UNSEEN, _Batched
 from oracles import avg_matching, batched_reach, brute_max_matching, commit_add, gain_if_added, init_state
 
 
@@ -317,7 +317,7 @@ class TestIncrementalReach:
     against the per-sample MatchState."""
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_every_commit_leaves_reach_exact(self, seed, grouped):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
@@ -348,6 +348,30 @@ class TestIncrementalReach:
                 for x in left
             ]
             assert union.gains()[left].tolist() == want
+
+
+class TestSearchMarks:
+    """The forward search's marks between commits: ``_OUT`` on exactly the
+    bins outside ``reach``, ``_UNSEEN`` on the others, so a search tests
+    one mark per bin; and the one-position shortcut only where no bin has
+    two positions."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=examples(200), deadline=None)
+    def test_marks_follow_reach(self, seed, grouped):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        if grouped:
+            samples = random_group_samples(rng, int(rng.integers(1, 17)), n)
+        else:
+            c, s = int(rng.integers(1, 16)), int(rng.integers(0, 11))
+            samples = random_sampleset(rng, c, s, n, float(rng.choice([0.15, 0.3, 0.6])))
+        union = _Batched(samples)
+        assert union.one_place == (np.diff(union.pos_ptr).max(initial=0) <= 1)
+        for a in rng.permutation(samples.candidates).tolist():
+            np.testing.assert_array_equal(union._via, np.where(union.reach, _UNSEEN, _OUT))
+            union.commit(a, int(union.gains()[a]))
+        np.testing.assert_array_equal(union._via, np.where(union.reach, _UNSEEN, _OUT))
 
 
 class TestProperties:

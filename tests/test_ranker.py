@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +12,7 @@ from conftest import (
     coin_view,
     dense_probs,
     edge_set,
+    examples,
     random_group_samples,
     random_independent_samples,
     random_relevance,
@@ -39,6 +41,7 @@ from matchrank.ranker import (
     random_ranking,
     rank,
     score_ranking,
+    _UNSEEN,
     _Batched,
     _Cut,
     _greedy,
@@ -46,6 +49,7 @@ from matchrank.ranker import (
     _tie_key,
 )
 from matchrank.evaluation import evaluate
+from matchrank.fileio import ingest_model
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
@@ -724,10 +728,11 @@ class TestBatchedKernel:
 
     def test_path_must_end_at_a_bin_with_room(self, toy_instance):
         # Once the greedy's productive candidates are in, every bin is full
-        # and none reaches room.  Marked reached anyway, a full bin offers
-        # the first zero-gain candidate with edges (1 in the rows, 3 in the
-        # groups) a sample to gain in, in step with a gain of 1, but its
-        # forward search finds no bin with room.
+        # and none reaches room.  Marked reached anyway, and unseen by the
+        # search, a full bin offers the first zero-gain candidate with edges
+        # (1 in the rows, 3 in the groups) a sample to gain in, in step with
+        # a gain of 1, but its forward search walks every full bin and finds
+        # none with room.
         for ss in contract_samples(toy_instance):
             ranking = rank(ss, RankerConfig())
             union = _Batched(ss)
@@ -741,6 +746,7 @@ class TestBatchedKernel:
                 if not gain and union.cand_ptr[a + 1] > union.cand_ptr[a]
             )
             union.reach[:] = True
+            union._via[:] = _UNSEEN
             with pytest.raises(ContractError, match="bin with room"):
                 union.commit(idle, 1)
 
@@ -763,7 +769,7 @@ class TestCapacitatedBins:
     each slot a bin of cap 1."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(MAX_CUT_KERNEL_GROUPS + 1, 16), st.booleans())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_group_bins_equal_slot_rows_and_oracles(self, seed, groups, truncate):
         # Zero-slot groups (cap 0), saturated and unfillable samples.
         rng = np.random.default_rng(seed)
@@ -781,7 +787,7 @@ class TestCapacitatedBins:
         assert_rank_matches_oracles(ss, stop_at, "batched")
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_twelve_groups_rank_batched_as_the_cut_kernel_would(self, seed, truncate):
         # One group past the ranker's cut limit of 11 but within the cut
         # kernel's reach: rank() takes the batched kernel, and the cut
@@ -809,3 +815,70 @@ class TestCapacitatedBins:
         r = rank(ss, RankerConfig())
         assert r.order.tolist()[:3] == [0, 1, 2] and r.prefix_gain[:3] == (1, 2, 3)
         assert_rank_matches_oracles(ss, None, "batched")
+
+
+def ingested_model(candidates: int, labels: int, per_candidate: int, slots_per_label: int, seed: int):
+    """An independent model such as ``matchrank ingest`` makes of a triplet
+    file: each candidate on `per_candidate` distinct labels with Beta(2, 3)
+    probabilities, each label expanded to `slots_per_label` slots."""
+    rng = np.random.default_rng(seed)
+    picked = np.sort(np.argsort(rng.random((candidates, labels)), axis=1)[:, :per_candidate], axis=1)
+    probs = rng.beta(2.0, 3.0, size=(candidates, per_candidate))
+    ptr = np.arange(0, candidates * per_candidate + 1, per_candidate)
+    labelled = ProbabilityModel.independent(labels, ptr, picked.ravel(), probs.ravel())
+    return ingest_model(labelled, slots_per_label=slots_per_label)
+
+
+def uneven_group_model(slots: tuple[int, ...], candidates: int, memberships: int, seed: int):
+    """A group model of uneven slot counts (0 included), each candidate in
+    `memberships` groups at probabilities uniform in [0.1, 0.9]."""
+    rng = np.random.default_rng(seed)
+    g = len(slots)
+    membership = np.sort(np.argsort(rng.random((candidates, g)), axis=1)[:, :memberships], axis=1)
+    probs = rng.uniform(0.1, 0.9, size=(candidates, memberships))
+    return ProbabilityModel.group_structured(SlotLayout(slots), membership, probs)
+
+
+#: The sha256 of each greedy ranking's order, prefix gains and every
+#: ``RankerStats`` field on sample sets that rank through the batched kernel;
+#: which augmenting path the kernel flips must not change any of them.
+BATCHED_PINS = {
+    "ingested 150 x 30 labels x 3": (
+        "2d4c12624be7208e53638f82e53519fe8f4800225f2f4745188d08ce11423a90"
+    ),
+    "13 x 50 groups": (
+        "1a177e129ee528c6d206ab9e28eb1a9a12d1c4b40358bb9717dd3e63af7d3104"
+    ),
+    "14 x 10 groups": (
+        "0f0e61365144226f45517303d40c13eac4688f4a8ac3f89d4e0ffbd309899a37"
+    ),
+    "14 uneven groups": (
+        "5a099a7d1151864bd600806c2a69138b72f93311610f2e6b3a913c9e24d4e2c4"
+    ),
+}
+
+
+def batched_pin_samples(name: str) -> SampleSet:
+    if name == "ingested 150 x 30 labels x 3":
+        return sample_relevances(ingested_model(150, 30, 3, 3, seed=0), 20, 1)
+    if name == "13 x 50 groups":
+        params = SynthParams(groups=13, slots_per_group=50, candidates=2000, seed=0)
+        return sample_relevances(build_synthetic_model(params), 20, 1)
+    if name == "14 x 10 groups":
+        params = SynthParams(groups=14, slots_per_group=10, candidates=300, seed=0)
+        return sample_relevances(build_synthetic_model(params), 20, 1)
+    model = uneven_group_model((3, 0, 2, 5, 1, 0, 4, 2, 3, 1, 2, 6, 0, 3), 120, 3, seed=0)
+    return sample_relevances(model, 20, 1)
+
+
+class TestBatchedPins:
+    @pytest.mark.parametrize("name", sorted(BATCHED_PINS))
+    def test_output_bytes_are_pinned(self, name):
+        ss = batched_pin_samples(name)
+        assert ss.model.bins.group_count > MAX_CUT_KERNEL_GROUPS
+        for algorithm in GREEDY_ALGORITHMS:
+            stats = RankerStats()
+            r = rank(ss, RankerConfig(algorithm=algorithm), stats=stats)
+            assert stats.kernel == "batched"
+            blob = r.order.tobytes() + repr(r.prefix_gain).encode() + repr(stats).encode()
+            assert hashlib.sha256(blob).hexdigest() == BATCHED_PINS[name], algorithm
