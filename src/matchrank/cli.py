@@ -174,8 +174,10 @@ def cmd_rank(args) -> int:
     )
     model, _ = read_model(args.model)
     require_slots(model, "rank")
-    if (rcfg.stop_at or 0) > model.candidates:
-        raise UsageError(f"stop_at {rcfg.stop_at} exceeds {model.candidates} candidates")
+    try:
+        rcfg.length(model.candidates)  # refuse a stop_at beyond the model before sampling
+    except InputError as e:
+        raise UsageError(str(e))
     samples = sample_relevances(model, n, sample_seed)
     marginals = model.marginal_matrix() if use_model else None
     stats = RankerStats()

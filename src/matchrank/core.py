@@ -145,48 +145,47 @@ def _read_text(path: str) -> str | None:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlotLayout:
     """Slots partitioned into groups; slot ids are dense and group-contiguous.
 
     Group ``j`` owns the contiguous slot id range
-    ``[group_start[j], group_start[j] + slots_per_group[j])``.
-    A layout may have no group: the bins of a model without slots.
+    ``[group_start[j], group_start[j] + group_sizes[j])``.
+    A layout may have no group: the bins of a model without slots.  Layouts
+    have no value equality: compare their ``group_sizes``.
     """
 
-    slots_per_group: tuple[int, ...]
+    group_sizes: np.ndarray  # int64 slot count of each group, read-only
 
     def __post_init__(self):
-        counts = tuple(self.slots_per_group)
-        # Plain ints, as one-slot bins are, pass in one pass that runs in C.
-        if not set(map(type, counts)) <= {int}:
-            counts = tuple(_as_count(n, "slot count") for n in counts)
-        if min(counts, default=0) < 0:
-            raise InputError("slot counts must be non-negative")
-        if sum(counts) >= _ID_LIMIT:
+        counts = self.group_sizes
+        if np.ndim(counts) != 1:
+            raise InputError("slot counts must be 1-D")
+        sizes = _as_int_array(counts, np.int64, "slot counts")
+        # NumPy reads a bool beside integers as 0 or 1.
+        if not isinstance(counts, np.ndarray) and {bool, np.bool_} & set(map(type, counts)):
+            raise InputError("slot counts must be integers, got a bool")
+        # Each count below the limit first, so that the int64 sum cannot wrap.
+        if sizes.min(initial=0) < 0 or sizes.max(initial=0) >= _ID_LIMIT:
+            raise InputError(f"slot counts must lie in [0, {_ID_LIMIT})")
+        if sizes.sum() >= _ID_LIMIT:
             raise InputError(f"a layout holds fewer than {_ID_LIMIT} slots (ids are int32)")
-        object.__setattr__(self, "slots_per_group", counts)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "group_sizes", sizes)
 
     @classmethod
     def uniform(cls, groups: int, slots_per_group: int) -> "SlotLayout":
         if groups < 1:
             raise InputError("layout needs at least one group")
-        return cls((slots_per_group,) * groups)
+        return cls(np.full(groups, slots_per_group))  # a float or bool count is refused
 
     @property
     def group_count(self) -> int:
-        return len(self.slots_per_group)
+        return self.group_sizes.size
 
     @cached_property
     def total_slots(self) -> int:
-        return sum(self.slots_per_group)
-
-    @cached_property
-    def group_sizes(self) -> np.ndarray:
-        """Slot count of each group (int64, read-only)."""
-        sizes = np.array(self.slots_per_group, dtype=np.int64)
-        sizes.setflags(write=False)
-        return sizes
+        return int(self.group_sizes.sum())
 
     @property
     def group_start(self) -> np.ndarray:
@@ -202,7 +201,7 @@ class SlotLayout:
         if self.group_count > MAX_MASK_GROUPS:
             raise InputError(f"group masks cover at most {MAX_MASK_GROUPS} groups")
         counts = np.zeros(1 << self.group_count, dtype=np.int64)
-        for g, k in enumerate(self.slots_per_group):
+        for g, k in enumerate(self.group_sizes):
             counts[1 << g : 2 << g] = counts[: 1 << g] + k
         counts.setflags(write=False)
         return counts
@@ -210,7 +209,7 @@ class SlotLayout:
     @property
     def slotted_bits(self) -> int:
         """Bit mask of the groups that own at least one slot."""
-        return sum(1 << g for g, k in enumerate(self.slots_per_group) if k)
+        return sum(1 << g for g in np.flatnonzero(self.group_sizes).tolist())
 
     def slots_of(self, groups: np.ndarray) -> np.ndarray:
         """Concatenated slot ids of `groups` (repeats allowed), in order, as int32."""
@@ -221,7 +220,7 @@ class SlotLayout:
 
     @cached_property
     def _one_slot_each(self) -> bool:
-        return all(k == 1 for k in self.slots_per_group)
+        return bool((self.group_sizes == 1).all())
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -403,8 +402,8 @@ class ProbabilityModel:
         slots = _as_count(slots, "slots")
         if not 0 <= slots < _ID_LIMIT:
             raise InputError(f"slots must lie in [0, {_ID_LIMIT})")
-        _require_memory(8 * slots, f"{slots} one-slot bins")  # a pointer each
-        return cls(KIND_INDEPENDENT, SlotLayout((1,) * slots), coin_ptr, coin_bins, coin_probs)
+        _require_memory(8 * slots, f"{slots} one-slot bins")  # an int64 count each
+        return cls(KIND_INDEPENDENT, SlotLayout(np.ones(slots, np.int64)), coin_ptr, coin_bins, coin_probs)
 
     @classmethod
     def from_dense(cls, dense) -> "ProbabilityModel":

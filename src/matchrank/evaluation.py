@@ -104,8 +104,22 @@ class EvalReport:
     config: dict
 
     def __post_init__(self):
+        if self.draws < 1 or self.slots < 1:
+            raise InputError("a report needs at least one draw and one slot")
         if len(self.per_draw_kmin) != self.draws:
             raise InputError("per_draw_kmin must have one entry per draw")
+        # A draw fills its slots with one candidate a slot at least, and
+        # with no more candidates than the ranking holds.
+        fillable = [k for k in self.per_draw_kmin if k is not None]
+        if not all(type(k) is int and self.slots <= k <= self.candidates for k in fillable):
+            raise InputError(
+                f"every k_min must be null or an integer in [{self.slots}, {self.candidates}]"
+                " (slots, candidates)"
+            )
+        if self.unfillable_count != self.draws - len(fillable):
+            raise InputError("unfillable_count must count the null k_min entries")
+        if {self.normalized_mean is None, self.normalized_std is None} != {not fillable}:
+            raise InputError("normalized_mean and normalized_std are null exactly when no draw is fillable")
 
 
 def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) -> int | None:

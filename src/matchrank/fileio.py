@@ -264,7 +264,7 @@ def write_model(model: ProbabilityModel, path: str | Path, metadata: dict | None
     if model.kind == "group":
         # Every candidate has the same number of coins, its memberships.
         shape = (c, model.coin_bins.size // max(c, 1))
-        obj["slots_per_group"] = list(model.bins.slots_per_group)
+        obj["slots_per_group"] = model.bins.group_sizes.tolist()
         obj["membership"] = model.coin_bins.reshape(shape).tolist()
         obj["group_prob"] = model.coin_probs.reshape(shape).tolist()
     else:  # one coin per stored entry, in one-slot bins: bin t is slot t
@@ -289,7 +289,7 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
             if not set(map(type, chain.from_iterable(obj["membership"]))) <= {int}:
                 raise InputError("membership must be integers")
             model = ProbabilityModel.group_structured(
-                SlotLayout(tuple(obj["slots_per_group"])),
+                SlotLayout(obj["slots_per_group"]),
                 np.array(obj["membership"]),
                 np.array(obj["group_prob"], dtype=np.float64),
             )

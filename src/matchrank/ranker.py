@@ -117,6 +117,15 @@ class RankerConfig:
             if self.stop_at < 1:
                 raise InputError("stop_at must be at least 1")
 
+    def length(self, candidates: int) -> int:
+        """How many of `candidates` candidates a ranking holds: `stop_at`,
+        or all of them; a `stop_at` beyond them is refused."""
+        if self.stop_at is None:
+            return candidates
+        if self.stop_at > candidates:
+            raise InputError(f"stop_at {self.stop_at} exceeds {candidates} candidates")
+        return self.stop_at
+
 
 @dataclass
 class RankerStats:
@@ -149,14 +158,6 @@ class RankerStats:
 def _tie_key(samples: SampleSet) -> np.ndarray:
     """Secondary sort key: competition-normalized relevance per candidate."""
     return baseline_scores(empirical_marginals(samples), "ntr")
-
-
-def _resolve_stop(cfg: RankerConfig, c: int) -> int:
-    if cfg.stop_at is None:
-        return c
-    if cfg.stop_at > c:
-        raise InputError(f"stop_at {cfg.stop_at} exceeds candidate count {c}")
-    return cfg.stop_at
 
 
 def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
@@ -637,7 +638,7 @@ def rank(
     picks (``stats.kernel`` tells which ran).
     """
     if cfg.algorithm in GREEDY_ALGORITHMS:
-        limit = _resolve_stop(cfg, samples.candidates)
+        limit = cfg.length(samples.candidates)
         bins = samples.model.bins
         if bins.group_count <= MAX_CUT_KERNEL_GROUPS:
             engine = _Cut(bins.subset_slots, _coin_masks(samples.model, samples.coins))
@@ -656,7 +657,7 @@ def rank(
 
 
 def _truncate(ranking: Ranking, cfg: RankerConfig, c: int) -> Ranking:
-    limit = _resolve_stop(cfg, c)
+    limit = cfg.length(c)
     if limit >= len(ranking):
         return ranking
     return Ranking(ranking.order[:limit])

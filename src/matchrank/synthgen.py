@@ -177,7 +177,7 @@ def model_metadata(model: ProbabilityModel) -> dict:
     probs = model.coin_probs
     if model.kind == "group":
         meta["group_count"] = g = model.bins.group_count
-        meta["slots_per_group"] = list(model.bins.slots_per_group)
+        meta["slots_per_group"] = model.bins.group_sizes.tolist()
         meta["members_per_group"] = np.bincount(model.coin_bins, minlength=g).tolist()
         meta["memberships_per_candidate"] = probs.size // max(model.candidates, 1)
         name = "group_prob"

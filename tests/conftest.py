@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from matchrank.core import (
     SlotLayout,
 )
 from matchrank.core import _coin_masks
+from matchrank.fileio import FORMAT_VERSION, REPORT_FORMAT
 from matchrank.synthgen import _draw_coins, sample_relevances
 
 
@@ -62,6 +64,43 @@ def write_triplets(model, path):
     lines = [f"{model.candidates} {model.slots} {model.coin_probs.size}"]
     lines += [f"{a} {t} {p!r}" for a, t, p in coins]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def report_file(path, **changes):
+    """Write a report file of 3 draws over 6 candidates and 2 slots, the
+    last draw unfillable, with `changes` to its fields, and return its path."""
+    obj = {
+        "format": REPORT_FORMAT, "version": FORMAT_VERSION, "algorithm": "ntr",
+        "candidates": 6, "slots": 2, "n_samples": 4, "sample_seed": 1,
+        "draws": 3, "eval_seed": 2, "per_draw_kmin": [2, 4, None],
+        "normalized_mean": 1.5, "normalized_std": 0.5, "unfillable_count": 1,
+        "config": {},
+    }
+    Path(path).write_text(json.dumps({**obj, **changes}))
+    return path
+
+
+#: Changes that make `report_file`'s report contradict itself, each with a
+#: fragment of the refusal.
+CONTRADICTORY_REPORTS = {
+    "negative k_min": ({"per_draw_kmin": [-1, 4, None]}, "k_min must be null or an integer in [2, 6]"),
+    "k_min beyond the candidates": ({"per_draw_kmin": [10**9, 4, None]}, "in [2, 6]"),
+    "k_min below the slots": ({"per_draw_kmin": [1, 4, None]}, "in [2, 6]"),
+    "unfillable_count below the nulls": (
+        {"per_draw_kmin": [None] * 3, "unfillable_count": 0, "normalized_mean": None, "normalized_std": None},
+        "unfillable_count must count the null k_min entries",
+    ),
+    "no draws": (
+        {"draws": 0, "per_draw_kmin": [], "unfillable_count": 0, "normalized_mean": None, "normalized_std": None},
+        "at least one draw and one slot",
+    ),
+    "no slots": ({"slots": 0}, "at least one draw and one slot"),
+    "a mean of no fillable draw": (
+        {"per_draw_kmin": [None] * 3, "unfillable_count": 3, "normalized_std": None},
+        "null exactly when no draw is fillable",
+    ),
+    "no mean beside fillable draws": ({"normalized_mean": None}, "null exactly when no draw is fillable"),
+}
 
 
 def relevance_matrix(c: int, s: int, edges) -> RelevanceMatrix:

@@ -47,7 +47,7 @@ from matchrank.core import (
     UNMATCHED,
 )
 from matchrank.matching import max_matching_size
-from matchrank.ranker import RankerConfig, RankerStats, _argbest, _resolve_stop, _tie_key
+from matchrank.ranker import RankerConfig, RankerStats, _argbest, _tie_key
 
 
 def row_count_marginals(samples: SampleSet) -> ProbabilityModel:
@@ -351,7 +351,7 @@ def matchrank(
     cfg = cfg or RankerConfig(algorithm="matchrank")
     stats = stats if stats is not None else RankerStats()
     eng = _GreedyBase(samples, stats)
-    limit = _resolve_stop(cfg, eng.c)
+    limit = cfg.length(eng.c)
     remaining = np.ones(eng.c, dtype=bool)
     order: list[int] = []
     prefix: list[int] = []
@@ -396,7 +396,7 @@ def matchrank_lazy(
     cfg = cfg or RankerConfig(algorithm="matchrank-lazy")
     stats = stats if stats is not None else RankerStats()
     eng = _GreedyBase(samples, stats)
-    limit = _resolve_stop(cfg, eng.c)
+    limit = cfg.length(eng.c)
     gains = eng.initial_gains()
     heap = [(-int(gains[a]), -float(eng.tie_key[a]), a) for a in range(eng.c)]
     heapq.heapify(heap)

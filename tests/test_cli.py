@@ -12,7 +12,7 @@ from matchrank import core
 from matchrank import cli
 from matchrank.cli import main
 from matchrank.core import Ranking
-from conftest import read_samples
+from conftest import CONTRADICTORY_REPORTS, read_samples, report_file
 from matchrank.fileio import read_model, read_ranking, read_report, write_ranking
 
 
@@ -246,6 +246,18 @@ class TestRank:
         err = capsys.readouterr().err
         assert str(bad) in err and fragment in err
 
+    def test_slot_counts_whose_int64_sum_wraps_exit_2(self, tmp_path, model_path, capsys):
+        # 2**62 + 2**62 + 2**62 wraps to a negative int64 sum.
+        obj = json.loads(model_path.read_text())
+        obj["slots_per_group"] = [2**62] * len(obj["slots_per_group"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("rank", "--model", str(bad), "--out", str(tmp_path / "r.json"), "--n", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "slot counts must lie in [0, 2147483648)" in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize(
         "field, value, fragment",
         [
@@ -474,6 +486,15 @@ class TestReport:
         capsys.readouterr()
         assert run("report", str(out)) == 2
         assert "rep.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", CONTRADICTORY_REPORTS)
+    def test_a_report_that_contradicts_itself_exits_2(self, tmp_path, capsys, case):
+        changes, fragment = CONTRADICTORY_REPORTS[case]
+        path = report_file(tmp_path / "rep.json", **changes)
+        assert run("report", str(path)) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: " in captured.err and fragment in captured.err
+        assert captured.out == ""
 
     def test_missing_report_exits_2(self, tmp_path):
         assert run("report", str(tmp_path / "none.json")) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coin_view, dense_probs, edge_set
+from conftest import coin_view, dense_probs, edge_set, examples
 from matchrank import core
 from matchrank.core import (
     InputError,
@@ -25,7 +25,7 @@ class TestSlotLayout:
         lay = SlotLayout.uniform(10, 50)
         assert lay.group_count == 10
         assert lay.total_slots == 500
-        assert lay.slots_per_group == (50,) * 10
+        assert lay.group_sizes.tolist() == [50] * 10
 
     def test_group_ranges(self):
         lay = SlotLayout((2, 0, 3))
@@ -37,7 +37,7 @@ class TestSlotLayout:
         st.lists(st.integers(0, 4), min_size=1, max_size=6),
         st.lists(st.integers(0, 5), max_size=12),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_slots_of_matches_naive_expansion(self, sizes, picks):
         lay = SlotLayout(tuple(sizes))
         groups = np.array([g % lay.group_count for g in picks], dtype=np.int32)
@@ -91,19 +91,73 @@ class TestSlotLayout:
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.True_, "2", None])
     def test_refuses_counts_that_are_not_integers(self, bad):
-        # int(n) would truncate 1.5 to 1 and read True as 1.
-        with pytest.raises(InputError, match="slot count must be an integer"):
+        # A cast would truncate 1.5 to 1, and NumPy reads True beside an
+        # integer as 1.
+        with pytest.raises(InputError, match="slot counts must be integers"):
             SlotLayout((bad, 2))
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_refuses_count_arrays_that_are_not_integers(self, dtype):
+        with pytest.raises(InputError, match="slot counts must be integers"):
+            SlotLayout(np.ones(3, dtype=dtype))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3), dtype=np.int64), [[1, 2], [3, 4]], 5])
+    def test_refuses_counts_that_are_not_1d(self, bad):
+        with pytest.raises(InputError, match="1-D"):
+            SlotLayout(bad)
 
     def test_accepts_numpy_integer_counts(self):
         lay = SlotLayout((np.int64(3), np.int32(0), np.uint8(2)))
-        assert lay.slots_per_group == (3, 0, 2)
-        assert all(type(n) is int for n in lay.slots_per_group)
+        assert lay.group_sizes.tolist() == [3, 0, 2]
+
+    @pytest.mark.parametrize("counts", [(2, 0, 3), np.array([2, 0, 3], dtype=np.uint8), [2, 0, 3]])
+    def test_counts_are_one_read_only_int64_array(self, counts):
+        sizes = SlotLayout(counts).group_sizes
+        assert sizes.dtype == np.int64 and sizes.ndim == 1 and sizes.tolist() == [2, 0, 3]
+        with pytest.raises(ValueError):
+            sizes[0] = 1
 
     def test_refuses_more_slots_than_int32_ids(self):
         assert SlotLayout((2**30, 2**30 - 1)).total_slots == 2**31 - 1
         with pytest.raises(InputError, match="ids are int32"):
             SlotLayout((2**30, 2**30))
+
+    @pytest.mark.parametrize(
+        "counts", [(2**62, 2**62), (2**31, 0), (2**63 - 1, 1), np.array([2**62] * 4, dtype=np.int64)]
+    )
+    def test_refuses_counts_whose_int64_sum_would_wrap(self, counts):
+        # 2**62 + 2**62 wraps to -2**63 in int64, which passes a check on the sum.
+        with pytest.raises(InputError, match=r"slot counts must lie in \[0, 2147483648\)"):
+            SlotLayout(counts)
+
+    @pytest.mark.parametrize("counts", [(2**64, 1), (2**63, 1)])
+    def test_refuses_counts_beyond_int64(self, counts):
+        with pytest.raises(InputError):
+            SlotLayout(counts)
+
+    def test_layouts_compare_by_identity(self):
+        lay = SlotLayout((1, 2))
+        assert lay == lay and lay != SlotLayout((1, 2))
+
+    def test_one_slot_bins_keep_no_python_object_per_slot(self):
+        # The layout of an independent model is one int64 array, which
+        # NumPy reports to tracemalloc in its own domain.  What Python
+        # objects the model keeps are counted apart from it.
+        slots = 1_000_000
+        tracemalloc.start()
+        try:
+            model = ProbabilityModel.independent(slots, [0, 0], [], [])
+            python_bytes = sum(
+                stat.size
+                for stat in tracemalloc.take_snapshot()
+                .filter_traces([tracemalloc.DomainFilter(True, 0)])
+                .statistics("filename")
+            )
+        finally:
+            tracemalloc.stop()
+        assert model.bins.group_sizes.nbytes == 8 * slots
+        assert python_bytes < slots  # under a byte a slot: no tuple, no list
+        assert model.slots == slots and model.bins.slots_of(np.array([5, 2])).tolist() == [5, 2]
 
 
 class TestRelevanceMatrix:
@@ -136,7 +190,7 @@ class TestIndependentModel:
 
     def test_from_dense_drops_zeros(self):
         p = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 1.0]])
-        assert p.kind == "independent" and p.bins == SlotLayout((1, 1))
+        assert p.kind == "independent" and p.bins.group_sizes.tolist() == [1, 1]
         assert (p.coin_ptr.tolist(), p.coin_bins.tolist()) == ([0, 1, 2], [0, 1])
         assert p.coin_probs.tolist() == [0.5, 1.0]
         assert np.array_equal(dense_probs(p), [[0.5, 0.0], [0.0, 1.0]])
@@ -367,9 +421,10 @@ class TestProbabilityModel:
         model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])
         assert model.candidates == 2
         assert model.slots == 2
-        assert model.bins == SlotLayout((1, 1))
+        assert model.bins.group_sizes.tolist() == [1, 1]
         marginals = model.marginal_matrix()
-        assert (marginals.kind, marginals.bins) == ("independent", model.bins)
+        assert marginals.kind == "independent"
+        assert np.array_equal(marginals.bins.group_sizes, model.bins.group_sizes)
         assert coin_view(marginals) == coin_view(model)
 
     def test_group_marginal_expansion(self):
@@ -479,7 +534,7 @@ class TestSampleSet:
     def test_an_independent_model_draws_its_entries(self):
         # Each coin is one stored entry; its bin is its slot, of one slot.
         model = ProbabilityModel.from_dense([[0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
-        assert model.bins == SlotLayout((1, 1, 1))
+        assert model.bins.group_sizes.tolist() == [1, 1, 1]
         assert (model.coin_ptr.tolist(), model.coin_bins.tolist()) == ([0, 2, 2, 4], [0, 2, 0, 1])
         ss = SampleSet(model, np.array([[1, 1, 0, 1], [0, 1, 0, 0]], dtype=bool), 0)
         assert [sorted(edge_set(m)) for m in ss.samples] == [

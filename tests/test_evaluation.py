@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_masks, random_relevance, random_sampleset, relevance_matrix
+from conftest import draw_masks, examples, random_relevance, random_sampleset, relevance_matrix
 import matchrank.evaluation as evaluation
 from matchrank.core import (
     ContractError,
@@ -291,7 +291,7 @@ class TestLockstep:
     # No slots: target 0, on both methods.
     @example([0, 0, 0], 0, 0, 4, "pair")
     @example([0] * (MAX_CUT_FORM_GROUPS + 2), 0, 0, 4, "one")
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_equals_per_draw_oracle(self, sizes, seed, lo, count, budget):
         """`sizes` None: an independent model of up to 5 slots; an int: one of
         that many slots; a list: a group model of those slot counts (more
