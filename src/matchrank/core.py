@@ -79,6 +79,19 @@ def _as_int_array(values, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
+def _owned(arr: np.ndarray, given=None) -> np.ndarray:
+    """`arr` as an array its object owns, read-only.  `given` is the
+    constructor argument `arr` was converted from: where `arr` may still be
+    memory that another holder can write to (`given` itself, or a view),
+    it is copied.  A read-only array is taken as handed over, so library
+    code that builds an array for an object freezes it first with
+    ``_owned(arr)``, and the object keeps it without a copy."""
+    if given is not None and arr.flags.writeable and (arr is given or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_count(value, name: str) -> int:
     """`value` as a Python int: an integer, never a bool or a float, so no
     value is truncated.  NumPy integer scalars are integers too."""
@@ -170,14 +183,13 @@ class SlotLayout:
             raise InputError(f"slot counts must lie in [0, {_ID_LIMIT})")
         if sizes.sum() >= _ID_LIMIT:
             raise InputError(f"a layout holds fewer than {_ID_LIMIT} slots (ids are int32)")
-        sizes.setflags(write=False)
-        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "group_sizes", _owned(sizes, counts))
 
     @classmethod
     def uniform(cls, groups: int, slots_per_group: int) -> "SlotLayout":
         if groups < 1:
             raise InputError("layout needs at least one group")
-        return cls(np.full(groups, slots_per_group))  # a float or bool count is refused
+        return cls(_owned(np.full(groups, slots_per_group)))  # a float or bool count is refused
 
     @property
     def group_count(self) -> int:
@@ -227,18 +239,12 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions, in `indptr`'s dtype, of the entries of CSR `rows` (repeats
     allowed): ``entries[_row_positions(indptr, rows)]`` is ``np.concatenate(
     [entries[indptr[r]:indptr[r+1]] for r in rows])`` without the loop."""
-    lens = indptr[rows + 1] - indptr[rows]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=indptr.dtype)
-    keep = lens > 0
-    r, lens = rows[keep], lens[keep]
-    first = indptr[r]
-    steps = np.ones(total, dtype=indptr.dtype)
-    steps[0] = first[0]
-    bounds = np.cumsum(lens)[:-1]
-    steps[bounds] = first[1:] - (first[:-1] + lens[:-1] - 1)
-    return np.cumsum(steps, out=steps)
+    first = indptr[rows]
+    lens = indptr[rows + 1] - first
+    ends = np.cumsum(lens, dtype=indptr.dtype)
+    total = int(ends[-1]) if ends.size else 0
+    # Output i of row k is first[k] + i - (ends[k] - lens[k]).
+    return np.arange(total, dtype=indptr.dtype) + np.repeat(first + lens - ends, lens)
 
 
 def _coin_slots(model: "ProbabilityModel", won: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +257,7 @@ def _coin_slots(model: "ProbabilityModel", won: np.ndarray) -> tuple[np.ndarray,
     # Row a ends after the slots of the won coins before a's last coin.
     indptr = ends[np.searchsorted(won, model.coin_ptr)]
     # A candidate's bins ascend, so its slot ids do too.
-    return indptr, bins.slots_of(won_bins)
+    return _owned(indptr), _owned(bins.slots_of(won_bins))
 
 
 def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
@@ -264,7 +270,7 @@ def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarra
     """The independent model of per-(candidate, slot) probabilities of
     `model`'s coins where `keep` (bool, one per coin) is set: each coin's
     entry of `values` on every slot of its bin."""
-    spread = np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]])
+    spread = _owned(np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]]))
     # independent() validates the CSR, once.
     return ProbabilityModel.independent(model.slots, *_coin_slots(model, keep), spread)
 
@@ -325,11 +331,11 @@ class RelevanceMatrix:
     indices: np.ndarray  # int32, slot ids
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", _as_int_array(self.indptr, np.int64, "indptr"))
-        object.__setattr__(self, "indices", _as_int_array(self.indices, np.int32, "indices"))
-        _validate_csr(self.candidates, self.slots, self.indptr, self.indices)
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+        indptr = _as_int_array(self.indptr, np.int64, "indptr")
+        indices = _as_int_array(self.indices, np.int32, "indices")
+        _validate_csr(self.candidates, self.slots, indptr, indices)
+        object.__setattr__(self, "indptr", _owned(indptr, self.indptr))
+        object.__setattr__(self, "indices", _owned(indices, self.indices))
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -390,8 +396,7 @@ class ProbabilityModel:
             if (lens := ptr[1:] - ptr[:-1]).size and lens.min() != lens.max():
                 raise InputError("every candidate of a group model needs the same number of groups")
         for name, values in (("coin_ptr", ptr), ("coin_bins", coin_bins), ("coin_probs", probs)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _owned(values, getattr(self, name)))
 
     @classmethod
     def independent(cls, slots: int, coin_ptr, coin_bins, coin_probs) -> "ProbabilityModel":
@@ -403,7 +408,8 @@ class ProbabilityModel:
         if not 0 <= slots < _ID_LIMIT:
             raise InputError(f"slots must lie in [0, {_ID_LIMIT})")
         _require_memory(8 * slots, f"{slots} one-slot bins")  # an int64 count each
-        return cls(KIND_INDEPENDENT, SlotLayout(np.ones(slots, np.int64)), coin_ptr, coin_bins, coin_probs)
+        bins = SlotLayout(_owned(np.ones(slots, np.int64)))
+        return cls(KIND_INDEPENDENT, bins, coin_ptr, coin_bins, coin_probs)
 
     @classmethod
     def from_dense(cls, dense) -> "ProbabilityModel":
@@ -420,7 +426,7 @@ class ProbabilityModel:
         c, s = arr.shape
         indptr = np.zeros(c + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
-        return cls.independent(s, indptr, cols.astype(np.int32), arr[rows, cols])
+        return cls.independent(s, *map(_owned, (indptr, cols.astype(np.int32), arr[rows, cols])))
 
     @classmethod
     def from_triplets(
@@ -470,7 +476,7 @@ class ProbabilityModel:
         np.cumsum(np.bincount(rows, minlength=candidates), out=indptr[1:])
         cols = np.array([e[1] for e in kept], dtype=np.int32)
         vals = np.array([e[2] for e in kept], dtype=np.float64)
-        return cls.independent(slots, indptr, cols, vals)
+        return cls.independent(slots, *map(_owned, (indptr, cols, vals)))
 
     @classmethod
     def group_structured(
@@ -486,8 +492,10 @@ class ProbabilityModel:
         if gp.shape != mem.shape:
             raise InputError("membership and group_prob must share shape (candidates, memberships)")
         c, k = mem.shape
-        ptr = np.arange(0, c * k + 1, k, dtype=np.int64)
-        return cls(KIND_GROUP, layout, ptr, mem.ravel(), gp.ravel())
+        ptr = _owned(np.arange(0, c * k + 1, k, dtype=np.int64))
+        # Owned before the flat views are taken, which the model then keeps.
+        mem, gp = _owned(mem, membership).ravel(), _owned(gp, group_prob).ravel()
+        return cls(KIND_GROUP, layout, ptr, mem, gp)
 
     @property
     def candidates(self) -> int:
@@ -526,8 +534,7 @@ class SampleSet:
             raise InputError("coins must be n x coins booleans of the model")
         if len(coins) < 1:
             raise InputError("a sample set needs at least one sample")
-        coins.setflags(write=False)
-        object.__setattr__(self, "coins", coins)
+        object.__setattr__(self, "coins", _owned(coins, self.coins))
 
     def sample(self, i: int) -> RelevanceMatrix:
         """Sample i's slot-level matrix, expanded afresh on every call."""
@@ -571,7 +578,7 @@ class Ranking:
             raise InputError("candidate ids must be non-negative")
         if np.unique(order).size != order.size:
             raise InputError("order must not repeat a candidate")
-        order.setflags(write=False)
+        order = _owned(order, self.order)
         object.__setattr__(self, "order", order)
         if self.prefix_gain is not None:
             pg = tuple(int(v) for v in self.prefix_gain)

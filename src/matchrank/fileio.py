@@ -27,6 +27,7 @@ from .core import (
     SlotLayout,
     _ID_LIMIT,
     _as_count,
+    _owned,
     _require_memory,
 )
 from .evaluation import EvalReport
@@ -246,7 +247,7 @@ def ingest_model(
         base = indices.astype(np.int64) * k
         indices = (base[:, None] + np.arange(k)[None, :]).ravel().astype(np.int32)
         vals = np.repeat(vals, k)
-    return ProbabilityModel.independent(slots, indptr, indices, vals)
+    return ProbabilityModel.independent(slots, *map(_owned, (indptr, indices, vals)))
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +292,7 @@ def read_model(path: str | Path) -> tuple[ProbabilityModel, dict]:
             model = ProbabilityModel.group_structured(
                 SlotLayout(obj["slots_per_group"]),
                 np.array(obj["membership"]),
-                np.array(obj["group_prob"], dtype=np.float64),
+                _owned(np.array(obj["group_prob"], dtype=np.float64)),
             )
         elif obj["kind"] == "independent":
             model = ProbabilityModel.from_triplets(obj["candidates"], obj["slots"], obj["entries"])

@@ -62,6 +62,7 @@ from .core import (
     SampleSet,
     _as_count,
     _coin_masks,
+    _owned,
     _require_memory,
     _row_positions,
     _spread_coins,
@@ -197,7 +198,7 @@ def _greedy(engine, tie_key: np.ndarray, limit: int, stats: RankerStats) -> Rank
         prefix.append(total)
     stats.rounds += len(order)
     stats.moved_samples += engine.moved
-    return Ranking(np.array(order, dtype=np.int32), tuple(prefix))
+    return Ranking(_owned(np.array(order, dtype=np.int32)), tuple(prefix))
 
 
 class _Cut:
@@ -212,7 +213,9 @@ class _Cut:
     recomputes U* only where it raised the matching (a zero-gain addition
     leaves U* a minimizer, and still the maximal one), and the gains of all
     candidates are updated in one vectorized pass over the samples whose U*
-    moved.  `cap` holds the slot count of every class subset, indexed by its
+    moved.  The cut values of every sample take a commit in place, in one
+    pass: a sample where the candidate's mask is 0 adds 0 to each.  `cap`
+    holds the slot count of every class subset, indexed by its
     bit mask, and `masks` per sample and candidate the bit mask of the
     classes the candidate is relevant to (uint16, n x candidates).
 
@@ -256,8 +259,8 @@ class _Cut:
         raised = np.flatnonzero(mask & ~ustar)
         if raised.size != gain:
             raise ContractError(f"gain of candidate {a} out of step with its commit")
-        touched = np.flatnonzero(mask)
-        self.cut[touched] += self.counts_in[mask[touched]]
+        # Mask 0 counts in no column, so a sample a misses adds 0.
+        np.add(self.cut, self.counts_in[mask], out=self.cut)
         top = (self.full ^ np.argmin(self.cut[raised], axis=1)).astype(np.uint16)
         moved = top != ustar[raised]
         rows, new = raised[moved], top[moved]
@@ -331,9 +334,13 @@ class _Batched:
 
     The search marks (``_via``) hold ``_OUT`` on every bin outside
     ``reach``, kept so by :meth:`_research`, so a level tests one mark per
-    bin it meets.  When no bin has two positions (``one_place``: every
-    independent set), a full bin's candidate sits at its first position.
-    Every id and pointer array is int32 when the union's sizes fit.
+    bin it meets, and ``free``, the bins with room, kept so by
+    :meth:`_flip`, so it tests room with one read per bin.  When no bin has
+    two positions (``one_place``: every independent set), a full bin's
+    candidate sits at its first position.  The backward search keeps each
+    bin of a level once by a scratch mark (``_tag``) where the last write
+    wins, as the forward search picks one end bin per sample.  Every id and
+    pointer array is int32 when the union's sizes fit.
     """
 
     kernel = "batched"
@@ -344,12 +351,13 @@ class _Batched:
         b = cap.size
         itype = np.int32 if max(n * c, n * b, edges) < 2**31 else np.int64
         narrow = np.min_scalar_type(max(b - 1, 0))
-        # Four arrays per edge, two per candidate-copy, seven per bin-copy,
-        # and the hits: refused before any is allocated.
+        # Four arrays per edge, two per candidate-copy, eight per bin-copy,
+        # the hits and two bitmaps per bin-copy: refused before any is
+        # allocated.
         hits_type = np.min_scalar_type(b)
         _require_memory(
-            np.dtype(itype).itemsize * (4 * edges + 2 * n * c + 7 * n * b)
-            + hits_type.itemsize * n * c,
+            np.dtype(itype).itemsize * (4 * edges + 2 * n * c + 8 * n * b)
+            + hits_type.itemsize * n * c + 2 * n * b,
             f"the arrays of a batched union of {n} samples ({edges} edges)",
         )
         owner = np.repeat(np.arange(c, dtype=itype), np.diff(model.coin_ptr))
@@ -392,23 +400,32 @@ class _Batched:
         self.pos_cand = np.full(self.pos_bin.size, -1, dtype=itype)
         self.cand_pos = np.full(n * c, -1, dtype=itype)
         self.load = np.zeros(n * b, dtype=itype)
+        # The bin-copies with room, kept by :meth:`_flip`.
+        self.free = self.load < self.cap
         # No candidate is matched yet, so no full bin reaches one with room:
         # the backward search would add nothing, so it is not run.
-        self.reach = self.load < self.cap
+        self.reach = self.free.copy()
         self._gains = np.count_nonzero(self.hits.reshape(n, c), axis=0)
         # Forward-search marks, per bin-copy: outside ``reach``, unseen, a
         # start bin, or the position whose candidate enters the bin along
         # the path.
         self._via = np.where(self.reach, _UNSEEN, _OUT).astype(itype)
+        # Backward-search marks, per bin-copy: where a bin was last written.
+        self._tag = np.empty(n * b, dtype=itype)
         self.moved = 0
 
     def _backward(self, reach: np.ndarray, frontier: np.ndarray):
         """Grow `reach` in place by every bin whose candidate can move into
         a bin of `frontier`, and on from those."""
+        tag = self._tag
         while frontier.size:
             pos = self.cand_pos[self.bin_cands[_row_positions(self.bin_ptr, frontier)]]
             fresh = self.pos_bin[pos[pos >= 0]]
-            frontier = np.unique(fresh[~reach[fresh]])
+            fresh = fresh[~reach[fresh]]
+            # Each bin once: the entry whose write of its mark lands.
+            at = np.arange(fresh.size, dtype=tag.dtype)
+            tag[fresh] = at
+            frontier = fresh[tag[fresh] == at]
             reach[frontier] = True
 
     def gains(self) -> np.ndarray:
@@ -436,9 +453,9 @@ class _Batched:
             )
         # The reach set of a sample moved iff none of a's row reaches room
         # now: searched for only where no start bin still has room.
-        b, load, cap = self.b, self.load, self.cap
+        b = self.b
         roomy = np.zeros(self.n, dtype=bool)
-        roomy[start[load[start] < cap[start]] // b] = True
+        roomy[start[self.free[start]] // b] = True
         start = start[~roomy[start // b]]
         if not start.size:
             return
@@ -452,7 +469,7 @@ class _Batched:
         of candidate `a`'s copies, all samples in step, up to the first bin
         with room in each.  Returns those bins and the samples where none is
         reached.  With `flip`, the path to each found bin is flipped."""
-        b, load, cap, via = self.b, self.load, self.cap, self._via
+        b, free, via = self.b, self.free, self._via
         via[start] = _START
         seen = [start]
         done = np.zeros(self.n, dtype=bool)
@@ -460,14 +477,16 @@ class _Batched:
         ends = []
         frontier = start
         while frontier.size:
-            room = frontier[load[frontier] < cap[frontier]]
-            if room.size:
+            owner = frontier // b
+            has_room = free[frontier]
+            if has_room.any():
                 # One bin with room per sample: whichever write lands.
-                pick[room // b] = room
-                room = room[pick[room // b] == room]
-                done[room // b] = True
-                ends.append(room)
-                frontier = frontier[~done[frontier // b]]
+                at, room = owner[has_room], frontier[has_room]
+                pick[at] = room
+                won = pick[at] == room
+                done[at[won]] = True
+                ends.append(room[won])
+                frontier = frontier[~done[owner]]
                 if not frontier.size:
                     break
             # Every bin left is full: its candidates may move on.
@@ -500,6 +519,7 @@ class _Batched:
         b, c, via = self.b, self.c, self._via
         into, pos = ends, self.pos_ptr[ends] + self.load[ends]
         self.load[ends] += 1
+        self.free[ends] = self.load[ends] < self.cap[ends]
         while into.size:
             leave = via[into]
             first = leave == _START
@@ -520,7 +540,7 @@ class _Batched:
         b, ptr, hits = self.b, self.bin_ptr, self.hits.reshape(self.n, self.c)
         bins = (rows[:, None] * b + np.arange(b)).ravel()
         was = self.reach[bins]
-        self.reach[bins] = self.load[bins] < self.cap[bins]
+        self.reach[bins] = self.free[bins]
         self._backward(self.reach, bins[self.reach[bins]])
         now = self.reach[bins]
         self._via[bins] = np.where(now, _UNSEEN, _OUT)
@@ -591,34 +611,36 @@ def score_ranking(marginals: ProbabilityModel, rule: str) -> Ranking:
     scores = baseline_scores(marginals, rule)
     tie = scores if rule == "ntr" else baseline_scores(marginals, "ntr")
     order = np.lexsort((np.arange(marginals.candidates), -tie, -scores))
-    return Ranking(order.astype(np.int32))
+    return Ranking(_owned(order.astype(np.int32)))
 
 
 def random_ranking(candidates: int, seed: int) -> Ranking:
     """Uniform random permutation from the ranker's dedicated sub-stream."""
     rng = substream(seed, PURPOSE_RANKER)
-    return Ranking(rng.permutation(candidates).astype(np.int32))
+    return Ranking(_owned(rng.permutation(candidates).astype(np.int32)))
 
 
 #: Most bins (groups of a group model, slots of an independent one) of a sample
 #: set that :func:`rank` hands to the cut kernel (work 2**bins); others go to
-#: the batched kernel.  Seconds per rank, cut/batched, kernel and greedy loop
-#: alone, on C candidates x G groups of k slots (n=200, best of 3, so without
-#: the first build of the mask table, mean of two model seeds, 2-core host):
+#: the batched kernel.  Seconds per rank, cut/batched, engine build and greedy
+#: loop alone (no tie key), on C candidates x G groups of k slots (n=200, best
+#: of 3-5 in each of four runs, so without the first build of the mask table,
+#: mean of two model seeds, busy 2-core host):
 #:
 #:     C x k       G=8          10           11           12           13
-#:     500 x 10    0.007/0.050  0.013/0.063  0.024/0.072  0.064/0.078  0.147/0.084
-#:     500 x 2                  0.005/0.026  0.007/0.028  0.018/0.030
-#:     2000 x 5                 0.010/0.060  0.015/0.065  0.037/0.071
-#:     2000 x 20                0.026/0.120  0.045/0.131  0.121/0.148
-#:     10000 x 50               0.087/0.374  0.141/0.422  0.328/0.464
-#: The cut kernel wins through 11 groups at every shape, by 2.9-7x.  At 12 it
-#: still wins by 1.2-1.9x before the first build of its 16 MiB mask table
-#: (0.012 s), too slim a margin for the limit; from 13 the batched kernel
-#: wins.  Independent sets rank faster on the cut kernel too (n=200, best
-#: of 3): two-block 1,000 x 10 slots 0.004/0.035 and x 11 0.006/0.038; at
-#: density 0.3, 200 x 8 0.001/0.008, 200 x 11 0.003/0.010, 5,000 x 10
-#: 0.014/0.046, 5,000 x 11 0.017/0.046.
+#:     500 x 10    0.008/0.057  0.014/0.073  0.024/0.081  0.049/0.088  0.121/0.094
+#:     500 x 2                  0.005/0.030  0.007/0.032  0.014/0.034
+#:     2000 x 5                 0.012/0.072  0.016/0.078  0.031/0.085
+#:     2000 x 20                0.029/0.141  0.046/0.158  0.102/0.174
+#:     10000 x 50               0.104/0.471  0.149/0.533  0.280/0.578
+#: The cut kernel wins through 11 groups at every shape, by 3.4-7x.  At 12 it
+#: wins by 1.7-2.7x before the first build of its 16 MiB mask table
+#: (0.007 s); from 13 the batched kernel wins.  The limit stays at 11, where
+#: every model's ``RankerStats.kernel`` has been.  Independent sets rank
+#: faster on the cut kernel too (n=200, same runs): two-block 1,000 x 10
+#: slots 0.005/0.044 and x 11 0.006/0.047; at density 0.3, 200 x 8
+#: 0.001/0.009, 200 x 11 0.003/0.012, 5,000 x 10 0.018/0.063, 5,000 x 11
+#: 0.021/0.063.
 MAX_CUT_KERNEL_GROUPS = 11
 
 

@@ -31,6 +31,7 @@ from .core import (
     SlotLayout,
     _as_count,
     _coin_rows,
+    _owned,
     _require_memory,
     substream,
 )
@@ -106,7 +107,7 @@ def build_synthetic_model(params: SynthParams) -> ProbabilityModel:
     means = params.p_base + params.group_slope * (membership + 1)
     group_prob = np.clip(means + noise, *params.clip_range)
     layout = SlotLayout.uniform(g, params.slots_per_group)
-    return ProbabilityModel.group_structured(layout, membership, group_prob)
+    return ProbabilityModel.group_structured(layout, _owned(membership), _owned(group_prob))
 
 
 def draw_relevance(model: ProbabilityModel, rng: np.random.Generator) -> RelevanceMatrix:
@@ -142,7 +143,7 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
     coins = np.empty((n, size), dtype=bool)
     for i, won in enumerate(coins):
         won[:] = _draw_coins(model, substream(seed, PURPOSE_SAMPLE, i))
-    return SampleSet(model, coins, seed)
+    return SampleSet(model, _owned(coins), seed)
 
 
 def two_block_model(

@@ -135,6 +135,25 @@ class TestSlotLayout:
         with pytest.raises(InputError):
             SlotLayout(counts)
 
+    def test_caller_keeps_its_counts(self):
+        counts = np.array([2, 1])
+        lay = SlotLayout(counts)
+        counts[0] = 3  # neither refused nor seen by the layout
+        assert lay.group_sizes.tolist() == [2, 1] and not lay.group_sizes.flags.writeable
+
+    def test_one_slot_bins_are_handed_over_without_a_copy(self):
+        # The library builds an independent model's counts itself and hands
+        # them over read-only: one int64 count a slot at the peak, not two.
+        slots = 1_000_000
+        tracemalloc.start()
+        try:
+            model = ProbabilityModel.independent(slots, [0, 0], [], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * slots <= peak < 8 * slots + 64 * 1024
+        assert model.bins.group_sizes.base is None
+
     def test_layouts_compare_by_identity(self):
         lay = SlotLayout((1, 2))
         assert lay == lay and lay != SlotLayout((1, 2))
@@ -160,6 +179,40 @@ class TestSlotLayout:
         assert model.slots == slots and model.bins.slots_of(np.array([5, 2])).tolist() == [5, 2]
 
 
+class TestRowPositions:
+    @given(
+        st.lists(st.integers(0, 4), max_size=8),
+        st.lists(st.integers(0, 7), max_size=12),
+        st.sampled_from([np.int32, np.int64]),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    @settings(max_examples=examples(200), deadline=None)
+    def test_matches_row_concatenation(self, lens, picks, ptype, rtype):
+        # Empty rows, repeated rows, no row at all, and a CSR of no rows.
+        p = np.zeros(len(lens) + 1, dtype=ptype)
+        np.cumsum(lens, out=p[1:])
+        entries = np.arange(100, 100 + int(p[-1]))
+        rows = np.array([r % len(lens) for r in picks] if lens else [], dtype=rtype)
+        naive = np.concatenate([entries[p[r] : p[r + 1]] for r in rows] + [entries[:0]])
+        got = core._row_positions(p, rows)
+        assert got.dtype == p.dtype
+        assert np.array_equal(entries[got], naive)
+
+
+class TestOwnedArrays:
+    def test_a_read_only_array_is_kept_as_handed_over(self):
+        frozen = np.arange(3)
+        frozen.setflags(write=False)
+        assert core._owned(frozen, frozen) is frozen
+        assert core._owned(np.arange(3)).base is None  # built for the object
+
+    @pytest.mark.parametrize("view", [lambda a: a, lambda a: a[:], lambda a: memoryview(a)])
+    def test_memory_another_holder_may_write_is_copied(self, view):
+        given = view(np.arange(3))
+        owned = core._owned(np.asarray(given), given)
+        assert not np.shares_memory(owned, np.asarray(given)) and not owned.flags.writeable
+
+
 class TestRelevanceMatrix:
     def test_rows_and_edges(self):
         m = RelevanceMatrix(3, 4, [0, 2, 2, 3], [0, 3, 1])
@@ -182,6 +235,12 @@ class TestRelevanceMatrix:
         m = RelevanceMatrix(2, 2, [0, 1, 1], [0])
         with pytest.raises(ValueError):
             m.indices[0] = 1
+
+    def test_caller_keeps_its_arrays(self):
+        indptr, indices = np.array([0, 1, 2]), np.array([0, 1], dtype=np.int32)
+        m = RelevanceMatrix(2, 2, indptr, indices)
+        indptr[1], indices[0] = 0, 1
+        assert (m.indptr.tolist(), m.indices.tolist()) == ([0, 1, 2], [0, 1])
 
 
 class TestIndependentModel:
@@ -396,6 +455,18 @@ class TestPhysicalMemory:
 
 
 class TestProbabilityModel:
+    def test_caller_keeps_its_arrays(self):
+        ptr, bins, probs = np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32), np.array([0.5, 1.0])
+        indep = ProbabilityModel.independent(2, ptr, bins, probs)
+        # Flat views of the caller's 2-D arrays are the caller's too.
+        membership, group_prob = np.array([[0], [1]], dtype=np.int32), np.full((2, 1), 0.5)
+        group = ProbabilityModel.group_structured(SlotLayout((1, 1)), membership, group_prob)
+        ptr[1], bins[0], probs[0], membership[0, 0], group_prob[0, 0] = 2, 0, 0.25, 1, 0.75
+        assert (indep.coin_ptr.tolist(), indep.coin_bins.tolist()) == ([0, 1, 2], [1, 0])
+        assert indep.coin_probs.tolist() == [0.5, 1.0]
+        assert (group.coin_bins.tolist(), group.coin_probs.tolist()) == ([0, 1], [0.5, 0.5])
+        assert not any(a.flags.writeable for a in (indep.coin_ptr, group.coin_bins, group.coin_probs))
+
     @pytest.mark.parametrize(
         "membership",
         [[[0, 1], [0, 3], [1, 2]], [[0, 1], [2, 0], [1, 2]], [[0, 1], [1, 1], [1, 2]],
@@ -531,6 +602,12 @@ class TestSampleSet:
         assert edge_set(ss.sample(1)) == self.EDGES[1]
         assert ss.sample(1) is not ss.sample(1)
 
+    def test_caller_keeps_its_coins(self):
+        coins = np.array(self.COINS, dtype=bool)
+        ss = SampleSet(self.model(), coins, seed=0)
+        coins[1] = True
+        assert ss.coins.tolist() == np.array(self.COINS, dtype=bool).tolist()
+
     def test_an_independent_model_draws_its_entries(self):
         # Each coin is one stored entry; its bin is its slot, of one slot.
         model = ProbabilityModel.from_dense([[0.5, 0.0, 1.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
@@ -577,6 +654,12 @@ class TestNarrowingCasts:
 
 
 class TestRanking:
+    def test_caller_keeps_its_order(self):
+        order = np.array([2, 0, 1], dtype=np.int32)
+        r = Ranking(order)
+        order[0] = 5
+        assert r.order.tolist() == [2, 0, 1] and not r.order.flags.writeable
+
     def test_valid(self):
         r = Ranking(np.array([2, 0, 1]), prefix_gain=(1, 3, 3))
         assert len(r) == 3

@@ -66,7 +66,7 @@ class TestDisjointUnion:
     slots shifted to the columns [j * slots, (j + 1) * slots)."""
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_each_draw_matches_alone(self, seed):
         rng = np.random.default_rng(seed)
         s, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -376,7 +376,7 @@ class TestSearchMarks:
 
 class TestProperties:
     @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_gain_is_binary_and_size_monotone(self, seed):
         rng = np.random.default_rng(seed)
         c, s = int(rng.integers(1, 9)), int(rng.integers(1, 6))
@@ -390,7 +390,7 @@ class TestProperties:
             prev = st_.size
 
     @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_marginal_gains_diminish_along_any_chain(self, seed):
         # Submodularity of pool -> max matching size: the gain of a fixed
         # candidate never increases as the pool grows along a chain.

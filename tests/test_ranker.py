@@ -68,6 +68,16 @@ from oracles import (
 )
 
 
+def cut_values(cap: np.ndarray, pool_masks: np.ndarray) -> np.ndarray:
+    """Each sample's cut value cap(U) + #{pool masks not within U} for every
+    class subset U, in reversed subset order (column i is U = full ^ i), as
+    ``_Cut.cut`` keeps them: `pool_masks` is samples x pool."""
+    full = cap.size - 1
+    u = full ^ np.arange(cap.size)
+    outside = (pool_masks[:, :, None] & ~u & full) != 0
+    return cap[u] + np.count_nonzero(outside, axis=1)
+
+
 def total_marginal_gain(states: list[MatchState], a: int, samples: SampleSet) -> int:
     """Summed 0/1 matching gain of adding candidate `a` across all states.
 
@@ -194,7 +204,7 @@ def test_greedy_hits_constant_factor_of_best_subset(seed):
 
 
 @given(st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_greedy_increments_never_increase(seed):
     rng = np.random.default_rng(seed)
     c, s, n = int(rng.integers(2, 10)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
@@ -223,7 +233,7 @@ class TestEmpiricalMarginals:
         assert np.array_equal(dense, want)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_bytes_equal_dense_counts(self, seed, groups, grouped):
         # The tie key of every greedy kernel is built from these bytes.
         rng = np.random.default_rng(seed)
@@ -241,7 +251,7 @@ class TestEmpiricalMarginals:
 
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.booleans(), st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_coins_count_as_their_rows(self, seed, bins, grouped, blank):
         # Group sets with zero-slot groups, and independent sets of up to
         # 16 slots (none included) with empty rows and sure entries; `blank`
@@ -507,6 +517,35 @@ class TestCutKernel:
         stop_at = int(rng.integers(1, c + 1)) if seed % 3 == 0 else None
         assert_both_kernels_match_oracles(ss, stop_at)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=examples(80), deadline=None)
+    def test_cut_values_equal_a_recompute_after_every_commit(self, seed, groups):
+        # Every candidate is committed, in random order, zero gains too: so
+        # commits whose mask is 0 in a sample, and ones that touch a sample
+        # without raising it.
+        rng = np.random.default_rng(seed)
+        ss = random_group_samples(rng, groups)
+        cap, masks = ss.model.bins.subset_slots, _coin_masks(ss.model, ss.coins)
+        engine = _Cut(cap, masks)
+        order = rng.permutation(ss.candidates)
+        for k, a in enumerate(order):
+            engine.commit(int(a), int(engine.gains()[a]))
+            assert np.array_equal(engine.cut, cut_values(cap, masks[:, order[: k + 1]]))
+
+    def test_cut_values_count_commits_that_raise_nothing(self):
+        # One sample, two groups of one slot.  After candidate 0 (group 0),
+        # U* is group 0: candidate 1 (group 0 too) touches the sample but
+        # does not raise it, candidate 2 (no group) does not touch it, and
+        # candidate 3 (both groups) raises it.
+        cap = SlotLayout((1, 1)).subset_slots
+        masks = np.array([[1, 1, 0, 3]], dtype=np.uint16)
+        engine = _Cut(cap, masks)
+        for a, gain, ustar in ((0, 1, 1), (1, 0, 1), (2, 0, 1), (3, 1, 3)):
+            assert engine.gains()[a] == gain
+            engine.commit(a, gain)
+            assert engine.ustar.tolist() == [ustar]
+            assert np.array_equal(engine.cut, cut_values(cap, masks[:, : a + 1]))
+
     def test_two_block_model_slots_are_singleton_classes(self):
         # Independent coins of as many slots as the limit: their bins are
         # the slots, so rank() takes the cut kernel, and the batched kernel
@@ -700,12 +739,12 @@ class TestBatchedKernel:
 
     def test_union_beyond_memory_is_refused_before_it_is_built(self, monkeypatch):
         # 20 samples of 200 candidates into 14 bins, int32: four words per
-        # edge, two per candidate-copy, seven per bin-copy, and a uint8 hit
-        # count per candidate-copy.
+        # edge, two per candidate-copy, eight per bin-copy, a uint8 hit
+        # count per candidate-copy and two bitmaps per bin-copy.
         rng = np.random.default_rng(11)
         ss = sample_set(random_relevance(rng, 200, 14, 0.05) for _ in range(20))
         edges = int(np.count_nonzero(ss.coins))
-        need = 4 * (4 * edges + 2 * 20 * 200 + 7 * 20 * 14) + 20 * 200
+        need = 4 * (4 * edges + 2 * 20 * 200 + 8 * 20 * 14) + 20 * 200 + 2 * 20 * 14
         monkeypatch.setattr(core, "_physical_memory", lambda: need - 1)
         tracemalloc.start()
         try:
