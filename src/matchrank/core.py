@@ -232,19 +232,32 @@ class SlotLayout:
 
     @cached_property
     def _one_slot_each(self) -> bool:
-        return bool((self.group_sizes == 1).all())
+        sizes = self.group_sizes  # two passes, no temporary a slot
+        return bool(sizes.min(initial=1) == sizes.max(initial=1) == 1)
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions, in `indptr`'s dtype, of the entries of CSR `rows` (repeats
     allowed): ``entries[_row_positions(indptr, rows)]`` is ``np.concatenate(
     [entries[indptr[r]:indptr[r+1]] for r in rows])`` without the loop."""
+    return _row_spans(indptr, rows)[0]
+
+
+def _row_spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_row_positions` of `rows`, and the length of each row."""
     first = indptr[rows]
     lens = indptr[rows + 1] - first
     ends = np.cumsum(lens, dtype=indptr.dtype)
     total = int(ends[-1]) if ends.size else 0
     # Output i of row k is first[k] + i - (ends[k] - lens[k]).
-    return np.arange(total, dtype=indptr.dtype) + np.repeat(first + lens - ends, lens)
+    return np.arange(total, dtype=indptr.dtype) + np.repeat(first + lens - ends, lens), lens
+
+
+def _cut_dtype(candidates: int, slots: int) -> type:
+    """The integer type of the cut values of `candidates` over `slots`, in
+    [0, candidates + slots], and of the subset counts, in [0, candidates]:
+    int16 while their sum fits, else int32."""
+    return np.int16 if candidates + slots < 2**15 - 1 else np.int32
 
 
 def _coin_slots(model: "ProbabilityModel", won: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +285,8 @@ def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarra
     entry of `values` on every slot of its bin."""
     spread = _owned(np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]]))
     # independent() validates the CSR, once.
-    return ProbabilityModel.independent(model.slots, *_coin_slots(model, keep), spread)
+    csr = _coin_slots(model, keep)
+    return ProbabilityModel.independent(model.slots, *csr, spread, like=model.bins)
 
 
 def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
@@ -399,16 +413,23 @@ class ProbabilityModel:
             object.__setattr__(self, name, _owned(values, getattr(self, name)))
 
     @classmethod
-    def independent(cls, slots: int, coin_ptr, coin_bins, coin_probs) -> "ProbabilityModel":
+    def independent(
+        cls, slots: int, coin_ptr, coin_bins, coin_probs, like: SlotLayout | None = None
+    ) -> "ProbabilityModel":
         """One coin per stored (candidate, slot) entry, each in a one-slot
         bin: candidate a's entries are ``coin_ptr[a]:coin_ptr[a+1]``, on the
         slots ``coin_bins`` (ascending within a candidate), each won with
-        its ``coin_probs`` in (0, 1]."""
+        its ``coin_probs`` in (0, 1].  A layout is read-only, so the model
+        shares `like` (a source model's bins, say) when that is `slots`
+        one-slot bins already."""
         slots = _as_count(slots, "slots")
         if not 0 <= slots < _ID_LIMIT:
             raise InputError(f"slots must lie in [0, {_ID_LIMIT})")
-        _require_memory(8 * slots, f"{slots} one-slot bins")  # an int64 count each
-        bins = SlotLayout(_owned(np.ones(slots, np.int64)))
+        if like is not None and like.group_count == slots and like._one_slot_each:
+            bins = like
+        else:
+            _require_memory(8 * slots, f"{slots} one-slot bins")  # an int64 count each
+            bins = SlotLayout(_owned(np.ones(slots, np.int64)))
         return cls(KIND_INDEPENDENT, bins, coin_ptr, coin_bins, coin_probs)
 
     @classmethod

@@ -27,7 +27,11 @@ whole candidate set (unfillable draws stop there) and bisect (target, n].
   subset-sum (zeta) transform over the 2**G subsets (Björklund, Husfeldt,
   Kaski and Koivisto, "Fourier meets Möbius", STOC 2007) of the prefix
   masks' counts.  A probe is one bincount of every probed draw's prefix
-  masks, keyed by draw, and one transform over all of them;
+  masks, keyed subset-major (a mask's counts for the probed draws lie
+  side by side), and one transform over all of them, whose pass over bin g
+  adds runs of 2**g times the probed draws' counts at once.  The counts are
+  int16 while candidates + slots fits, else int32: the cut kernel's rule
+  (``core._cut_dtype``);
 * ``"bisection"``, for every other model: the block's slot-level draws
   (:func:`~matchrank.synthgen.draw_relevance`) are stacked as one disjoint
   union, rows in rank order and each draw's slots in its own columns, and a
@@ -61,6 +65,7 @@ from .core import (
     RelevanceMatrix,
     _as_count,
     _coin_masks,
+    _cut_dtype,
     _row_positions,
     substream,
 )
@@ -193,17 +198,24 @@ def _cut_sizes(cap: np.ndarray, masks: np.ndarray):
     candidate bin masks in rank order (draws x candidates)."""
     groups = cap.size.bit_length() - 1
     n, flat = masks.shape[1], masks.ravel()
+    ctype = _cut_dtype(n, int(cap[-1]))
+    cap = cap.astype(ctype)[:, None]
 
     def sizes(d: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # Key each prefix mask by its probed draw's place, so that one
-        # bincount counts the masks of every probed prefix.
-        keys = flat[_prefix_positions(d, k, n)] + (np.repeat(np.arange(d.size), k) << groups)
-        within = np.bincount(keys, minlength=d.size << groups).reshape(d.size, -1)
+        # Key each prefix mask as mask * d.size + its probed draw's place, so
+        # that one bincount counts every probed prefix, subset-major.
+        keys = flat[_prefix_positions(d, k, n)].astype(np.intp) * d.size
+        keys += np.repeat(np.arange(d.size), k)
+        within = np.bincount(keys, minlength=d.size << groups).astype(ctype)
         for g in range(groups):
-            # Add each subset without group g into the same subset with it.
-            pairs = within.reshape(d.size, -1, 2, 1 << g)
-            pairs[:, :, 1] += pairs[:, :, 0]
-        return (cap - within).min(axis=1) + k
+            # Add each subset without bin g into the same subset with it: one
+            # run of 2**g subsets of every draw's counts into the next.
+            pairs = within.reshape(-1, 2, d.size << g)
+            pairs[:, 1] += pairs[:, 0]
+        # The least cut of each draw, in two stages of about 2**(groups / 2)
+        # rows each: a reduction along the first axis pays for every row.
+        cut = (cap - within.reshape(-1, d.size)).reshape(1 << groups // 2, -1)
+        return cut.min(axis=0).reshape(-1, d.size).min(axis=0) + k
 
     return sizes
 
@@ -241,8 +253,8 @@ def _union_sizes(slots: int, block: list[tuple[np.ndarray, np.ndarray]]):
 
 #: Most bins (groups of a group model, slots of an independent one) of a model
 #: evaluated in the cut form (2**bins per draw and probe): 0.8 ms a draw on
-#: 10,000 candidates x 12 groups x 50 slots, 19 ms by bisection; 1.3 ms a draw
-#: on 5,000 candidates x 12 independent slots, 1.7 ms by bisection.
+#: 10,000 candidates x 12 groups x 50 slots, 19 ms by bisection; 0.3 ms a draw
+#: on 5,000 candidates x 12 independent slots (30% stored), 0.6 ms by bisection.
 #:
 #: The limit is a bin count, but past it the bin count alone does not say
 #: which probe wins: the cut form's cost grows with 2**bins, the bisection's
@@ -251,15 +263,16 @@ def _union_sizes(slots: int, block: list[tuple[np.ndarray, np.ndarray]]):
 #: model stores 30% of its entries, each a probability in [0.1, 0.9]:
 #:
 #:   candidates x bins x slots per bin      cut form   bisection
-#:   2,000 x 13 x 50                        0.023 s    0.298 s
-#:   2,000 x 14 x 50                        0.045 s    0.410 s
-#:   10,000 x 13 x 50                       0.031 s    0.352 s
-#:   2,000 x 16 x 20                        0.194 s    0.063 s
-#:   2,000 x 13 x 5                         0.024 s    0.014 s
-#:   2,000 x 16 independent slots, 30%      0.026 s    0.005 s
+#:   2,000 x 13 x 50                        0.010 s    0.443 s
+#:   2,000 x 14 x 50                        0.019 s    0.483 s
+#:   10,000 x 13 x 50                       0.021 s    0.416 s
+#:   2,000 x 16 x 20                        0.119 s    0.074 s
+#:   2,000 x 13 x 5                         0.009 s    0.018 s
+#:   2,000 x 16 independent slots, 30%      0.015 s    0.006 s
 #:
-#: So wide bins favour the cut form well past 12 and narrow ones the
-#: bisection; a limit that weighed bin width would have to be measured on
+#: So the cut form wins past 12 on wide bins and, at 13 groups, on bins of 5
+#: slots too, while 2**16 subsets lose to the bisection on bins of 20 slots
+#: or of one; a limit that weighed bin width would have to be measured on
 #: both sides before it replaced this one.
 MAX_CUT_FORM_GROUPS = 12
 

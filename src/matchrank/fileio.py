@@ -247,7 +247,8 @@ def ingest_model(
         base = indices.astype(np.int64) * k
         indices = (base[:, None] + np.arange(k)[None, :]).ravel().astype(np.int32)
         vals = np.repeat(vals, k)
-    return ProbabilityModel.independent(slots, *map(_owned, (indptr, indices, vals)))
+    coins = map(_owned, (indptr, indices, vals))
+    return ProbabilityModel.independent(slots, *coins, like=probs.bins)
 
 
 # --------------------------------------------------------------------------

@@ -62,9 +62,11 @@ from .core import (
     SampleSet,
     _as_count,
     _coin_masks,
+    _cut_dtype,
     _owned,
     _require_memory,
     _row_positions,
+    _row_spans,
     _spread_coins,
     substream,
 )
@@ -224,7 +226,7 @@ class _Cut:
     counts in it iff m & i, which :func:`_counts_in` tabulates.  U* contains every other minimizer, so as an integer it is
     the largest one, and it sits in the first minimal column, which is
     where ``np.argmin`` stops.  A cut value is at most candidates + slots,
-    so it is int16 when that fits.
+    so it is int16 when that fits (:func:`~matchrank.core._cut_dtype`).
     """
 
     kernel = "cut"
@@ -232,7 +234,7 @@ class _Cut:
     def __init__(self, cap: np.ndarray, masks: np.ndarray):
         n, c = masks.shape
         self.full = cap.size - 1
-        ctype = np.int16 if c + int(cap[self.full]) < 2**15 - 1 else np.int32
+        ctype = _cut_dtype(c, int(cap[self.full]))
         # The cut values and the table of which columns a mask counts in,
         # refused before either is allocated.
         _require_memory(
@@ -494,9 +496,9 @@ class _Batched:
                 pos = self.pos_ptr[frontier]
             else:
                 pos = _row_positions(self.pos_ptr, frontier)
-            cands = self.pos_cand[pos]
-            dst = self.cand_bins[_row_positions(self.cand_ptr, cands)]
-            pos = np.repeat(pos, self.cand_ptr[cands + 1] - self.cand_ptr[cands])
+            at, lens = _row_spans(self.cand_ptr, self.pos_cand[pos])
+            dst = self.cand_bins[at]
+            pos = np.repeat(pos, lens)
             fresh = via[dst] == _UNSEEN
             dst, pos = dst[fresh], pos[fresh]
             via[dst] = pos

@@ -197,6 +197,8 @@ class TestRowPositions:
         got = core._row_positions(p, rows)
         assert got.dtype == p.dtype
         assert np.array_equal(entries[got], naive)
+        spans, lens = core._row_spans(p, rows)
+        assert np.array_equal(spans, got) and lens.tolist() == [p[r + 1] - p[r] for r in rows]
 
 
 class TestOwnedArrays:
@@ -487,6 +489,30 @@ class TestProbabilityModel:
         assert model.coin_ptr.tolist() == [0, 2, 4]
         assert model.coin_bins.tolist() == [0, 1, 0, 2]
         assert model.coin_probs.tolist() == [0.5, 0.25, 0.4, 0.8]
+
+    def test_a_derived_model_shares_its_sources_one_slot_bins(self):
+        # A layout is read-only: an independent model made from one of one-
+        # slot bins keeps its source's, and one from wider bins gets its own.
+        model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])
+        assert model.marginal_matrix().bins is model.bins
+        wide = ProbabilityModel.group_structured(SlotLayout((2, 1)), [[0], [1]], [[0.5], [0.4]])
+        spread = wide.marginal_matrix()
+        assert spread.bins is not wide.bins and spread.bins.group_sizes.tolist() == [1, 1, 1]
+        # A layout of one-slot bins but of another slot count is not shared.
+        other = ProbabilityModel.independent(3, [0, 0], [], [], like=model.bins)
+        assert other.bins.group_count == 3
+
+    def test_marginals_of_one_slot_bins_allocate_no_second_layout(self):
+        slots = 1_000_000
+        model = ProbabilityModel.independent(slots, [0, 1], [7], [0.5])
+        tracemalloc.start()
+        try:
+            marginals = model.marginal_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slots  # under a byte a slot: no int64 count each
+        assert coin_view(marginals) == coin_view(model)
 
     def test_independent_marginals_identity(self):
         model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])

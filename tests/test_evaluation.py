@@ -18,6 +18,7 @@ from matchrank.core import (
     Ranking,
     SampleSet,
     SlotLayout,
+    _cut_dtype,
     substream,
 )
 from matchrank.evaluation import (
@@ -33,7 +34,7 @@ from matchrank.evaluation import (
     misspecification_run,
 )
 from matchrank.matching import max_matching_size
-from matchrank.ranker import RankerConfig
+from matchrank.ranker import RankerConfig, _Cut
 from matchrank.synthgen import (
     SynthParams,
     build_synthetic_model,
@@ -159,7 +160,7 @@ class TestCutForm:
     )
     @example([0, 0, 0], 0)  # no slots: target 0
     @example([3, 0, 1], 7)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_equals_bisection_on_the_same_draws(self, sizes, seed):
         model = random_group_model(sizes, seed)
         assert kmin_method(model) == "cut"
@@ -167,7 +168,7 @@ class TestCutForm:
         assert _kmin_chunk(model, order, seed, 0, 6) == bisection_kmins(model, order, seed, 6)
 
     @given(st.integers(0, MAX_CUT_FORM_GROUPS), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_independent_slots_equal_bisection_on_the_same_draws(self, slots, seed):
         # An independent model's bins are its slots: within the limit its
         # draws are evaluated as slot masks.
@@ -175,6 +176,27 @@ class TestCutForm:
         assert kmin_method(model) == "cut"
         order = np.random.default_rng(seed).permutation(model.candidates)
         assert _kmin_chunk(model, order, seed, 0, 6) == bisection_kmins(model, order, seed, 6)
+
+    @pytest.mark.parametrize(
+        "candidates, dtype", [(2**15 - 4, np.int16), (2**15 - 3, np.int32), (33_100, np.int32)]
+    )
+    def test_counts_past_int16_take_int32(self, candidates, dtype):
+        # Two slots: candidates + slots just below the bound, at it, and far
+        # past it.  The first candidates - 100 ranked hold no coin, so a
+        # probe past them counts that many masks of 0 in every subset, more
+        # than int16 holds in the last case.
+        model = zero_led_model(candidates, 2, 100)
+        assert _cut_dtype(candidates, model.slots) == dtype
+        order = np.arange(candidates)
+        want = scalar_kmins(model, order, 3, 0, 6)
+        assert all(k is not None and k > candidates - 100 for k in want)
+        assert _kmin_chunk(model, order, 3, 0, 6) == want
+
+    @pytest.mark.parametrize("candidates, dtype", [(2**15 - 4, np.int16), (2**15 - 3, np.int32)])
+    def test_cut_kernel_narrows_by_the_probes_rule(self, candidates, dtype):
+        # Just below and at the bound on candidates + slots, with two slots.
+        cap = zero_led_model(candidates, 2, 100).bins.subset_slots
+        assert _Cut(cap, np.zeros((1, candidates), np.uint16)).cut.dtype == dtype
 
     def test_default_scale_agrees_with_bisection(self):
         model = build_synthetic_model(SynthParams(seed=3))
@@ -228,6 +250,14 @@ def random_independent_model(seed: int, slots: int | None = None) -> Probability
         c, s = int(rng.integers(1, 2 * slots + 3)), slots
     dense = rng.choice([0.0, 0.3, 0.7, 1.0], size=(c, s), p=[0.4, 0.2, 0.2, 0.2])
     return ProbabilityModel.from_dense(dense)
+
+
+def zero_led_model(candidates: int, slots: int, tail: int) -> ProbabilityModel:
+    """An independent model in which only the last `tail` of `candidates`
+    candidates hold coins, one on each of the `slots` slots at 0.5."""
+    ptr = np.concatenate([np.zeros(candidates - tail, np.int64), np.arange(tail + 1) * slots])
+    bins = np.tile(np.arange(slots, dtype=np.int32), tail)
+    return ProbabilityModel.independent(slots, ptr, bins, np.full(tail * slots, 0.5))
 
 
 def method_draw(model: ProbabilityModel, eval_seed: int, i: int):

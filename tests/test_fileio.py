@@ -135,6 +135,12 @@ class TestIngestModel:
         assert dense[0].tolist() == [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
         assert dense[1].tolist() == [0.0, 0.0, 0.0, 0.4, 0.4, 0.4]
 
+    def test_one_slot_per_label_shares_the_labels_bins(self):
+        probs = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 0.4]])
+        assert ingest_model(probs).bins is probs.bins
+        assert ingest_model(probs, max_clip=0.45).bins is probs.bins
+        assert ingest_model(probs, slots_per_label=2).bins.group_count == 4
+
     def test_max_clip(self):
         probs = ProbabilityModel.from_dense([[1.0, 0.5], [0.999, 0.0]])
         model = ingest_model(probs, max_clip=0.9)

@@ -267,6 +267,9 @@ class TestEmpiricalMarginals:
             ss = SampleSet(ss.model, coins, ss.seed)
         got, want = empirical_marginals(ss), row_count_marginals(ss)
         assert (got.bins.group_sizes.tolist(), coin_view(got)) == (want.bins.group_sizes.tolist(), coin_view(want))
+        # One-slot bins, as every independent set's, are shared, not built again.
+        one_slot = (ss.model.bins.group_sizes == 1).all()
+        assert (got.bins is ss.model.bins) == one_slot and (one_slot or grouped)
 
     def test_the_spread_csr_is_validated_once(self, monkeypatch):
         # The rows go straight into the independent model, whose own
