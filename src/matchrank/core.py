@@ -402,6 +402,8 @@ class ProbabilityModel:
         what = "membership" if self.kind == KIND_GROUP else "bin"
         _validate_csr(ptr.size - 1, self.bins.group_count, ptr, coin_bins, what)
         if self.kind == KIND_INDEPENDENT:
+            if not self.bins._one_slot_each:
+                raise InputError("every bin of an independent model must be one slot")
             if probs.size and not (np.isfinite(probs).all() and 0 < probs.min() <= probs.max() <= 1):
                 raise InputError("stored probabilities must lie in (0, 1]")
         else:

@@ -14,13 +14,12 @@ open.  A block takes consecutive draws until their entries reach
 draw's first probe is at k = target: fewer candidates cannot fill the
 target, so a draw that fills it there is settled.  The others check the
 whole candidate set (unfillable draws stop there) and bisect (target, n].
-:func:`kmin_method` picks how a probe measures a prefix, and
-``_kmin_chunk`` dispatches on it:
+Both methods draw a block's draws as coins.  :func:`kmin_method` picks how a
+probe measures a prefix, and ``_kmin_chunk`` dispatches on it:
 
 * ``"cut"``, for a model of at most :data:`MAX_CUT_FORM_GROUPS` bins (the
   groups of a group model, the slots of an independent one): a block's
-  draws are drawn as coins and made into one bin mask per candidate
-  together, never expanded to slots.
+  coins become one bin mask per candidate, never expanded to slots.
   By max-flow min-cut, the matching size of a prefix of length k is the
   minimum over bin subsets U of cap(U) + k - F(U), where cap(U) counts
   the slots of U and F(U) the prefix candidates whose mask lies within U: a
@@ -32,12 +31,12 @@ whole candidate set (unfillable draws stop there) and bisect (target, n].
   adds runs of 2**g times the probed draws' counts at once.  The counts are
   int16 while candidates + slots fits, else int32: the cut kernel's rule
   (``core._cut_dtype``);
-* ``"bisection"``, for every other model: the block's slot-level draws
-  (:func:`~matchrank.synthgen.draw_relevance`) are stacked as one disjoint
-  union, rows in rank order and each draw's slots in its own columns, and a
-  probe is one Hopcroft–Karp solve on the probed prefix rows
-  (``matching._matching_sizes``).  :func:`k_min` on any matrix is this
-  search on one draw.
+* ``"bisection"``, for every other model: each draw's coins, taken in rank
+  order, expand to its slot rows already ranked (``core._coin_slots`` on the
+  model ranked once per work unit), stacked as one disjoint union, each
+  draw's slots in its own columns, and a probe is one Hopcroft–Karp solve
+  on the probed prefix rows (``matching._matching_sizes``).  :func:`k_min`
+  on any matrix is this search on one draw.
 
 The per-draw scalar search in ``tests/oracles.py`` (a fresh matching solve,
 or the cut form, per probe) is the oracle both are tested against.
@@ -52,7 +51,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -65,12 +63,15 @@ from .core import (
     RelevanceMatrix,
     _as_count,
     _coin_masks,
+    _coin_slots,
     _cut_dtype,
-    _row_positions,
+    _owned,
+    _row_spans,
     substream,
 )
 from .matching import _matching_sizes
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
+# draw_relevance is not called here: perfbench/tracing.py patches this name.
 from .synthgen import _draw_coins, build_synthetic_model, draw_relevance, sample_relevances
 
 __all__ = [
@@ -139,8 +140,8 @@ def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) 
         raise InputError(f"target must lie in [0, {matrix.slots}]")
     if not ranking.is_complete(matrix.candidates):
         raise InputError("k_min needs a complete ranking")
-    rows = _ranked_rows(matrix, ranking.order)
-    return _lockstep(_union_sizes(matrix.slots, [rows]), 1, len(ranking), target)[0]
+    at, lens = _row_spans(matrix.indptr, ranking.order)
+    return _lockstep(_union_sizes(matrix.slots, [(lens, matrix.indices[at])]), 1, len(ranking), target)[0]
 
 
 #: Entries at which a lockstep block of evaluation draws closes.  A block
@@ -220,17 +221,12 @@ def _cut_sizes(cap: np.ndarray, masks: np.ndarray):
     return sizes
 
 
-def _ranked_rows(matrix: RelevanceMatrix, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `matrix` taken in `order`: their lengths and their slots."""
-    return np.diff(matrix.indptr)[order], matrix.indices[_row_positions(matrix.indptr, order)]
-
-
 def _union_sizes(slots: int, block: list[tuple[np.ndarray, np.ndarray]]):
-    """The lockstep probe on slot-level draws, each given by its
-    :func:`_ranked_rows`.  The draws are stacked as one disjoint union: draw
-    j's rows come j-th and its slots become the columns ``[j * slots,
-    (j + 1) * slots)``, so one Hopcroft–Karp solve on the probed prefix rows
-    measures every probed draw."""
+    """The lockstep probe on slot-level draws, each given by its rows in rank
+    order: their lengths and their slots.  The draws are stacked as one
+    disjoint union: draw j's rows come j-th and its slots become the columns
+    ``[j * slots, (j + 1) * slots)``, so one Hopcroft–Karp solve on the
+    probed prefix rows measures every probed draw."""
     n = block[0][0].size
     indptr = np.zeros(len(block) * n + 1, dtype=np.int64)
     np.cumsum(np.concatenate([lens for lens, _ in block]), out=indptr[1:])
@@ -292,27 +288,28 @@ def _kmin_chunk(
     if kmin_method(model) == "cut":
         cap = model.bins.subset_slots
 
-        def draw(rng):
-            return _draw_coins(model, rng)
-
         def entries(coins):
             return coins.size + order.size + cap.size
 
         def probe(block):
             return _cut_sizes(cap, _coin_masks(model, np.stack(block))[:, order])
     else:
+        # The model with its candidates in rank order: a draw's coins taken
+        # at `at` are that model's draw, whose rows come out ranked.
+        at, lens = _row_spans(model.coin_ptr, order)
+        ranked_coins = np.append(0, np.cumsum(lens)), model.coin_bins[at], model.coin_probs[at]
+        ranked = ProbabilityModel(model.kind, model.bins, *map(_owned, ranked_coins))
 
-        def draw(rng):
-            return _ranked_rows(draw_relevance(model, rng), order)
+        def entries(coins):
+            return int(model.bins.group_sizes[model.coin_bins][coins].sum()) + order.size + model.slots
 
-        def entries(rows):
-            return rows[0].size + rows[1].size + model.slots
-
-        probe = partial(_union_sizes, model.slots)
+        def probe(block):
+            rows = (_coin_slots(ranked, coins[at]) for coins in block)
+            return _union_sizes(model.slots, [(np.diff(indptr), cols) for indptr, cols in rows])
     out: list[int | None] = []
     block, used = [], 0
     for i in range(lo, hi):
-        block.append(draw(substream(eval_seed, PURPOSE_EVAL, i)))
+        block.append(_draw_coins(model, substream(eval_seed, PURPOSE_EVAL, i)))
         used += entries(block[-1])
         if used >= _BLOCK_ENTRIES or i == hi - 1:
             out += _lockstep(probe(block), len(block), order.size, model.slots)

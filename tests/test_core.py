@@ -293,6 +293,15 @@ class TestIndependentModel:
         with pytest.raises(InputError, match=fragment):
             ProbabilityModel.independent(slots, [0, 1], [0], [0.5])
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 0), (1, 2, 1)])
+    def test_refuses_bins_of_other_than_one_slot(self, sizes):
+        # Each of its coins is one (candidate, slot) entry: a bin of two slots
+        # would put one coin on both, and a bin of none on no slot at all.
+        with pytest.raises(InputError, match="one slot"):
+            ProbabilityModel("independent", SlotLayout(sizes), [0, 1], [1], [0.5])
+        model = ProbabilityModel("independent", SlotLayout((1, 1)), [0, 1], [1], [0.5])
+        assert model.slots == 2
+
     def test_from_triplets_takes_numpy_scalars_and_integer_probabilities(self):
         p = ProbabilityModel.from_triplets(
             np.int64(2), 2, [(np.int32(1), np.int64(0), np.float64(0.5)), (0, 1, 1)]

@@ -222,6 +222,8 @@ class TestCutForm:
             raise AssertionError("the other k_min method ran")
 
         monkeypatch.setattr(evaluation, "_union_sizes" if method == "cut" else "_cut_sizes", unused)
+        # Both methods read a draw from its coins: no slot-level draw is made.
+        monkeypatch.setattr(evaluation, "draw_relevance", unused)
         assert _kmin_chunk(model, order, 4, 0, 5) == want
 
     @pytest.mark.parametrize("groups, method", [(10, "cut"), (11, "cut"), (12, "cut"), (13, "bisection")])
@@ -385,6 +387,60 @@ class TestLockstep:
                 algorithm="random", n_samples=1, sample_seed=0,
             )
         assert list(report.per_draw_kmin) == want
+
+
+def coinless_independent_model(seed: int, slots: int) -> ProbabilityModel:
+    """An independent model of `slots` slots whose candidates hold no coin
+    about a third of the time, and else a random few."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 2 * slots + 3))
+    dense = rng.choice([0.0, 0.3, 0.7, 1.0], size=(c, slots), p=[0.4, 0.2, 0.2, 0.2])
+    dense[rng.random(c) < 0.3] = 0.0
+    return ProbabilityModel.from_dense(dense)
+
+
+class TestRankedRows:
+    """The bisection path reads each draw's rows from its coins, through the
+    model with its candidates in rank order; they must be the slot-level
+    draw's rows gathered in rank order."""
+
+    @given(
+        st.one_of(
+            st.integers(MAX_CUT_FORM_GROUPS + 1, MAX_CUT_FORM_GROUPS + 4),
+            st.lists(st.integers(0, 3), min_size=MAX_CUT_FORM_GROUPS + 1, max_size=MAX_CUT_FORM_GROUPS + 4),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+    )
+    # Zero-slot groups; coinless candidates.
+    @example([3, 0, 0, 2, 1, 0, 0, 0, 3, 0, 2, 0, 3, 1], 122, 3)
+    @example(MAX_CUT_FORM_GROUPS + 1, 1, 3)
+    @settings(max_examples=examples(300), deadline=None)
+    def test_equal_slot_level_rows_in_rank_order(self, sizes, seed, draws):
+        """`sizes` an int: an independent model of that many slots; a list:
+        a group model of those slot counts.  Both take the bisection path."""
+        if isinstance(sizes, int):
+            model = coinless_independent_model(seed, sizes)
+        else:
+            model = random_group_model(sizes, seed)
+        assert kmin_method(model) == "bisection"
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        blocks, union = [], evaluation._union_sizes
+
+        def recording(slots, block):
+            blocks.append(block)
+            return union(slots, block)
+
+        with patch.object(evaluation, "_union_sizes", recording):
+            _kmin_chunk(model, order, seed, 0, draws)
+        assert len(blocks) == 1 and len(blocks[0]) == draws
+        for i, (lens, cols) in enumerate(blocks[0]):
+            m = draw_relevance(model, substream(seed, PURPOSE_EVAL, i))
+            want_lens = np.diff(m.indptr)[order]
+            want_cols = np.concatenate([m.indices[m.indptr[a] : m.indptr[a + 1]] for a in order])
+            assert lens.dtype == want_lens.dtype and cols.dtype == want_cols.dtype
+            assert lens.tolist() == want_lens.tolist()
+            assert cols.tolist() == want_cols.tolist()
 
 
 def avg_matching_curve(ranking: Ranking, samples: SampleSet) -> tuple[Fraction, ...]:
