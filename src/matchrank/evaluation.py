@@ -9,13 +9,14 @@ the mean/deviation.
 Prefix matching size never falls as the prefix grows, so ``k_min`` is found
 by bisection over prefix lengths, and all draws of a block at once: each
 step is one probe that measures the current prefix of every draw still
-open.  A block takes consecutive draws until their entries reach
-``_BLOCK_ENTRIES`` (one draw at least), which bounds its memory.  Every
+open.  A block is a fixed number of consecutive draws, set before any draw
+as ``_BLOCK_ENTRIES`` over the most entries a draw of the model can hold,
+rounded up, so its entries stay below that budget plus one bound.  Every
 draw's first probe is at k = target: fewer candidates cannot fill the
 target, so a draw that fills it there is settled.  The others check the
 whole candidate set (unfillable draws stop there) and bisect (target, n].
-Both methods draw a block's draws as coins.  :func:`kmin_method` picks how a
-probe measures a prefix, and ``_kmin_chunk`` dispatches on it:
+A block is drawn as coins by the sample sets' loop.  :func:`kmin_method`
+picks how a probe measures a prefix, and ``_kmin_chunk`` dispatches on it:
 
 * ``"cut"``, for a model of at most :data:`MAX_CUT_FORM_GROUPS` bins (the
   groups of a group model, the slots of an independent one): a block's
@@ -67,12 +68,11 @@ from .core import (
     _cut_dtype,
     _owned,
     _row_spans,
-    substream,
 )
 from .matching import _matching_sizes
 from .ranker import TIE_BREAK, RankerConfig, RankerStats, rank
 # draw_relevance is not called here: perfbench/tracing.py patches this name.
-from .synthgen import _draw_coins, build_synthetic_model, draw_relevance, sample_relevances
+from .synthgen import _draw_block, build_synthetic_model, draw_relevance, sample_relevances
 
 __all__ = [
     "EvalReport",
@@ -144,13 +144,14 @@ def k_min(ranking: Ranking, matrix: RelevanceMatrix, target: int | None = None) 
     return _lockstep(_union_sizes(matrix.slots, [(lens, matrix.indices[at])]), 1, len(ranking), target)[0]
 
 
-#: Entries at which a lockstep block of evaluation draws closes.  A block
-#: takes consecutive draws until their summed entries reach this budget, so it
-#: holds at least one draw and less than the budget plus its last draw; a draw
-#: that reaches it alone is a block of its own.  A draw's entries are what the
-#: probes hold for it: on the cut path its coins, its candidates' masks and
-#: its 2**G subset counts, on the bisection path its slot-level edges, its row
-#: pointers (one per candidate) and its slots (the union's columns).
+#: Entry budget of a lockstep block of evaluation draws.  A draw's entries
+#: are what the probes hold for it: on the cut path its coins, its candidates'
+#: masks and its 2**G subset counts, on the bisection path its slot-level
+#: edges, its row pointers (one per candidate) and its slots (the union's
+#: columns).  Each method bounds them per draw from the model alone (on the
+#: bisection path, by the edges of a draw that wins every coin), and a block
+#: is ceil(budget / bound) consecutive draws: one at least, and fewer entries
+#: than the budget plus one bound.
 _BLOCK_ENTRIES = 2**18
 
 
@@ -282,38 +283,32 @@ def kmin_method(model: ProbabilityModel) -> str:
 def _kmin_chunk(
     model: ProbabilityModel, order: np.ndarray, eval_seed: int, lo: int, hi: int
 ) -> list[int | None]:
-    """k_min of draws [lo, hi) — the process-pool work unit.  Consecutive
-    draws form a block until their entries reach :data:`_BLOCK_ENTRIES`, and
-    each block is searched in lockstep."""
+    """k_min of draws [lo, hi) — the process-pool work unit.  The draws are
+    searched in lockstep blocks of as many draws as :data:`_BLOCK_ENTRIES`
+    holds of the method's per-draw bound, rounded up."""
     if kmin_method(model) == "cut":
         cap = model.bins.subset_slots
+        bound = model.coin_probs.size + order.size + cap.size
 
-        def entries(coins):
-            return coins.size + order.size + cap.size
-
-        def probe(block):
-            return _cut_sizes(cap, _coin_masks(model, np.stack(block))[:, order])
+        def probe(coins):
+            return _cut_sizes(cap, _coin_masks(model, coins)[:, order])
     else:
         # The model with its candidates in rank order: a draw's coins taken
         # at `at` are that model's draw, whose rows come out ranked.
         at, lens = _row_spans(model.coin_ptr, order)
         ranked_coins = np.append(0, np.cumsum(lens)), model.coin_bins[at], model.coin_probs[at]
         ranked = ProbabilityModel(model.kind, model.bins, *map(_owned, ranked_coins))
+        # A draw that wins every coin has the most edges.
+        bound = int(model.bins.group_sizes[model.coin_bins].sum()) + order.size + model.slots
 
-        def entries(coins):
-            return int(model.bins.group_sizes[model.coin_bins][coins].sum()) + order.size + model.slots
-
-        def probe(block):
-            rows = (_coin_slots(ranked, coins[at]) for coins in block)
+        def probe(coins):
+            rows = (_coin_slots(ranked, won[at]) for won in coins)
             return _union_sizes(model.slots, [(np.diff(indptr), cols) for indptr, cols in rows])
+    size = -(-_BLOCK_ENTRIES // bound)
     out: list[int | None] = []
-    block, used = [], 0
-    for i in range(lo, hi):
-        block.append(_draw_coins(model, substream(eval_seed, PURPOSE_EVAL, i)))
-        used += entries(block[-1])
-        if used >= _BLOCK_ENTRIES or i == hi - 1:
-            out += _lockstep(probe(block), len(block), order.size, model.slots)
-            block, used = [], 0
+    for start in range(lo, hi, size):
+        coins = _draw_block(model, eval_seed, PURPOSE_EVAL, start, min(start + size, hi))
+        out += _lockstep(probe(coins), len(coins), order.size, model.slots)
     return out
 
 

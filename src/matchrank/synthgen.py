@@ -140,10 +140,16 @@ def sample_relevances(model: ProbabilityModel, n: int, seed: int) -> SampleSet:
         raise InputError("need at least one sample")
     size = model.coin_probs.size
     _require_memory(n * size, f"{n} samples of {size} coins")
-    coins = np.empty((n, size), dtype=bool)
-    for i, won in enumerate(coins):
-        won[:] = _draw_coins(model, substream(seed, PURPOSE_SAMPLE, i))
-    return SampleSet(model, _owned(coins), seed)
+    return SampleSet(model, _owned(_draw_block(model, seed, PURPOSE_SAMPLE, 0, n)), seed)
+
+
+def _draw_block(model: ProbabilityModel, seed: int, purpose: int, lo: int, hi: int) -> np.ndarray:
+    """Draws [lo, hi) of `model` from the sub-streams (`purpose`, i) of
+    `seed`, as one (draws, coins) array: row j holds draw lo + j's coins."""
+    coins = np.empty((hi - lo, model.coin_probs.size), dtype=bool)
+    for i, won in enumerate(coins, lo):
+        won[:] = _draw_coins(model, substream(seed, purpose, i))
+    return coins
 
 
 def two_block_model(

@@ -201,6 +201,20 @@ class TestRank:
         rb, _ = read_ranking(b)
         assert ra.order.tolist() != rb.order.tolist()
 
+    @pytest.mark.parametrize("algorithm", ["matchrank-lazy", "random"])
+    def test_use_model_marginals_builds_none_for_other_rankers(
+        self, tmp_path, model_path, monkeypatch, algorithm
+    ):
+        def refuse(self):
+            raise AssertionError("only the score rules read model marginals")
+
+        monkeypatch.setattr(core.ProbabilityModel, "marginal_matrix", refuse)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["rank", "--model", str(model_path), "--n", "2", "--algorithm", algorithm]
+        assert run(*argv, "--out", str(a)) == 0
+        assert run(*argv, "--out", str(b), "--use-model-marginals") == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_nan_model_exits_2(self, tmp_path, model_path, capsys):
         obj = json.loads(model_path.read_text())
         obj["group_prob"][0][0] = float("nan")

@@ -14,10 +14,13 @@ from matchrank.core import (
     ContractError,
     InputError,
     PURPOSE_EVAL,
+    PURPOSE_SAMPLE,
     ProbabilityModel,
     Ranking,
     SampleSet,
     SlotLayout,
+    _coin_masks,
+    _coin_rows,
     _cut_dtype,
     substream,
 )
@@ -37,8 +40,10 @@ from matchrank.matching import max_matching_size
 from matchrank.ranker import RankerConfig, _Cut
 from matchrank.synthgen import (
     SynthParams,
+    _draw_block,
     build_synthetic_model,
     draw_relevance,
+    sample_relevances,
     two_block_model,
 )
 from oracles import (
@@ -277,13 +282,21 @@ def scalar_kmins(model: ProbabilityModel, order, eval_seed: int, lo: int, hi: in
     return [_kmin_bisect(method_draw(model, eval_seed, i), order, model.slots) for i in range(lo, hi)]
 
 
-def block_entries(model: ProbabilityModel, draw) -> int:
-    """What one draw counts against the block budget: its coins, its
-    candidates' masks and the 2**G subset counts on the cut path; its edges,
-    row pointers and slots on the bisection path."""
+def draw_entries(model: ProbabilityModel, draw) -> int:
+    """What the probes hold for one draw (`draw` as :func:`method_draw` gives
+    it): its coins, its candidates' masks and the 2**G subset counts on the
+    cut path; its edges, row pointers and slots on the bisection path."""
     if kmin_method(model) == "cut":
         return model.coin_probs.size + draw.size + (1 << model.bins.group_count)
     return draw.edge_count + draw.candidates + draw.slots
+
+
+def block_bound(model: ProbabilityModel) -> int:
+    """The most entries one draw of `model` can hold: the entries of the
+    draw that wins every coin."""
+    won = np.ones(model.coin_probs.size, dtype=bool)
+    draw = _coin_masks(model, won) if kmin_method(model) == "cut" else _coin_rows(model, won)
+    return draw_entries(model, draw)
 
 
 @contextmanager
@@ -300,16 +313,29 @@ def lockstep_blocks(budget: int):
         yield sizes
 
 
+#: The models of the lockstep tests: None, an independent model of up to 5
+#: slots; an int, one of that many slots; a list, a group model of those slot
+#: counts (more than MAX_CUT_FORM_GROUPS bins, slots or groups, take the
+#: bisection path).
+lockstep_sizes = st.one_of(
+    st.none(),
+    st.integers(0, MAX_CUT_FORM_GROUPS + 3),
+    st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2),
+)
+
+
+def lockstep_model(sizes, seed: int) -> ProbabilityModel:
+    if sizes is None or isinstance(sizes, int):
+        return random_independent_model(seed, sizes)
+    return random_group_model(sizes, seed)
+
+
 class TestLockstep:
     """The lockstep search over blocks of draws against the per-draw scalar
     search of the oracles, on the same draws and both methods."""
 
     @given(
-        st.one_of(
-            st.none(),
-            st.integers(0, MAX_CUT_FORM_GROUPS + 3),
-            st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2),
-        ),
+        lockstep_sizes,
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
         st.integers(1, 6),
@@ -325,22 +351,15 @@ class TestLockstep:
     @example([0] * (MAX_CUT_FORM_GROUPS + 2), 0, 0, 4, "one")
     @settings(max_examples=examples(300), deadline=None)
     def test_equals_per_draw_oracle(self, sizes, seed, lo, count, budget):
-        """`sizes` None: an independent model of up to 5 slots; an int: one of
-        that many slots; a list: a group model of those slot counts (more
-        than MAX_CUT_FORM_GROUPS bins, slots or groups, take the bisection
-        path).  The budget is the
-        default (one block), 1 (one draw per block), or one entry more than
-        the first draw holds (a first block of two draws)."""
-        if sizes is None or isinstance(sizes, int):
-            model = random_independent_model(seed, sizes)
-        else:
-            model = random_group_model(sizes, seed)
+        """The budget is the default (one block), 1 (one draw per block), or
+        one entry more than a draw's bound (blocks of two draws)."""
+        model = lockstep_model(sizes, seed)
         order = np.random.default_rng(seed).permutation(model.candidates)
         want = scalar_kmins(model, order, seed, lo, lo + count)
         entries = {
             "default": evaluation._BLOCK_ENTRIES,
             "one": 1,
-            "pair": block_entries(model, method_draw(model, seed, lo)) + 1,
+            "pair": block_bound(model) + 1,
         }[budget]
         with lockstep_blocks(entries) as blocks:
             assert _kmin_chunk(model, order, seed, lo, lo + count) == want
@@ -369,7 +388,7 @@ class TestLockstep:
         want = scalar_kmins(model, order, seed, 0, 6)
         assert None in want and model.slots in want
         assert any(k is not None and k > model.slots for k in want)
-        with lockstep_blocks(block_entries(model, method_draw(model, seed, 0)) + 1) as blocks:
+        with lockstep_blocks(block_bound(model) + 1) as blocks:
             assert _kmin_chunk(model, order, seed, 0, 6) == want
         assert len(blocks) > 1 and blocks[0] == 2
 
@@ -387,6 +406,64 @@ class TestLockstep:
                 algorithm="random", n_samples=1, sample_seed=0,
             )
         assert list(report.per_draw_kmin) == want
+
+
+class TestBlockRule:
+    """A chunk's lockstep blocks are ceil(budget / bound) draws each, the
+    last one excepted, where bound is the most entries one draw of the model
+    can hold: fixed before any draw, whatever the draws hold."""
+
+    @given(
+        # Models of both methods, wide ones (bisection) two times in three.
+        st.one_of(
+            lockstep_sizes,
+            st.integers(MAX_CUT_FORM_GROUPS + 1, MAX_CUT_FORM_GROUPS + 3),
+            st.lists(st.integers(0, 3), min_size=MAX_CUT_FORM_GROUPS + 1, max_size=MAX_CUT_FORM_GROUPS + 2),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.integers(1, 12),
+        st.integers(0, 4000),
+    )
+    @example(MAX_CUT_FORM_GROUPS + 2, 5, 0, 10, 2500)
+    @example([3, 2, 3, 3], 82, 1, 7, 1500)
+    @settings(max_examples=examples(200), deadline=None)
+    def test_blocks_are_fixed_by_the_model(self, sizes, seed, lo, count, scale):
+        """The budget runs from 1 to about four bounds (`scale` thousandths
+        of a bound, plus one entry)."""
+        model = lockstep_model(sizes, seed)
+        order = np.random.default_rng(seed).permutation(model.candidates)
+        bound = block_bound(model)
+        budget = 1 + scale * bound // 1000
+        size = -(-budget // bound)
+        runs = []
+        for eval_seed in (seed, seed ^ 1):
+            with lockstep_blocks(budget) as blocks:
+                _kmin_chunk(model, order, eval_seed, lo, lo + count)
+            runs.append(blocks)
+        blocks = runs[0]
+        assert runs[1] == blocks
+        assert sum(blocks) == count
+        assert all(b == size for b in blocks[:-1]) and 1 <= blocks[-1] <= size
+        start = lo
+        for b in blocks:
+            held = sum(draw_entries(model, method_draw(model, seed, i)) for i in range(start, start + b))
+            assert held < budget + bound
+            start += b
+
+
+class TestDrawBlock:
+    """Evaluation draws its blocks by the loop that draws a sample set."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [random_independent_model(170), random_group_model([3, 2, 3, 3], 82), two_block_model(40)],
+        ids=["independent", "group", "two-block"],
+    )
+    def test_rows_are_a_sample_sets_coins(self, model):
+        want = sample_relevances(model, 6, 11).coins
+        assert np.array_equal(_draw_block(model, 11, PURPOSE_SAMPLE, 0, 6), want)
+        assert np.array_equal(_draw_block(model, 11, PURPOSE_SAMPLE, 2, 5), want[2:5])
 
 
 def coinless_independent_model(seed: int, slots: int) -> ProbabilityModel:
