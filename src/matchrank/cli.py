@@ -32,7 +32,7 @@ from .fileio import (
     write_stats,
     write_table,
 )
-from .ranker import ALGORITHMS, SCORE_RULES, RankerConfig, RankerStats, rank
+from .ranker import ALGORITHMS, RankerConfig, RankerStats, rank
 from .synthgen import SynthParams, build_synthetic_model, model_metadata, sample_relevances
 
 EXIT_OK = 0
@@ -179,11 +179,10 @@ def cmd_rank(args) -> int:
     except InputError as e:
         raise UsageError(str(e))
     samples = sample_relevances(model, n, sample_seed)
-    # Only the score rules read marginals: for any other ranker they cost memory alone.
-    marginals = model.marginal_matrix() if use_model and rcfg.algorithm in SCORE_RULES else None
     stats = RankerStats()
     start = time.perf_counter()
-    ranking = rank(samples, rcfg, marginals=marginals, stats=stats)
+    # The score rules read the model's own coins; the other rankers ignore it.
+    ranking = rank(samples, rcfg, marginals=model if use_model else None, stats=stats)
     rank_s = time.perf_counter() - start
     write_ranking(
         ranking,

@@ -40,8 +40,13 @@ relevance draw can finish — where favoring candidates that serve uncrowded
 slots keeps the rarely-covered slots from waiting out the whole tail.
 
 Baselines score candidates from the empirical per-(candidate, slot) edge
-frequencies and sort by (score, normalized relevance, id) under the same
-policy.  Gains are exact integers; the secondary key is a float computed in
+frequencies, each coin's win count spread over its bin's slots, or from a
+model's coin probabilities spread the same way (a group model's or an
+independent one's), and sort by (score, normalized relevance, id) under the
+same policy.  Scores and the secondary key read the coins and their bins'
+sizes, never the spread entries: each coin's term is added once per slot of
+its bin, in entry order, so every score is bitwise the row sum over the
+spread.  Gains are exact integers; the secondary key is a float computed in
 one fixed pass over the counts, so comparisons stay reproducible.
 """
 from __future__ import annotations
@@ -55,7 +60,6 @@ import numpy as np
 from .core import (
     ContractError,
     InputError,
-    KIND_INDEPENDENT,
     PURPOSE_RANKER,
     ProbabilityModel,
     Ranking,
@@ -159,8 +163,9 @@ class RankerStats:
 
 
 def _tie_key(samples: SampleSet) -> np.ndarray:
-    """Secondary sort key: competition-normalized relevance per candidate."""
-    return baseline_scores(empirical_marginals(samples), "ntr")
+    """Secondary sort key: competition-normalized relevance per candidate,
+    from each coin's win frequency."""
+    return _coin_scores(samples.model, _win_frequencies(samples), "ntr")
 
 
 def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
@@ -559,22 +564,21 @@ class _Batched:
 def empirical_marginals(samples: SampleSet) -> ProbabilityModel:
     """Per-(candidate, slot) edge frequency across the sample set, as an
     independent model: each coin's win count, spread over its bin's slots."""
-    hits = np.count_nonzero(samples.coins, axis=0)
+    freq = _win_frequencies(samples)
     # A candidate's row holds the slots of every coin it ever won.
-    return _spread_coins(samples.model, hits / samples.n, hits > 0)
+    return _spread_coins(samples.model, freq, freq > 0)
 
 
-def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    rows = len(indptr) - 1
-    if values.size == 0:
-        return np.zeros(rows)
-    ids = np.repeat(np.arange(rows), np.diff(indptr))
-    return np.bincount(ids, weights=values, minlength=rows)
+def _win_frequencies(samples: SampleSet) -> np.ndarray:
+    """Per coin of the samples' model, the share of samples that won it."""
+    return np.count_nonzero(samples.coins, axis=0) / samples.n
 
 
 def baseline_scores(marginals: ProbabilityModel, rule: str) -> np.ndarray:
     """Per-candidate score under one of the probability-aggregation rules,
-    from the per-(candidate, slot) probabilities of an independent model.
+    from the per-(candidate, slot) probabilities of a model: each coin's
+    probability on every slot of its bin, as ``marginals.marginal_matrix()``
+    holds them (an independent model's coins are its entries).
 
     * ``and`` — log-probability that *every* listed slot edge appears;
       candidates with no entries score -inf.
@@ -583,36 +587,59 @@ def baseline_scores(marginals: ProbabilityModel, rule: str) -> np.ndarray:
     * ``ntr`` — like ``tr`` but each slot's column is first normalized to
       sum to one, so crowded slots count for less.
     """
+    return _coin_scores(marginals, marginals.coin_probs, rule)
+
+
+def _coin_scores(model: ProbabilityModel, p: np.ndarray, rule: str) -> np.ndarray:
+    """:func:`baseline_scores` under `rule` of the per-(candidate, slot)
+    probabilities that spread `p` (one per coin of `model`; a coin of 0
+    holds no entry) over the slots of each coin's bin, without the spread.
+
+    A candidate's score adds each of its coins' terms once per slot of the
+    coin's bin, in entry order: the same additions, in the same order, as a
+    row sum over the spread entries, so every score is bitwise that sum
+    (``size * term`` is not: ten additions of 0.1 make 0.9999999999999999).
+    A slot's column sum, for ``ntr``, is its bin's: the same additions too.
+    """
     if rule not in SCORE_RULES:
         raise InputError(f"unknown score rule {rule!r}; valid: {', '.join(SCORE_RULES)}")
-    if marginals.kind != KIND_INDEPENDENT:
-        # A group model's coin bins are groups, not slots.
-        raise InputError("scores need per-slot probabilities: an independent model")
-    p, idx, ptr = marginals.coin_probs, marginals.coin_bins, marginals.coin_ptr
+    c, sizes = model.candidates, model.bins.group_sizes
+    reps = sizes[model.coin_bins]
+    # The coins that hold entries: of positive p, in a bin with slots.
+    coins = np.flatnonzero((p > 0) & (reps > 0))
+    p, bins, reps = p[coins], model.coin_bins[coins], reps[coins]
+    owner = np.repeat(np.arange(c), np.diff(model.coin_ptr))[coins]
+    entries = int(reps.sum())
+    # The owner and the term of every entry, refused before either is allocated.
+    _require_memory(16 * entries, f"the {entries} per-slot entries of {c} candidates' scores")
     if rule == "and":
-        scores = _row_sums(np.log(p), ptr)
-        scores[np.diff(ptr) == 0] = -np.inf
-        return scores
-    if rule == "or":
+        term = np.log(p)
+    elif rule == "or":
         if np.any(p >= 1.0):
-            warnings.warn(
-                "probability 1 entries clamped for 'or' scoring", stacklevel=2
-            )
+            warnings.warn("probability 1 entries clamped for 'or' scoring", stacklevel=3)
             p = np.minimum(p, _OR_CLAMP_P)
-        return _row_sums(-np.log1p(-p), ptr)
-    if rule == "tr":
-        return _row_sums(p, ptr)
-    # Columns with no stored entry contribute no terms, so their zero sums
-    # never reach the division below.
-    col_sums = np.bincount(idx, weights=p, minlength=marginals.slots)
-    return _row_sums(p / col_sums[idx], ptr)
+        term = -np.log1p(-p)
+    elif rule == "tr":
+        term = p
+    else:
+        term = p / np.bincount(bins, weights=p, minlength=sizes.size)[bins]
+    # (A bincount of no entries would be integer zeros.)
+    scores = np.zeros(c)
+    if entries:
+        scores = np.bincount(np.repeat(owner, reps), weights=np.repeat(term, reps), minlength=c)
+    if rule == "and":
+        scores[np.bincount(owner, minlength=c) == 0] = -np.inf
+    return scores
 
 
-def score_ranking(marginals: ProbabilityModel, rule: str) -> Ranking:
-    """Full ranking by descending score under the shared tie-break policy."""
-    scores = baseline_scores(marginals, rule)
-    tie = scores if rule == "ntr" else baseline_scores(marginals, "ntr")
-    order = np.lexsort((np.arange(marginals.candidates), -tie, -scores))
+def score_ranking(model: ProbabilityModel, rule: str, p: np.ndarray | None = None) -> Ranking:
+    """Full ranking by descending score under the shared tie-break policy,
+    from `model`'s coin probabilities, or from `p` (one per coin, as
+    :func:`_coin_scores` reads it) when given."""
+    p = model.coin_probs if p is None else p
+    scores = _coin_scores(model, p, rule)
+    tie = scores if rule == "ntr" else _coin_scores(model, p, "ntr")
+    order = np.lexsort((np.arange(model.candidates), -tie, -scores))
     return Ranking(_owned(order.astype(np.int32)))
 
 
@@ -654,9 +681,9 @@ def rank(
 ) -> Ranking:
     """Run the configured algorithm over a sample set.
 
-    `marginals`, an independent model of per-(candidate, slot)
-    probabilities, overrides the empirical frequencies for the score
-    baselines (``model.marginal_matrix()`` ranks from the model's
+    `marginals`, a model of the same candidates and slots, overrides the
+    empirical frequencies for the score baselines with its coins'
+    probabilities (``marginals=samples.model`` ranks from the model's
     probabilities directly); the greedy algorithms always work from the
     samples themselves, through the kernel :data:`MAX_CUT_KERNEL_GROUPS`
     picks (``stats.kernel`` tells which ran).
@@ -674,10 +701,12 @@ def rank(
         ranking = random_ranking(samples.candidates, cfg.seed)
         return _truncate(ranking, cfg, samples.candidates)
     if marginals is None:
-        marginals = empirical_marginals(samples)
+        ranking = score_ranking(samples.model, cfg.algorithm, _win_frequencies(samples))
     elif (marginals.candidates, marginals.slots) != (samples.candidates, samples.slots):
         raise InputError("marginals dimensions do not match the sample set")
-    return _truncate(score_ranking(marginals, cfg.algorithm), cfg, samples.candidates)
+    else:
+        ranking = score_ranking(marginals, cfg.algorithm)
+    return _truncate(ranking, cfg, samples.candidates)
 
 
 def _truncate(ranking: Ranking, cfg: RankerConfig, c: int) -> Ranking:

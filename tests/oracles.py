@@ -17,7 +17,10 @@ kernels, so agreement is strong evidence of correctness:
   discovery order, so every operation is deterministic.
 
 The slot-level edge count, :func:`row_count_marginals`, is the oracle of
-``ranker.empirical_marginals``, which counts coins instead.  The reach set
+``ranker.empirical_marginals``, which counts coins instead, and
+:func:`spread_scores`, a row sum over the per-slot entries of such a model,
+is the oracle of the score rules and the greedy tie key, which read coins
+and their bins' sizes instead.  The reach set
 that the batched kernel keeps from commit to commit is tested against
 :func:`batched_reach`, a fresh backward search over its current matching.
 
@@ -30,6 +33,7 @@ against them.
 from __future__ import annotations
 
 import heapq
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -47,7 +51,7 @@ from matchrank.core import (
     UNMATCHED,
 )
 from matchrank.matching import max_matching_size
-from matchrank.ranker import RankerConfig, RankerStats, _argbest, _tie_key
+from matchrank.ranker import _OR_CLAMP_P, RankerConfig, RankerStats, _argbest, _tie_key
 
 
 def row_count_marginals(samples: SampleSet) -> ProbabilityModel:
@@ -68,6 +72,42 @@ def row_count_marginals(samples: SampleSet) -> ProbabilityModel:
     indptr = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=c), out=indptr[1:])
     return ProbabilityModel.independent(s, indptr, (nz % s).astype(np.int32), counts[nz] / samples.n)
+
+
+def spread_scores(marginals: ProbabilityModel, rule: str) -> np.ndarray:
+    """``ranker.baseline_scores`` summed over the per-(candidate, slot)
+    entries of an independent model, one rule term per entry, row by row."""
+    p, idx, ptr = marginals.coin_probs, marginals.coin_bins, marginals.coin_ptr
+    if rule == "and":
+        scores = _row_sums(np.log(p), ptr)
+        scores[np.diff(ptr) == 0] = -np.inf
+        return scores
+    if rule == "or":
+        if np.any(p >= 1.0):
+            warnings.warn("probability 1 entries clamped for 'or' scoring", stacklevel=2)
+            p = np.minimum(p, _OR_CLAMP_P)
+        return _row_sums(-np.log1p(-p), ptr)
+    if rule == "tr":
+        return _row_sums(p, ptr)
+    # Columns with no stored entry contribute no terms, so their zero sums
+    # never reach the division below.
+    col_sums = np.bincount(idx, weights=p, minlength=marginals.slots)
+    return _row_sums(p / col_sums[idx], ptr)
+
+
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    rows = len(indptr) - 1
+    if values.size == 0:
+        return np.zeros(rows)
+    ids = np.repeat(np.arange(rows), np.diff(indptr))
+    return np.bincount(ids, weights=values, minlength=rows)
+
+
+def spread_order(marginals: ProbabilityModel, rule: str) -> np.ndarray:
+    """Every candidate by descending :func:`spread_scores` under `rule`,
+    then descending ``ntr`` score, then ascending id (int32)."""
+    scores, tie = spread_scores(marginals, rule), spread_scores(marginals, "ntr")
+    return np.lexsort((np.arange(marginals.candidates), -tie, -scores)).astype(np.int32)
 
 
 def brute_max_matching(matrix: RelevanceMatrix, pool=None) -> int:

@@ -617,10 +617,15 @@ class TestMemoryPreflight:
         assert code == 2
         assert f"10 samples of {coins} coins need more memory" in capsys.readouterr().err
         assert not out.exists()
-        # The samples fit; ntr, unlike a greedy, builds no batched union.
-        monkeypatch.setattr(core, "_physical_memory", lambda: 10 * coins)
+        # The samples fit, and so do the 16 bytes ntr's scores take per
+        # entry (at most one per coin of one-slot bins); ntr, unlike a
+        # greedy, builds no batched union.
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16 * coins)
         assert run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10",
                    "--algorithm", "ntr") == 0
+        capsys.readouterr()
+        assert run("rank", "--model", str(ingested_model_path), "--out", str(out), "--n", "10") == 2
+        assert "batched union of 10 samples" in capsys.readouterr().err
 
     def test_batched_union_outgrowing_memory_exits_2(
         self, tmp_path, ingested_model_path, capsys, monkeypatch

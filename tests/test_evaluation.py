@@ -323,6 +323,13 @@ lockstep_sizes = st.one_of(
     st.lists(st.integers(0, 3), min_size=1, max_size=MAX_CUT_FORM_GROUPS + 2),
 )
 
+#: Models past MAX_CUT_FORM_GROUPS bins alone (the bisection path): an int,
+#: an independent model of that many slots; a list, a group model.
+wide_sizes = st.one_of(
+    st.integers(MAX_CUT_FORM_GROUPS + 1, MAX_CUT_FORM_GROUPS + 3),
+    st.lists(st.integers(0, 3), min_size=MAX_CUT_FORM_GROUPS + 1, max_size=MAX_CUT_FORM_GROUPS + 2),
+)
+
 
 def lockstep_model(sizes, seed: int) -> ProbabilityModel:
     if sizes is None or isinstance(sizes, int):
@@ -335,7 +342,11 @@ class TestLockstep:
     search of the oracles, on the same draws and both methods."""
 
     @given(
-        lockstep_sizes,
+        # Wide models (bisection) in about one example of three: a quarter
+        # of the draws pick them, and lockstep_sizes gives a few more.
+        st.sampled_from([False, False, False, True]).flatmap(
+            lambda wide: wide_sizes if wide else lockstep_sizes
+        ),
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
         st.integers(1, 6),
@@ -415,11 +426,7 @@ class TestBlockRule:
 
     @given(
         # Models of both methods, wide ones (bisection) two times in three.
-        st.one_of(
-            lockstep_sizes,
-            st.integers(MAX_CUT_FORM_GROUPS + 1, MAX_CUT_FORM_GROUPS + 3),
-            st.lists(st.integers(0, 3), min_size=MAX_CUT_FORM_GROUPS + 1, max_size=MAX_CUT_FORM_GROUPS + 2),
-        ),
+        st.one_of(lockstep_sizes, wide_sizes),
         st.integers(0, 2**32 - 1),
         st.integers(0, 3),
         st.integers(1, 12),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from conftest import (
     relevance_matrix,
     sample_set,
 )
-from matchrank import core
+from matchrank import core, ranker
 from matchrank.core import (
     ContractError,
     InputError,
@@ -34,6 +35,7 @@ from matchrank.ranker import (
     ALGORITHMS,
     GREEDY_ALGORITHMS,
     MAX_CUT_KERNEL_GROUPS,
+    SCORE_RULES,
     RankerConfig,
     RankerStats,
     baseline_scores,
@@ -44,8 +46,10 @@ from matchrank.ranker import (
     _UNSEEN,
     _Batched,
     _Cut,
+    _coin_scores,
     _greedy,
     _tie_key,
+    _win_frequencies,
 )
 from matchrank.evaluation import evaluate
 from matchrank.fileio import ingest_model
@@ -65,6 +69,8 @@ from oracles import (
     matchrank,
     matchrank_lazy,
     row_count_marginals,
+    spread_order,
+    spread_scores,
 )
 
 
@@ -342,12 +348,12 @@ class TestBaselineScores:
         with pytest.raises(InputError):
             baseline_scores(m, "xor")
 
-    def test_rejects_a_group_model(self):
-        # Its coins' bins are groups, not slots.
+    def test_scores_a_group_model_as_its_marginal_matrix(self):
+        # Its coins' bins are groups: each coin counts once per slot.
         group = ProbabilityModel.group_structured(SlotLayout((2, 1)), [[0], [1]], [[0.5], [0.5]])
-        with pytest.raises(InputError, match="independent"):
-            baseline_scores(group, "tr")
-        assert baseline_scores(group.marginal_matrix(), "tr").tolist() == [1.0, 0.5]
+        assert baseline_scores(group, "tr").tolist() == [1.0, 0.5]
+        for rule in SCORE_RULES:
+            assert_bitwise(baseline_scores(group, rule), baseline_scores(group.marginal_matrix(), rule))
 
 
 class TestScoreRanking:
@@ -366,6 +372,119 @@ class TestScoreRanking:
         m = ProbabilityModel.from_dense([[0.5, 0.0], [0.0, 0.5], [0.4, 0.0]])
         r = score_ranking(m, "tr")
         assert r.order.tolist() == [1, 0, 2]
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray):
+    """Two float arrays hold the same bits."""
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def warned(fn, *args):
+    """`fn(*args)` and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, bool(caught)
+
+
+def score_samples(rng: np.random.Generator, grouped: bool) -> SampleSet:
+    """1 to 10 samples of a random model: a group model of 1-8 groups of 0-12
+    slots, or an independent one of 0-12 slots with empty rows and sure
+    entries; about one coin in five is then lost in every sample and one
+    in five won in every sample."""
+    c, g, n = int(rng.integers(1, 21)), int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    probs = [0.02, 0.1, 0.3, 0.7, 0.98]
+    if grouped:
+        layout = SlotLayout(tuple(int(k) for k in rng.integers(0, 13, size=g)))
+        k = int(rng.integers(1, g + 1))
+        membership = np.sort(np.argsort(rng.random((c, g)), axis=1)[:, :k], axis=1)
+        model = ProbabilityModel.group_structured(layout, membership, rng.choice(probs, size=(c, k)))
+    else:
+        s = int(rng.integers(0, 13))
+        dense = rng.choice(probs[1:-1] + [1.0], size=(c, s))
+        dense[rng.random((c, s)) < 0.5] = 0.0
+        model = ProbabilityModel.from_dense(dense)
+    coins = sample_relevances(model, n, int(rng.integers(0, 1000))).coins.copy()
+    coins[:, rng.random(coins.shape[1]) < 0.2] = False
+    coins[:, rng.random(coins.shape[1]) < 0.2] = True
+    return SampleSet(model, coins, 0)
+
+
+class TestCoinScores:
+    """The score rules and the greedy tie key read each coin's probability
+    or win frequency and its bin's size, against a row sum over the
+    per-slot entries of the independent model that spreads them."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=examples(200), deadline=None)
+    def test_equal_the_spread_oracle(self, seed, grouped):
+        ss = score_samples(np.random.default_rng(seed), grouped)
+        model, counted = ss.model, row_count_marginals(ss)
+        for rule in SCORE_RULES:
+            # The model's probabilities, and the samples' win frequencies.
+            for got, want in (
+                (warned(baseline_scores, model, rule), warned(spread_scores, model.marginal_matrix(), rule)),
+                (warned(_coin_scores, model, _win_frequencies(ss), rule), warned(spread_scores, counted, rule)),
+            ):
+                assert got[1] == want[1]
+                assert_bitwise(got[0], want[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "or" clamps sure entries
+                cfg = RankerConfig(algorithm=rule)
+                assert rank(ss, cfg).order.tobytes() == spread_order(counted, rule).tobytes()
+                want = spread_order(model.marginal_matrix(), rule).tobytes()
+                assert rank(ss, cfg, marginals=model).order.tobytes() == want
+        assert_bitwise(_tie_key(ss), spread_scores(counted, "ntr"))
+
+    def test_add_a_coins_term_once_per_slot(self):
+        # Ten additions of 0.1 make 0.9999999999999999; 10 * 0.1 makes 1.0.
+        model = ProbabilityModel.group_structured(SlotLayout((10, 0)), [[0], [0], [1]], [[0.1], [0.3], [0.5]])
+        assert spread_scores(model.marginal_matrix(), "tr")[0] == sum([0.1] * 10) != 1.0
+        ss = SampleSet(model, np.array([[True, False, True]] * 9 + [[False] * 3]), 0)
+        assert _win_frequencies(ss)[0] == 0.9
+        for rule in SCORE_RULES:
+            assert_bitwise(baseline_scores(model, rule), spread_scores(model.marginal_matrix(), rule))
+            assert_bitwise(_coin_scores(model, _win_frequencies(ss), rule), spread_scores(row_count_marginals(ss), rule))
+        # A candidate whose coins own no slot has no entry.
+        assert baseline_scores(model, "and")[2] == -math.inf
+
+    def test_or_clamps_only_entries_that_exist(self):
+        # Candidate 1's sure coin is in a group without slots.
+        model = ProbabilityModel.group_structured(SlotLayout((2, 0)), [[0], [1]], [[0.5], [0.5]])
+        ss = SampleSet(model, np.array([[False, True], [True, True]]), 0)
+        _, clamped = warned(_coin_scores, model, _win_frequencies(ss), "or")
+        assert not clamped
+        ss = SampleSet(model, np.array([[True, True], [True, False]]), 0)
+        scores, clamped = warned(_coin_scores, model, _win_frequencies(ss), "or")
+        assert clamped and np.isfinite(scores).all()
+
+    def test_refuses_entries_beyond_memory(self, monkeypatch):
+        model = ProbabilityModel.group_structured(SlotLayout((10, 5)), [[0], [1]], [[0.5], [0.5]])
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16 * 15 - 1)
+        with pytest.raises(InputError, match="15 per-slot entries"):
+            baseline_scores(model, "tr")
+        monkeypatch.setattr(core, "_physical_memory", lambda: 16 * 15)
+        assert baseline_scores(model, "tr").tolist() == [5.0, 2.5]
+
+    def test_ranks_without_spreading_coins(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("spread coins over slots")
+
+        monkeypatch.setattr(core, "_spread_coins", refuse)
+        monkeypatch.setattr(ranker, "_spread_coins", refuse)
+        rng = np.random.default_rng(4)
+        sets = [
+            random_group_samples(rng, 6, n=5),
+            random_group_samples(rng, MAX_CUT_KERNEL_GROUPS + 2, n=5),
+            random_independent_samples(rng, 8, n=5),
+        ]
+        for ss in sets:
+            for algorithm in ALGORITHMS:
+                cfg = RankerConfig(algorithm=algorithm)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # "or" clamps sure entries
+                    assert rank(ss, cfg).is_complete(ss.candidates)
+                    assert rank(ss, cfg, marginals=ss.model).is_complete(ss.candidates)
 
 
 class TestRandomRanking:
@@ -413,16 +532,17 @@ class TestDispatcher:
             rank(ss, RankerConfig(algorithm="tr"), marginals=bad)
 
     @pytest.mark.parametrize("algorithm", ["and", "or", "tr", "ntr"])
-    def test_marginals_must_be_an_independent_model(self, algorithm):
-        # Six candidates in 3 one-slot groups: the dimensions match, but
-        # the coins' bins are groups.
-        group = ProbabilityModel.group_structured(
-            SlotLayout((1, 1, 1)), [[0], [1], [2], [0], [1], [2]], np.full((6, 1), 0.5)
-        )
-        ss = random_sampleset(np.random.default_rng(23), 6, 3, 2, 0.5)
-        with pytest.raises(InputError, match="independent"):
-            rank(ss, RankerConfig(algorithm=algorithm), marginals=group)
-        rank(ss, RankerConfig(algorithm=algorithm), marginals=group.marginal_matrix())
+    def test_group_marginals_rank_as_their_marginal_matrix(self, algorithm):
+        # Six candidates in 3 one-slot groups, and in 3 groups of 1-3 slots
+        # beside the sample set of as many slots.
+        for sizes in ((1, 1, 1), (3, 2, 1)):
+            group = ProbabilityModel.group_structured(
+                SlotLayout(sizes), [[0], [1], [2], [0], [1], [2]], np.linspace(0.1, 0.6, 6)[:, None]
+            )
+            ss = random_sampleset(np.random.default_rng(23), 6, sum(sizes), 2, 0.5)
+            cfg = RankerConfig(algorithm=algorithm)
+            want = rank(ss, cfg, marginals=group.marginal_matrix()).order
+            assert rank(ss, cfg, marginals=group).order.tobytes() == want.tobytes()
 
     def test_stop_at_truncates_baselines(self):
         rng = np.random.default_rng(24)
