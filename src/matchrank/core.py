@@ -279,16 +279,6 @@ def _coin_rows(model: "ProbabilityModel", won: np.ndarray) -> "RelevanceMatrix":
     return RelevanceMatrix(model.candidates, model.slots, *_coin_slots(model, won))
 
 
-def _spread_coins(model: "ProbabilityModel", values: np.ndarray, keep: np.ndarray):
-    """The independent model of per-(candidate, slot) probabilities of
-    `model`'s coins where `keep` (bool, one per coin) is set: each coin's
-    entry of `values` on every slot of its bin."""
-    spread = _owned(np.repeat(values[keep], model.bins.group_sizes[model.coin_bins[keep]]))
-    # independent() validates the CSR, once.
-    csr = _coin_slots(model, keep)
-    return ProbabilityModel.independent(model.slots, *csr, spread, like=model.bins)
-
-
 def _coin_masks(model: "ProbabilityModel", coins: np.ndarray) -> np.ndarray:
     """Per candidate (after any leading draw axes of `coins`), the uint16 bit
     mask of the bins that own slots and whose coin is set (<= 16 bins)."""
@@ -527,12 +517,6 @@ class ProbabilityModel:
     @property
     def slots(self) -> int:
         return self.bins.total_slots
-
-    def marginal_matrix(self) -> "ProbabilityModel":
-        """Per-(candidate, slot) edge probabilities implied by the model, as
-        an independent model: each coin's probability on every slot of its
-        bin."""
-        return _spread_coins(self, self.coin_probs, np.ones(self.coin_probs.size, dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)

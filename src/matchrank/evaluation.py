@@ -112,6 +112,10 @@ class EvalReport:
     def __post_init__(self):
         if self.draws < 1 or self.slots < 1:
             raise InputError("a report needs at least one draw and one slot")
+        if self.n_samples < 1:
+            raise InputError("n_samples must be at least 1")
+        if self.sample_seed < 0 or self.eval_seed < 0:
+            raise InputError("sample_seed and eval_seed must be non-negative")
         if len(self.per_draw_kmin) != self.draws:
             raise InputError("per_draw_kmin must have one entry per draw")
         # A draw fills its slots with one candidate a slot at least, and

@@ -372,6 +372,11 @@ def read_ranking(path: str | Path) -> tuple[Ranking, dict]:
     _require(obj, path, _RANKING_FIELDS)
     if obj["tie_break"] != TIE_BREAK:
         raise InputError(f"{path}: unsupported tie_break {obj['tie_break']!r}")
+    if obj["n_samples"] < 1:
+        raise InputError(f"{path}: n_samples must be at least 1")
+    for key in ("sample_seed", "ranker_seed"):
+        if obj[key] < 0:
+            raise InputError(f"{path}: {key} must be non-negative")
     order, pg = obj["order"], obj["prefix_gain"]
     _ints(order, path, "order")
     _ints(pg or [], path, "prefix_gain")

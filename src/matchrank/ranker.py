@@ -39,15 +39,16 @@ remaining gain is zero, and the tail order alone decides how quickly a fresh
 relevance draw can finish — where favoring candidates that serve uncrowded
 slots keeps the rarely-covered slots from waiting out the whole tail.
 
-Baselines score candidates from the empirical per-(candidate, slot) edge
-frequencies, each coin's win count spread over its bin's slots, or from a
-model's coin probabilities spread the same way (a group model's or an
-independent one's), and sort by (score, normalized relevance, id) under the
-same policy.  Scores and the secondary key read the coins and their bins'
-sizes, never the spread entries: each coin's term is added once per slot of
-its bin, in entry order, so every score is bitwise the row sum over the
-spread.  Gains are exact integers; the secondary key is a float computed in
-one fixed pass over the counts, so comparisons stay reproducible.
+A relevance marginal is one probability per coin, the edge probability of
+every slot of the coin's bin: each coin's win frequency across the samples
+(:func:`empirical_marginals`), or a model's coin probabilities (a group
+model's or an independent one's).  Baselines score candidates from them
+(:func:`baseline_scores`) and sort by (score, normalized relevance, id)
+under the same policy; the secondary key is the ``ntr`` score of the win
+frequencies.  A score adds each coin's term once per slot of its bin, so it
+is bitwise the row sum over the per-slot edges.  Gains are exact integers;
+the secondary key is a float computed in one fixed pass over the counts, so
+comparisons stay reproducible.
 """
 from __future__ import annotations
 
@@ -71,7 +72,6 @@ from .core import (
     _require_memory,
     _row_positions,
     _row_spans,
-    _spread_coins,
     substream,
 )
 
@@ -165,7 +165,7 @@ class RankerStats:
 def _tie_key(samples: SampleSet) -> np.ndarray:
     """Secondary sort key: competition-normalized relevance per candidate,
     from each coin's win frequency."""
-    return _coin_scores(samples.model, _win_frequencies(samples), "ntr")
+    return baseline_scores(samples.model, "ntr", empirical_marginals(samples))
 
 
 def _argbest(ids: np.ndarray, gains: np.ndarray, key: np.ndarray) -> int:
@@ -561,48 +561,37 @@ class _Batched:
         self._gains -= np.count_nonzero(had & (hits[rows] == 0), axis=0)
 
 
-def empirical_marginals(samples: SampleSet) -> ProbabilityModel:
-    """Per-(candidate, slot) edge frequency across the sample set, as an
-    independent model: each coin's win count, spread over its bin's slots."""
-    freq = _win_frequencies(samples)
-    # A candidate's row holds the slots of every coin it ever won.
-    return _spread_coins(samples.model, freq, freq > 0)
-
-
-def _win_frequencies(samples: SampleSet) -> np.ndarray:
-    """Per coin of the samples' model, the share of samples that won it."""
+def empirical_marginals(samples: SampleSet) -> np.ndarray:
+    """Per coin of the samples' model, the share of samples that won it
+    (float64): its relevance marginal, the edge frequency of every slot of
+    its bin."""
     return np.count_nonzero(samples.coins, axis=0) / samples.n
 
 
-def baseline_scores(marginals: ProbabilityModel, rule: str) -> np.ndarray:
+def baseline_scores(model: ProbabilityModel, rule: str, p: np.ndarray | None = None) -> np.ndarray:
     """Per-candidate score under one of the probability-aggregation rules,
-    from the per-(candidate, slot) probabilities of a model: each coin's
-    probability on every slot of its bin, as ``marginals.marginal_matrix()``
-    holds them (an independent model's coins are its entries).
+    from one probability per coin of `model`: `p`, or the model's own coin
+    probabilities.  A coin's probability is the edge probability of every
+    slot of its bin; a coin of 0, or of a bin without slots, has no edge.
 
-    * ``and`` — log-probability that *every* listed slot edge appears;
-      candidates with no entries score -inf.
+    * ``and`` — log-probability that *every* edge appears; candidates with
+      no edge score -inf.
     * ``or``  — -log of the probability that *no* edge appears.
     * ``tr``  — expected number of edges (sum of probabilities).
     * ``ntr`` — like ``tr`` but each slot's column is first normalized to
       sum to one, so crowded slots count for less.
-    """
-    return _coin_scores(marginals, marginals.coin_probs, rule)
-
-
-def _coin_scores(model: ProbabilityModel, p: np.ndarray, rule: str) -> np.ndarray:
-    """:func:`baseline_scores` under `rule` of the per-(candidate, slot)
-    probabilities that spread `p` (one per coin of `model`; a coin of 0
-    holds no entry) over the slots of each coin's bin, without the spread.
 
     A candidate's score adds each of its coins' terms once per slot of the
-    coin's bin, in entry order: the same additions, in the same order, as a
-    row sum over the spread entries, so every score is bitwise that sum
+    coin's bin, in coin order: the same additions, in the same order, as a
+    row sum over the per-slot edges, so every score is bitwise that sum
     (``size * term`` is not: ten additions of 0.1 make 0.9999999999999999).
     A slot's column sum, for ``ntr``, is its bin's: the same additions too.
     """
     if rule not in SCORE_RULES:
         raise InputError(f"unknown score rule {rule!r}; valid: {', '.join(SCORE_RULES)}")
+    p = model.coin_probs if p is None else np.asarray(p, dtype=np.float64)
+    if p.shape != model.coin_probs.shape:
+        raise InputError(f"p must hold one probability per coin ({model.coin_probs.size})")
     c, sizes = model.candidates, model.bins.group_sizes
     reps = sizes[model.coin_bins]
     # The coins that hold entries: of positive p, in a bin with slots.
@@ -616,7 +605,7 @@ def _coin_scores(model: ProbabilityModel, p: np.ndarray, rule: str) -> np.ndarra
         term = np.log(p)
     elif rule == "or":
         if np.any(p >= 1.0):
-            warnings.warn("probability 1 entries clamped for 'or' scoring", stacklevel=3)
+            warnings.warn("probability 1 entries clamped for 'or' scoring", stacklevel=2)
             p = np.minimum(p, _OR_CLAMP_P)
         term = -np.log1p(-p)
     elif rule == "tr":
@@ -633,12 +622,11 @@ def _coin_scores(model: ProbabilityModel, p: np.ndarray, rule: str) -> np.ndarra
 
 
 def score_ranking(model: ProbabilityModel, rule: str, p: np.ndarray | None = None) -> Ranking:
-    """Full ranking by descending score under the shared tie-break policy,
-    from `model`'s coin probabilities, or from `p` (one per coin, as
-    :func:`_coin_scores` reads it) when given."""
-    p = model.coin_probs if p is None else p
-    scores = _coin_scores(model, p, rule)
-    tie = scores if rule == "ntr" else _coin_scores(model, p, "ntr")
+    """Full ranking by descending :func:`baseline_scores` under `rule`,
+    then the shared tie-break policy, from `model`'s coin probabilities or
+    from `p`, one per coin."""
+    scores = baseline_scores(model, rule, p)
+    tie = scores if rule == "ntr" else baseline_scores(model, "ntr", p)
     order = np.lexsort((np.arange(model.candidates), -tie, -scores))
     return Ranking(_owned(order.astype(np.int32)))
 
@@ -682,9 +670,9 @@ def rank(
     """Run the configured algorithm over a sample set.
 
     `marginals`, a model of the same candidates and slots, overrides the
-    empirical frequencies for the score baselines with its coins'
-    probabilities (``marginals=samples.model`` ranks from the model's
-    probabilities directly); the greedy algorithms always work from the
+    samples' win frequencies (:func:`empirical_marginals`) for the score
+    baselines with its coins' probabilities (``marginals=samples.model``
+    ranks from the model's probabilities directly); the greedy algorithms always work from the
     samples themselves, through the kernel :data:`MAX_CUT_KERNEL_GROUPS`
     picks (``stats.kernel`` tells which ran).
     """
@@ -701,7 +689,7 @@ def rank(
         ranking = random_ranking(samples.candidates, cfg.seed)
         return _truncate(ranking, cfg, samples.candidates)
     if marginals is None:
-        ranking = score_ranking(samples.model, cfg.algorithm, _win_frequencies(samples))
+        ranking = score_ranking(samples.model, cfg.algorithm, empirical_marginals(samples))
     elif (marginals.candidates, marginals.slots) != (samples.candidates, samples.slots):
         raise InputError("marginals dimensions do not match the sample set")
     else:

@@ -48,15 +48,6 @@ def coin_candidates(model) -> np.ndarray:
     return np.repeat(np.arange(model.candidates), np.diff(model.coin_ptr))
 
 
-def dense_probs(model) -> np.ndarray:
-    """The candidates x slots matrix of `model`'s per-(candidate, slot)
-    probabilities (its `marginal_matrix()`), 0 where none is stored."""
-    m = model.marginal_matrix()
-    dense = np.zeros((m.candidates, m.slots))
-    dense[coin_candidates(m), m.coin_bins] = m.coin_probs
-    return dense
-
-
 def write_triplets(model, path):
     """Write an independent model as a triplet file (`read_prob_triplets`'s
     format): one line per coin, its slot being its bin."""
@@ -95,6 +86,9 @@ CONTRADICTORY_REPORTS = {
         "at least one draw and one slot",
     ),
     "no slots": ({"slots": 0}, "at least one draw and one slot"),
+    "no samples": ({"n_samples": 0}, "n_samples must be at least 1"),
+    "negative sample seed": ({"sample_seed": -1}, "seed must be non-negative"),
+    "negative eval seed": ({"eval_seed": -7}, "seed must be non-negative"),
     "a mean of no fillable draw": (
         {"per_draw_kmin": [None] * 3, "unfillable_count": 3, "normalized_std": None},
         "null exactly when no draw is fillable",

@@ -16,11 +16,15 @@ kernels, so agreement is strong evidence of correctness:
   searches scan slots in ascending id order and expand candidates in
   discovery order, so every operation is deterministic.
 
-The slot-level edge count, :func:`row_count_marginals`, is the oracle of
+The library keeps relevance marginals as one probability per coin; the
+per-slot spread lives here.  :func:`spread_marginals` spreads each coin's
+probability over the slots of its bin, as an independent model, and
+:func:`dense_probs` as a dense matrix.  The slot-level edge count,
+:func:`row_count_marginals`, is the oracle of the spread of
 ``ranker.empirical_marginals``, which counts coins instead, and
-:func:`spread_scores`, a row sum over the per-slot entries of such a model,
-is the oracle of the score rules and the greedy tie key, which read coins
-and their bins' sizes instead.  The reach set
+:func:`spread_scores`, a row sum over the per-slot entries of a spread, is
+the oracle of the score rules and the greedy tie key, which read coins and
+their bins' sizes instead.  The reach set
 that the batched kernel keeps from commit to commit is tested against
 :func:`batched_reach`, a fresh backward search over its current matching.
 
@@ -52,6 +56,27 @@ from matchrank.core import (
 )
 from matchrank.matching import max_matching_size
 from matchrank.ranker import _OR_CLAMP_P, RankerConfig, RankerStats, _argbest, _tie_key
+
+
+def dense_probs(model: ProbabilityModel, p: np.ndarray | None = None) -> np.ndarray:
+    """The candidates x slots matrix of per-(candidate, slot) probabilities
+    of one probability per coin of `model` (`p`, or its coin
+    probabilities): each coin's on every slot of its bin, 0 elsewhere."""
+    p = model.coin_probs if p is None else p
+    bins = model.bins
+    reps = bins.group_sizes[model.coin_bins]
+    rows = np.repeat(np.repeat(np.arange(model.candidates), np.diff(model.coin_ptr)), reps)
+    # A coin's slots run from its bin's first slot, one apart.
+    within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    dense = np.zeros((model.candidates, model.slots))
+    dense[rows, np.repeat(bins.group_start[model.coin_bins], reps) + within] = np.repeat(p, reps)
+    return dense
+
+
+def spread_marginals(model: ProbabilityModel, p: np.ndarray | None = None) -> ProbabilityModel:
+    """:func:`dense_probs` as an independent model: one coin per positive
+    (candidate, slot) entry."""
+    return ProbabilityModel.from_dense(dense_probs(model, p))
 
 
 def row_count_marginals(samples: SampleSet) -> ProbabilityModel:

@@ -9,7 +9,7 @@ import pytest
 
 import matchrank
 from matchrank import core
-from matchrank import cli
+from matchrank import cli, ranker
 from matchrank.cli import main
 from matchrank.core import Ranking
 from conftest import CONTRADICTORY_REPORTS, read_samples, report_file
@@ -205,10 +205,17 @@ class TestRank:
     def test_use_model_marginals_builds_none_for_other_rankers(
         self, tmp_path, model_path, monkeypatch, algorithm
     ):
-        def refuse(self):
-            raise AssertionError("only the score rules read model marginals")
+        # A score from the model's own coin probabilities (no `p`) is a
+        # read of the model's marginals; the greedy tie key scores the win
+        # frequencies instead.
+        real = ranker.baseline_scores
 
-        monkeypatch.setattr(core.ProbabilityModel, "marginal_matrix", refuse)
+        def scores(model, rule, p=None):
+            if p is None:
+                raise AssertionError("only the score rules read model marginals")
+            return real(model, rule, p)
+
+        monkeypatch.setattr(ranker, "baseline_scores", scores)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["rank", "--model", str(model_path), "--n", "2", "--algorithm", algorithm]
         assert run(*argv, "--out", str(a)) == 0
@@ -442,6 +449,23 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.json" in err and "candidates" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_samples", -3), ("n_samples", 0), ("sample_seed", -1), ("ranker_seed", -2)]
+    )
+    def test_ranking_with_no_samples_or_a_negative_seed_exits_2(
+        self, tmp_path, model_path, ranking_path, capsys, key, value
+    ):
+        obj = json.loads(ranking_path.read_text())
+        obj[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "r.json"
+        code = run("eval", "--model", str(model_path), "--ranking", str(bad), "--out", str(out), "--draws", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and key in err
+        assert not out.exists()
 
     def test_config_threads_and_precedence(self, tmp_path, model_path, ranking_path):
         cfg = tmp_path / "cfg.json"

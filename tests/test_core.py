@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coin_view, dense_probs, edge_set, examples
+from conftest import coin_view, edge_set, examples
+from oracles import dense_probs, spread_marginals
 from matchrank import core
 from matchrank.core import (
     InputError,
@@ -18,6 +19,7 @@ from matchrank.core import (
     SlotLayout,
     substream,
 )
+from matchrank.fileio import ingest_model
 
 
 class TestSlotLayout:
@@ -500,35 +502,42 @@ class TestProbabilityModel:
         assert model.coin_probs.tolist() == [0.5, 0.25, 0.4, 0.8]
 
     def test_a_derived_model_shares_its_sources_one_slot_bins(self):
-        # A layout is read-only: an independent model made from one of one-
-        # slot bins keeps its source's, and one from wider bins gets its own.
+        # A layout is read-only: an independent model made like one of one-
+        # slot bins keeps its layout, as does a model ingested one slot a
+        # label; one made like wider bins gets its own.
         model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])
-        assert model.marginal_matrix().bins is model.bins
-        wide = ProbabilityModel.group_structured(SlotLayout((2, 1)), [[0], [1]], [[0.5], [0.4]])
-        spread = wide.marginal_matrix()
-        assert spread.bins is not wide.bins and spread.bins.group_sizes.tolist() == [1, 1, 1]
+        like = ProbabilityModel.independent(2, [0, 1, 1], [1], [0.5], like=model.bins)
+        assert like.bins is model.bins
+        assert ingest_model(model, slots_per_label=1).bins is model.bins
+        wide = SlotLayout((2, 1))
+        own = ProbabilityModel.independent(3, [0, 0], [], [], like=wide)
+        assert own.bins is not wide and own.bins.group_sizes.tolist() == [1, 1, 1]
         # A layout of one-slot bins but of another slot count is not shared.
         other = ProbabilityModel.independent(3, [0, 0], [], [], like=model.bins)
         assert other.bins.group_count == 3
+        assert ingest_model(model, slots_per_label=2).bins.group_count == 4
 
-    def test_marginals_of_one_slot_bins_allocate_no_second_layout(self):
+    def test_models_derived_from_one_slot_bins_allocate_no_second_layout(self):
         slots = 1_000_000
         model = ProbabilityModel.independent(slots, [0, 1], [7], [0.5])
         tracemalloc.start()
         try:
-            marginals = model.marginal_matrix()
+            like = ProbabilityModel.independent(slots, [0, 1], [9], [0.25], like=model.bins)
+            ingested = ingest_model(model, slots_per_label=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < slots  # under a byte a slot: no int64 count each
-        assert coin_view(marginals) == coin_view(model)
+        assert like.bins is ingested.bins is model.bins
+        assert coin_view(ingested) == coin_view(model)
 
     def test_independent_marginals_identity(self):
+        # An independent model's coins are its per-slot entries already.
         model = ProbabilityModel.from_dense([[0.5, 0.2], [0.0, 0.7]])
         assert model.candidates == 2
         assert model.slots == 2
         assert model.bins.group_sizes.tolist() == [1, 1]
-        marginals = model.marginal_matrix()
+        marginals = spread_marginals(model)
         assert marginals.kind == "independent"
         assert np.array_equal(marginals.bins.group_sizes, model.bins.group_sizes)
         assert coin_view(marginals) == coin_view(model)

@@ -781,6 +781,33 @@ class TestEvalReport:
                 config={},
             )
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (dict(n_samples=0), "n_samples must be at least 1"),
+            (dict(n_samples=-3), "n_samples must be at least 1"),
+            (dict(sample_seed=-1), "seed must be non-negative"),
+            (dict(eval_seed=-7), "seed must be non-negative"),
+        ],
+    )
+    def test_refuses_no_samples_and_negative_seeds(self, change, match):
+        fields = dict(
+            algorithm="tr", candidates=3, slots=2, n_samples=1, sample_seed=0, draws=1, eval_seed=0,
+            per_draw_kmin=(2,), normalized_mean=1.0, normalized_std=0.0, unfillable_count=0, config={},
+        )
+        assert EvalReport(**fields).n_samples == 1
+        with pytest.raises(InputError, match=match):
+            EvalReport(**{**fields, **change})
+        # evaluate_ranking echoes the ranking's fields into its report.
+        model = ProbabilityModel.from_dense(np.full((3, 2), 0.5))
+        echoed = {k: v for k, v in change.items() if k != "eval_seed"}
+        if echoed:
+            with pytest.raises(InputError, match=match):
+                evaluate_ranking(
+                    full_ranking(np.arange(3)), model, 2, 0,
+                    algorithm="tr", **{"n_samples": 4, "sample_seed": 1, **echoed},
+                )
+
 
 class TestMisspecification:
     PARAMS = SynthParams(groups=3, slots_per_group=2, candidates=40, memberships=1, p_base=0.3, seed=5)

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from conftest import (
     CONTRADICTORY_REPORTS,
     coin_view,
-    dense_probs,
     edge_set,
     random_sampleset,
     read_samples,
     report_file,
     write_triplets,
 )
+from oracles import dense_probs
 from matchrank import core, fileio
 from matchrank.cli import main
 from matchrank.core import (
@@ -358,7 +358,7 @@ class TestPinnedBytes:
     def test_model_file_and_model_marginal_ranking_bytes(self, tmp_path, kind, model_file, ranking):
         model = self.model(kind)
         write_model(model, tmp_path / "m.json", metadata=model_metadata(model))
-        order = score_ranking(model.marginal_matrix(), "ntr")
+        order = score_ranking(model, "ntr")
         write_ranking(order, tmp_path / "r.json", "ntr", model.candidates, model.slots, 5, 7, 0)
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert (digest("m.json"), digest("r.json")) == (model_file, ranking)
@@ -390,6 +390,25 @@ class TestRankingFiles:
         obj["candidates"], obj["order"] = 2**40, [2**35, 0]
         path.write_text(json.dumps(obj))
         with pytest.raises(InputError, match="r.json: order"):
+            read_ranking(path)
+
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("n_samples", 0, "n_samples must be at least 1"),
+            ("n_samples", -3, "n_samples must be at least 1"),
+            ("sample_seed", -1, "sample_seed must be non-negative"),
+            ("ranker_seed", -2, "ranker_seed must be non-negative"),
+        ],
+    )
+    def test_refuses_no_samples_and_negative_seeds(self, tmp_path, key, value, match):
+        path = tmp_path / "r.json"
+        write_ranking(Ranking(np.array([1, 0], dtype=np.int32)), path, "random", 2, 2, 5, 1, 7)
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InputError, match=f"r.json: {match}"):
             read_ranking(path)
 
 

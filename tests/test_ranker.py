@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     coin_view,
-    dense_probs,
     edge_set,
     examples,
     random_group_samples,
@@ -46,10 +45,8 @@ from matchrank.ranker import (
     _UNSEEN,
     _Batched,
     _Cut,
-    _coin_scores,
     _greedy,
     _tie_key,
-    _win_frequencies,
 )
 from matchrank.evaluation import evaluate
 from matchrank.fileio import ingest_model
@@ -64,11 +61,13 @@ from oracles import (
     all_ksubset_totals,
     avg_matching,
     commit_add,
+    dense_probs,
     gain_if_added,
     init_state,
     matchrank,
     matchrank_lazy,
     row_count_marginals,
+    spread_marginals,
     spread_order,
     spread_scores,
 )
@@ -226,7 +225,7 @@ class TestEmpiricalMarginals:
     def test_counts(self, toy_instance):
         thin = relevance_matrix(5, 3, [(0, 0), (2, 1)])
         ss = sample_set((toy_instance, thin))
-        dense = dense_probs(empirical_marginals(ss))
+        dense = dense_probs(ss.model, empirical_marginals(ss))
         want = np.array(
             [
                 [1.0, 0, 0],
@@ -240,21 +239,22 @@ class TestEmpiricalMarginals:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
     @settings(max_examples=examples(40), deadline=None)
-    def test_bytes_equal_dense_counts(self, seed, groups, grouped):
-        # The tie key of every greedy kernel is built from these bytes.
+    def test_bytes_equal_the_coin_count(self, seed, groups, grouped):
+        # The score rules and the tie key of every greedy kernel read these
+        # bytes: one win frequency per coin of the model.
         rng = np.random.default_rng(seed)
         if grouped:
             ss = random_group_samples(rng, groups)
         else:
             ss = random_unstructured_samples(rng)
+        got = empirical_marginals(ss)
+        assert got.dtype == np.float64 and got.shape == ss.model.coin_probs.shape
+        assert got.tobytes() == (ss.coins.sum(axis=0, dtype=np.int64) / ss.n).tobytes()
+        # Spread over its bin's slots, a coin's is each slot's edge frequency.
         counts = np.zeros((ss.candidates, ss.slots))
         for m in ss.samples:
             counts[m.row_ids(), m.indices] += 1
-        want, got = ProbabilityModel.from_dense(counts / ss.n), empirical_marginals(ss)
-        assert (got.kind, got.bins.group_sizes.tolist(), coin_view(got)) == (
-            "independent", want.bins.group_sizes.tolist(), coin_view(want)
-        )
-
+        assert np.array_equal(dense_probs(ss.model, got), counts / ss.n)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 16), st.booleans(), st.booleans())
     @settings(max_examples=examples(100), deadline=None)
@@ -271,22 +271,8 @@ class TestEmpiricalMarginals:
             coins = ss.coins.copy()
             coins[:, ss.model.coin_ptr[0] : ss.model.coin_ptr[1]] = False
             ss = SampleSet(ss.model, coins, ss.seed)
-        got, want = empirical_marginals(ss), row_count_marginals(ss)
+        got, want = spread_marginals(ss.model, empirical_marginals(ss)), row_count_marginals(ss)
         assert (got.bins.group_sizes.tolist(), coin_view(got)) == (want.bins.group_sizes.tolist(), coin_view(want))
-        # One-slot bins, as every independent set's, are shared, not built again.
-        one_slot = (ss.model.bins.group_sizes == 1).all()
-        assert (got.bins is ss.model.bins) == one_slot and (one_slot or grouped)
-
-    def test_the_spread_csr_is_validated_once(self, monkeypatch):
-        # The rows go straight into the independent model, whose own
-        # check is the only one they pass.
-        ss = random_group_samples(np.random.default_rng(5), 6)
-        calls = []
-        validate = core._validate_csr
-        monkeypatch.setattr(core, "_validate_csr", lambda *a, **k: calls.append(a) or validate(*a, **k))
-        got = empirical_marginals(ss)
-        assert len(calls) == 1 and calls[0][2] is got.coin_ptr
-        assert coin_view(got) == coin_view(row_count_marginals(ss))
 
 
 class TestBaselineScores:
@@ -321,8 +307,9 @@ class TestBaselineScores:
 
     def test_or_clamps_certain_edges_with_warning(self):
         m = self.make([[1.0, 0.5], [0.9, 0.0]])
-        with pytest.warns(UserWarning, match="clamped"):
+        with pytest.warns(UserWarning, match="clamped") as caught:
             s = baseline_scores(m, "or")
+        assert caught[0].filename == __file__  # the warning points at the caller
         assert np.isfinite(s).all()
         assert s[0] > s[1]
 
@@ -348,12 +335,24 @@ class TestBaselineScores:
         with pytest.raises(InputError):
             baseline_scores(m, "xor")
 
-    def test_scores_a_group_model_as_its_marginal_matrix(self):
+    def test_scores_a_group_model_as_its_spread(self):
         # Its coins' bins are groups: each coin counts once per slot.
         group = ProbabilityModel.group_structured(SlotLayout((2, 1)), [[0], [1]], [[0.5], [0.5]])
         assert baseline_scores(group, "tr").tolist() == [1.0, 0.5]
         for rule in SCORE_RULES:
-            assert_bitwise(baseline_scores(group, rule), baseline_scores(group.marginal_matrix(), rule))
+            assert_bitwise(baseline_scores(group, rule), baseline_scores(spread_marginals(group), rule))
+
+    def test_scores_given_coin_probabilities(self):
+        # `p` stands in for the model's own, one per coin; a coin of 0 has no edge.
+        m = self.make([[0.5, 0.2], [0.0, 0.9]])
+        p = np.array([0.25, 0.0, 0.5])
+        other = self.make([[0.25, 0.0], [0.0, 0.5]])
+        for rule in SCORE_RULES:
+            assert_bitwise(baseline_scores(m, rule, p), baseline_scores(other, rule))
+        with pytest.raises(InputError):
+            baseline_scores(m, "xor", p)
+        with pytest.raises(InputError, match="one probability per coin"):
+            baseline_scores(m, "tr", p[:2])
 
 
 class TestScoreRanking:
@@ -419,12 +418,12 @@ class TestCoinScores:
     @settings(max_examples=examples(200), deadline=None)
     def test_equal_the_spread_oracle(self, seed, grouped):
         ss = score_samples(np.random.default_rng(seed), grouped)
-        model, counted = ss.model, row_count_marginals(ss)
+        model, counted, freq = ss.model, row_count_marginals(ss), empirical_marginals(ss)
         for rule in SCORE_RULES:
             # The model's probabilities, and the samples' win frequencies.
             for got, want in (
-                (warned(baseline_scores, model, rule), warned(spread_scores, model.marginal_matrix(), rule)),
-                (warned(_coin_scores, model, _win_frequencies(ss), rule), warned(spread_scores, counted, rule)),
+                (warned(baseline_scores, model, rule), warned(spread_scores, spread_marginals(model), rule)),
+                (warned(baseline_scores, model, rule, freq), warned(spread_scores, counted, rule)),
             ):
                 assert got[1] == want[1]
                 assert_bitwise(got[0], want[0])
@@ -432,19 +431,20 @@ class TestCoinScores:
                 warnings.simplefilter("ignore")  # "or" clamps sure entries
                 cfg = RankerConfig(algorithm=rule)
                 assert rank(ss, cfg).order.tobytes() == spread_order(counted, rule).tobytes()
-                want = spread_order(model.marginal_matrix(), rule).tobytes()
+                want = spread_order(spread_marginals(model), rule).tobytes()
                 assert rank(ss, cfg, marginals=model).order.tobytes() == want
         assert_bitwise(_tie_key(ss), spread_scores(counted, "ntr"))
 
     def test_add_a_coins_term_once_per_slot(self):
         # Ten additions of 0.1 make 0.9999999999999999; 10 * 0.1 makes 1.0.
         model = ProbabilityModel.group_structured(SlotLayout((10, 0)), [[0], [0], [1]], [[0.1], [0.3], [0.5]])
-        assert spread_scores(model.marginal_matrix(), "tr")[0] == sum([0.1] * 10) != 1.0
+        assert spread_scores(spread_marginals(model), "tr")[0] == sum([0.1] * 10) != 1.0
         ss = SampleSet(model, np.array([[True, False, True]] * 9 + [[False] * 3]), 0)
-        assert _win_frequencies(ss)[0] == 0.9
+        freq = empirical_marginals(ss)
+        assert freq[0] == 0.9
         for rule in SCORE_RULES:
-            assert_bitwise(baseline_scores(model, rule), spread_scores(model.marginal_matrix(), rule))
-            assert_bitwise(_coin_scores(model, _win_frequencies(ss), rule), spread_scores(row_count_marginals(ss), rule))
+            assert_bitwise(baseline_scores(model, rule), spread_scores(spread_marginals(model), rule))
+            assert_bitwise(baseline_scores(model, rule, freq), spread_scores(row_count_marginals(ss), rule))
         # A candidate whose coins own no slot has no entry.
         assert baseline_scores(model, "and")[2] == -math.inf
 
@@ -452,10 +452,10 @@ class TestCoinScores:
         # Candidate 1's sure coin is in a group without slots.
         model = ProbabilityModel.group_structured(SlotLayout((2, 0)), [[0], [1]], [[0.5], [0.5]])
         ss = SampleSet(model, np.array([[False, True], [True, True]]), 0)
-        _, clamped = warned(_coin_scores, model, _win_frequencies(ss), "or")
+        _, clamped = warned(baseline_scores, model, "or", empirical_marginals(ss))
         assert not clamped
         ss = SampleSet(model, np.array([[True, True], [True, False]]), 0)
-        scores, clamped = warned(_coin_scores, model, _win_frequencies(ss), "or")
+        scores, clamped = warned(baseline_scores, model, "or", empirical_marginals(ss))
         assert clamped and np.isfinite(scores).all()
 
     def test_refuses_entries_beyond_memory(self, monkeypatch):
@@ -466,25 +466,54 @@ class TestCoinScores:
         monkeypatch.setattr(core, "_physical_memory", lambda: 16 * 15)
         assert baseline_scores(model, "tr").tolist() == [5.0, 2.5]
 
-    def test_ranks_without_spreading_coins(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("spread coins over slots")
 
-        monkeypatch.setattr(core, "_spread_coins", refuse)
-        monkeypatch.setattr(ranker, "_spread_coins", refuse)
+class TestWinFrequencyHook:
+    """``rank()`` reads the samples' win frequencies through the module-level
+    name ``ranker.empirical_marginals``, once, wherever it reads them: the
+    benchmark's tracer patches that name to time the tie key and score
+    input."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = ranker.empirical_marginals
+        monkeypatch.setattr(ranker, "empirical_marginals", lambda ss: calls.append(ss) or real(ss))
+        return calls
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        # A cut-kernel set, a batched-kernel one, and an independent one.
         rng = np.random.default_rng(4)
-        sets = [
+        return [
             random_group_samples(rng, 6, n=5),
             random_group_samples(rng, MAX_CUT_KERNEL_GROUPS + 2, n=5),
             random_independent_samples(rng, 8, n=5),
         ]
+
+    @pytest.mark.filterwarnings("ignore:probability 1")
+    def test_once_per_rank_from_the_samples(self, calls, sets):
+        kernels = set()
         for ss in sets:
-            for algorithm in ALGORITHMS:
-                cfg = RankerConfig(algorithm=algorithm)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # "or" clamps sure entries
-                    assert rank(ss, cfg).is_complete(ss.candidates)
-                    assert rank(ss, cfg, marginals=ss.model).is_complete(ss.candidates)
+            for algorithm in GREEDY_ALGORITHMS + SCORE_RULES:
+                cfg, stats = RankerConfig(algorithm=algorithm), RankerStats()
+                calls.clear()
+                assert rank(ss, cfg, stats=stats).is_complete(ss.candidates)
+                assert len(calls) == 1 and calls[0] is ss
+                kernels.add(stats.kernel)
+            # The greedies rank from the samples whatever marginals are given.
+            for algorithm in GREEDY_ALGORITHMS:
+                calls.clear()
+                rank(ss, RankerConfig(algorithm=algorithm, stop_at=1), marginals=ss.model)
+                assert len(calls) == 1
+        assert kernels == {"cut", "batched", ""}
+
+    @pytest.mark.filterwarnings("ignore:probability 1")
+    def test_none_for_random_or_given_marginals(self, calls, sets):
+        for ss in sets:
+            assert rank(ss, RankerConfig(algorithm="random")).is_complete(ss.candidates)
+            for rule in SCORE_RULES:
+                assert rank(ss, RankerConfig(algorithm=rule), marginals=ss.model).is_complete(ss.candidates)
+        assert calls == []
 
 
 class TestRandomRanking:
@@ -532,7 +561,7 @@ class TestDispatcher:
             rank(ss, RankerConfig(algorithm="tr"), marginals=bad)
 
     @pytest.mark.parametrize("algorithm", ["and", "or", "tr", "ntr"])
-    def test_group_marginals_rank_as_their_marginal_matrix(self, algorithm):
+    def test_group_marginals_rank_as_their_spread(self, algorithm):
         # Six candidates in 3 one-slot groups, and in 3 groups of 1-3 slots
         # beside the sample set of as many slots.
         for sizes in ((1, 1, 1), (3, 2, 1)):
@@ -541,7 +570,7 @@ class TestDispatcher:
             )
             ss = random_sampleset(np.random.default_rng(23), 6, sum(sizes), 2, 0.5)
             cfg = RankerConfig(algorithm=algorithm)
-            want = rank(ss, cfg, marginals=group.marginal_matrix()).order
+            want = rank(ss, cfg, marginals=spread_marginals(group)).order
             assert rank(ss, cfg, marginals=group).order.tobytes() == want.tobytes()
 
     def test_stop_at_truncates_baselines(self):

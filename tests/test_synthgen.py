@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import coin_candidates, coin_view, dense_probs, draw_masks, edge_set
+from conftest import coin_candidates, coin_view, draw_masks, edge_set
+from oracles import dense_probs
 from matchrank import core, synthgen
 from matchrank.core import (
     InputError,
